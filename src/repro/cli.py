@@ -648,11 +648,13 @@ def _cmd_bench_fleet(args: argparse.Namespace) -> int:
     if args.check_only:
         verdict = check_equivalence(workers=args.workers)
         if verdict["passed"]:
-            spec = verdict["spec"]
+            fleets = "; ".join(
+                f"{spec['cc']} {spec['n_shards']} shards x "
+                f"{spec['flows_per_shard']} flows, seed {spec['seed']}"
+                for spec in verdict["specs"])
             print(f"fleet aggregates identical for workers "
-                  f"{verdict['workers_compared']} on the pinned fleet "
-                  f"({spec['n_shards']} shards x {spec['flows_per_shard']} "
-                  f"flows, seed {spec['seed']})")
+                  f"{verdict['workers_compared']} on the pinned fleets "
+                  f"({fleets})")
             return 0
         print(f"FLEET DIVERGENCE: {verdict}", file=sys.stderr)
         return 1
@@ -1158,9 +1160,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CI smoke subset: the 10- and 100-flow points")
     p_fleet.add_argument("--check-only", action="store_true",
                          help="only run the pinned serial-vs-sharded "
-                              "equivalence fleet; non-zero exit unless the "
-                              "aggregates are identical, no artifact "
-                              "written")
+                              "equivalence fleets (cubic and astraea); "
+                              "non-zero exit unless the aggregates are "
+                              "identical, no artifact written")
     p_fleet.add_argument("--out-dir", default=None,
                          help="write the artifact here instead of "
                               "benchmarks/results/")

@@ -16,6 +16,10 @@ benchmarks report which backend was used.
 
 from __future__ import annotations
 
+from collections import deque
+
+import numpy as np
+
 from ..cc.base import CongestionController, Decision, register
 from ..config import ACTION_ALPHA, HISTORY_LENGTH, MTP_S
 from ..netsim.stats import MtpStats
@@ -80,19 +84,29 @@ class AstraeaController(CongestionController):
         self.cwnd = self.initial_cwnd
         self._in_slow_start = self.slow_start_enabled
         self._rtt_min = float("inf")
-        self._rtt_samples: list[tuple[float, float]] = []
+        self._rtt_samples: deque[tuple[float, float]] = deque()
         self._next_probe_s: float | None = None
         self._drain_left = 0
         if self._fallback is not None:
             self._fallback.reset()
 
     def _windowed_rtt_min(self, now: float, sample: float) -> float:
-        """Sliding-window minimum RTT for the deployment guards."""
-        self._rtt_samples.append((now, sample))
+        """Sliding-window minimum RTT for the deployment guards.
+
+        A monotonic deque: a sample is dropped as soon as a newer one is
+        no larger (it can never be the minimum again) or once it leaves
+        the window, so the front is always the window minimum — the same
+        float a scan of the whole window returns, in amortised O(1).
+        ``now`` must not decrease between calls.
+        """
+        samples = self._rtt_samples
+        while samples and samples[-1][1] >= sample:
+            samples.pop()
+        samples.append((now, sample))
         horizon = now - self.RTT_WINDOW_S
-        self._rtt_samples = [(t, r) for t, r in self._rtt_samples
-                             if t >= horizon]
-        return min(r for _, r in self._rtt_samples)
+        while samples[0][0] < horizon:
+            samples.popleft()
+        return samples[0][1]
 
     def _guarded(self, action: float, stats: MtpStats) -> float:
         """Deployment guard rails around the raw policy action.
@@ -163,11 +177,30 @@ class AstraeaController(CongestionController):
         # ACK-clocked growth: at most one packet per delivered ACK.
         self.cwnd = min(self.cwnd * self.SLOW_START_GROWTH,
                         self.cwnd + max(stats.delivered_pkts, 1.0))
+        return self._decision(stats)
+
+    def _decision(self, stats: MtpStats) -> Decision:
+        """The current window, paced at ``cwnd / sRTT``."""
         pacing = pacing_from_cwnd(self.cwnd, max(stats.srtt_s, 1e-6)) \
             if self.use_pacing else None
         return Decision(cwnd_pkts=self.cwnd, pacing_pps=pacing)
 
-    def on_interval(self, stats: MtpStats) -> Decision:
+    def _apply(self, action: float, stats: MtpStats) -> Decision:
+        """Eq. 3 window update for ``action``."""
+        self.cwnd = apply_action(self.cwnd, action, self.alpha)
+        return self._decision(stats)
+
+    def begin_interval(self, stats: MtpStats) -> Decision | np.ndarray:
+        """First half of a decision: everything that needs no policy.
+
+        Folds ``stats`` into the state block and returns either a
+        finished :class:`Decision` — the reference backend, a slow-start
+        step, a probe-drain interval — or the stacked local state the
+        policy must act on.  In the second case the caller owes one
+        :meth:`finish_interval` with that state's action; a driver may
+        compute the actions of every due flow in one stacked
+        :meth:`PolicyBundle.act_batch` call in between.
+        """
         if self._fallback is not None:
             decision = self._fallback.on_interval(stats)
             self.cwnd = decision.cwnd_pkts
@@ -178,9 +211,17 @@ class AstraeaController(CongestionController):
             if decision is not None:
                 return decision
         action = self._probe_action(stats.time_s)
-        if action is None:
-            action = self._guarded(self.policy.act(state), stats)
-        self.cwnd = apply_action(self.cwnd, action, self.alpha)
-        pacing = pacing_from_cwnd(self.cwnd, max(stats.srtt_s, 1e-6)) \
-            if self.use_pacing else None
-        return Decision(cwnd_pkts=self.cwnd, pacing_pps=pacing)
+        if action is not None:
+            return self._apply(action, stats)
+        return state
+
+    def finish_interval(self, stats: MtpStats, action: float) -> Decision:
+        """Second half: guard the policy's ``action`` for the state
+        :meth:`begin_interval` returned, then apply it."""
+        return self._apply(self._guarded(action, stats), stats)
+
+    def on_interval(self, stats: MtpStats) -> Decision:
+        state = self.begin_interval(stats)
+        if isinstance(state, Decision):
+            return state
+        return self.finish_interval(stats, self.policy.act(state))

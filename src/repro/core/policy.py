@@ -109,8 +109,18 @@ class PolicyBundle:
 
     def act(self, local_state: np.ndarray) -> float:
         """Greedy action in (-1, 1) for a single stacked local state."""
-        out = self.actor.infer(local_state)
-        return float(np.clip(out[0, 0], -0.999, 0.999))
+        return float(self.act_batch(local_state)[0])
+
+    def act_batch(self, local_states: np.ndarray) -> np.ndarray:
+        """Greedy actions for ``(n, in_dim)`` stacked states, one per row.
+
+        Row-exact (:meth:`~repro.rl.nn.MLP.infer_rows`): element ``i``
+        is bitwise the action :meth:`act` returns for row ``i`` alone,
+        so a driver may stack every due flow of a pass into one call
+        without perturbing the rollout.
+        """
+        out = self.actor.infer_rows(local_states)
+        return np.clip(out[:, 0], -0.999, 0.999)
 
     # ------------------------------------------------------------------
 

@@ -13,13 +13,16 @@ consume.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cc import create
-from ..cc.base import CongestionController
+from ..cc.base import CongestionController, Decision
 from ..config import ScenarioConfig
+from ..core.astraea import AstraeaController
+from ..core.policy import PolicyBundle
 from ..errors import SimulationError
 from ..netsim import FluidNetwork, INITIAL_CWND_PKTS
 from ..netsim.topology import TopologyConfig
@@ -186,6 +189,21 @@ class ScenarioResult:
         return float(np.mean(np.concatenate(values)))
 
 
+def _stacked_policy(controller: CongestionController
+                    ) -> PolicyBundle | None:
+    """The bundle whose forward the driver may stack for ``controller``.
+
+    Only a model-backed controller whose ``on_interval`` is
+    :class:`AstraeaController`'s own two-phase composition qualifies: a
+    subclass that overrides ``on_interval`` (a recording teacher, a test
+    double) must have its override run, and the reference backend has no
+    forward to stack — both get ``None`` and keep the per-object call.
+    """
+    if type(controller).on_interval is AstraeaController.on_interval:
+        return controller.policy
+    return None
+
+
 @dataclass
 class _RunningFlow:
     index: int
@@ -193,6 +211,9 @@ class _RunningFlow:
     controller: CongestionController
     next_ctrl_s: float
     end_s: float
+    #: Decided once at flow start (see :func:`_stacked_policy`), so a
+    #: pass over classical controllers pays one ``None`` test per flow.
+    policy: PolicyBundle | None = None
 
 
 class ScenarioDriver:
@@ -221,8 +242,9 @@ class ScenarioDriver:
         self._logs = [FlowLog(cc_name=f.cc, start_s=f.start_s,
                               end_s=min(f.end_s(), duration_s))
                       for f in scenario_flows]
-        self._pending = sorted(range(len(scenario_flows)),
-                               key=lambda i: scenario_flows[i].start_s)
+        self._pending = deque(sorted(
+            range(len(scenario_flows)),
+            key=lambda i: scenario_flows[i].start_s))
         self._running: list[_RunningFlow] = []
         self._bottleneck_mbps = bottleneck_mbps
         self._base_rtt_s = base_rtt_s
@@ -266,7 +288,7 @@ class ScenarioDriver:
         due = []
         while self._pending and \
                 self._flows[self._pending[0]].start_s <= now + 1e-12:
-            i = self._pending.pop(0)
+            i = self._pending.popleft()
             cfg = self._flows[i]
             if self._controllers is not None and \
                     self._controllers[i] is not None:
@@ -292,6 +314,7 @@ class ScenarioDriver:
                 next_ctrl_s=self._next_deadline(now, controller.mtp_s,
                                                 controller.mtp_s),
                 end_s=min(cfg.end_s(), self.duration_s),
+                policy=_stacked_policy(controller),
             ))
 
     def _begin_step(self) -> bool:
@@ -321,21 +344,21 @@ class ScenarioDriver:
         self._controller_pass(engine.now)
         return True
 
-    def step_block(self) -> bool:
-        """Advance to the next controller/flow event in one engine block.
+    def _advance_to_next_event(self) -> None:
+        """Advance the engine to the next controller/flow event in one
+        block.
 
-        Equivalent to calling :meth:`step` repeatedly — the block is sized
-        so that no controller deadline, flow start/stop, or the scenario
-        end falls strictly inside it, and the tick count is the *floor* of
-        the distance to the nearest event, so the landing tick boundaries
-        are exactly the ones per-tick stepping would visit (undershooting
-        merely costs another iteration).  Between MTP decisions this lets
-        the engine run its vectorized multi-tick kernel.
+        The block is sized so that no controller deadline, flow
+        start/stop, or the scenario end falls strictly inside it, and
+        the tick count is the *floor* of the distance to the nearest
+        event, so the landing tick boundaries are exactly the ones
+        per-tick stepping would visit.  Float rounding makes the floor
+        land one tick short of about a third of all events, which merely
+        costs another one-tick block — do not nudge it: the floor is
+        load-bearing for the pinned digests (rounding up instead moves
+        both pinned fleet digests).
         """
-        if not self._begin_step():
-            return False
         engine = self._engine
-        now = engine.now
         horizon = self.duration_s
         if self._pending:
             horizon = min(horizon, self._flows[self._pending[0]].start_s)
@@ -344,15 +367,61 @@ class ScenarioDriver:
                 horizon = rf.next_ctrl_s
             if rf.end_s < horizon:
                 horizon = rf.end_s
-        n_ticks = max(1, int((horizon - now) / self._tick_s))
+        n_ticks = max(1, int((horizon - engine.now) / self._tick_s))
         engine.advance_block(self._tick_s, n_ticks)
-        self._controller_pass(engine.now)
+
+    def step_block(self) -> bool:
+        """Advance to the next controller/flow event in one engine block.
+
+        Equivalent to calling :meth:`step` repeatedly (see
+        :meth:`_advance_to_next_event`); between MTP decisions this lets
+        the engine run its vectorized multi-tick kernel.
+        """
+        if not self._begin_step():
+            return False
+        self._advance_to_next_event()
+        self._controller_pass(self._engine.now)
         return True
 
     def _controller_pass(self, now: float) -> None:
-        """Run every controller whose monitoring interval has expired."""
-        for rf, stats in self.collect_due(now):
-            self.finish_flow(rf, stats, rf.controller.on_interval(stats))
+        """Run every controller whose monitoring interval has expired.
+
+        Two-phase, like the training runner: every due flow with a
+        stackable policy first does the policy-free half of its decision,
+        then each distinct :class:`PolicyBundle` runs *one* row-exact
+        forward over the stacked states of its flows, then every
+        decision is completed and applied in ``_running`` order.  Such
+        controllers share no state (their bundle is frozen), a flow's
+        ``set_cwnd`` never alters stats already collected, and row ``i``
+        of the stacked forward is bitwise ``act`` of that row, so the
+        pass equals calling ``on_interval`` flow by flow.
+
+        Every other flow takes exactly that per-object call, still
+        interleaved with ``finish_flow``: an observer callback may update
+        a learner that the next flow's ``on_interval`` acts with.
+        """
+        due = self.collect_due(now)
+        decisions: list = [None] * len(due)
+        # bundle id -> (bundle, slots in ``due`` that need its forward)
+        stacks: dict[int, tuple[PolicyBundle, list[int]]] = {}
+        for slot, (rf, stats) in enumerate(due):
+            if rf.policy is None:
+                continue
+            begun = decisions[slot] = rf.controller.begin_interval(stats)
+            if not isinstance(begun, Decision):
+                stacks.setdefault(id(rf.policy), (rf.policy, []))[1] \
+                    .append(slot)
+        for policy, slots in stacks.values():
+            actions = policy.act_batch(
+                np.stack([decisions[slot] for slot in slots]))
+            for slot, action in zip(slots, actions.tolist()):
+                rf, stats = due[slot]
+                decisions[slot] = rf.controller.finish_interval(stats,
+                                                                action)
+        for (rf, stats), decision in zip(due, decisions):
+            if decision is None:
+                decision = rf.controller.on_interval(stats)
+            self.finish_flow(rf, stats, decision)
 
     def collect_due(self, now: float) -> list:
         """Stats for every flow whose monitoring interval has expired.
@@ -411,19 +480,8 @@ class ScenarioDriver:
         """
         if not self._begin_step():
             return None
-        engine = self._engine
-        now = engine.now
-        horizon = self.duration_s
-        if self._pending:
-            horizon = min(horizon, self._flows[self._pending[0]].start_s)
-        for rf in self._running:
-            if rf.next_ctrl_s < horizon:
-                horizon = rf.next_ctrl_s
-            if rf.end_s < horizon:
-                horizon = rf.end_s
-        n_ticks = max(1, int((horizon - now) / self._tick_s))
-        engine.advance_block(self._tick_s, n_ticks)
-        return self.collect_due(engine.now)
+        self._advance_to_next_event()
+        return self.collect_due(self._engine.now)
 
     def result(self) -> ScenarioResult:
         """Logs collected so far (complete once :meth:`step` returns False)."""

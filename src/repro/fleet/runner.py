@@ -252,30 +252,41 @@ def run_fleet(spec: FleetSpec, *, workers: int | None = None,
                        elapsed_s=elapsed)
 
 
+#: The fleets ``check_equivalence`` pins by default: one with a classical
+#: controller (per-object decisions) and one with the learned controller
+#: (the driver's stacked, row-exact decision pass).
+PINNED_FLEETS = tuple(
+    FleetSpec(cc=cc, n_shards=4, flows_per_shard=8, seed=7, quick=True,
+              epochs=2)
+    for cc in ("cubic", "astraea"))
+
+
 def check_equivalence(spec: FleetSpec | None = None,
                       workers: int = 2) -> dict:
     """Serial-vs-sharded equivalence: the fleet's determinism contract.
 
-    Runs ``spec`` (a small pinned fleet by default) once with
+    Runs ``spec`` (by default each of :data:`PINNED_FLEETS`) once with
     ``workers=1`` and once through the process pool, and compares the
     timing-stripped fingerprints for *exact* equality.  Returns a
     verdict block suitable for embedding in ``BENCH_fleet.json``.
     """
-    if spec is None:
-        spec = FleetSpec(cc="cubic", n_shards=4, flows_per_shard=8,
-                         seed=7, quick=True, epochs=2)
-    serial = run_fleet(spec, workers=1).fingerprint()
-    sharded = run_fleet(spec, workers=max(2, workers)).fingerprint()
-    identical = serial == sharded
-    verdict = {
-        "spec": spec.as_dict(),
-        "workers_compared": [1, max(2, workers)],
-        "verdict": "identical" if identical else "divergent",
-        "passed": identical,
-    }
-    if not identical:
-        diverging = sorted(
+    specs = PINNED_FLEETS if spec is None else (spec,)
+    n_workers = max(2, workers)
+    diverging = {}
+    for s in specs:
+        serial = run_fleet(s, workers=1).fingerprint()
+        sharded = run_fleet(s, workers=n_workers).fingerprint()
+        fields = sorted(
             k for k in set(serial) | set(sharded)
             if serial.get(k) != sharded.get(k))
+        if fields:
+            diverging[s.cc] = fields
+    verdict = {
+        "specs": [s.as_dict() for s in specs],
+        "workers_compared": [1, n_workers],
+        "verdict": "divergent" if diverging else "identical",
+        "passed": not diverging,
+    }
+    if diverging:
         verdict["diverging_fields"] = diverging
     return verdict

@@ -130,17 +130,19 @@ class MLP:
         return out
 
     def infer_rows(self, x: np.ndarray) -> np.ndarray:
-        """Row-consistent inference: row ``i`` of a batched call is
-        bitwise identical to inferring row ``i`` alone.
+        """Row-exact inference: row ``i`` of a batched call is bitwise
+        identical to inferring row ``i`` alone, and to ``infer(x[i])``.
 
         BLAS ``@`` picks different kernels (blocking, FMA grouping) per
         matrix height, so :meth:`infer` on a stacked batch can differ
         from per-row calls in the last ulp — enough to diverge a chaotic
-        rollout.  ``np.einsum`` without ``optimize`` reduces every output
-        element in a fixed order regardless of batch size, which makes
-        serial-vs-batched action selection bit-exact.  Slower than BLAS
-        per call; use only where that equivalence is the contract (the
-        training act path).
+        rollout.  Here every row stays its own ``1 x K`` matrix: a 3-D
+        ``np.matmul`` loops, in C, the very BLAS call :meth:`infer`
+        makes for a single state, once per row, so the equivalence is
+        structural.  Use it wherever stacked and per-flow action
+        selection must agree bit for bit (the training act path, the
+        fleet decision pass); a pinned rollout must never stack its
+        rows into one gemm.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -148,12 +150,10 @@ class MLP:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ModelError(
                 f"expected input dim {self.in_dim}, got {x.shape[-1]}")
-        h = x
+        h = x[:, None, :]
         for layer in self.layers[:-1]:
-            h = np.maximum(
-                np.einsum("ij,jk->ik", h, layer.W) + layer.b, 0.0)
-        out = np.einsum("ij,jk->ik", h, self.layers[-1].W) \
-            + self.layers[-1].b
+            h = np.maximum(np.matmul(h, layer.W) + layer.b, 0.0)
+        out = (np.matmul(h, self.layers[-1].W) + self.layers[-1].b)[:, 0, :]
         if self.output == "tanh":
             out = np.tanh(out)
         return out

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.astraea import AstraeaController
 from repro.core.policy import PolicyBundle, new_actor
@@ -97,6 +99,76 @@ class TestShippedBundle:
         result = run_scenario(scenario)
         assert result.mean_jain() > 0.85
         assert result.utilization() > 0.8
+
+
+class TestTwoPhaseDecision:
+    def test_begin_finishes_slow_start_and_probe_drain_alone(self):
+        from repro.cc.base import Decision
+
+        ctl = make_controller(slow_start=True)
+        first = ctl.begin_interval(make_stats(time_s=0.03,
+                                              delivered_pkts=30.0))
+        assert isinstance(first, Decision)       # slow-start ramp
+        ctl = make_controller(slow_start=False)
+        kinds = [type(ctl.begin_interval(make_stats(time_s=t)))
+                 for t in (0.03, 5.03, 5.06, 5.09, 5.12)]
+        # Policy state, three probe-drain intervals, policy state again.
+        assert kinds == [np.ndarray, Decision, Decision, Decision,
+                         np.ndarray]
+
+    def test_on_interval_composes_the_two_phases(self):
+        whole = make_controller()
+        split = make_controller()
+        for i in range(250):
+            stats = make_stats(time_s=(i + 1) * 0.03,
+                               avg_rtt_s=0.03 + 0.0005 * (i % 40),
+                               min_rtt_s=0.03)
+            want = whole.on_interval(stats)
+            got = split.begin_interval(stats)
+            if isinstance(got, np.ndarray):
+                action = float(split.policy.act_batch(got[None, :])[0])
+                got = split.finish_interval(stats, action)
+            assert got == want
+
+
+class TestWindowedRttMin:
+    """The guards' O(1) RTT floor against a scan of the whole window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=st.lists(
+        st.tuples(
+            # Time step to the next sample: zero (several samples at one
+            # instant), within the window, or long enough to expire
+            # everything before it and leave the window one element.
+            st.one_of(st.just(0.0), st.floats(0.0, 4.0),
+                      st.floats(9.0, 25.0)),
+            # Few distinct values, so equal samples (ties) are common.
+            st.one_of(st.sampled_from([0.01, 0.02, 0.05]),
+                      st.floats(1e-4, 2.0))),
+        min_size=1, max_size=60))
+    def test_equals_brute_force_window_minimum(self, stream):
+        ctl = make_controller()
+        window = ctl.RTT_WINDOW_S
+        now, seen = 0.0, []
+        for step, sample in stream:
+            now += step
+            seen.append((now, sample))
+            want = min(r for t, r in seen if t >= now - window)
+            assert ctl._windowed_rtt_min(now, sample) == want
+
+    def test_window_that_empties_to_one_element(self):
+        ctl = make_controller()
+        assert ctl._windowed_rtt_min(0.0, 0.01) == 0.01
+        assert ctl._windowed_rtt_min(5.0, 0.03) == 0.01
+        # 10.0 s later the only survivor is the newest, larger sample.
+        assert ctl._windowed_rtt_min(20.0, 0.08) == 0.08
+        assert len(ctl._rtt_samples) == 1
+
+    def test_reset_forgets_the_window(self):
+        ctl = make_controller()
+        ctl._windowed_rtt_min(0.0, 0.01)
+        ctl.reset()
+        assert ctl._windowed_rtt_min(0.1, 0.05) == 0.05
 
 
 class TestDeploymentGuards:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.policy import (
+    MODELS_DIR,
     PolicyBundle,
     clear_policy_cache,
     default_policy_path,
@@ -35,6 +36,34 @@ class TestBundleRoundtrip:
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(ModelError):
             PolicyBundle.load(tmp_path / "nope.npz")
+
+
+#: Batch heights on both sides of every BLAS blocking threshold the
+#: fleet crosses (a 400-flow shard is the benchmark's pass).
+ROW_COUNTS = (1, 2, 7, 8, 64, 400)
+
+
+class TestStackedForwardIsRowExact:
+    """The fleet's one-forward-per-pass rests on this: if a future NumPy
+    collapses the 3-D matmul of ``infer_rows`` into one gemm, rows start
+    to differ from per-flow inference in the last ulp and every pinned
+    rollout digest moves."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(MODELS_DIR.glob("*.npz")), ids=lambda p: p.stem)
+    def test_every_shipped_bundle(self, path):
+        bundle = PolicyBundle.load(path)
+        actor = bundle.actor
+        rng = np.random.default_rng(12)
+        for n in ROW_COUNTS:
+            x = rng.uniform(0.0, 6.0, size=(n, actor.in_dim))
+            rows = actor.infer_rows(x)
+            actions = bundle.act_batch(x)
+            assert rows.shape == (n, actor.out_dim)
+            assert actions.shape == (n,)
+            for i in range(n):
+                assert np.array_equal(rows[i:i + 1], actor.infer(x[i]))
+                assert actions[i] == bundle.act(x[i])
 
 
 class TestDefaults:

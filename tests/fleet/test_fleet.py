@@ -126,11 +126,20 @@ class TestRunFleet:
         assert pooled.workers == 2
 
     def test_check_equivalence_verdict(self):
-        verdict = check_equivalence(
-            small_spec(n_shards=2, flows_per_shard=3))
+        spec = small_spec(n_shards=2, flows_per_shard=3)
+        verdict = check_equivalence(spec)
         assert verdict["passed"]
         assert verdict["verdict"] == "identical"
         assert verdict["workers_compared"] == [1, 2]
+        assert verdict["specs"] == [spec.as_dict()]
+
+    def test_default_gate_pins_a_classical_and_a_learned_fleet(self):
+        # The astraea leg is what holds the driver's stacked decision
+        # pass to the any-worker-count bit-identity contract.
+        verdict = check_equivalence()
+        assert [s["cc"] for s in verdict["specs"]] == ["cubic", "astraea"]
+        assert verdict["passed"]
+        assert "diverging_fields" not in verdict
 
 
 class TestQuarantine:

@@ -186,3 +186,28 @@ class TestInfer:
         net.infer(np.zeros(4))
         with pytest.raises(ModelError):
             net.backward(np.zeros((1, 1)))
+
+
+class TestInferRows:
+    """The row-exact kernel: stacking must not perturb any row."""
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 400])
+    def test_row_bitwise_equals_single_infer(self, output, n):
+        net = MLP(in_dim=40, hidden=(256, 128, 64), out_dim=3,
+                  output=output, seed=3)
+        x = np.random.default_rng(n).normal(size=(n, 40))
+        rows = net.infer_rows(x)
+        assert rows.shape == (n, 3)
+        for i in range(n):
+            assert np.array_equal(rows[i:i + 1], net.infer(x[i]))
+            assert np.array_equal(rows[i:i + 1], net.infer_rows(x[i]))
+
+    def test_single_vector_promoted_to_batch(self):
+        net = MLP(in_dim=4, hidden=(8,), out_dim=1, seed=0)
+        assert net.infer_rows(np.zeros(4)).shape == (1, 1)
+
+    def test_rejects_wrong_input_dim(self):
+        net = MLP(in_dim=4, hidden=(8,), out_dim=1, seed=0)
+        with pytest.raises(ModelError):
+            net.infer_rows(np.zeros((2, 3)))
