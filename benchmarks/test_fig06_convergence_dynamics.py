@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import print_table, save_results, scenarios
+from repro import scenarios
+from repro.bench import print_table, save_results
 from repro.bench.runners import run_scheme_trials, summarize_trials
 from repro.metrics import cdf
 from repro.metrics.convergence import mean_jain_convergence_time

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import print_table, save_results, scenarios
+from repro import scenarios
+from repro.bench import print_table, save_results
 from repro.bench.runners import run_scheme_trials
 from repro.metrics import jain_index
 from benchmarks.conftest import TRIALS, QUICK, run_once

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import print_table, save_results, scenarios
+from repro import scenarios
+from repro.bench import print_table, save_results
 from repro.env import run_scenario
 from benchmarks.conftest import TRIALS, QUICK, run_once
 

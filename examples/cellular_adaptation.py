@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import scenarios
+from repro import scenarios
 from repro.env import run_scenario
 from repro.netsim.traces import LteTrace
 

@@ -13,7 +13,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro.bench import print_table, scenarios
+from repro import scenarios
+from repro.bench import print_table
 from repro.env import run_scenario
 
 SCHEMES = ("astraea", "cubic", "bbr", "vivace")

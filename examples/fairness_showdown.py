@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.bench import print_table, scenarios
+from repro import scenarios
+from repro.bench import print_table
 from repro.bench.runners import run_scheme_trials, summarize_trials
 
 DEFAULT_SCHEMES = ("astraea", "astraea-ref", "cubic", "bbr", "vegas",

@@ -1,4 +1,4 @@
-"""Benchmark harness: canonical scenarios, trial runners, reporting."""
+"""Benchmark harness: trial runners, reporting, the bench registry."""
 
 from .engine import check_equivalence, run_engine_benchmark
 from .runners import (
@@ -15,10 +15,8 @@ from .reporting import (
     save_markdown,
     save_results,
 )
-from . import scenarios
 
 __all__ = [
-    "scenarios",
     "run_trials",
     "run_family_trials",
     "run_scheme_trials",

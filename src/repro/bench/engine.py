@@ -31,6 +31,8 @@ from ..env.multiflow import run_scenario
 from ..netsim.faults import Blackout, FaultSchedule, LossBurst
 from ..netsim.flowgen import staggered_flows
 from ..netsim.fluid import SLOWPATH_ENV, FluidNetwork
+from .registry import Bench, Flag, ints, status
+from .reporting import format_table
 
 BENCH_ID = "BENCH_engine"
 
@@ -194,9 +196,7 @@ def run_engine_benchmark(flow_counts: tuple[int, ...] = (1, 2, 8, 16),
     called with one status line per stage.
     """
 
-    def report(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    report = progress or (lambda msg: None)
 
     ticks = []
     for n in flow_counts:
@@ -216,3 +216,65 @@ def run_engine_benchmark(flow_counts: tuple[int, ...] = (1, 2, 8, 16),
         "episode": episode,
         "equivalence": equivalence,
     }
+
+
+def _run(args, progress) -> dict:
+    flow_counts = (2, 8) if args.small else (1, 2, 8, 16)
+    return run_engine_benchmark(
+        flow_counts=args.flows or flow_counts,
+        duration_s=5.0 if args.small else args.duration,
+        progress=status(progress))
+
+
+def _check(args) -> tuple[bool, str]:
+    verdict = check_equivalence()
+    if not verdict["passed"]:
+        return False, f"ENGINE DIVERGENCE: {verdict}"
+    return True, (f"fast path equals reference on the pinned scenario "
+                  f"({verdict['rows']} log rows, max delta "
+                  f"{verdict['max_delta']:.3g} <= {verdict['tolerance']:g})")
+
+
+def _render(payload: dict) -> str:
+    ep = payload["episode"]
+    eq = payload["equivalence"]
+    table = format_table(
+        "Engine fast path vs per-tick reference",
+        ["flows", "fast ticks/s", "reference ticks/s", "speedup"],
+        [[row["n_flows"], row["fast"]["ticks_per_s"],
+          row["reference"]["ticks_per_s"], row["speedup"]]
+         for row in payload["ticks_per_s"]])
+    return (f"{table}\n"
+            f"\nepisode ({ep['n_flows']} flows, {ep['duration_s']:g}s): "
+            f"fast {ep['fast']['elapsed_s']:.2f}s vs reference "
+            f"{ep['reference']['elapsed_s']:.2f}s "
+            f"(speedup {ep['speedup']:.2f}x)\n"
+            f"equivalence: passed={eq['passed']} "
+            f"max_delta={eq['max_delta']:.3g} over {eq['rows']} rows")
+
+
+BENCH = Bench(
+    name="engine",
+    bench_id=BENCH_ID,
+    title="engine benchmark",
+    help="fluid-engine fast path vs per-tick reference "
+         "(writes BENCH_engine.json)",
+    flags=(
+        Flag("--flows", default=None, parse=ints, example="1,2,8,16",
+             help="comma-separated flow counts for the ticks/s sweep "
+                  "(default: 1,2,8,16)"),
+        Flag("--duration", type=float, default=30.0,
+             help="simulated seconds per measurement (default 30)"),
+        Flag.small("CI smoke subset: 2 and 8 flows, 5 s episodes"),
+        Flag("--check-only", action="store_true",
+             help="only run the pinned fast-vs-reference equivalence "
+                  "scenario; non-zero exit on any divergence, no artifact "
+                  "written"),
+        Flag.OUT_DIR,
+    ),
+    run=_run,
+    render=_render,
+    ok=lambda payload: payload["equivalence"]["passed"],
+    check=_check,
+    gate="check_only",
+)

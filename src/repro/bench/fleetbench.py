@@ -25,6 +25,8 @@ import os
 import time
 
 from ..fleet import FleetSpec, check_equivalence, run_fleet
+from .registry import Bench, Flag, status
+from .reporting import format_table
 
 BENCH_ID = "BENCH_fleet"
 
@@ -138,9 +140,7 @@ def run_fleet_benchmark(points=FLEET_POINTS, *, cc: str = "cubic",
     ``progress`` (if given) is called with one status line per stage.
     """
 
-    def report(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    report = progress or (lambda msg: None)
 
     started = time.perf_counter()
     measured = []
@@ -181,3 +181,83 @@ def fleet_table_rows(payload: dict) -> list[list]:
             f"{p['serial']['utilization']:.4f}",
         ])
     return rows
+
+
+def _pairs(value: str) -> tuple[tuple[int, int], ...]:
+    """``4x25,25x40`` -> ``((4, 25), (25, 40))``."""
+    out = tuple(tuple(int(v) for v in item.split("x"))
+                for item in value.split(",") if item.strip())
+    if not out or any(len(p) != 2 for p in out):
+        raise ValueError(value)
+    return out
+
+
+def _run(args, progress) -> dict:
+    points = SMALL_POINTS if args.small else FLEET_POINTS
+    return run_fleet_benchmark(
+        points=args.points or points, cc=args.cc, seed=args.seed,
+        workers=args.workers, small=args.small, progress=status(progress))
+
+
+def _check(args) -> tuple[bool, str]:
+    verdict = check_equivalence(workers=args.workers)
+    if not verdict["passed"]:
+        return False, f"FLEET DIVERGENCE: {verdict}"
+    fleets = "; ".join(
+        f"{spec['cc']} {spec['n_shards']} shards x "
+        f"{spec['flows_per_shard']} flows, seed {spec['seed']}"
+        for spec in verdict["specs"])
+    return True, (f"fleet aggregates identical for workers "
+                  f"{verdict['workers_compared']} on the pinned fleets "
+                  f"({fleets})")
+
+
+def _render(payload: dict) -> str:
+    eq = payload["equivalence"]
+    gate = payload["speedup_gate"]
+    table = format_table(
+        "Fleet scaling: flow-ticks per wall-second, serial vs sharded",
+        ["shards x flows", "flows", "serial ft/s", "sharded ft/s",
+         "speedup", "jain", "util"],
+        fleet_table_rows(payload))
+    if gate["applicable"]:
+        gate_line = (f"speedup gate (>= {gate['required_speedup']:g}x at >= "
+                     f"{gate['min_flows']} flows): met={gate['met']} "
+                     f"(best {gate['best_speedup']:.2f}x on "
+                     f"{gate['cpu_count']} CPUs)")
+    else:
+        gate_line = (f"speedup gate not applicable on this host "
+                     f"({gate['cpu_count']} CPU(s) < {gate['min_cores']} or "
+                     f"no >= {gate['min_flows']}-flow point measured)")
+    return (f"{table}\n"
+            f"\nequivalence: {eq['verdict']} for workers "
+            f"{eq['workers_compared']}\n{gate_line}")
+
+
+BENCH = Bench(
+    name="fleet",
+    bench_id=BENCH_ID,
+    title="fleet benchmark",
+    help="fleet scaling sweep: flows per wall-second 10 -> 10k, "
+         "serial vs sharded (writes BENCH_fleet.json)",
+    flags=(
+        Flag("--points", default=None, parse=_pairs, example="4x25,25x40",
+             help="comma-separated shard-count x flows-per-shard pairs, "
+                  "e.g. '4x25,25x40' (default: the 10 -> 10,000 ladder)"),
+        Flag("--cc", default="cubic",
+             help="scheme every fleet flow runs (default cubic)"),
+        Flag("--seed", type=int, default=0, help="fleet seed (default 0)"),
+        Flag.workers("pool size of the sharded leg (default 2)", default=2),
+        Flag.small("CI smoke subset: the 10- and 100-flow points"),
+        Flag("--check-only", action="store_true",
+             help="only run the pinned serial-vs-sharded equivalence "
+                  "fleets (cubic and astraea); non-zero exit unless the "
+                  "aggregates are identical, no artifact written"),
+        Flag.OUT_DIR,
+    ),
+    run=_run,
+    render=_render,
+    ok=lambda payload: payload["equivalence"]["passed"],
+    check=_check,
+    gate="check_only",
+)

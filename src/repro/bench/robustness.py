@@ -1,7 +1,7 @@
 """Robustness benchmark: per-fault recovery metrics across all CC schemes.
 
 The ROADMAP's "bench robustness report": sweep the
-:func:`~repro.bench.scenarios.robustness_scenario` family over every
+:func:`~repro.scenarios.robustness_scenario` family over every
 registered congestion-control scheme x each fault kind x both network
 engines, measure post-fault recovery with
 :mod:`repro.metrics.recovery`, aggregate across seeds, and emit a JSON
@@ -11,24 +11,23 @@ of the fault-injection layer.
 
 Entry points: :func:`run_robustness_sweep` (the full cross product,
 programmable subset), :func:`markdown_report` (the human-readable table)
-and the ``repro bench robustness`` CLI subcommand.
+and :data:`BENCH`, the ``repro bench robustness`` registry entry.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 
 import numpy as np
 
-from ..config import ScenarioConfig
-from ..env import run_scenario
-from ..env.packetrun import run_scenario_packet
+from ..env import ALL_ENGINES, ENGINES, run_engine_scenario
 from ..errors import ConfigError
 from ..metrics.recovery import RecoveryReport, recovery_report
-from ..parallel import parallel_map, resolve_workers
 from ..scenarios import build_scenario
+from .registry import Bench, Flag, names
 from .reporting import markdown_table
+from .runners import run_cell_sweep
 
 #: Fault kinds of the sweep (the five primitives; "mixed" is excluded
 #: because its random composite has no single window to recover from).
@@ -37,15 +36,6 @@ FAULT_KINDS = ("blackout", "flap", "loss-burst", "delay-spike", "reorder")
 #: Every registered scheme the report compares.
 ALL_SCHEMES = ("astraea", "aurora", "orca", "vivace", "remy", "bbr",
                "copa", "cubic", "newreno", "reno", "vegas", "compound")
-
-#: Engines of the default sweep.  The socket engine is dispatchable but
-#: excluded here: it runs in (scaled) wall-clock time, so a full sweep
-#: over it would take tens of minutes — select it explicitly with
-#: ``--engines socket``.
-ENGINES = ("fluid", "packet")
-
-#: Every engine :func:`run_engine_scenario` can dispatch to.
-ALL_ENGINES = ("fluid", "packet", "socket")
 
 #: The CI smoke subset: 2 schemes x 3 fault kinds, fluid engine only.
 #: loss-burst is included so ``--small`` sweeps on any engine exercise
@@ -80,32 +70,7 @@ class RecoveryCell:
     elapsed_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "kind": self.kind,
-            "engine": self.engine,
-            "trials": self.trials,
-            "recovered": self.recovered,
-            "recovery_time_s": self.recovery_time_s,
-            "jain_reconvergence_s": self.jain_reconvergence_s,
-            "peak_rtt_overshoot_ms": self.peak_rtt_overshoot_ms,
-            "goodput_lost_mbit": self.goodput_lost_mbit,
-            "baseline_mbps": self.baseline_mbps,
-            "elapsed_s": self.elapsed_s,
-        }
-
-
-def run_engine_scenario(scenario: ScenarioConfig, engine: str):
-    """Dispatch one scenario to the requested simulation engine."""
-    if engine == "fluid":
-        return run_scenario(scenario)
-    if engine == "packet":
-        return run_scenario_packet(scenario)
-    if engine == "socket":
-        from ..netsim.socketpath import run_scenario_socket
-
-        return run_scenario_socket(scenario)
-    raise ConfigError(f"unknown engine {engine!r}; known: {list(ALL_ENGINES)}")
+        return asdict(self)
 
 
 def _finite_mean(values) -> float:
@@ -192,25 +157,15 @@ def validate_sweep_axes(schemes, kinds, engines, families=()) -> None:
     from ..cc import available
     from ..scenarios import available_families
 
-    unknown = [k for k in kinds if k not in FAULT_KINDS]
-    if unknown:
-        raise ConfigError(
-            f"unknown fault kinds {unknown}; known: {list(FAULT_KINDS)}")
-    known_schemes = set(available())
-    unknown = [s for s in schemes if s not in known_schemes]
-    if unknown:
-        raise ConfigError(
-            f"unknown schemes {unknown}; known: {sorted(known_schemes)}")
-    unknown = [e for e in engines if e not in ALL_ENGINES]
-    if unknown:
-        raise ConfigError(
-            f"unknown engines {unknown}; known: {list(ALL_ENGINES)}")
-    known_families = set(available_families())
-    unknown = [f for f in families if f not in known_families]
-    if unknown:
-        raise ConfigError(
-            f"unknown scenario families {unknown}; known: "
-            f"{sorted(known_families)}")
+    for axis, values, known in (
+            ("fault kinds", kinds, FAULT_KINDS),
+            ("schemes", schemes, sorted(available())),
+            ("engines", engines, ALL_ENGINES),
+            ("scenario families", families, sorted(available_families()))):
+        unknown = [v for v in values if v not in known]
+        if unknown:
+            raise ConfigError(
+                f"unknown {axis} {unknown}; known: {list(known)}")
 
 
 def run_robustness_sweep(schemes=ALL_SCHEMES, kinds=FAULT_KINDS,
@@ -220,41 +175,25 @@ def run_robustness_sweep(schemes=ALL_SCHEMES, kinds=FAULT_KINDS,
                          policy: str | None = None) -> dict:
     """The full sweep: every scheme x fault kind x engine.
 
-    Returns a JSON-serialisable payload with one entry per cell.
-    ``progress`` is an optional callback ``(done, total, cell)`` invoked
-    as cells complete (the CLI uses it for stderr progress lines); with
-    ``workers > 1`` it fires in completion order with a monotone done
-    count.  ``policy`` substitutes a model bundle path into every
-    matching-scheme flow (see :func:`run_cell`).  The payload is
-    identical for any worker count except for the timing fields
-    (``elapsed_s``, ``workers``) — asserted by test.
+    Returns a JSON-serialisable payload with one entry per cell;
+    ``progress`` ``(done, total, cell)`` and the worker-count
+    determinism contract are :func:`~repro.bench.runners.run_cell_sweep`'s
+    (only ``elapsed_s``/``workers`` may differ between runs — asserted
+    by test).  ``policy`` substitutes a model bundle path into every
+    matching-scheme flow (see :func:`run_cell`).
     """
     validate_sweep_axes(schemes, kinds, engines)
-    start = time.perf_counter()
-    n_workers = resolve_workers(workers)
     tasks = [
         {"scheme": s, "kind": k, "engine": e, "seeds": list(range(trials)),
          "quick": quick, "threshold": threshold, "policy": policy}
         for e in engines for s in schemes for k in kinds
     ]
-    cells = parallel_map(
-        _run_cell_task, tasks, workers=n_workers,
-        describe=_describe_cell_task,
-        progress=(None if progress is None else
-                  lambda done, total, index, cell: progress(done, total,
-                                                            cell)))
-    return {
-        "schemes": list(schemes),
-        "kinds": list(kinds),
-        "engines": list(engines),
-        "trials": trials,
-        "quick": quick,
-        "threshold": threshold,
-        "policy": policy,
-        "workers": n_workers,
-        "elapsed_s": time.perf_counter() - start,
-        "cells": [c.as_dict() for c in cells],
-    }
+    axes = {"schemes": list(schemes), "kinds": list(kinds),
+            "engines": list(engines), "trials": trials, "quick": quick,
+            "threshold": threshold, "policy": policy}
+    return run_cell_sweep(_run_cell_task, tasks, axes,
+                          describe=_describe_cell_task, workers=workers,
+                          progress=progress)
 
 
 #: Payload keys that legitimately differ between two runs of the same
@@ -311,3 +250,59 @@ def markdown_report(payload: dict) -> str:
         "sentinel and are excluded from the means).",
     ]
     return "\n".join(lines)
+
+
+def _run(args, progress) -> dict:
+    # --small picks the smoke subset, but explicit axis flags still win —
+    # e.g. `--small --engines socket` runs the small matrix on the
+    # loopback-UDP engine.
+    if args.small:
+        schemes, kinds, engines = SMALL_SCHEMES, SMALL_KINDS, ("fluid",)
+    else:
+        schemes, kinds, engines = ALL_SCHEMES, FAULT_KINDS, ENGINES
+    return run_robustness_sweep(
+        schemes=args.schemes or schemes, kinds=args.kinds or kinds,
+        engines=args.engines or engines,
+        trials=1 if args.small else args.trials, quick=not args.full,
+        threshold=args.threshold, workers=args.workers, policy=args.policy,
+        progress=lambda done, total, cell: progress(
+            f"[{done}/{total}] {cell.engine}/{cell.scheme}/{cell.kind}: "
+            f"recovered {cell.recovered}/{cell.trials}"))
+
+
+BENCH = Bench(
+    name="robustness",
+    bench_id="robustness",
+    small_id="robustness_small",
+    title="robustness sweep",
+    help="recovery metrics per (scheme, fault kind, engine)",
+    flags=(
+        Flag("--schemes", default=None, parse=names, example="cubic,bbr",
+             help="comma-separated scheme names (default: all)"),
+        Flag("--kinds", default=None, parse=names, example="blackout,flap",
+             help="comma-separated fault kinds (default: all 5)"),
+        Flag("--engines", default=None, parse=names, example="fluid,packet",
+             help="comma-separated engines: fluid, packet, socket "
+                  "(default: fluid,packet)"),
+        Flag("--trials", type=int, default=2,
+             help="seeds per (scheme, fault, engine) cell"),
+        Flag("--threshold", type=float, default=0.9,
+             help="recovered = throughput back at this fraction of the "
+                  "pre-fault steady state"),
+        Flag.small("CI smoke subset: 2 schemes x 3 faults, fluid engine, "
+                   "1 trial (explicit --schemes/--kinds/--engines still "
+                   "override)"),
+        Flag("--full", action="store_true",
+             help="full 90 s scenarios instead of quick 30 s"),
+        Flag.OUT_DIR,
+        Flag.workers("process-pool size for the sweep cells "
+                     "(default: $REPRO_WORKERS, else serial)"),
+        Flag("--policy", default=None,
+             help="model-bundle path substituted into every matching-scheme "
+                  "flow (learned schemes only; diff a candidate bundle "
+                  "against the shipped one)"),
+    ),
+    run=_run,
+    render=markdown_report,
+    markdown=markdown_report,
+)

@@ -11,6 +11,7 @@ every fig-family benchmark bit-identical to its historical output.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from ..config import ScenarioConfig, replace
 from ..env import ScenarioResult, run_scenario
 from ..metrics.summary import RunSummary, summarize
-from ..parallel import parallel_map
+from ..parallel import parallel_map, resolve_workers
 
 
 def _run_scenario_task(scenario: ScenarioConfig) -> ScenarioResult:
@@ -77,6 +78,34 @@ def run_family_trials(family: str, cc: str, trials: int,
     return _run_scenarios(
         [build_scenario(family, cc=cc, quick=quick, seed=seed, **params)
          for seed in range(trials)], workers)
+
+
+def run_cell_sweep(task_fn: Callable, tasks: list[dict], axes: dict, *,
+                   describe: Callable[[dict], str],
+                   workers: int | None = None, progress=None) -> dict:
+    """Run a sweep's cell tasks and wrap them in its artifact payload.
+
+    ``tasks`` go through :func:`parallel_map` (``task_fn`` and
+    ``describe`` must be module-level, spawn-picklable); ``progress``
+    is an optional ``(done, total, cell)`` callback fired as cells
+    complete, in completion order with a monotone done count.  The
+    payload is ``axes`` followed by the timing fields (``workers``,
+    ``elapsed_s``) and the cells in task order — identical for any
+    worker count except for those timing fields.
+    """
+    start = time.perf_counter()
+    n_workers = resolve_workers(workers)
+    cells = parallel_map(
+        task_fn, tasks, workers=n_workers, describe=describe,
+        progress=(None if progress is None else
+                  lambda done, total, index, cell: progress(done, total,
+                                                            cell)))
+    return {
+        **axes,
+        "workers": n_workers,
+        "elapsed_s": time.perf_counter() - start,
+        "cells": [c.as_dict() for c in cells],
+    }
 
 
 def summarize_trials(results: list[ScenarioResult], scheme: str,

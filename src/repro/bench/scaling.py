@@ -19,6 +19,7 @@ import os
 import time
 
 from ..parallel import resolve_workers
+from .registry import Bench, Flag, names
 from .robustness import (
     SMALL_KINDS,
     SMALL_SCHEMES,
@@ -76,3 +77,44 @@ def run_scaling_benchmark(workers: int | None = None,
         "cell_elapsed_serial_s": [c["elapsed_s"] for c in serial["cells"]],
         "cell_elapsed_parallel_s": [c["elapsed_s"] for c in pooled["cells"]],
     }
+
+
+def _run(args, progress) -> dict:
+    return run_scaling_benchmark(
+        workers=args.workers, schemes=args.schemes or SMALL_SCHEMES,
+        kinds=args.kinds or SMALL_KINDS, engines=args.engines or ("fluid",),
+        trials=args.trials)
+
+
+def _render(payload: dict) -> str:
+    return (f"{payload['cells']} cell(s), {payload['workers']} worker(s) on "
+            f"{payload['cpu_count']} CPU(s): serial "
+            f"{payload['serial_s']:.2f}s vs parallel "
+            f"{payload['parallel_s']:.2f}s (speedup "
+            f"{payload['speedup']:.2f}x, deterministic="
+            f"{payload['deterministic']})")
+
+
+BENCH = Bench(
+    name="scaling",
+    bench_id=BENCH_ID,
+    title="scaling benchmark",
+    help="serial-vs-parallel speedup of the small robustness sweep "
+         "(writes BENCH_parallel.json)",
+    flags=(
+        Flag("--schemes", default=None, parse=names, example="cubic,bbr",
+             help="comma-separated scheme names "
+                  "(default: the CI smoke subset)"),
+        Flag("--kinds", default=None, parse=names, example="blackout,flap",
+             help="comma-separated fault kinds "
+                  "(default: the CI smoke subset)"),
+        Flag("--engines", default=None, parse=names, example="fluid,packet",
+             help="comma-separated engines (default: fluid)"),
+        Flag("--trials", type=int, default=1),
+        Flag.workers("pool size of the parallel leg "
+                     "(default: $REPRO_WORKERS, else 2)"),
+        Flag.OUT_DIR,
+    ),
+    run=_run,
+    render=_render,
+)

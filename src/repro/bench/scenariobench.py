@@ -10,27 +10,24 @@ never contains.  Fairness is computed over the *foreground* flows only
 :meth:`~repro.env.multiflow.ScenarioResult.foreground_indices`).
 
 Entry points: :func:`run_scenario_sweep` (the full cross product,
-programmable subset), :func:`markdown_report`, and the
-``repro bench scenarios`` CLI subcommand.
+programmable subset), :func:`markdown_report`, and :data:`BENCH`, the
+``repro bench scenarios`` registry entry.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 
 import numpy as np
 
+from ..env import ENGINES, run_engine_scenario
 from ..errors import ConfigError
-from ..parallel import parallel_map, resolve_workers
 from ..scenarios import build_scenario, get_family
+from .registry import Bench, Flag, names
 from .reporting import markdown_table
-from .robustness import (
-    ALL_SCHEMES,
-    ENGINES,
-    run_engine_scenario,
-    validate_sweep_axes,
-)
+from .robustness import ALL_SCHEMES, validate_sweep_axes
+from .runners import run_cell_sweep
 
 #: Artifact stem (``benchmarks/results/BENCH_scenarios.json`` / ``.md``).
 BENCH_ID = "BENCH_scenarios"
@@ -66,17 +63,7 @@ class ScenarioCell:
     elapsed_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "family": self.family,
-            "engine": self.engine,
-            "trials": self.trials,
-            "jfi": self.jfi,
-            "utilization": self.utilization,
-            "mean_rtt_ms": self.mean_rtt_ms,
-            "mean_loss_rate": self.mean_loss_rate,
-            "elapsed_s": self.elapsed_s,
-        }
+        return asdict(self)
 
 
 def validate_scenario_axes(schemes, families, engines) -> None:
@@ -146,29 +133,16 @@ def run_scenario_sweep(schemes=ALL_SCHEMES, families=SWEEP_FAMILIES,
     timing fields ``elapsed_s``/``workers`` may differ between runs).
     """
     validate_scenario_axes(schemes, families, engines)
-    start = time.perf_counter()
-    n_workers = resolve_workers(workers)
     tasks = [
         {"scheme": s, "family": f, "engine": e,
          "seeds": list(range(trials)), "quick": quick}
         for e in engines for s in schemes for f in families
     ]
-    cells = parallel_map(
-        _run_cell_task, tasks, workers=n_workers,
-        describe=_describe_cell_task,
-        progress=(None if progress is None else
-                  lambda done, total, index, cell: progress(done, total,
-                                                            cell)))
-    return {
-        "schemes": list(schemes),
-        "families": list(families),
-        "engines": list(engines),
-        "trials": trials,
-        "quick": quick,
-        "workers": n_workers,
-        "elapsed_s": time.perf_counter() - start,
-        "cells": [c.as_dict() for c in cells],
-    }
+    axes = {"schemes": list(schemes), "families": list(families),
+            "engines": list(engines), "trials": trials, "quick": quick}
+    return run_cell_sweep(_run_cell_task, tasks, axes,
+                          describe=_describe_cell_task, workers=workers,
+                          progress=progress)
 
 
 TABLE_HEADERS = ["scheme", "family", "engine", "JFI", "utilization",
@@ -206,3 +180,51 @@ def markdown_report(payload: dict) -> str:
         "`background-udp` (unresponsive constant-rate cross traffic).",
     ]
     return "\n".join(lines)
+
+
+def _run(args, progress) -> dict:
+    # --small picks the smoke schemes; explicit axis flags still win.
+    return run_scenario_sweep(
+        schemes=args.schemes or (SMALL_SCHEMES if args.small
+                                 else ALL_SCHEMES),
+        families=args.families or SWEEP_FAMILIES,
+        engines=args.engines or ENGINES,
+        trials=1 if args.small else args.trials, quick=not args.full,
+        workers=args.workers,
+        progress=lambda done, total, cell: progress(
+            f"[{done}/{total}] {cell.engine}/{cell.scheme}/{cell.family}: "
+            f"jfi={cell.jfi:.3f} util={cell.utilization:.3f}"))
+
+
+BENCH = Bench(
+    name="scenarios",
+    bench_id=BENCH_ID,
+    title="scenario sweep",
+    help="JFI x utilization per (scheme, workload family, engine) over the "
+         "incast/asymmetric-rtt/background-udp families "
+         "(writes BENCH_scenarios.json)",
+    flags=(
+        Flag("--schemes", default=None, parse=names, example="cubic,bbr",
+             help="comma-separated scheme names (default: all)"),
+        Flag("--families", default=None, parse=names,
+             example="incast,asymmetric-rtt",
+             help="comma-separated registry family names (default: "
+                  "incast,asymmetric-rtt,background-udp; see 'repro info')"),
+        Flag("--engines", default=None, parse=names, example="fluid,packet",
+             help="comma-separated engines: fluid, packet, socket "
+                  "(default: fluid,packet)"),
+        Flag("--trials", type=int, default=2,
+             help="seeds per (scheme, family, engine) cell"),
+        Flag.small("CI smoke subset: 3 schemes x 3 families on both "
+                   "engines, 1 trial (explicit --schemes/--families/"
+                   "--engines still override)"),
+        Flag("--full", action="store_true",
+             help="full-length scenarios instead of quick ones"),
+        Flag.OUT_DIR,
+        Flag.workers("process-pool size for the sweep cells "
+                     "(default: $REPRO_WORKERS, else serial)"),
+    ),
+    run=_run,
+    render=markdown_report,
+    markdown=markdown_report,
+)

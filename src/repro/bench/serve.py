@@ -44,6 +44,8 @@ import numpy as np
 
 from ..errors import ServiceError
 from ..service.daemon import ServiceClient
+from .registry import Bench, Flag, ints, status
+from .reporting import format_table
 
 BENCH_ID = "BENCH_serve"
 
@@ -297,3 +299,79 @@ def run_serve_benchmark(levels=DEFAULT_LEVELS, *, duration_s: float = 3.0,
     if payload["clean_shutdown"] is False:
         raise ServiceError("daemon did not shut down cleanly on SIGTERM")
     return payload
+
+
+def _endpoints(value: str) -> list[tuple[str, int]]:
+    """``host:port,:port`` -> ``[(host, port), ("127.0.0.1", port)]``."""
+    out = []
+    for item in value.split(","):
+        host, _, port = item.strip().rpartition(":")
+        out.append((host or "127.0.0.1", int(port)))
+    return out
+
+
+def _run(args, progress) -> dict:
+    levels, duration = ((SMALL_LEVELS, 0.6) if args.small
+                        else (DEFAULT_LEVELS, args.duration))
+    return run_serve_benchmark(
+        args.levels or levels, duration_s=duration, mtp_s=args.mtp,
+        shards=args.shards, scheme=args.scheme, window_s=args.window,
+        deadline_s=args.deadline if args.deadline > 0 else None,
+        max_inflight=args.max_inflight,
+        conns_per_shard=args.conns_per_shard, timeout=args.timeout,
+        connect=args.connect, progress=status(progress))
+
+
+def _render(payload: dict) -> str:
+    text = format_table(
+        "Serving daemon under closed-loop load "
+        f"({payload['config']['shards']} shard(s), "
+        f"{payload['config']['window_s'] * 1e3:g} ms window)",
+        ["flows", "actions/s", "p50 (ms)", "p99 (ms)", "p999 (ms)",
+         "batch", "unanswered"],
+        [[row["n_flows"], row["actions_per_s"],
+          row["latency"]["p50_s"] * 1e3, row["latency"]["p99_s"] * 1e3,
+          row["latency"]["p999_s"] * 1e3,
+          row["daemon"]["mean_batch_size"], row["unanswered"]]
+         for row in payload["levels"]])
+    if payload["clean_shutdown"] is not None:
+        text += f"\n\ndaemon shutdown clean: {payload['clean_shutdown']}"
+    return text
+
+
+BENCH = Bench(
+    name="serve",
+    bench_id=BENCH_ID,
+    title="serve benchmark",
+    help="closed-loop load sweep against a live serving daemon "
+         "(writes BENCH_serve.json)",
+    flags=(
+        Flag("--levels", default=None, parse=ints, example="8,64,256",
+             help="comma-separated concurrent-flow counts "
+                  "(default: 8,64,256,1024)"),
+        Flag("--duration", type=float, default=3.0,
+             help="seconds of load per level (default 3)"),
+        Flag("--mtp", type=float, default=0.020,
+             help="per-flow request cadence in seconds"),
+        Flag("--shards", type=int, default=1,
+             help="daemon shard processes to spawn"),
+        Flag("--scheme", default="astraea"),
+        Flag("--window", type=float, default=0.005,
+             help="daemon batching window in seconds"),
+        Flag("--deadline", type=float, default=0.050,
+             help="daemon per-request deadline (0 disables)"),
+        Flag("--max-inflight", type=int, default=4096),
+        Flag("--conns-per-shard", type=int, default=8,
+             help="client connections multiplexing the flows"),
+        Flag("--timeout", type=float, default=30.0,
+             help="per-request client timeout in seconds"),
+        Flag("--connect", default=None, parse=_endpoints,
+             example="127.0.0.1:8731,127.0.0.1:8732",
+             help="comma-separated host:port of an already-running daemon "
+                  "(default: spawn one)"),
+        Flag.small("CI smoke subset: 4/16/64 flows, 0.6 s levels"),
+        Flag.OUT_DIR,
+    ),
+    run=_run,
+    render=_render,
+)

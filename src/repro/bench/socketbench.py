@@ -11,7 +11,7 @@
   segments over total transmissions) and the retransmission overhead
   the recovery machinery pays.
 * **recovery** — the pinned robustness scenario
-  (:func:`~repro.bench.scenarios.robustness_scenario`, Astraea under a
+  (:func:`~repro.scenarios.robustness_scenario`, Astraea under a
   loss burst) on real sockets, measured with
   :mod:`repro.metrics.recovery` — the acceptance row: recovery time
   must be finite.
@@ -35,6 +35,9 @@ from ..metrics.recovery import recovery_report
 from ..netsim.faults import FaultSchedule, LossBurst
 from ..netsim.socketpath import SocketTuning, run_scenario_socket_report, \
     transfer_payload
+from ..scenarios import robustness_scenario
+from .registry import Bench, Flag, status
+from .reporting import format_table
 
 BENCH_ID = "BENCH_socket"
 
@@ -106,8 +109,6 @@ def _loss_leg(*, seed: int, tuning: SocketTuning,
 
 def _recovery_leg(*, seed: int, tuning: SocketTuning,
                   scheme: str = "astraea") -> dict:
-    from .scenarios import robustness_scenario
-
     scenario = robustness_scenario(scheme, kind="loss-burst", quick=True,
                                    seed=seed)
     start = time.perf_counter()
@@ -153,18 +154,16 @@ def run_socket_benchmark(*, small: bool = False, seed: int = 1,
     bandwidths = SMALL_BANDWIDTHS if small else DEFAULT_BANDWIDTHS
     duration_s = 6.0 if small else 12.0
     payload_bytes = 20_000 if small else 60_000
+    report = progress or (lambda msg: None)
     start = time.perf_counter()
     levels = []
     for bw in bandwidths:
-        if progress is not None:
-            progress(f"throughput @ {bw:g} Mbps")
+        report(f"throughput @ {bw:g} Mbps")
         levels.append(_throughput_level(bw, duration_s=duration_s,
                                         seed=seed, tuning=tuning))
-    if progress is not None:
-        progress(f"loss transfer ({SMOKE_LOSS_RATE:.0%} seeded loss)")
+    report(f"loss transfer ({SMOKE_LOSS_RATE:.0%} seeded loss)")
     loss = _loss_leg(seed=seed, tuning=tuning, payload_bytes=payload_bytes)
-    if progress is not None:
-        progress("recovery scenario (astraea, loss-burst)")
+    report("recovery scenario (astraea, loss-burst)")
     recovery = _recovery_leg(seed=seed, tuning=tuning)
     return {
         "config": {
@@ -181,3 +180,67 @@ def run_socket_benchmark(*, small: bool = False, seed: int = 1,
         "recovery": recovery,
         "elapsed_s": time.perf_counter() - start,
     }
+
+
+def _run(args, progress) -> dict:
+    return run_socket_benchmark(small=args.small, seed=args.seed,
+                                progress=status(progress))
+
+
+def _check(args) -> tuple[bool, str]:
+    verdict = run_socket_smoke(seed=args.seed)
+    loss, rec = verdict["loss"], verdict["recovery"]
+    message = (f"loss transfer: payload_ok={loss['payload_ok']} "
+               f"({loss['n_segments']} segments, "
+               f"{loss['retransmits']} retransmits, "
+               f"{loss['duplicates']} duplicates)\n"
+               f"recovery ({rec['scheme']}/{rec['kind']}): "
+               f"recovered={rec['recovered']} "
+               f"t_rec={rec['recovery_time_s']}s corrupt={rec['corrupt']}")
+    if not verdict["ok"]:
+        message += "\nSOCKET SMOKE FAILED"
+    return verdict["ok"], message
+
+
+def _render(payload: dict) -> str:
+    loss, rec = payload["loss"], payload["recovery"]
+    table = format_table(
+        "Socket datapath: delivered goodput vs emulated capacity",
+        ["bandwidth (Mbps)", "achieved (Mbps)", "efficiency",
+         "wire segs/s", "pkts/seg", "retransmits"],
+        [[row["bandwidth_mbps"], row["achieved_mbps"], row["efficiency"],
+          row["wire_segs_per_wall_s"], row["pkts_per_seg"],
+          row["retransmits"]]
+         for row in payload["throughput"]])
+    return (f"{table}\n"
+            f"\n5% seeded loss: payload_ok={loss['payload_ok']} "
+            f"goodput efficiency {loss['goodput_efficiency']:.3f} "
+            f"({loss['retransmits']} retransmits / "
+            f"{loss['n_segments']} segments)\n"
+            f"recovery ({rec['scheme']}/{rec['kind']}): "
+            f"recovered={rec['recovered']} "
+            f"t_rec={rec['recovery_time_s']}s "
+            f"baseline {rec['baseline_mbps']:.2f} Mbps")
+
+
+BENCH = Bench(
+    name="socket",
+    bench_id=BENCH_ID,
+    title="socket benchmark",
+    help="loopback-UDP datapath: wire rate, goodput under 5%% loss, "
+         "post-fault recovery (writes BENCH_socket.json)",
+    flags=(
+        Flag("--seed", type=int, default=1, help="impairment-schedule seed"),
+        Flag.small("CI subset: 2 bandwidth levels, short runs"),
+        Flag("--smoke", action="store_true",
+             help="gating check only: byte-exact 5%%-loss transfer + "
+                  "finite recovery; no artifact"),
+        Flag.OUT_DIR,
+    ),
+    run=_run,
+    render=_render,
+    ok=lambda payload: bool(payload["loss"]["payload_ok"]
+                            and payload["recovery"]["corrupt"] == 0),
+    check=_check,
+    gate="smoke",
+)

@@ -37,6 +37,8 @@ from ..config import (
 from ..core.learner import Learner
 from ..env.episode import run_training_episode
 from ..env.pool import EnvironmentPool
+from .registry import Bench, Flag, status
+from .reporting import format_table
 
 BENCH_ID = "BENCH_train"
 
@@ -120,9 +122,7 @@ def measure_rollouts(n_flows: int, duration_s: float, episodes: int,
     the cost a real ``parallel_envs`` stride pays.
     """
 
-    def report(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    report = progress or (lambda msg: None)
 
     cfg = _timing_config()
     scenario = _train_scenario(n_flows, duration_s)
@@ -223,9 +223,7 @@ def run_train_benchmark(n_flows: int = 8, duration_s: float = 10.0,
     called with one status line per stage.
     """
 
-    def report(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    report = progress or (lambda msg: None)
 
     modes = measure_rollouts(n_flows, duration_s, episodes,
                              workers=workers, progress=progress)
@@ -241,3 +239,66 @@ def run_train_benchmark(n_flows: int = 8, duration_s: float = 10.0,
         "speedup_steps": modes["speedup_steps"],
         "equivalence": equivalence,
     }
+
+
+def _run(args, progress) -> dict:
+    duration_s, episodes = ((3.0, 2) if args.small
+                            else (args.duration, args.episodes))
+    return run_train_benchmark(
+        n_flows=args.flows, duration_s=duration_s, episodes=episodes,
+        workers=args.workers, progress=status(progress))
+
+
+def _check(args) -> tuple[bool, str]:
+    verdict = check_equivalence()
+    if not verdict["passed"]:
+        return False, f"TRAIN-PATH DIVERGENCE: {verdict}"
+    return True, (f"batched rollout equals the per-flow reference on the "
+                  f"pinned episode ({verdict['rows']} transitions, "
+                  f"{verdict['update_bursts']} update bursts, max delta "
+                  f"{verdict['max_delta']:g} <= {verdict['tolerance']:g})")
+
+
+def _render(payload: dict) -> str:
+    serial = payload["modes"]["serial"]["steps_per_s"]
+    eq = payload["equivalence"]
+    table = format_table(
+        "Training rollouts: batched fast path vs per-flow reference",
+        ["mode", "episodes/s", "steps/s", "speedup"],
+        [[mode, row["episodes_per_s"], row["steps_per_s"],
+          row["steps_per_s"] / serial if serial else None]
+         for mode, row in payload["modes"].items()])
+    return (f"{table}\n"
+            f"\nequivalence: passed={eq['passed']} "
+            f"max_delta={eq['max_delta']:g} over {eq['rows']} transitions, "
+            f"{eq['update_bursts']} update bursts")
+
+
+BENCH = Bench(
+    name="train",
+    bench_id=BENCH_ID,
+    title="train benchmark",
+    help="training-rollout throughput: serial vs batched vs "
+         "batched+workers (writes BENCH_train.json)",
+    flags=(
+        Flag("--flows", type=int, default=8,
+             help="agent flows per episode (default 8)"),
+        Flag("--duration", type=float, default=10.0,
+             help="simulated seconds per episode (default 10)"),
+        Flag("--episodes", type=int, default=3,
+             help="episodes per mode (default 3)"),
+        Flag.workers("pool size of the batched+workers mode (default 2)",
+                     default=2),
+        Flag.small("CI smoke subset: 2 episodes of 3 s"),
+        Flag("--check-only", action="store_true",
+             help="only run the pinned serial-vs-batched equivalence "
+                  "episode; non-zero exit on any divergence, no artifact "
+                  "written"),
+        Flag.OUT_DIR,
+    ),
+    run=_run,
+    render=_render,
+    ok=lambda payload: payload["equivalence"]["passed"],
+    check=_check,
+    gate="check_only",
+)

@@ -25,33 +25,10 @@ Commands
               drain on SIGTERM, a ``stats`` verb exporting counters and
               latency quantiles, and ``--shards N`` process fan-out
               (flow-id hash -> shard).
-``bench``     benchmark sweeps; ``bench robustness`` runs the
-              scheme x fault-kind x engine recovery sweep and writes the
-              JSON artifact plus markdown table under
-              ``benchmarks/results/``; ``bench scenarios`` sweeps
-              schemes x workload families (incast, asymmetric-rtt,
-              background-udp from the scenario registry) on both
-              engines and writes JFI x utilization per cell into
-              ``BENCH_scenarios.json``; ``bench scaling`` measures the
-              serial-vs-parallel speedup of the small sweep and writes
-              ``BENCH_parallel.json``; ``bench engine`` measures the
-              fluid engine's vectorized fast path against the per-tick
-              reference (ticks/s, episode wall-clock, equivalence) and
-              writes ``BENCH_engine.json``; ``bench serve`` drives a
-              live daemon with an asyncio load generator over a sweep
-              of concurrent-flow counts and writes actions/s plus
-              p50/p99/p999 latency into ``BENCH_serve.json``;
-              ``bench socket`` exercises the loopback-UDP datapath
-              (wire segments/s, goodput efficiency under a seeded 5%
-              loss schedule, post-fault recovery time) and writes
-              ``BENCH_socket.json`` (``--smoke`` is the gating CI
-              reliability check); ``bench train`` measures training
-              rollout throughput (serial vs batched vs batched+workers)
-              with the embedded equivalence verdict in
-              ``BENCH_train.json``; ``bench fleet`` runs the sharded
-              fleet scaling sweep (10 -> 10,000 flows across many
-              bottlenecks, serial vs sharded legs, bit-identical
-              aggregate verdict) and writes ``BENCH_fleet.json``.
+``bench``     benchmarks, one subcommand per entry of the registry in
+              ``repro/bench/registry.py`` (``repro bench --help`` lists
+              them); each writes a strict-JSON artifact under
+              ``benchmarks/results/`` or ``--out-dir``.
 
 Sweep-shaped commands accept ``--workers N`` (default: the
 ``REPRO_WORKERS`` environment variable, else serial) to fan tasks out
@@ -294,9 +271,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from .bench.scenarios import ROBUSTNESS_KINDS, robustness_scenario
     from .errors import ReproError
     from .netsim.faults import FaultSchedule
+    from .scenarios import ROBUSTNESS_KINDS, robustness_scenario
 
     if args.kind == "sample":
         schedule = FaultSchedule.sample(args.duration, seed=args.seed)
@@ -326,394 +303,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_robustness(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import reporting
-    from .bench.robustness import (
-        ALL_SCHEMES,
-        ENGINES,
-        FAULT_KINDS,
-        SMALL_KINDS,
-        SMALL_SCHEMES,
-        markdown_report,
-        run_robustness_sweep,
-    )
-    from .errors import ReproError
-
-    def split(value, default):
-        if value is None or value == "all":
-            return default
-        return tuple(v.strip() for v in value.split(",") if v.strip())
-
-    if args.small:
-        # The smoke subset, but explicit axis flags still win — e.g.
-        # `--small --engines socket` runs the small matrix on the
-        # loopback-UDP engine.
-        schemes = split(args.schemes, SMALL_SCHEMES)
-        kinds = split(args.kinds, SMALL_KINDS)
-        engines = split(args.engines, ("fluid",))
-        trials = 1
-    else:
-        schemes = split(args.schemes, ALL_SCHEMES)
-        kinds = split(args.kinds, FAULT_KINDS)
-        engines = split(args.engines, ENGINES)
-        trials = args.trials
-
-    def progress(done, total, cell):
-        print(f"[{done}/{total}] {cell.engine}/{cell.scheme}/{cell.kind}: "
-              f"recovered {cell.recovered}/{cell.trials}", file=sys.stderr)
-
-    try:
-        payload = run_robustness_sweep(
-            schemes=schemes, kinds=kinds, engines=engines, trials=trials,
-            quick=not args.full, threshold=args.threshold,
-            progress=progress, workers=args.workers, policy=args.policy)
-    except ReproError as exc:
-        print(f"robustness sweep failed: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        # No partial artifacts: the sweep either completes and writes
-        # both files, or leaves the output directory untouched.
-        print("robustness sweep interrupted; no artifacts written",
-              file=sys.stderr)
-        return 130
-    report = markdown_report(payload)
-    exp_id = "robustness_small" if args.small else "robustness"
-    if args.out_dir:
-        out = Path(args.out_dir)
-        json_path = reporting.write_results_file(out / f"{exp_id}.json",
-                                                 payload)
-        md_path = persist.write_text_atomic(out / f"{exp_id}.md",
-                                            report + "\n")
-    else:
-        json_path = reporting.save_results(exp_id, payload)
-        md_path = reporting.save_markdown(exp_id, report)
-    print(report)
-    print(f"\nJSON artifact: {json_path}\nmarkdown table: {md_path}",
-          file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_scenarios(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import reporting
-    from .bench.robustness import ALL_SCHEMES, ENGINES
-    from .bench.scenariobench import (
-        BENCH_ID,
-        SMALL_SCHEMES,
-        SWEEP_FAMILIES,
-        markdown_report,
-        run_scenario_sweep,
-    )
-    from .errors import ReproError
-
-    def split(value, default):
-        if value is None or value == "all":
-            return default
-        return tuple(v.strip() for v in value.split(",") if v.strip())
-
-    if args.small:
-        # The smoke subset, but explicit axis flags still win.
-        schemes = split(args.schemes, SMALL_SCHEMES)
-        families = split(args.families, SWEEP_FAMILIES)
-        engines = split(args.engines, ENGINES)
-        trials = 1
-    else:
-        schemes = split(args.schemes, ALL_SCHEMES)
-        families = split(args.families, SWEEP_FAMILIES)
-        engines = split(args.engines, ENGINES)
-        trials = args.trials
-
-    def progress(done, total, cell):
-        print(f"[{done}/{total}] {cell.engine}/{cell.scheme}/{cell.family}: "
-              f"jfi={cell.jfi:.3f} util={cell.utilization:.3f}",
-              file=sys.stderr)
-
-    try:
-        payload = run_scenario_sweep(
-            schemes=schemes, families=families, engines=engines,
-            trials=trials, quick=not args.full, progress=progress,
-            workers=args.workers)
-    except ReproError as exc:
-        print(f"scenario sweep failed: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        # No partial artifacts: the sweep either completes and writes
-        # both files, or leaves the output directory untouched.
-        print("scenario sweep interrupted; no artifacts written",
-              file=sys.stderr)
-        return 130
-    report = markdown_report(payload)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        json_path = reporting.write_results_file(out / f"{BENCH_ID}.json",
-                                                 payload)
-        md_path = persist.write_text_atomic(out / f"{BENCH_ID}.md",
-                                            report + "\n")
-    else:
-        json_path = reporting.save_results(BENCH_ID, payload)
-        md_path = reporting.save_markdown(BENCH_ID, report)
-    print(report)
-    print(f"\nJSON artifact: {json_path}\nmarkdown table: {md_path}",
-          file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_scaling(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import reporting
-    from .bench.robustness import SMALL_KINDS, SMALL_SCHEMES
-    from .bench.scaling import BENCH_ID, run_scaling_benchmark
-    from .errors import ReproError
-
-    def split(value, default):
-        if value is None or value == "all":
-            return default
-        return tuple(v.strip() for v in value.split(",") if v.strip())
-
-    try:
-        payload = run_scaling_benchmark(
-            workers=args.workers,
-            schemes=split(args.schemes, SMALL_SCHEMES),
-            kinds=split(args.kinds, SMALL_KINDS),
-            engines=split(args.engines, ("fluid",)),
-            trials=args.trials)
-    except ReproError as exc:
-        print(f"scaling benchmark failed: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("scaling benchmark interrupted; no artifacts written",
-              file=sys.stderr)
-        return 130
-    if args.out_dir:
-        path = reporting.write_results_file(
-            Path(args.out_dir) / f"{BENCH_ID}.json", payload)
-    else:
-        path = reporting.save_results(BENCH_ID, payload)
-    print(f"{payload['cells']} cell(s), {payload['workers']} worker(s) on "
-          f"{payload['cpu_count']} CPU(s): serial {payload['serial_s']:.2f}s"
-          f" vs parallel {payload['parallel_s']:.2f}s "
-          f"(speedup {payload['speedup']:.2f}x, deterministic="
-          f"{payload['deterministic']})")
-    print(f"JSON artifact: {path}", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import reporting
-    from .bench.engine import (
-        BENCH_ID,
-        check_equivalence,
-        run_engine_benchmark,
-    )
-    from .errors import ReproError
-
-    if args.check_only:
-        verdict = check_equivalence()
-        if verdict["passed"]:
-            print(f"fast path equals reference on the pinned scenario "
-                  f"({verdict['rows']} log rows, max delta "
-                  f"{verdict['max_delta']:.3g} <= {verdict['tolerance']:g})")
-            return 0
-        print(f"ENGINE DIVERGENCE: {verdict}", file=sys.stderr)
-        return 1
-
-    if args.small:
-        flow_counts = (2, 8)
-        duration_s = 5.0
-    else:
-        flow_counts = (1, 2, 8, 16)
-        duration_s = args.duration
-    if args.flows:
-        flow_counts = tuple(int(v) for v in args.flows.split(",") if v.strip())
-
-    try:
-        payload = run_engine_benchmark(
-            flow_counts=flow_counts, duration_s=duration_s,
-            progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    except ReproError as exc:
-        print(f"engine benchmark failed: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("engine benchmark interrupted; no artifacts written",
-              file=sys.stderr)
-        return 130
-    if args.out_dir:
-        path = reporting.write_results_file(
-            Path(args.out_dir) / f"{BENCH_ID}.json", payload)
-    else:
-        path = reporting.save_results(BENCH_ID, payload)
-
-    from .bench import print_table
-    print_table(
-        "Engine fast path vs per-tick reference",
-        ["flows", "fast ticks/s", "reference ticks/s", "speedup"],
-        [[row["n_flows"], row["fast"]["ticks_per_s"],
-          row["reference"]["ticks_per_s"], row["speedup"]]
-         for row in payload["ticks_per_s"]],
-    )
-    ep = payload["episode"]
-    eq = payload["equivalence"]
-    print(f"\nepisode ({ep['n_flows']} flows, {ep['duration_s']:g}s): "
-          f"fast {ep['fast']['elapsed_s']:.2f}s vs reference "
-          f"{ep['reference']['elapsed_s']:.2f}s "
-          f"(speedup {ep['speedup']:.2f}x)")
-    print(f"equivalence: passed={eq['passed']} "
-          f"max_delta={eq['max_delta']:.3g} over {eq['rows']} rows")
-    print(f"JSON artifact: {path}", file=sys.stderr)
-    return 0 if eq["passed"] else 1
-
-
-def _cmd_bench_train(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import reporting
-    from .bench.trainbench import (
-        BENCH_ID,
-        check_equivalence,
-        run_train_benchmark,
-    )
-    from .errors import ReproError
-
-    if args.check_only:
-        verdict = check_equivalence()
-        if verdict["passed"]:
-            print(f"batched rollout equals the per-flow reference on the "
-                  f"pinned episode ({verdict['rows']} transitions, "
-                  f"{verdict['update_bursts']} update bursts, max delta "
-                  f"{verdict['max_delta']:g} <= {verdict['tolerance']:g})")
-            return 0
-        print(f"TRAIN-PATH DIVERGENCE: {verdict}", file=sys.stderr)
-        return 1
-
-    if args.small:
-        duration_s, episodes = 3.0, 2
-    else:
-        duration_s, episodes = args.duration, args.episodes
-
-    try:
-        payload = run_train_benchmark(
-            n_flows=args.flows, duration_s=duration_s, episodes=episodes,
-            workers=args.workers,
-            progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    except ReproError as exc:
-        print(f"train benchmark failed: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("train benchmark interrupted; no artifacts written",
-              file=sys.stderr)
-        return 130
-    if args.out_dir:
-        path = reporting.write_results_file(
-            Path(args.out_dir) / f"{BENCH_ID}.json", payload)
-    else:
-        path = reporting.save_results(BENCH_ID, payload)
-
-    from .bench import print_table
-    serial = payload["modes"]["serial"]["steps_per_s"]
-    print_table(
-        "Training rollouts: batched fast path vs per-flow reference",
-        ["mode", "episodes/s", "steps/s", "speedup"],
-        [[mode, row["episodes_per_s"], row["steps_per_s"],
-          row["steps_per_s"] / serial if serial else None]
-         for mode, row in payload["modes"].items()],
-    )
-    eq = payload["equivalence"]
-    print(f"\nequivalence: passed={eq['passed']} "
-          f"max_delta={eq['max_delta']:g} over {eq['rows']} transitions, "
-          f"{eq['update_bursts']} update bursts")
-    print(f"JSON artifact: {path}", file=sys.stderr)
-    return 0 if eq["passed"] else 1
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench import reporting
-    from .bench.fleetbench import (
-        BENCH_ID,
-        FLEET_POINTS,
-        SMALL_POINTS,
-        fleet_table_rows,
-        run_fleet_benchmark,
-    )
-    from .errors import ReproError
-    from .fleet import check_equivalence
-
-    if args.check_only:
-        verdict = check_equivalence(workers=args.workers)
-        if verdict["passed"]:
-            fleets = "; ".join(
-                f"{spec['cc']} {spec['n_shards']} shards x "
-                f"{spec['flows_per_shard']} flows, seed {spec['seed']}"
-                for spec in verdict["specs"])
-            print(f"fleet aggregates identical for workers "
-                  f"{verdict['workers_compared']} on the pinned fleets "
-                  f"({fleets})")
-            return 0
-        print(f"FLEET DIVERGENCE: {verdict}", file=sys.stderr)
-        return 1
-
-    points = SMALL_POINTS if args.small else FLEET_POINTS
-    if args.points:
-        try:
-            points = tuple(
-                tuple(int(v) for v in pair.split("x"))
-                for pair in args.points.split(",") if pair.strip())
-            if any(len(p) != 2 for p in points):
-                raise ValueError(points)
-        except ValueError:
-            print(f"--points must look like '4x25,25x40', got "
-                  f"{args.points!r}", file=sys.stderr)
-            return 2
-
-    try:
-        payload = run_fleet_benchmark(
-            points=points, cc=args.cc, seed=args.seed, workers=args.workers,
-            small=args.small,
-            progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    except ReproError as exc:
-        print(f"fleet benchmark failed: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("fleet benchmark interrupted; no artifacts written",
-              file=sys.stderr)
-        return 130
-    if args.out_dir:
-        path = reporting.write_results_file(
-            Path(args.out_dir) / f"{BENCH_ID}.json", payload)
-    else:
-        path = reporting.save_results(BENCH_ID, payload)
-
-    from .bench import print_table
-    print_table(
-        "Fleet scaling: flow-ticks per wall-second, serial vs sharded",
-        ["shards x flows", "flows", "serial ft/s", "sharded ft/s",
-         "speedup", "jain", "util"],
-        fleet_table_rows(payload),
-    )
-    eq = payload["equivalence"]
-    gate = payload["speedup_gate"]
-    print(f"\nequivalence: {eq['verdict']} for workers "
-          f"{eq['workers_compared']}")
-    if gate["applicable"]:
-        print(f"speedup gate (>= {gate['required_speedup']:g}x at >= "
-              f"{gate['min_flows']} flows): met={gate['met']} "
-              f"(best {gate['best_speedup']:.2f}x on "
-              f"{gate['cpu_count']} CPUs)")
-    else:
-        print(f"speedup gate not applicable on this host "
-              f"({gate['cpu_count']} CPU(s) < {gate['min_cores']} or no "
-              f">= {gate['min_flows']}-flow point measured)")
-    print(f"JSON artifact: {path}", file=sys.stderr)
-    return 0 if eq["passed"] else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .errors import ReproError
     from .service.daemon import serve_main
@@ -734,142 +323,70 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 130
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Drive one registry entry (:class:`repro.bench.registry.Bench`)."""
     from pathlib import Path
 
     from .bench import reporting
-    from .bench.serve import (
-        BENCH_ID,
-        DEFAULT_LEVELS,
-        SMALL_LEVELS,
-        run_serve_benchmark,
-    )
+    from .bench.registry import parse_list_flags
     from .errors import ReproError
 
-    if args.small:
-        levels, duration = SMALL_LEVELS, 0.6
-    else:
-        levels, duration = DEFAULT_LEVELS, args.duration
-    if args.levels:
-        levels = tuple(int(v) for v in args.levels.split(",") if v.strip())
-    connect = None
-    if args.connect:
-        connect = []
-        for part in args.connect.split(","):
-            host, _, port = part.strip().rpartition(":")
-            connect.append((host or "127.0.0.1", int(port)))
+    bench = args.bench
     try:
-        payload = run_serve_benchmark(
-            levels, duration_s=duration, mtp_s=args.mtp,
-            shards=args.shards, scheme=args.scheme, window_s=args.window,
-            deadline_s=args.deadline if args.deadline > 0 else None,
-            max_inflight=args.max_inflight,
-            conns_per_shard=args.conns_per_shard, timeout=args.timeout,
-            connect=connect,
-            progress=lambda msg: print(f"  {msg}", file=sys.stderr))
+        parse_list_flags(bench, args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    try:
+        if bench.gate and getattr(args, bench.gate):
+            ok, message = bench.check(args)
+            print(message, file=sys.stdout if ok else sys.stderr)
+            return 0 if ok else 1
+        payload = bench.run(
+            args, lambda line: print(line, file=sys.stderr))
     except ReproError as exc:
-        print(f"serve benchmark failed: {exc}", file=sys.stderr)
+        print(f"{bench.title} failed: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        print("serve benchmark interrupted; no artifacts written",
+        # No partial artifacts: the bench either completes and writes
+        # its files, or leaves the output directory untouched.
+        print(f"{bench.title} interrupted; no artifacts written",
               file=sys.stderr)
         return 130
-    if args.out_dir:
-        path = reporting.write_results_file(
-            Path(args.out_dir) / f"{BENCH_ID}.json", payload)
-    else:
-        path = reporting.save_results(BENCH_ID, payload)
-
-    from .bench import print_table
-    print_table(
-        "Serving daemon under closed-loop load "
-        f"({payload['config']['shards']} shard(s), "
-        f"{payload['config']['window_s'] * 1e3:g} ms window)",
-        ["flows", "actions/s", "p50 (ms)", "p99 (ms)", "p999 (ms)",
-         "batch", "unanswered"],
-        [[row["n_flows"], row["actions_per_s"],
-          row["latency"]["p50_s"] * 1e3, row["latency"]["p99_s"] * 1e3,
-          row["latency"]["p999_s"] * 1e3,
-          row["daemon"]["mean_batch_size"], row["unanswered"]]
-         for row in payload["levels"]],
-    )
-    if payload["clean_shutdown"] is not None:
-        print(f"\ndaemon shutdown clean: {payload['clean_shutdown']}")
-    print(f"JSON artifact: {path}", file=sys.stderr)
-    return 0
+    stem = bench.small_id if bench.small_id and args.small else bench.bench_id
+    out = Path(args.out_dir) if args.out_dir else reporting.RESULTS_DIR
+    json_path = reporting.write_results_file(out / f"{stem}.json", payload)
+    artifacts = f"JSON artifact: {json_path}"
+    if bench.markdown:
+        md_path = persist.write_text_atomic(
+            out / f"{stem}.md", bench.markdown(payload) + "\n")
+        artifacts = f"\n{artifacts}\nmarkdown table: {md_path}"
+    print(bench.render(payload))
+    print(artifacts, file=sys.stderr)
+    return 0 if bench.ok is None or bench.ok(payload) else 1
 
 
-def _cmd_bench_socket(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _add_bench_parsers(p_bench: argparse.ArgumentParser) -> None:
+    """Attach one sub-parser per registered bench (imports them all)."""
+    from .bench.registry import Flag, load_benches
 
-    from .bench import reporting
-    from .bench.socketbench import (
-        BENCH_ID,
-        run_socket_benchmark,
-        run_socket_smoke,
-    )
-    from .errors import ReproError
-
-    if args.smoke:
-        try:
-            verdict = run_socket_smoke(seed=args.seed)
-        except ReproError as exc:
-            print(f"socket smoke failed: {exc}", file=sys.stderr)
-            return 1
-        loss, rec = verdict["loss"], verdict["recovery"]
-        print(f"loss transfer: payload_ok={loss['payload_ok']} "
-              f"({loss['n_segments']} segments, "
-              f"{loss['retransmits']} retransmits, "
-              f"{loss['duplicates']} duplicates)")
-        print(f"recovery ({rec['scheme']}/{rec['kind']}): "
-              f"recovered={rec['recovered']} "
-              f"t_rec={rec['recovery_time_s']}s corrupt={rec['corrupt']}")
-        if not verdict["ok"]:
-            print("SOCKET SMOKE FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    try:
-        payload = run_socket_benchmark(
-            small=args.small, seed=args.seed,
-            progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    except ReproError as exc:
-        print(f"socket benchmark failed: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("socket benchmark interrupted; no artifacts written",
-              file=sys.stderr)
-        return 130
-    if args.out_dir:
-        path = reporting.write_results_file(
-            Path(args.out_dir) / f"{BENCH_ID}.json", payload)
-    else:
-        path = reporting.save_results(BENCH_ID, payload)
-
-    from .bench import print_table
-    print_table(
-        "Socket datapath: delivered goodput vs emulated capacity",
-        ["bandwidth (Mbps)", "achieved (Mbps)", "efficiency",
-         "wire segs/s", "pkts/seg", "retransmits"],
-        [[row["bandwidth_mbps"], row["achieved_mbps"], row["efficiency"],
-          row["wire_segs_per_wall_s"], row["pkts_per_seg"],
-          row["retransmits"]]
-         for row in payload["throughput"]],
-    )
-    loss, rec = payload["loss"], payload["recovery"]
-    print(f"\n5% seeded loss: payload_ok={loss['payload_ok']} "
-          f"goodput efficiency {loss['goodput_efficiency']:.3f} "
-          f"({loss['retransmits']} retransmits / "
-          f"{loss['n_segments']} segments)")
-    print(f"recovery ({rec['scheme']}/{rec['kind']}): "
-          f"recovered={rec['recovered']} t_rec={rec['recovery_time_s']}s "
-          f"baseline {rec['baseline_mbps']:.2f} Mbps")
-    print(f"JSON artifact: {path}", file=sys.stderr)
-    ok = loss["payload_ok"] and rec["corrupt"] == 0
-    return 0 if ok else 1
+    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
+    for bench in load_benches():
+        p = bench_sub.add_parser(bench.name, help=bench.help)
+        for item in bench.flags:
+            kwargs = item.kwargs
+            if item is Flag.OUT_DIR:
+                what = "artifacts" if bench.markdown else "the artifact"
+                kwargs = {**kwargs, "help": f"write {what} here instead "
+                                            "of benchmarks/results/"}
+            p.add_argument(*item.names, **kwargs)
+        p.set_defaults(func=_cmd_bench, bench=bench)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The full parser; given the ``argv`` about to be parsed, the bench
+    sub-parsers attach only if the command is ``bench`` — they import all
+    eight bench modules, which ``repro serve`` startup must not pay."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1012,219 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench", help="benchmark sweeps (robustness report)")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_rob = bench_sub.add_parser(
-        "robustness",
-        help="recovery metrics per (scheme, fault kind, engine)")
-    p_rob.add_argument("--schemes", default=None,
-                       help="comma-separated scheme names (default: all)")
-    p_rob.add_argument("--kinds", default=None,
-                       help="comma-separated fault kinds (default: all 5)")
-    p_rob.add_argument("--engines", default=None,
-                       help="comma-separated engines: fluid, packet, socket "
-                            "(default: fluid,packet)")
-    p_rob.add_argument("--trials", type=int, default=2,
-                       help="seeds per (scheme, fault, engine) cell")
-    p_rob.add_argument("--threshold", type=float, default=0.9,
-                       help="recovered = throughput back at this fraction "
-                            "of the pre-fault steady state")
-    p_rob.add_argument("--small", action="store_true",
-                       help="CI smoke subset: 2 schemes x 3 faults, fluid "
-                            "engine, 1 trial (explicit --schemes/--kinds/"
-                            "--engines still override)")
-    p_rob.add_argument("--full", action="store_true",
-                       help="full 90 s scenarios instead of quick 30 s")
-    p_rob.add_argument("--out-dir", default=None,
-                       help="write artifacts here instead of "
-                            "benchmarks/results/")
-    p_rob.add_argument("--workers", type=int, default=None,
-                       help="process-pool size for the sweep cells "
-                            "(default: $REPRO_WORKERS, else serial)")
-    p_rob.add_argument("--policy", default=None,
-                       help="model-bundle path substituted into every "
-                            "matching-scheme flow (learned schemes only; "
-                            "diff a candidate bundle against the shipped "
-                            "one)")
-    p_rob.set_defaults(func=_cmd_bench_robustness)
-
-    p_scn = bench_sub.add_parser(
-        "scenarios",
-        help="JFI x utilization per (scheme, workload family, engine) "
-             "over the incast/asymmetric-rtt/background-udp families "
-             "(writes BENCH_scenarios.json)")
-    p_scn.add_argument("--schemes", default=None,
-                       help="comma-separated scheme names (default: all)")
-    p_scn.add_argument("--families", default=None,
-                       help="comma-separated registry family names "
-                            "(default: incast,asymmetric-rtt,"
-                            "background-udp; see 'repro info')")
-    p_scn.add_argument("--engines", default=None,
-                       help="comma-separated engines: fluid, packet, socket "
-                            "(default: fluid,packet)")
-    p_scn.add_argument("--trials", type=int, default=2,
-                       help="seeds per (scheme, family, engine) cell")
-    p_scn.add_argument("--small", action="store_true",
-                       help="CI smoke subset: 3 schemes x 3 families on "
-                            "both engines, 1 trial (explicit --schemes/"
-                            "--families/--engines still override)")
-    p_scn.add_argument("--full", action="store_true",
-                       help="full-length scenarios instead of quick ones")
-    p_scn.add_argument("--out-dir", default=None,
-                       help="write artifacts here instead of "
-                            "benchmarks/results/")
-    p_scn.add_argument("--workers", type=int, default=None,
-                       help="process-pool size for the sweep cells "
-                            "(default: $REPRO_WORKERS, else serial)")
-    p_scn.set_defaults(func=_cmd_bench_scenarios)
-
-    p_scale = bench_sub.add_parser(
-        "scaling",
-        help="serial-vs-parallel speedup of the small robustness sweep "
-             "(writes BENCH_parallel.json)")
-    p_scale.add_argument("--schemes", default=None,
-                         help="comma-separated scheme names "
-                              "(default: the CI smoke subset)")
-    p_scale.add_argument("--kinds", default=None,
-                         help="comma-separated fault kinds "
-                              "(default: the CI smoke subset)")
-    p_scale.add_argument("--engines", default=None,
-                         help="comma-separated engines (default: fluid)")
-    p_scale.add_argument("--trials", type=int, default=1)
-    p_scale.add_argument("--workers", type=int, default=None,
-                         help="pool size of the parallel leg "
-                              "(default: $REPRO_WORKERS, else 2)")
-    p_scale.add_argument("--out-dir", default=None,
-                         help="write the artifact here instead of "
-                              "benchmarks/results/")
-    p_scale.set_defaults(func=_cmd_bench_scaling)
-
-    p_eng = bench_sub.add_parser(
-        "engine",
-        help="fluid-engine fast path vs per-tick reference "
-             "(writes BENCH_engine.json)")
-    p_eng.add_argument("--flows", default=None,
-                       help="comma-separated flow counts for the ticks/s "
-                            "sweep (default: 1,2,8,16)")
-    p_eng.add_argument("--duration", type=float, default=30.0,
-                       help="simulated seconds per measurement (default 30)")
-    p_eng.add_argument("--small", action="store_true",
-                       help="CI smoke subset: 2 and 8 flows, 5 s episodes")
-    p_eng.add_argument("--check-only", action="store_true",
-                       help="only run the pinned fast-vs-reference "
-                            "equivalence scenario; non-zero exit on any "
-                            "divergence, no artifact written")
-    p_eng.add_argument("--out-dir", default=None,
-                       help="write the artifact here instead of "
-                            "benchmarks/results/")
-    p_eng.set_defaults(func=_cmd_bench_engine)
-
-    p_train = bench_sub.add_parser(
-        "train",
-        help="training-rollout throughput: serial vs batched vs "
-             "batched+workers (writes BENCH_train.json)")
-    p_train.add_argument("--flows", type=int, default=8,
-                         help="agent flows per episode (default 8)")
-    p_train.add_argument("--duration", type=float, default=10.0,
-                         help="simulated seconds per episode (default 10)")
-    p_train.add_argument("--episodes", type=int, default=3,
-                         help="episodes per mode (default 3)")
-    p_train.add_argument("--workers", type=int, default=2,
-                         help="pool size of the batched+workers mode "
-                              "(default 2)")
-    p_train.add_argument("--small", action="store_true",
-                         help="CI smoke subset: 2 episodes of 3 s")
-    p_train.add_argument("--check-only", action="store_true",
-                         help="only run the pinned serial-vs-batched "
-                              "equivalence episode; non-zero exit on any "
-                              "divergence, no artifact written")
-    p_train.add_argument("--out-dir", default=None,
-                         help="write the artifact here instead of "
-                              "benchmarks/results/")
-    p_train.set_defaults(func=_cmd_bench_train)
-
-    p_fleet = bench_sub.add_parser(
-        "fleet",
-        help="fleet scaling sweep: flows per wall-second 10 -> 10k, "
-             "serial vs sharded (writes BENCH_fleet.json)")
-    p_fleet.add_argument("--points", default=None,
-                         help="comma-separated shard-count x flows-per-"
-                              "shard pairs, e.g. '4x25,25x40' "
-                              "(default: the 10 -> 10,000 ladder)")
-    p_fleet.add_argument("--cc", default="cubic",
-                         help="scheme every fleet flow runs (default cubic)")
-    p_fleet.add_argument("--seed", type=int, default=0,
-                         help="fleet seed (default 0)")
-    p_fleet.add_argument("--workers", type=int, default=2,
-                         help="pool size of the sharded leg (default 2)")
-    p_fleet.add_argument("--small", action="store_true",
-                         help="CI smoke subset: the 10- and 100-flow points")
-    p_fleet.add_argument("--check-only", action="store_true",
-                         help="only run the pinned serial-vs-sharded "
-                              "equivalence fleets (cubic and astraea); "
-                              "non-zero exit unless the aggregates are "
-                              "identical, no artifact written")
-    p_fleet.add_argument("--out-dir", default=None,
-                         help="write the artifact here instead of "
-                              "benchmarks/results/")
-    p_fleet.set_defaults(func=_cmd_bench_fleet)
-
-    p_srv = bench_sub.add_parser(
-        "serve",
-        help="closed-loop load sweep against a live serving daemon "
-             "(writes BENCH_serve.json)")
-    p_srv.add_argument("--levels", default=None,
-                       help="comma-separated concurrent-flow counts "
-                            "(default: 8,64,256,1024)")
-    p_srv.add_argument("--duration", type=float, default=3.0,
-                       help="seconds of load per level (default 3)")
-    p_srv.add_argument("--mtp", type=float, default=0.020,
-                       help="per-flow request cadence in seconds")
-    p_srv.add_argument("--shards", type=int, default=1,
-                       help="daemon shard processes to spawn")
-    p_srv.add_argument("--scheme", default="astraea")
-    p_srv.add_argument("--window", type=float, default=0.005,
-                       help="daemon batching window in seconds")
-    p_srv.add_argument("--deadline", type=float, default=0.050,
-                       help="daemon per-request deadline (0 disables)")
-    p_srv.add_argument("--max-inflight", type=int, default=4096,
-                       dest="max_inflight")
-    p_srv.add_argument("--conns-per-shard", type=int, default=8,
-                       dest="conns_per_shard",
-                       help="client connections multiplexing the flows")
-    p_srv.add_argument("--timeout", type=float, default=30.0,
-                       help="per-request client timeout in seconds")
-    p_srv.add_argument("--connect", default=None,
-                       help="comma-separated host:port of an already-"
-                            "running daemon (default: spawn one)")
-    p_srv.add_argument("--small", action="store_true",
-                       help="CI smoke subset: 4/16/64 flows, 0.6 s "
-                            "levels")
-    p_srv.add_argument("--out-dir", default=None,
-                       help="write the artifact here instead of "
-                            "benchmarks/results/")
-    p_srv.set_defaults(func=_cmd_bench_serve)
-
-    p_sock = bench_sub.add_parser(
-        "socket",
-        help="loopback-UDP datapath: wire rate, goodput under 5% loss, "
-             "post-fault recovery (writes BENCH_socket.json)")
-    p_sock.add_argument("--seed", type=int, default=1,
-                        help="impairment-schedule seed")
-    p_sock.add_argument("--small", action="store_true",
-                        help="CI subset: 2 bandwidth levels, short runs")
-    p_sock.add_argument("--smoke", action="store_true",
-                        help="gating check only: byte-exact 5%%-loss "
-                             "transfer + finite recovery; no artifact")
-    p_sock.add_argument("--out-dir", default=None,
-                        help="write the artifact here instead of "
-                             "benchmarks/results/")
-    p_sock.set_defaults(func=_cmd_bench_socket)
+    if argv is None or argv[:1] == ["bench"]:
+        _add_bench_parsers(p_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     return args.func(args)
 
 

@@ -1,5 +1,6 @@
 """Environment runners: scenario execution and RL episode collection."""
 
+from .engines import ALL_ENGINES, ENGINES, run_engine_scenario
 from .episode import (
     EpisodeStats,
     Observer,
@@ -24,6 +25,9 @@ __all__ = [
     "build_driver",
     "run_scenario",
     "run_scenario_packet",
+    "run_engine_scenario",
+    "ENGINES",
+    "ALL_ENGINES",
     "run_topology",
     "TrainFlowController",
     "Observer",

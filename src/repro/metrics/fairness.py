@@ -17,25 +17,45 @@ import numpy as np
 from ..errors import ConfigError
 
 
+#: The idle floor shared by :func:`jain_index` and
+#: :meth:`FairnessAccumulator.jain`, decided on the *raw* sum of squares
+#: in both: an allocation with ``sum x^2 <= IDLE_SUM_SQ`` (every flow
+#: below ~1e-150 in any throughput unit) is idle, and idle flows are
+#: perfectly fair by convention (index 1).  The floor sits far above the
+#: subnormal range, so whenever the ratio is evaluated the raw sums that
+#: the accumulator carries have lost nothing to underflow and agree with
+#: the peak-normalised form.
+IDLE_SUM_SQ = 1e-300
+
+
+def _jain(count, total, sum_sq, raw_sum_sq) -> float:
+    """The one Jain definition: 1 when idle, else ``(sum x)^2 / (n *
+    sum x^2)`` — ``total``/``sum_sq`` at any common scale,
+    ``raw_sum_sq`` unscaled."""
+    if raw_sum_sq <= IDLE_SUM_SQ:
+        return 1.0
+    return float(total ** 2 / (count * sum_sq))
+
+
 def jain_index(throughputs) -> float:
     """Jain's fairness index: ``(sum x)^2 / (n * sum x^2)``.
 
     Equals 1 for perfectly equal allocations and ``1/n`` when one flow
-    takes everything.  An all-zero allocation is defined as perfectly fair
-    (index 1), matching the convention used when flows are idle.
+    takes everything.  An idle allocation (see :data:`IDLE_SUM_SQ`; all
+    zeros in particular) is defined as perfectly fair (index 1).
     """
     x = np.asarray(throughputs, dtype=float)
     if x.size == 0:
         raise ConfigError("jain index of an empty allocation is undefined")
     if np.any(x < 0):
         raise ConfigError("throughputs must be non-negative")
-    peak = x.max()
-    if peak == 0:
-        return 1.0
+    with np.errstate(over="ignore"):
+        raw_sum_sq = np.sum(x * x)
     # Normalising by the peak makes the (scale-invariant) index immune to
-    # overflow/underflow of the squared sums at extreme magnitudes.
-    x = x / peak
-    return float(x.sum() ** 2 / (x.size * np.sum(x ** 2)))
+    # overflow of the squared sums at extreme magnitudes (an all-zero
+    # allocation is idle whatever the scale).
+    x = x / (x.max() or 1.0)
+    return _jain(x.size, x.sum(), np.sum(x ** 2), raw_sum_sq)
 
 
 @dataclass
@@ -89,15 +109,15 @@ class FairnessAccumulator:
     def jain(self) -> float:
         """Jain index over every flow folded in so far.
 
-        Matches :func:`jain_index` on the concatenated allocation (the
-        index is scale-invariant, so the raw — unnormalized — sums agree
-        with the peak-normalized form for any physical magnitude).
+        Matches :func:`jain_index` on the concatenated allocation: both
+        call the same definition and take the same idle decision on the
+        raw sum of squares (:data:`IDLE_SUM_SQ`), and above that floor
+        the raw — unnormalized — sums agree with the peak-normalized
+        form (the index is scale-invariant).
         """
         if self.count == 0:
             raise ConfigError("jain index of an empty allocation is undefined")
-        if self.sum_sq == 0.0:
-            return 1.0
-        return float(self.total ** 2 / (self.count * self.sum_sq))
+        return _jain(self.count, self.total, self.sum_sq, self.sum_sq)
 
     def utilization(self) -> float:
         """Aggregate throughput over aggregate capacity."""

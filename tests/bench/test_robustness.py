@@ -16,17 +16,17 @@ from repro.bench.robustness import (
     aggregate_reports,
     markdown_report,
     run_cell,
-    run_engine_scenario,
     run_robustness_sweep,
     strip_timing_fields,
     table_rows,
     validate_sweep_axes,
 )
-from repro.bench.scenarios import robustness_scenario
 from repro.cc import available
 from repro.cli import main
+from repro.env import run_engine_scenario
 from repro.errors import ConfigError
 from repro.metrics.recovery import NEVER_RECOVERED, RecoveryReport, recovery_report
+from repro.scenarios import robustness_scenario
 
 
 def make_report(recovery=1.0, jain=2.0, rtt=5.0, lost=10.0):
@@ -349,19 +349,6 @@ class TestCli:
         payload = json.loads((tmp_path / "robustness.json").read_text())
         assert payload["workers"] == 0
         assert payload["elapsed_s"] > 0
-
-    def test_interrupted_sweep_leaves_no_orphaned_artifacts(
-            self, tmp_path, capsys, monkeypatch):
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(robustness_mod, "run_robustness_sweep",
-                            interrupted)
-        out = tmp_path / "out"
-        rc = main(["bench", "robustness", "--small", "--out-dir", str(out)])
-        assert rc == 130
-        assert "no artifacts written" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
 
 
 class TestPacketEngineCell:

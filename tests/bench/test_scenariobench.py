@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-import repro.bench.scenariobench as scenariobench_mod
 from repro.bench.scenariobench import (
     SMALL_SCHEMES,
     SWEEP_FAMILIES,
@@ -182,19 +181,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown scenario families" in err and "wormhole" in err
         assert not any(tmp_path.iterdir())  # nothing ran, nothing written
-
-    def test_interrupted_sweep_leaves_no_orphaned_artifacts(
-            self, tmp_path, capsys, monkeypatch):
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(scenariobench_mod, "run_scenario_sweep",
-                            interrupted)
-        out = tmp_path / "out"
-        rc = main(["bench", "scenarios", "--small", "--out-dir", str(out)])
-        assert rc == 130
-        assert "no artifacts written" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.slow
     def test_bench_scenarios_small_covers_acceptance_matrix(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import scenarios
+from repro import scenarios
 
 
 class TestFig6:

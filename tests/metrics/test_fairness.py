@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -113,6 +113,12 @@ class TestFairnessAccumulator:
            cuts=st.lists(st.integers(min_value=0, max_value=1000),
                          min_size=0, max_size=5),
            cap=st.floats(min_value=1.0, max_value=1e6))
+    # The falsifying example that kept tier-1 red (sum_sq underflows to
+    # 0 while the peak does not), and the pair straddling a floor that
+    # is peak-based on one side and sum_sq-based on the other.
+    @example(xs=[0.0, 5e-324], cuts=[], cap=1.0)
+    @example(xs=[0.9e-150, 0.0], cuts=[], cap=1.0)
+    @example(xs=[1.1e-150, 0.0], cuts=[1], cap=1.0)
     def test_property_merge_equals_monolithic(self, xs, cuts, cap):
         parts = _partition(xs, cuts)
         per_flow_cap = cap / len(xs)

@@ -253,7 +253,7 @@ class TestScenarioIntegration:
                            faults="blackout at noon")
 
     def test_run_scenario_applies_faults(self):
-        from repro.bench.scenarios import robustness_scenario
+        from repro.scenarios import robustness_scenario
         from repro.env import run_scenario
 
         scenario = robustness_scenario("cubic", kind="blackout", quick=True)
@@ -270,7 +270,7 @@ class TestScenarioIntegration:
         assert np.mean(after) > 10.0
 
     def test_robustness_family_builders(self):
-        from repro.bench.scenarios import ROBUSTNESS_KINDS, robustness_scenario
+        from repro.scenarios import ROBUSTNESS_KINDS, robustness_scenario
 
         for kind in ROBUSTNESS_KINDS:
             sc = robustness_scenario("cubic", kind=kind, quick=True, seed=2)
@@ -280,7 +280,7 @@ class TestScenarioIntegration:
             robustness_scenario("cubic", kind="earthquake")
 
     def test_scenario_json_round_trip(self):
-        from repro.bench.scenarios import robustness_scenario
+        from repro.scenarios import robustness_scenario
         from repro.persist import scenario_from_dict, scenario_to_dict
 
         sc = robustness_scenario("cubic", kind="mixed", quick=True, seed=5)
@@ -365,8 +365,8 @@ class TestEdgeWindows:
     def test_recovery_report_well_defined(self, engine, faults):
         from dataclasses import replace
 
-        from repro.bench.robustness import run_engine_scenario
-        from repro.bench.scenarios import robustness_scenario
+        from repro.env import run_engine_scenario
+        from repro.scenarios import robustness_scenario
         from repro.metrics.recovery import recovery_report
 
         sc = replace(robustness_scenario("cubic", kind="blackout",

@@ -328,7 +328,7 @@ class TestScenarioRunner:
             run_scenario_socket(scenario, tuning=FAST)
 
     def test_engine_dispatch_reaches_socket(self):
-        from repro.bench.robustness import run_engine_scenario
+        from repro.env import run_engine_scenario
 
         result = run_engine_scenario(self._scenario(duration_s=1.5),
                                      "socket")
