@@ -14,11 +14,18 @@ flows can actually connect to:
   ``ProtocolError`` reject and the connection lives on (the length
   prefix keeps the stream in sync); an unparseable length prefix closes
   only that connection.  One bad client never takes the daemon down.
-* **Batching** — every ``act`` request lands in the service queue
-  stamped with its event-loop arrival time; a flush task serves the
-  whole queue once per batching window with a single batched forward
-  pass, resolving per-request futures.  Per-request deadlines ride the
-  service's existing ``deadline_s`` path.
+* **Batching** — the daemon serves a window, not a request.  Each
+  accepted socket is one callback-driven :class:`asyncio.Protocol`:
+  ``data_received`` stamps the read once, slices every complete frame
+  out of the connection's buffer and queues its ``act`` requests in the
+  service — no task, future or lock per request.  Once per batching
+  window a flush task serves the whole queue with a single batched
+  forward pass and answers it with one ``transport.write`` per
+  connection.  Per-request deadlines ride the service's ``deadline_s``
+  path, counted from the time the request's bytes were read.
+* **Backpressure** — when a client stops reading its replies and its
+  socket fills, the daemon stops *reading* that connection, so what one
+  client can queue is bounded and the others are served as before.
 * **Admission control** — at most ``max_inflight`` requests may be
   queued or awaiting response; beyond that the daemon answers a typed
   ``AdmissionRejectedError`` immediately instead of building an
@@ -91,9 +98,14 @@ def shard_for_flow(flow_id: int, n_shards: int) -> int:
     return (int(flow_id) * 2654435761) % (1 << 32) % n_shards
 
 
+#: ``json.dumps(obj, separators=...)`` builds a ``JSONEncoder`` per call;
+#: one compact encoder serves every frame with the same bytes.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(obj: dict) -> bytes:
     """Serialise one protocol message: 4-byte length + JSON body."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(obj).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -104,7 +116,9 @@ def decode_body(data: bytes) -> dict:
     """Parse a frame body; raises :class:`ProtocolError` on garbage."""
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an integer literal past the
+        # interpreter's digit limit; RecursionError: a megabyte of "[".
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(
@@ -112,20 +126,27 @@ def decode_body(data: bytes) -> dict:
     return obj
 
 
-async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one raw frame body; ``None`` on clean EOF.
+def _frame_length(buf, pos: int = 0) -> int:
+    """The length prefix at ``buf[pos:]``; raises :class:`ProtocolError`
+    for an unusable one — after that the stream cannot be
+    re-synchronised and must be closed."""
+    (length,) = _HEADER.unpack_from(buf, pos)
+    if length == 0 or length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame length {length} outside (0, {MAX_FRAME_BYTES}]")
+    return length
 
-    Raises :class:`ProtocolError` for an unusable length prefix — after
-    that the stream cannot be re-synchronised and must be closed.
+
+async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
+    """Read one raw frame body; ``None`` on clean EOF.  The client's
+    reader (the daemon slices frames in ``data_received``); raises
+    :class:`ProtocolError` for an unusable length prefix.
     """
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length == 0 or length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length {length} outside (0, {MAX_FRAME_BYTES}]")
+    length = _frame_length(header)
     try:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError:
@@ -138,6 +159,87 @@ def _error_body(exc: BaseException, request_id=None) -> dict:
         name = "ServiceError"
     return {"id": request_id, "ok": False, "error": name,
             "message": str(exc)}
+
+
+def _ok_frame(action: float, request_id) -> bytes:
+    """The reply frame of one served action, byte for byte
+    ``encode_frame({"ok": True, "action": action, "id": request_id})``."""
+    if type(request_id) is int and type(action) is float \
+            and -1.0 <= action <= 1.0:
+        # A finite float and a plain int print as JSON prints them
+        # (``float.__repr__``, decimal digits): nothing to escape.
+        body = b'{"ok":true,"action":%r,"id":%d}' % (action, request_id)
+        return _HEADER.pack(len(body)) + body
+    return encode_frame({"ok": True, "action": action, "id": request_id})
+
+
+class _ServerConnection(asyncio.Protocol):
+    """One accepted socket: frames in through ``data_received``, reply
+    frames out in one ``transport.write`` per batch of replies."""
+
+    def __init__(self, daemon: "InferenceDaemon"):
+        self._daemon = daemon
+        self._transport: asyncio.Transport | None = None
+        self._inbuf = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._daemon.counters["connections"] += 1
+        self._daemon._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        # Requests of this connection still in the window are popped and
+        # accounted at the next flush; their replies are dropped.
+        self._transport = None
+        self._daemon._connections.discard(self)
+
+    def pause_writing(self) -> None:
+        # The client is not reading its replies: stop reading its
+        # requests, so what it can queue here stays bounded.
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        daemon = self._daemon
+        # One stamp per read: a request's deadline and latency count
+        # from when its bytes arrived, decode queue included.
+        now = daemon._loop.time()
+        buf = self._inbuf
+        buf += data
+        replies: list[bytes] = []
+        unframed = False
+        pos, size = 0, len(buf)
+        with memoryview(buf) as view:
+            while size - pos >= _HEADER.size:
+                try:
+                    end = pos + _HEADER.size + _frame_length(view, pos)
+                except ProtocolError as exc:
+                    daemon.counters["protocol_errors"] += 1
+                    replies.append(encode_frame(_error_body(exc)))
+                    unframed = True
+                    break
+                if end > size:
+                    break
+                reply = daemon._on_frame(
+                    self, bytes(view[pos + _HEADER.size:end]), now)
+                if reply is not None:
+                    replies.append(reply)
+                pos = end
+        del buf[:pos]
+        self.send(replies)
+        if unframed:
+            # Rejected, then closed: what follows cannot be framed.
+            buf.clear()
+            self._transport.close()
+
+    def send(self, frames: list[bytes]) -> None:
+        """Write reply frames with one ``transport.write``; a connection
+        that is gone drops them."""
+        transport = self._transport
+        if frames and transport is not None and not transport.is_closing():
+            transport.write(b"".join(frames))
 
 
 class InferenceDaemon:
@@ -168,9 +270,11 @@ class InferenceDaemon:
         }
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        # internal request id -> (future, enqueue time)
-        self._pending: dict[int, tuple[asyncio.Future, float]] = {}
+        # internal request id -> (connection, client's id, read time)
+        self._pending: dict[int, tuple[_ServerConnection, object, float]] \
+            = {}
         self._next_rid = 0
+        self._connections: set[_ServerConnection] = set()
         self._kick = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -186,7 +290,8 @@ class InferenceDaemon:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind, start serving and flushing; returns the bound port."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await self._loop.create_server(
+            lambda: _ServerConnection(self), host, port)
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         self._flush_task = asyncio.create_task(self._flush_loop())
         return self.port
@@ -217,6 +322,13 @@ class InferenceDaemon:
                 pass
             self._flush_task = None
 
+    def close_connections(self) -> None:
+        """Close every client socket — the last step of a shutdown.
+        :meth:`drain` leaves them open so that a request arriving
+        mid-drain is answered with a typed reject, not a reset."""
+        for conn in self._connections:
+            conn._transport.close()
+
     # -- batching -----------------------------------------------------
 
     async def _flush_loop(self) -> None:
@@ -232,106 +344,88 @@ class InferenceDaemon:
         if not self._pending:
             return
         now = self._loop.time()
-        missed: list[int] = []
         try:
             results = self.service.flush(now_s=now)
         except DeadlineExceededError as exc:
             # The fixed flush semantics: healthy requests were served
-            # and ride along on the exception; the overdue ones are
-            # answered with the typed error instead of vanishing.
-            results = exc.served
-            missed = exc.missed
-        for rid, action in results.items():
-            entry = self._pending.pop(rid, None)
-            if entry is None:
-                continue
-            future, t0 = entry
-            self.latency.record(now - t0)
-            if not future.done():
-                future.set_result({"ok": True, "action": action})
-        for rid in missed:
-            entry = self._pending.pop(rid, None)
-            if entry is None:
-                continue
-            future, t0 = entry
-            self.latency.record(now - t0)
-            if not future.done():
-                future.set_result(_error_body(DeadlineExceededError(
-                    f"request aged past the {self.service.deadline_s}s "
-                    f"deadline")))
-        if not self._pending:
-            self._idle.set()
-
-    # -- connection handling ------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        self.counters["connections"] += 1
-        wlock = asyncio.Lock()
-        answer_tasks: set[asyncio.Task] = set()
+            # and ride along on the exception; the overdue ones (action
+            # None below) are answered with the typed error instead of
+            # vanishing.
+            results = {**exc.served, **dict.fromkeys(exc.missed)}
+        pop = self._pending.pop
+        latencies: list[float] = []
+        replies: dict[_ServerConnection, list[bytes]] = {}
         try:
-            while True:
+            for rid, action in results.items():
+                conn, request_id, t0 = pop(rid)
+                latencies.append(now - t0)
                 try:
-                    raw = await read_frame(reader)
+                    if action is not None:
+                        frame = _ok_frame(action, request_id)
+                    else:
+                        frame = encode_frame(_error_body(
+                            DeadlineExceededError(
+                                f"request aged past the "
+                                f"{self.service.deadline_s}s deadline"),
+                            request_id))
                 except ProtocolError as exc:
-                    # Unusable length prefix: reject, then close — the
-                    # stream cannot be re-synchronised.
-                    self.counters["protocol_errors"] += 1
-                    await self._send(writer, wlock, _error_body(exc))
-                    break
-                if raw is None:
-                    break
-                self.counters["frames"] += 1
-                try:
-                    body = decode_body(raw)
-                except ProtocolError as exc:
-                    # Bad JSON inside a well-framed message: typed
-                    # reject, connection stays usable.
-                    self.counters["protocol_errors"] += 1
-                    await self._send(writer, wlock, _error_body(exc))
-                    continue
-                await self._dispatch(body, writer, wlock, answer_tasks)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+                    frame = self._unsendable(exc)
+                replies.setdefault(conn, []).append(frame)
         finally:
-            for task in answer_tasks:
-                task.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            # Even past an unforeseen error in one reply, what was built
+            # is sent and counted.
+            self.latency.record_many(latencies)
+            for conn, frames in replies.items():
+                conn.send(frames)
+            if not self._pending:
+                self._idle.set()
 
-    async def _dispatch(self, body: dict, writer: asyncio.StreamWriter,
-                        wlock: asyncio.Lock,
-                        answer_tasks: set[asyncio.Task]) -> None:
+    # -- request handling ---------------------------------------------
+
+    def _on_frame(self, conn: _ServerConnection, raw: bytes,
+                  now: float) -> bytes | None:
+        """Serve one frame read at ``now``: the reply frame, or ``None``
+        for an ``act`` request queued for the window."""
+        self.counters["frames"] += 1
+        try:
+            body = decode_body(raw)
+        except ProtocolError as exc:
+            # Bad JSON inside a well-framed message: typed reject,
+            # connection stays usable.
+            self.counters["protocol_errors"] += 1
+            return encode_frame(_error_body(exc))
         op = body.get("op")
         request_id = body.get("id")
         if op == "act":
-            response = self._submit(body)
-            if isinstance(response, asyncio.Future):
-                task = asyncio.create_task(
-                    self._answer(response, writer, wlock, request_id))
-                answer_tasks.add(task)
-                task.add_done_callback(answer_tasks.discard)
-            else:
-                await self._send(writer, wlock, response)
+            response = self._submit(conn, request_id, body.get("state"),
+                                    now)
+            if response is None:
+                return None
         elif op == "stats":
-            await self._send(writer, wlock,
-                             {"id": request_id, "ok": True,
-                              **self.stats()})
+            response = {"id": request_id, "ok": True, **self.stats()}
         elif op == "ping":
-            await self._send(writer, wlock,
-                             {"id": request_id, "ok": True, "op": "ping"})
+            response = {"id": request_id, "ok": True, "op": "ping"}
         else:
             self.counters["protocol_errors"] += 1
-            await self._send(writer, wlock, _error_body(
-                ProtocolError(f"unknown op {op!r}"), request_id))
+            response = _error_body(
+                ProtocolError(f"unknown op {op!r}"), request_id)
+        try:
+            return encode_frame(response)
+        except ProtocolError as exc:
+            return self._unsendable(exc)
 
-    def _submit(self, body: dict):
-        """Admit one ``act`` request; a Future to await, or a reject."""
-        request_id = body.get("id")
-        state = body.get("state")
+    def _unsendable(self, exc: ProtocolError) -> bytes:
+        """The reject for a reply over the frame limit.  The request's id
+        is echoed and re-encodes longer than it arrived (``\\uXXXX``
+        escapes), so a legal request can have one; the reject names no
+        id, the id being what outgrew the frame."""
+        self.counters["protocol_errors"] += 1
+        return encode_frame(_error_body(exc))
+
+    def _submit(self, conn: _ServerConnection, request_id, state,
+                now: float) -> dict | None:
+        """Admit one ``act`` request into the window, or return the
+        reject to answer it with."""
         if not isinstance(state, list):
             self.counters["protocol_errors"] += 1
             return _error_body(ProtocolError(
@@ -349,30 +443,13 @@ class InferenceDaemon:
         self._next_rid += 1
         try:
             self.service.submit(rid, np.asarray(state, dtype=float),
-                                arrival_s=self._loop.time())
+                                arrival_s=now)
         except (ServiceError, ValueError, TypeError) as exc:
             return _error_body(exc, request_id)
-        future: asyncio.Future = self._loop.create_future()
-        self._pending[rid] = (future, self._loop.time())
+        self._pending[rid] = (conn, request_id, now)
         self._idle.clear()
         self._kick.set()
-        return future
-
-    async def _answer(self, future: asyncio.Future,
-                      writer: asyncio.StreamWriter, wlock: asyncio.Lock,
-                      request_id) -> None:
-        body = dict(await future)
-        body["id"] = request_id
-        await self._send(writer, wlock, body)
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    wlock: asyncio.Lock, body: dict) -> None:
-        try:
-            async with wlock:
-                writer.write(encode_frame(body))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # client went away; its request was still accounted
+        return None
 
     # -- observability ------------------------------------------------
 
@@ -781,6 +858,7 @@ async def _serve_async(daemon: InferenceDaemon, host: str, port: int,
         announce(f"DRAINING shard={daemon.shard_index} "
                  f"inflight={len(daemon._pending)}")
     await daemon.drain()
+    daemon.close_connections()
     if announce is not None:
         s = daemon.service.accounting
         announce(f"STOPPED shard={daemon.shard_index} "

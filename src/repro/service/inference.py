@@ -276,7 +276,8 @@ class BatchedInferenceService:
             return {}
         queue, self._queue = self._queue, []
         out: dict[int, float] = {}
-        healthy: list[tuple[int, np.ndarray]] = []
+        healthy_ids: list[int] = []
+        healthy: list[np.ndarray] = []
         unservable: list[tuple[int, float]] = []
         for rid, state, arrival_s, use_fallback in queue:
             missed = self._deadline_missed(arrival_s, now_s)
@@ -291,20 +292,27 @@ class BatchedInferenceService:
                 self.accounting.fallbacks += 1
                 self.accounting.mark_degraded()
             else:
-                healthy.append((rid, state))
+                healthy_ids.append(rid)
+                healthy.append(state)
         if healthy:
-            states = np.vstack([s for _, s in healthy])
+            states = np.array(healthy)
             t0 = time.process_time()
-            # A finite but extreme state can still overflow the actor's
-            # matmuls into inf/NaN, which np.clip would pass through —
-            # so degrade those rows individually after the batched pass.
             with np.errstate(over="ignore", invalid="ignore"):
                 actions = self.policy.actor.infer(states)[:, 0]
             self.accounting.cpu_time_s += time.process_time() - t0
             self.accounting.forward_passes += 1
             self.accounting.record_batch(len(healthy))
-            for (rid, state), a in zip(healthy, actions):
-                if not np.isfinite(a):
+            if np.isfinite(actions).all():
+                out.update(zip(healthy_ids,
+                               np.clip(actions, -0.999, 0.999).tolist()))
+            else:
+                # A finite but extreme state can still overflow the
+                # actor's matmuls into inf/NaN, which np.clip would pass
+                # through — so degrade those rows individually.
+                for rid, state, a in zip(healthy_ids, healthy, actions):
+                    if np.isfinite(a):
+                        out[rid] = float(np.clip(a, -0.999, 0.999))
+                        continue
                     self.accounting.mark_degraded()
                     if self._fallback is not None:
                         self.accounting.fallbacks += 1
@@ -312,8 +320,6 @@ class BatchedInferenceService:
                     else:
                         self.accounting.neutral_answers += 1
                         out[rid] = 0.0
-                else:
-                    out[rid] = float(np.clip(a, -0.999, 0.999))
         if unservable:
             ages = ", ".join(f"{rid} ({age:.4f}s)"
                              for rid, age in unservable)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policy import PolicyBundle, new_actor
 from repro.errors import (
@@ -16,6 +20,7 @@ from repro.errors import (
     ProtocolError,
     ServiceError,
 )
+from repro.service.daemon import _ok_frame, _ServerConnection
 from repro.service import (
     BatchedInferenceService,
     InferenceDaemon,
@@ -40,7 +45,7 @@ def run(coro):
 
 def make_daemon(bundle, **kwargs):
     service_kwargs = {"batch_window_s": WINDOW}
-    for key in ("deadline_s", "fallback"):
+    for key in ("deadline_s", "fallback", "batch_window_s"):
         if key in kwargs:
             service_kwargs[key] = kwargs.pop(key)
     service = BatchedInferenceService(bundle, **service_kwargs)
@@ -98,6 +103,26 @@ class TestFraming:
 
         first, second, third = run(scenario())
         assert (first, second, third) == ({"a": 1}, {"b": 2}, None)
+
+    def test_decode_pathological_json_raises_typed(self):
+        # Neither is a JSONDecodeError: the integer digit limit is a
+        # plain ValueError, the nesting a RecursionError.
+        with pytest.raises(ProtocolError):
+            decode_body(b'{"id":' + b"9" * 5000 + b"}")
+        with pytest.raises(ProtocolError):
+            decode_body(b"[" * 200_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.floats(min_value=-0.999, max_value=0.999)),
+           st.one_of(st.integers(), st.integers(1_000_000, 9_999_999),
+                     st.booleans(), st.none(), st.text(),
+                     st.floats(allow_nan=False)))
+    def test_ok_reply_bytes_equal_encode_frame(self, action, request_id):
+        """The directly formatted ``ok`` reply is ``encode_frame``'s,
+        byte for byte, for int and non-int ids alike."""
+        assert _ok_frame(action, request_id) == encode_frame(
+            {"ok": True, "action": action, "id": request_id})
 
     def test_read_frame_bad_length_prefix(self):
         async def scenario():
@@ -233,6 +258,56 @@ class TestProtocolHardening:
         assert eof is None
         assert np.isfinite(action)
 
+    def test_reply_larger_than_a_frame_is_one_clients_problem(
+            self, bundle):
+        """The echoed id re-encodes larger than it arrived (``\\u20ac``
+        for a 3-byte euro sign), so a legal request can have an illegal
+        reply.  That request gets a typed reject naming no id; the rest
+        of its window is served and the daemon still drains."""
+        zeros = [0.0] * bundle.actor.in_dim
+        huge_id = "€" * 200_000           # 600 kB in, 1.2 MB out
+
+        def raw_frame(body):
+            data = json.dumps(body, ensure_ascii=False).encode("utf-8")
+            assert len(data) < (1 << 20)
+            return struct.pack(">I", len(data)) + data
+
+        async def scenario():
+            daemon = make_daemon(bundle, batch_window_s=0.05)
+            port = await daemon.start("127.0.0.1", 0)
+            client = ServiceClient([("127.0.0.1", port)])
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(raw_frame({"op": "ping", "id": huge_id})
+                         + raw_frame({"op": "act", "id": huge_id,
+                                      "state": zeros})
+                         + encode_frame({"op": "act", "id": 7,
+                                         "state": zeros}))
+            await writer.drain()
+            while daemon.service.accounting.requests < 2:
+                await asyncio.sleep(0.0005)
+            action = await client.act(0, zeros, timeout=5)
+            replies = [decode_body(await read_frame(reader))
+                       for _ in range(3)]
+            again = await client.act(1, zeros, timeout=5)    # a later window
+            writer.close()
+            await writer.wait_closed()
+            await client.aclose()
+            await asyncio.wait_for(daemon.drain(), timeout=5)
+            return action, again, replies, daemon.stats()
+
+        action, again, replies, stats = run(
+            asyncio.wait_for(scenario(), timeout=30))
+        assert np.isfinite(action) and again == action
+        for reject in replies[:2]:                  # the ping, the act
+            assert reject["id"] is None
+            assert reject["error"] == "ProtocolError"
+            assert "exceeds" in reject["message"]
+        assert replies[2]["id"] == 7 and replies[2]["action"] == action
+        assert stats["counters"]["daemon_protocol_errors"] == 2
+        assert stats["counters"]["daemon_inflight"] == 0
+        assert stats["latency"]["count"] == 4
+
     def test_unknown_op_and_missing_state_rejected(self, bundle):
         async def scenario():
             async with daemon_and_client(bundle) as (daemon, _):
@@ -273,6 +348,229 @@ class TestProtocolHardening:
         ok, rejected = run(scenario())
         assert np.isfinite(ok)
         assert rejected == 1
+
+
+class FakeTransport:
+    """What ``_ServerConnection`` uses of a transport, recorded."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.writes = 0
+        self.closed = False
+
+    def write(self, data):
+        assert not self.closed
+        self.written += data
+        self.writes += 1
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    def replies(self):
+        out, pos = [], 0
+        while pos < len(self.written):
+            (length,) = struct.unpack_from(">I", self.written, pos)
+            out.append(json.loads(self.written[pos + 4:pos + 4 + length]))
+            pos += 4 + length
+        return out
+
+
+def deliver(bundle, chunks):
+    """Feed ``chunks`` to one connection of a fresh daemon as successive
+    reads, serve one window, and return what that connection and an
+    untouched second connection were sent."""
+
+    async def scenario():
+        daemon = make_daemon(bundle)
+        await daemon.start("127.0.0.1", 0)
+        transports = FakeTransport(), FakeTransport()
+        conns = [_ServerConnection(daemon) for _ in transports]
+        for conn, transport in zip(conns, transports):
+            conn.connection_made(transport)
+        conns[1].data_received(encode_frame(
+            {"op": "act", "id": "other",
+             "state": [0.5] * bundle.actor.in_dim}))
+        for chunk in chunks:
+            if transports[0].closed:
+                break           # a closed transport reads no more
+            conns[0].data_received(chunk)
+        daemon._flush_once()
+        for conn in conns:
+            conn.connection_lost(None)
+        await daemon.drain()
+        return (transports[0].replies(), transports[0].closed,
+                transports[1].replies(), dict(daemon.counters))
+
+    return run(scenario())
+
+
+def _frames(in_dim):
+    state = st.lists(st.floats(-5.0, 5.0), min_size=in_dim,
+                     max_size=in_dim)
+    request_id = st.one_of(st.integers(0, 10**7), st.text(max_size=5))
+    raw = st.sampled_from([b"{not json!", b"[1,2,3]", b"\xff\xfe",
+                           b'{"op":"explode","id":4}',
+                           b'{"op":"act","id":5}',
+                           b'{"op":"act","id":6,"state":[1.0,2.0]}'])
+    return st.one_of(
+        st.builds(lambda i, s: encode_frame(
+            {"op": "act", "id": i, "state": s}), request_id, state),
+        st.builds(lambda i: encode_frame({"op": "ping", "id": i}),
+                  request_id),
+        raw.map(lambda body: struct.pack(">I", len(body)) + body))
+
+
+class TestConnectionParser:
+    """``data_received`` slices frames out of whatever the socket hands
+    it; the replies must not depend on where the reads were cut."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_replies_independent_of_read_boundaries(self, bundle, data):
+        frames = data.draw(st.lists(_frames(bundle.actor.in_dim),
+                                    min_size=1, max_size=8))
+        bad_prefix = data.draw(st.sampled_from([None, 0, (1 << 20) + 1,
+                                                1 << 31]))
+        if bad_prefix is not None:
+            at = data.draw(st.integers(0, len(frames)))
+            frames.insert(at, struct.pack(">I", bad_prefix) + b"tail")
+        stream = b"".join(frames)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(stream)), max_size=12)))
+        chunks = [stream[a:b] for a, b in
+                  zip([0] + cuts, cuts + [len(stream)]) if a < b]
+
+        whole = deliver(bundle, frames)
+        assert deliver(bundle, chunks) == whole
+        assert deliver(bundle, [stream]) == whole
+        replies, closed, other, counters = whole
+        # A bad length prefix: typed reject last, then that connection
+        # (and only that one) is closed.
+        assert closed == (bad_prefix is not None)
+        if closed:
+            assert replies[-1]["error"] == "ProtocolError"
+            assert "frame length" in replies[-1]["message"]
+            assert len(replies) <= at + 1
+        else:
+            assert len(replies) == len(frames)
+            assert counters["frames"] == len(frames) + 1
+        assert [r["id"] for r in other] == ["other"] and other[0]["ok"]
+
+    def test_one_write_per_read_and_per_window(self, bundle):
+        """Replies leave in one ``transport.write`` per read (immediate
+        ones) and one per connection per window (served actions)."""
+
+        async def scenario():
+            daemon = make_daemon(bundle)
+            await daemon.start("127.0.0.1", 0)
+            transport = FakeTransport()
+            conn = _ServerConnection(daemon)
+            conn.connection_made(transport)
+            zeros = [0.0] * bundle.actor.in_dim
+            conn.data_received(b"".join(
+                [encode_frame({"op": "ping", "id": i}) for i in range(3)]
+                + [encode_frame({"op": "act", "id": i, "state": zeros})
+                   for i in range(5)]))
+            after_read = transport.writes
+            # One read, one stamp: the deadline and the histogram count
+            # every request of it from the same instant.
+            arrivals = {entry[2] for entry in daemon.service._queue}
+            daemon._flush_once()
+            after_window = transport.writes
+            conn.connection_lost(None)
+            await daemon.drain()
+            return after_read, after_window, arrivals, transport.replies()
+
+        after_read, after_window, arrivals, replies = run(scenario())
+        assert (after_read, after_window) == (1, 2)
+        assert len(arrivals) == 1
+        assert [r["id"] for r in replies] == [0, 1, 2, 0, 1, 2, 3, 4]
+
+
+class TestBackpressureAndDisconnect:
+    def test_client_that_never_reads_is_not_read_from(self, bundle):
+        """A client pipelining requests without reading its replies must
+        stall itself: the daemon stops reading that socket (so what it
+        queues is bounded), keeps serving the others, and still drains."""
+
+        async def scenario():
+            daemon = make_daemon(bundle)
+            port = await daemon.start("127.0.0.1", 0)
+            client = ServiceClient([("127.0.0.1", port)])
+            zeros = [0.0] * bundle.actor.in_dim
+            # ~2 kB replies (the id is echoed) against a small receive
+            # buffer on the greedy side, so the reply path fills fast.
+            frame = encode_frame({"op": "act", "id": "x" * 2000,
+                                  "state": zeros})
+            n_frames = 6000
+            payload = memoryview(frame * n_frames)
+            greedy = socket.socket()
+            greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            greedy.connect(("127.0.0.1", port))
+            greedy.setblocking(False)
+            try:
+                sent, stalled_s = 0, 0.0
+                while sent < len(payload) and stalled_s < 0.3:
+                    try:
+                        sent += greedy.send(payload[sent:sent + (1 << 16)])
+                        stalled_s = 0.0
+                        await asyncio.sleep(0)
+                    except BlockingIOError:
+                        stalled_s += 0.01
+                        await asyncio.sleep(0.01)
+                frames_read = daemon.counters["frames"]
+                await asyncio.sleep(0.05)
+                still = daemon.counters["frames"]
+                buffered = max(
+                    conn._transport.get_write_buffer_size()
+                    for conn in daemon._connections)
+                action = await client.act(0, zeros, timeout=5)
+            finally:
+                greedy.close()
+                await client.aclose()
+            await asyncio.wait_for(daemon.drain(), timeout=10)
+            daemon.close_connections()
+            return (sent, len(payload), frames_read, still, n_frames,
+                    buffered, action, daemon.stats())
+
+        (sent, offered, frames_read, still, n_frames, buffered, action,
+         stats) = run(scenario())
+        assert sent < offered, "the daemon never stopped reading"
+        assert frames_read == still < n_frames
+        assert buffered < (1 << 20)
+        assert np.isfinite(action)
+        assert stats["counters"]["daemon_inflight"] == 0
+
+    def test_disconnect_with_requests_in_the_window_leaves_no_residue(
+            self, bundle):
+        async def scenario():
+            daemon = make_daemon(bundle, batch_window_s=0.05)
+            service = daemon.service
+            port = await daemon.start("127.0.0.1", 0)
+            zeros = [0.0] * bundle.actor.in_dim
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            for i in range(5):
+                writer.write(encode_frame(
+                    {"op": "act", "id": i, "state": zeros}))
+            await writer.drain()
+            while service.accounting.requests < 5:
+                await asyncio.sleep(0.0005)
+            inflight = daemon.stats()["counters"]["daemon_inflight"]
+            writer.close()              # gone before the window closes
+            await writer.wait_closed()
+            await asyncio.wait_for(daemon.drain(), timeout=5)
+            return inflight, daemon.stats(), len(daemon._connections)
+
+        inflight, stats, connections = run(scenario())
+        assert inflight == 5
+        assert stats["counters"]["daemon_inflight"] == 0
+        assert stats["counters"]["forward_passes"] == 1
+        assert stats["latency"]["count"] == 5     # served and counted
+        assert connections == 0
 
 
 class TestAdmissionControl:
@@ -585,6 +883,7 @@ class TestClientResilience:
         async def scenario():
             async def mute(reader, writer):
                 await reader.read(-1)
+                writer.close()
 
             server = await asyncio.start_server(mute, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]

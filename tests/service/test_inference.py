@@ -289,6 +289,43 @@ class TestNonFiniteActorOutput:
         assert out[0] == 0.0
         assert svc.accounting.degraded
 
+    @pytest.mark.parametrize("fallback", ["analytic", None])
+    @pytest.mark.parametrize("overflow_row", [None, 3])
+    def test_window_clip_equals_the_per_row_loop(self, bundle, fallback,
+                                                 overflow_row):
+        """``flush`` clips a finite window in one pass and goes row by
+        row only when a row overflowed; either way the answers and the
+        counters are those of the per-row loop, kept here as reference."""
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(9, bundle.actor.in_dim)) * 3.0
+        if overflow_row is not None:
+            states[overflow_row] = self.HUGE
+        svc = BatchedInferenceService(bundle, fallback=fallback)
+        for rid, state in enumerate(states):
+            svc.submit(rid, state)
+        out = svc.flush()
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = bundle.actor.infer(states)[:, 0]
+        expected, degraded_rows = {}, 0
+        for rid, a in enumerate(raw):
+            if np.isfinite(a):
+                expected[rid] = float(np.clip(a, -0.999, 0.999))
+            else:
+                degraded_rows += 1
+                expected[rid] = 0.0 if fallback is None else \
+                    analytic_fallback_action(states[rid])
+        assert degraded_rows == (0 if overflow_row is None else 1)
+        assert list(out) == list(expected)
+        # Bit-identical, not approximately equal.
+        assert [a.hex() for a in out.values()] == \
+            [a.hex() for a in expected.values()]
+        acc = svc.accounting
+        assert acc.fallbacks == (degraded_rows if fallback else 0)
+        assert acc.neutral_answers == (0 if fallback else degraded_rows)
+        assert acc.degraded == bool(degraded_rows)
+        assert (acc.forward_passes, acc.batch_max) == (1, 9)
+
     def test_per_flow_serve_returns_neutral_and_degrades(self, bundle):
         servers = PerFlowServers(bundle, n_flows=1)
         action = servers.serve(0, self.huge_state(bundle))

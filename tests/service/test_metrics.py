@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,41 @@ class TestLatencyHistogram:
         qs = [h.quantile(q) for q in (0.1, 0.5, 0.9, 0.99, 1.0)]
         assert qs == sorted(qs)
         assert qs[-1] <= h.max_s
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                  st.floats(allow_nan=True, allow_infinity=True)),
+        max_size=120), st.integers(min_value=0, max_value=120))
+    def test_record_many_equals_a_per_observation_loop(self, values,
+                                                       split):
+        """The per-window fold is the per-request fold it replaced: same
+        buckets, same count and max, the same float sum (arrival order).
+        The reference loop is spelled out here, one observation at a
+        time."""
+        folded = LatencyHistogram()
+        folded.record_many(values[:split])
+        folded.record_many(values[split:])
+        counts = [0] * folded._counts.size
+        count, sum_s, max_s = 0, 0.0, 0.0
+        for v in values:
+            if not math.isfinite(v) or v < 0.0:
+                continue
+            counts[int(np.searchsorted(folded._edges, v,
+                                       side="right"))] += 1
+            count += 1
+            sum_s += v
+            max_s = max(max_s, v)
+        assert folded._counts.tolist() == counts
+        assert (folded.count, folded.sum_s, folded.max_s) \
+            == (count, sum_s, max_s)
+
+        single = LatencyHistogram()
+        for v in values:
+            single.record(v)
+        assert single._counts.tolist() == counts
+        assert (single.count, single.sum_s, single.max_s) \
+            == (count, sum_s, max_s)
 
 
 class TestRenderMetrics:
