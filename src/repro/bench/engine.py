@@ -68,8 +68,7 @@ def measure_ticks_per_s(n_flows: int, duration_s: float = 30.0,
     n_ticks = n_blocks * block_ticks
 
     def drain(net: FluidNetwork) -> None:
-        for fid in net.flow_ids:
-            net.monitor(fid).collect(net.now, net.cwnd(fid), 0.0, 0.0)
+        net.collect_stats(net.slots(net.flow_ids), net.now)
 
     results = {}
     for label, slowpath in (("fast", False), ("reference", True)):

@@ -25,6 +25,7 @@ from ..core.astraea import AstraeaController
 from ..core.policy import PolicyBundle
 from ..errors import SimulationError
 from ..netsim import FluidNetwork, INITIAL_CWND_PKTS
+from ..netsim.stats import MtpColumns
 from ..netsim.topology import TopologyConfig
 from ..netsim.traces import create_trace
 from ..units import mbps_to_pps
@@ -209,11 +210,13 @@ class _RunningFlow:
     index: int
     engine_id: int
     controller: CongestionController
-    next_ctrl_s: float
     end_s: float
     #: Decided once at flow start (see :func:`_stacked_policy`), so a
     #: pass over classical controllers pays one ``None`` test per flow.
     policy: PolicyBundle | None = None
+    #: Position in ``ScenarioDriver._running`` and in the driver's
+    #: per-flow vectors; renumbered on flow churn.
+    pos: int = -1
 
 
 class ScenarioDriver:
@@ -246,6 +249,11 @@ class ScenarioDriver:
             range(len(scenario_flows)),
             key=lambda i: scenario_flows[i].start_s))
         self._running: list[_RunningFlow] = []
+        # Per running flow, in ``_running`` order: next controller
+        # deadline and engine slot; plus the earliest flow end.
+        self._next_ctrl = np.zeros(0)
+        self._slots = np.zeros(0, dtype=np.intp)
+        self._next_end = np.inf
         self._bottleneck_mbps = bottleneck_mbps
         self._base_rtt_s = base_rtt_s
         self.done = False
@@ -311,11 +319,21 @@ class ScenarioDriver:
         for fid, (i, cfg, controller) in zip(fids, due):
             self._running.append(_RunningFlow(
                 index=i, engine_id=fid, controller=controller,
-                next_ctrl_s=self._next_deadline(now, controller.mtp_s,
-                                                controller.mtp_s),
                 end_s=min(cfg.end_s(), self.duration_s),
                 policy=_stacked_policy(controller),
             ))
+        self._renumber(np.concatenate([self._next_ctrl, [
+            self._next_deadline(now, controller.mtp_s, controller.mtp_s)
+            for _i, _cfg, controller in due]]))
+
+    def _renumber(self, next_ctrl: np.ndarray) -> None:
+        """Realign the per-flow vectors with ``_running`` after churn."""
+        running = self._running
+        self._next_ctrl = next_ctrl
+        for pos, rf in enumerate(running):
+            rf.pos = pos
+        self._slots = self._engine.slots([rf.engine_id for rf in running])
+        self._next_end = min((rf.end_s for rf in running), default=np.inf)
 
     def _begin_step(self) -> bool:
         """Shared per-step preamble: flow churn and termination checks."""
@@ -327,9 +345,13 @@ class ScenarioDriver:
             self.done = True
             return False
         self._start_due_flows(now)
-        for rf in [rf for rf in self._running if rf.end_s <= now]:
-            engine.remove_flow(rf.engine_id)
-            self._running.remove(rf)
+        if self._next_end <= now:
+            # One engine rebuild for every flow ending on this tick.
+            engine.remove_flows([rf.engine_id for rf in self._running
+                                 if rf.end_s <= now])
+            self._running = [rf for rf in self._running if rf.end_s > now]
+            self._renumber(
+                self._next_ctrl[[rf.pos for rf in self._running]])
         if not self._running and not self._pending:
             self.done = True
             return False
@@ -359,14 +381,10 @@ class ScenarioDriver:
         both pinned fleet digests).
         """
         engine = self._engine
-        horizon = self.duration_s
+        horizon = min(self.duration_s, self._next_end,
+                      self._next_ctrl.min(initial=np.inf))
         if self._pending:
             horizon = min(horizon, self._flows[self._pending[0]].start_s)
-        for rf in self._running:
-            if rf.next_ctrl_s < horizon:
-                horizon = rf.next_ctrl_s
-            if rf.end_s < horizon:
-                horizon = rf.end_s
         n_ticks = max(1, int((horizon - engine.now) / self._tick_s))
         engine.advance_block(self._tick_s, n_ticks)
 
@@ -384,30 +402,38 @@ class ScenarioDriver:
         return True
 
     def _controller_pass(self, now: float) -> None:
-        """Run every controller whose monitoring interval has expired.
+        """Run every controller whose monitoring interval has expired:
+        one columnar collect, the decisions, one ``set_cwnds``, then the
+        per-flow bookkeeping — the same code for one due flow or 400.
 
-        Two-phase, like the training runner: every due flow with a
-        stackable policy first does the policy-free half of its decision,
-        then each distinct :class:`PolicyBundle` runs *one* row-exact
-        forward over the stacked states of its flows, then every
-        decision is completed and applied in ``_running`` order.  Such
-        controllers share no state (their bundle is frozen), a flow's
-        ``set_cwnd`` never alters stats already collected, and row ``i``
+        Deciding is two-phase, like the training runner: every due flow
+        with a stackable policy first does the policy-free half of its
+        decision, then each distinct :class:`PolicyBundle` runs *one*
+        row-exact forward over the stacked states of its flows, then
+        every decision is completed in ``_running`` order.  Such
+        controllers share no state (their bundle is frozen) and row ``i``
         of the stacked forward is bitwise ``act`` of that row, so the
-        pass equals calling ``on_interval`` flow by flow.
+        pass equals calling ``on_interval`` flow by flow.  Every other
+        flow takes exactly that per-object call.
 
-        Every other flow takes exactly that per-object call, still
-        interleaved with ``finish_flow``: an observer callback may update
-        a learner that the next flow's ``on_interval`` acts with.
+        Applying is all-or-nothing and happens before any observer
+        fires: windows never alter stats already collected, so setting
+        them together equals setting them flow by flow, and an observer
+        sees the pass's decisions already in force.
         """
-        due = self.collect_due(now)
-        decisions: list = [None] * len(due)
-        # bundle id -> (bundle, slots in ``due`` that need its forward)
+        flows, columns = self.collect_due(now)
+        if not flows:
+            return
+        stats = columns.rows()
+        decisions: list = [None] * len(flows)
+        # bundle id -> (bundle, slots in ``flows`` that need its forward)
         stacks: dict[int, tuple[PolicyBundle, list[int]]] = {}
-        for slot, (rf, stats) in enumerate(due):
+        for slot, rf in enumerate(flows):
             if rf.policy is None:
+                decisions[slot] = rf.controller.on_interval(stats[slot])
                 continue
-            begun = decisions[slot] = rf.controller.begin_interval(stats)
+            begun = decisions[slot] = \
+                rf.controller.begin_interval(stats[slot])
             if not isinstance(begun, Decision):
                 stacks.setdefault(id(rf.policy), (rf.policy, []))[1] \
                     .append(slot)
@@ -415,58 +441,68 @@ class ScenarioDriver:
             actions = policy.act_batch(
                 np.stack([decisions[slot] for slot in slots]))
             for slot, action in zip(slots, actions.tolist()):
-                rf, stats = due[slot]
-                decisions[slot] = rf.controller.finish_interval(stats,
-                                                                action)
-        for (rf, stats), decision in zip(due, decisions):
-            if decision is None:
-                decision = rf.controller.on_interval(stats)
-            self.finish_flow(rf, stats, decision)
+                decisions[slot] = flows[slot].controller.finish_interval(
+                    stats[slot], action)
 
-    def collect_due(self, now: float) -> list:
+        cwnds = [d.cwnd_pkts for d in decisions]
+        pos = [rf.pos for rf in flows]
+        self._engine.set_cwnds(
+            self._slots[pos], cwnds,
+            [np.inf if d.pacing_pps is None else d.pacing_pps
+             for d in decisions])
+        send_mbps = cwnds / np.maximum(columns.srtt_s, 1e-6) \
+            / mbps_to_pps(1.0)
+        self._next_ctrl[pos] = [
+            self._finish(*row) for row in
+            zip(flows, stats, cwnds, columns.throughput_mbps.tolist(),
+                columns.loss_rate.tolist(), send_mbps.tolist())]
+
+    def collect_due(self, now: float
+                    ) -> tuple[list[_RunningFlow], MtpColumns | None]:
         """Stats for every flow whose monitoring interval has expired.
 
-        Pure collection: per-flow monitor reads only, no controller call
-        and no engine mutation — so gathering all due flows up front is
-        bitwise identical to the historical interleaved walk (one flow's
-        ``set_cwnd`` never alters another flow's already-recorded
-        monitoring history).  Returns ``(running_flow, stats)`` pairs in
-        ``_running`` order.
+        One columnar collect over the due flows' engine slots — monitor
+        reads only, no controller call and no engine mutation.  Returns
+        the due flows in ``_running`` order and their stats as columns
+        (``None`` when no flow is due, which is most per-tick steps).
         """
-        engine = self._engine
-        due = []
-        for rf in self._running:
-            if now + 1e-12 < rf.next_ctrl_s:
-                continue
-            stats = engine.monitor(rf.engine_id).collect(
-                now,
-                cwnd_pkts=engine.cwnd(rf.engine_id),
-                pacing_pps=engine.flow_rate_pps(rf.engine_id),
-                pkts_in_flight=engine.pkts_in_flight(rf.engine_id),
-            )
-            due.append((rf, stats))
-        return due
+        pos = np.flatnonzero(self._next_ctrl <= now + 1e-12)
+        if not len(pos):
+            return [], None
+        running = self._running
+        return [running[p] for p in pos.tolist()], \
+            self._engine.collect_stats(self._slots[pos], now)
 
-    def finish_flow(self, rf: _RunningFlow, stats, decision) -> None:
-        """Apply one controller decision collected by :meth:`collect_due`:
-        set the window, log the interval, fire the observer callback and
-        schedule the flow's next deadline."""
+    def _finish(self, rf: _RunningFlow, stats, cwnd_pkts: float,
+                thr_mbps: float, loss_rate: float,
+                send_mbps: float) -> float:
+        """Log one applied decision, fire the observer callback and
+        return the flow's next deadline."""
         now = self._engine.now
-        self._engine.set_cwnd(rf.engine_id, decision.cwnd_pkts,
-                              decision.pacing_pps)
         log = self._logs[rf.index]
         log.times.append(now)
-        log.throughput_mbps.append(stats.throughput_mbps)
+        log.throughput_mbps.append(thr_mbps)
         log.rtt_s.append(stats.avg_rtt_s)
-        log.loss_rate.append(stats.loss_rate)
-        log.cwnd_pkts.append(decision.cwnd_pkts)
-        log.send_rate_mbps.append(
-            decision.cwnd_pkts / max(stats.srtt_s, 1e-6)
-            / mbps_to_pps(1.0))
+        log.loss_rate.append(loss_rate)
+        log.cwnd_pkts.append(cwnd_pkts)
+        log.send_rate_mbps.append(send_mbps)
         if self._on_interval is not None:
             self._on_interval(now, rf.index, stats, rf.controller)
-        rf.next_ctrl_s = self._next_deadline(
+        return self._next_deadline(
             now, rf.controller.interval_s(stats.srtt_s), rf.controller.mtp_s)
+
+    def finish_flow(self, rf: _RunningFlow, stats, decision) -> None:
+        """Apply one controller decision collected by :meth:`step_collect`:
+        set the window, log the interval, fire the observer callback and
+        schedule the flow's next deadline.  The one-flow-at-a-time twin
+        of the apply half of :meth:`_controller_pass`, for callers that
+        decide outside the driver (the training runner)."""
+        self._engine.set_cwnd(rf.engine_id, decision.cwnd_pkts,
+                              decision.pacing_pps)
+        self._next_ctrl[rf.pos] = self._finish(
+            rf, stats, decision.cwnd_pkts, stats.throughput_mbps,
+            stats.loss_rate,
+            decision.cwnd_pkts / max(stats.srtt_s, 1e-6) / mbps_to_pps(1.0))
 
     def step_collect(self) -> list | None:
         """First half of a two-phase block step (the training fast path).
@@ -481,7 +517,8 @@ class ScenarioDriver:
         if not self._begin_step():
             return None
         self._advance_to_next_event()
-        return self.collect_due(self._engine.now)
+        flows, columns = self.collect_due(self._engine.now)
+        return list(zip(flows, columns.rows())) if flows else []
 
     def result(self) -> ScenarioResult:
         """Logs collected so far (complete once :meth:`step` returns False)."""

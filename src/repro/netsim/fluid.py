@@ -24,22 +24,25 @@ bottleneck experienced them — a full RTT after the send decision), via
 
 Fast path (docs/architecture.md §7): controllers only intervene once per
 MTP (~15 ticks), so the engine keeps its per-flow state in persistent
-structure-of-arrays vectors — ``base_rtt``/``cwnd``/``pacing`` plus a
-link x flow path-membership matrix maintained incrementally by
-:meth:`FluidNetwork.add_flow` / :meth:`~FluidNetwork.remove_flow` /
-:meth:`~FluidNetwork.set_cwnd` — and :meth:`FluidNetwork.advance_block`
-advances whole tick batches with zero per-tick Python object churn,
-flushing results columnwise into each flow's ring-buffer monitor.  The
-original per-tick implementation is retained verbatim as the reference
-path and selected by setting ``REPRO_ENGINE_SLOWPATH=1`` (or the
-``slowpath=True`` constructor argument); the differential equivalence
-suite pins the two paths to per-tick per-flow deltas <= 1e-9.
+structure-of-arrays vectors — ``base_rtt``/``cwnd``/``pacing``, the
+last-tick and cumulative counters, plus a link x flow path-membership
+matrix, all maintained by :meth:`FluidNetwork.add_flows` /
+:meth:`~FluidNetwork.remove_flows` / :meth:`~FluidNetwork.set_cwnds` —
+and :meth:`FluidNetwork.advance_block` advances whole tick batches with
+zero per-tick Python object churn, writing its samples straight into
+the network's one columnar :class:`~repro.netsim.stats.SampleStore`,
+which :meth:`FluidNetwork.collect_stats` drains for many flows at once.
+The original per-tick physics is retained as the reference path and
+selected by setting ``REPRO_ENGINE_SLOWPATH=1`` (or the ``slowpath=True``
+constructor argument); the differential equivalence suite pins the two
+paths to per-tick per-flow deltas <= 1e-9.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +59,9 @@ from .stats import (
     COL_RTT,
     COL_SENT,
     COL_TIME,
-    N_SAMPLE_COLS,
-    FlowMonitor,
+    MtpColumns,
+    MtpStats,
+    SampleStore,
     TickSample,
 )
 from .traces import CapacityTrace, ConstantTrace
@@ -102,23 +106,39 @@ class _LinkState:
         return self.config.buffer_size_packets
 
 
-@dataclass
-class _FlowState:
-    """Runtime state of one flow inside the engine."""
+class _FlowMonitorView:
+    """One flow's slice of the network's sample store, with the row API
+    of :class:`~repro.netsim.stats.FlowMonitor` (diagnostics and tests;
+    the driver collects in columns)."""
 
-    flow_id: int
-    path: tuple[int, ...]
-    base_rtt_s: float
-    cwnd_pkts: float = INITIAL_CWND_PKTS
-    pacing_pps: float | None = None
-    monitor: FlowMonitor = field(default=None)  # type: ignore[assignment]
-    # Last-tick values cached for accessors.
-    last_rtt_s: float = 0.0
-    last_rate_pps: float = 0.0
-    last_goodput_pps: float = 0.0
-    total_delivered_pkts: float = 0.0
-    total_lost_pkts: float = 0.0
-    total_sent_pkts: float = 0.0
+    def __init__(self, net: FluidNetwork, fid: int):
+        self._net = net
+        self._fid = fid
+
+    @property
+    def _slot(self) -> int:
+        return self._net._slot_of(self._fid)
+
+    @property
+    def srtt_s(self) -> float:
+        """Current smoothed RTT estimate in seconds."""
+        return self._net._samples.srtt.item(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._net._samples.pending(self._slot))
+
+    def pending_samples(self) -> list[TickSample]:
+        """Materialise the undrained samples (oldest first) for inspection."""
+        rows = self._net._samples.pending(self._slot)
+        return [TickSample(*r) for r in rows.tolist()]
+
+    def collect(self, now: float, cwnd_pkts: float, pacing_pps: float,
+                pkts_in_flight: float) -> MtpStats:
+        """Aggregate all samples observable at ``now`` into one MTP record."""
+        return self._net._samples.collect(
+            np.array([self._slot]), now, np.array([float(cwnd_pkts)]),
+            np.array([float(pacing_pps)]),
+            np.array([float(pkts_in_flight)])).rows()[0]
 
 
 class FluidNetwork:
@@ -167,7 +187,9 @@ class FluidNetwork:
             for l in links
         ]
         self._link_index = {l.name: i for i, l in enumerate(links)}
-        self._flows: dict[int, _FlowState] = {}
+        #: flow id -> path (link indices), in slot order.
+        self._flows: dict[int, tuple[int, ...]] = {}
+        self._slot: dict[int, int] = {}
         self._next_flow_id = 0
         self._rng = np.random.default_rng(seed)
         self._faults = faults if faults else None
@@ -185,35 +207,46 @@ class FluidNetwork:
             li for li, link in enumerate(self._links)
             if not isinstance(link.trace, ConstantTrace)
         ]
-        self._rebuild_soa()
+        self._samples = SampleStore()
+        self._base_rtt = self._cwnd = self._pacing = np.zeros(0)
+        self._last_rtt = self._last_rate = self._last_goodput = np.zeros(0)
+        self._total_sent = self._total_delivered = self._total_lost = \
+            np.zeros(0)
+        self._rebuild_soa(np.zeros(0, dtype=np.intp))
 
     # ------------------------------------------------------------------
     # Structure-of-arrays state (fast path)
     # ------------------------------------------------------------------
 
-    def _rebuild_soa(self) -> None:
-        """Rebuild the per-flow state vectors after flow churn.
+    def _rebuild_soa(self, keep: np.ndarray, base_rtt_s=(), cwnd_pkts=(),
+                     pacing_pps=()) -> None:
+        """Rebuild the per-flow state after flow churn.
 
-        Slot order matches dict insertion order, i.e. the exact order the
-        reference path iterates ``self._flows.values()``.  Flow churn also
-        invalidates every link's drain-attribution share vector, whose
-        positions are aligned with the on-link flow sets.
+        ``self._flows`` already holds the new flow set: the survivors,
+        whose old slots are ``keep`` and whose vector entries and
+        undrained samples carry over, followed by one new flow per entry
+        of the three spec columns.  Slot order matches dict insertion
+        order, i.e. the exact order the reference path iterates.  Flow
+        churn also invalidates every link's drain-attribution share
+        vector, whose positions are aligned with the on-link flow sets.
         """
-        flows = list(self._flows.values())
-        self._order = flows
-        n = len(flows)
+        paths = list(self._flows.values())
+        n = len(paths)
         n_links = len(self._links)
-        self._slot = {f.flow_id: i for i, f in enumerate(flows)}
-        self._base_rtt = np.array([f.base_rtt_s for f in flows]) \
-            if n else np.zeros(0)
-        self._cwnd = np.array([f.cwnd_pkts for f in flows]) \
-            if n else np.zeros(0)
-        self._pacing = np.array(
-            [f.pacing_pps if f.pacing_pps is not None else np.inf
-             for f in flows]) if n else np.zeros(0)
+        self._slot = {fid: i for i, fid in enumerate(self._flows)}
+        idle = np.zeros(len(base_rtt_s))
+        for name, fresh in (
+                ("_base_rtt", base_rtt_s), ("_cwnd", cwnd_pkts),
+                ("_pacing", pacing_pps), ("_last_rtt", base_rtt_s),
+                ("_last_rate", idle), ("_last_goodput", idle),
+                ("_total_sent", idle), ("_total_delivered", idle),
+                ("_total_lost", idle)):
+            setattr(self, name,
+                    np.concatenate([getattr(self, name)[keep], fresh]))
+        self._samples.reindex(keep, base_rtt_s)
         member = np.zeros((n_links, n))
-        for i, f in enumerate(flows):
-            for li in f.path:
+        for i, path in enumerate(paths):
+            for li in path:
                 member[li, i] += 1.0
         # (n, L) layout: path delay is one matrix-vector product.
         self._member_t = np.ascontiguousarray(member.T)
@@ -222,7 +255,7 @@ class FluidNetwork:
         # The specialised single-link kernel assumes every flow crosses
         # the one link exactly once (always true for default paths).
         self._single_simple = n_links == 1 and all(
-            len(f.path) == 1 for f in flows)
+            len(path) == 1 for path in paths)
         for link in self._links:
             link.last_share = None
 
@@ -245,22 +278,6 @@ class FluidNetwork:
             raise SimulationError("a flow path needs at least one link")
         return link_ids
 
-    def _register_flow(self, base_rtt_s: float, link_ids: tuple[int, ...],
-                       cwnd_pkts: float, pacing_pps: float | None) -> int:
-        fid = self._next_flow_id
-        self._next_flow_id += 1
-        flow = _FlowState(
-            flow_id=fid,
-            path=link_ids,
-            base_rtt_s=base_rtt_s,
-            cwnd_pkts=max(cwnd_pkts, MIN_CWND_PKTS),
-            pacing_pps=pacing_pps,
-            monitor=FlowMonitor(base_rtt_s),
-        )
-        flow.last_rtt_s = base_rtt_s
-        self._flows[fid] = flow
-        return fid
-
     def add_flow(self, base_rtt_s: float, path: list[str] | None = None,
                  cwnd_pkts: float = INITIAL_CWND_PKTS,
                  pacing_pps: float | None = None) -> int:
@@ -269,10 +286,9 @@ class FluidNetwork:
         ``path`` lists link names in traversal order; ``None`` means "all
         links in network order", which is the single-bottleneck default.
         """
-        link_ids = self._resolve_path(base_rtt_s, path)
-        fid = self._register_flow(base_rtt_s, link_ids, cwnd_pkts, pacing_pps)
-        self._rebuild_soa()
-        return fid
+        return self.add_flows([{
+            "base_rtt_s": base_rtt_s, "path": path,
+            "cwnd_pkts": cwnd_pkts, "pacing_pps": pacing_pps}])[0]
 
     def add_flows(self, specs) -> list[int]:
         """Register a batch of flows with one SoA rebuild for the batch.
@@ -301,37 +317,72 @@ class FluidNetwork:
                 raise SimulationError("flow spec needs base_rtt_s")
             resolved.append(
                 self._resolve_path(spec["base_rtt_s"], spec.get("path")))
-        fids = [
-            self._register_flow(
-                spec["base_rtt_s"], link_ids,
-                spec.get("cwnd_pkts", INITIAL_CWND_PKTS),
-                spec.get("pacing_pps"))
-            for spec, link_ids in zip(specs, resolved)
-        ]
-        if fids:
-            self._rebuild_soa()
+        if not specs:
+            return []
+        keep = np.arange(len(self._flows))
+        fids = list(range(self._next_flow_id,
+                          self._next_flow_id + len(specs)))
+        self._next_flow_id += len(specs)
+        self._flows.update(zip(fids, resolved))
+        self._rebuild_soa(
+            keep,
+            [spec["base_rtt_s"] for spec in specs],
+            [max(spec.get("cwnd_pkts", INITIAL_CWND_PKTS), MIN_CWND_PKTS)
+             for spec in specs],
+            [np.inf if spec.get("pacing_pps") is None else spec["pacing_pps"]
+             for spec in specs])
         return fids
 
     def remove_flow(self, fid: int) -> None:
         """Deregister a flow (its remaining queued fluid is discarded)."""
-        if self._flows.pop(fid, None) is not None:
-            self._rebuild_soa()
+        self.remove_flows([fid])
+
+    def remove_flows(self, fids) -> None:
+        """Deregister a batch of flows with one SoA rebuild for the batch.
+
+        Unknown ids are ignored, as by :meth:`remove_flow`; surviving
+        flows keep their undrained samples and consumed offsets.
+        """
+        gone = [fid for fid in fids if self._flows.pop(fid, None) is not None]
+        if gone:
+            self._rebuild_soa(np.array(
+                [self._slot[fid] for fid in self._flows], dtype=np.intp))
+
+    def slots(self, fids) -> np.ndarray:
+        """The flows' current positions in the per-flow state vectors —
+        what the batch entry points take.  Valid until the next
+        :meth:`add_flows` / :meth:`remove_flows`."""
+        return np.array([self._slot_of(fid) for fid in fids], dtype=np.intp)
 
     def set_cwnd(self, fid: int, cwnd_pkts: float,
                  pacing_pps: float | None = None) -> None:
         """Apply a controller decision to a flow."""
-        flow = self._require(fid)
-        if not np.isfinite(cwnd_pkts):
+        i = self._slot_of(fid)
+        if not math.isfinite(cwnd_pkts):
             raise SimulationError(f"non-finite cwnd for flow {fid}: {cwnd_pkts}")
-        flow.cwnd_pkts = float(np.clip(cwnd_pkts, MIN_CWND_PKTS, 1e9))
-        flow.pacing_pps = pacing_pps
-        i = self._slot[fid]
-        self._cwnd[i] = flow.cwnd_pkts
-        self._pacing[i] = pacing_pps if pacing_pps is not None else np.inf
+        self._cwnd[i] = min(max(cwnd_pkts, MIN_CWND_PKTS), 1e9)
+        self._pacing[i] = np.inf if pacing_pps is None else pacing_pps
 
-    def _require(self, fid: int) -> _FlowState:
+    def set_cwnds(self, slots: np.ndarray, cwnd_pkts,
+                  pacing_pps=None) -> None:
+        """Apply one decision per flow of ``slots`` (see :meth:`slots`).
+
+        ``pacing_pps`` is a column with ``inf`` for unpaced flows, or
+        ``None`` when none is paced.  All-or-nothing: a non-finite window
+        raises naming the first offending flow and applies nothing.
+        """
+        finite = np.isfinite(cwnd_pkts)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise SimulationError(
+                f"non-finite cwnd for flow {self.flow_ids[slots[bad]]}: "
+                f"{cwnd_pkts[bad]}")
+        self._cwnd[slots] = np.clip(cwnd_pkts, MIN_CWND_PKTS, 1e9)
+        self._pacing[slots] = np.inf if pacing_pps is None else pacing_pps
+
+    def _slot_of(self, fid: int) -> int:
         try:
-            return self._flows[fid]
+            return self._slot[fid]
         except KeyError:
             raise SimulationError(f"unknown flow id {fid}") from None
 
@@ -344,34 +395,55 @@ class FluidNetwork:
         """Ids of all currently registered flows."""
         return list(self._flows)
 
-    def monitor(self, fid: int) -> FlowMonitor:
-        """The sender-side monitor of a flow."""
-        return self._require(fid).monitor
+    def monitor(self, fid: int) -> _FlowMonitorView:
+        """The sender-side monitor of a flow (a view of the shared store)."""
+        self._slot_of(fid)
+        return _FlowMonitorView(self, fid)
+
+    def collect_stats(self, slots: np.ndarray, now: float) -> MtpColumns:
+        """Drain every sample observable at ``now`` for the flows at
+        ``slots`` into one :class:`MtpStats` column block — cwnd, pacing
+        (the last sending rate) and packets in flight as the per-flow
+        accessors report them."""
+        cwnd = self._cwnd[slots]
+        rate = self._last_rate[slots]
+        return self._samples.collect(
+            slots, now, cwnd, rate,
+            np.minimum(rate * self._last_rtt[slots], cwnd))
 
     def cwnd(self, fid: int) -> float:
         """Current congestion window of a flow in packets."""
-        return self._require(fid).cwnd_pkts
+        return self._cwnd.item(self._slot_of(fid))
 
     def flow_rtt_s(self, fid: int) -> float:
         """Instantaneous RTT of a flow (base plus path queueing delay)."""
-        return self._require(fid).last_rtt_s
+        return self._last_rtt.item(self._slot_of(fid))
 
     def flow_rate_pps(self, fid: int) -> float:
         """Instantaneous sending rate of a flow (pkts/s)."""
-        return self._require(fid).last_rate_pps
+        return self._last_rate.item(self._slot_of(fid))
 
     def flow_goodput_pps(self, fid: int) -> float:
         """Instantaneous delivery rate of a flow (pkts/s)."""
-        return self._require(fid).last_goodput_pps
+        return self._last_goodput.item(self._slot_of(fid))
+
+    def flow_sent_pkts(self, fid: int) -> float:
+        """Cumulative packets a flow has sent since registration."""
+        return self._total_sent.item(self._slot_of(fid))
 
     def flow_delivered_pkts(self, fid: int) -> float:
         """Cumulative packets delivered to a flow since registration."""
-        return self._require(fid).total_delivered_pkts
+        return self._total_delivered.item(self._slot_of(fid))
+
+    def flow_lost_pkts(self, fid: int) -> float:
+        """Cumulative packets a flow has lost since registration."""
+        return self._total_lost.item(self._slot_of(fid))
 
     def pkts_in_flight(self, fid: int) -> float:
         """Approximate packets in flight (rate times RTT, capped by cwnd)."""
-        flow = self._require(fid)
-        return min(flow.last_rate_pps * flow.last_rtt_s, flow.cwnd_pkts)
+        i = self._slot_of(fid)
+        return min(self._last_rate.item(i) * self._last_rtt.item(i),
+                   self._cwnd.item(i))
 
     def queue_pkts(self, link_name: str | None = None) -> float:
         """Current backlog of a link (first link by default), in packets."""
@@ -444,11 +516,13 @@ class FluidNetwork:
     def _advance_reference(self, dt: float) -> None:
         """One tick of the original per-tick implementation.
 
-        Kept as the executable specification of the engine: the fast
-        kernel is pinned against it by the differential suite.  Selected
-        at run time via ``REPRO_ENGINE_SLOWPATH=1``.
+        Kept as the executable specification of the engine's physics:
+        the fast kernel is pinned against it by the differential suite.
+        It shares only the per-flow state vectors and the sample store
+        with the fast path.  Selected at run time via
+        ``REPRO_ENGINE_SLOWPATH=1``.
         """
-        flows = list(self._flows.values())
+        paths = list(self._flows.values())
         t = self.now
         n_links = len(self._links)
         # Fault impairments are uniform across links (single-bottleneck
@@ -472,7 +546,7 @@ class FluidNetwork:
                 nominal = link.capacity_pps(t)
                 qdelay[li] = link.queue_pkts / nominal if nominal > 0 else 0.0
 
-        if not flows:
+        if not paths:
             # Queues still drain when idle.
             for li, link in enumerate(self._links):
                 drained = min(link.queue_pkts, capacity[li] * dt)
@@ -481,12 +555,8 @@ class FluidNetwork:
             self.now = t + dt
             return
 
-        n = len(flows)
-        base_rtt = np.array([f.base_rtt_s for f in flows])
-        cwnd = np.array([f.cwnd_pkts for f in flows])
-        pacing = np.array(
-            [f.pacing_pps if f.pacing_pps is not None else np.inf for f in flows]
-        )
+        n = len(paths)
+        base_rtt, cwnd, pacing = self._base_rtt, self._cwnd, self._pacing
         # Path delay through the precomputed membership matrix — the same
         # product the block kernel uses, so the two paths agree bitwise.
         path_delay = self._member_t @ qdelay
@@ -502,7 +572,7 @@ class FluidNetwork:
         # entering a link is its departure rate from the previous hop.
         current = rate.copy()
         for li, link in enumerate(self._links):
-            on_link = [i for i, f in enumerate(flows) if li in f.path]
+            on_link = [i for i, path in enumerate(paths) if li in path]
             if not on_link:
                 drained = min(link.queue_pkts, capacity[li] * dt)
                 link.queue_pkts -= drained
@@ -573,23 +643,21 @@ class FluidNetwork:
 
         # Record per-flow samples; they become observable one ACK-return
         # delay (~rtt/2 from the bottleneck's perspective) later.
-        for i, f in enumerate(flows):
-            f.last_rtt_s = float(rtt[i])
-            f.last_rate_pps = float(rate[i])
-            f.last_goodput_pps = float(current[i])
-            f.total_sent_pkts += float(sent[i])
-            f.total_delivered_pkts += float(delivered[i])
-            f.total_lost_pkts += float(lost[i])
-            f.monitor.push(TickSample(
-                time=t,
-                avail_at=t + dt + rtt[i] / 2.0,
-                dt=dt,
-                rtt_s=float(rtt[i]),
-                sent_pkts=float(sent[i]),
-                delivered_pkts=float(delivered[i]),
-                lost_pkts=float(lost[i]),
-                marked_pkts=float(marked[i]),
-            ))
+        self._last_rtt, self._last_rate, self._last_goodput = \
+            rtt, rate, current
+        self._total_sent += sent
+        self._total_delivered += delivered
+        self._total_lost += lost
+        row = self._samples.reserve(1)[0]
+        row[COL_TIME] = t
+        row[COL_AVAIL] = t + dt + rtt / 2.0
+        row[COL_DT] = dt
+        row[COL_RTT] = rtt
+        row[COL_SENT] = sent
+        row[COL_DLV] = delivered
+        row[COL_LOST] = lost
+        row[COL_MARK] = marked
+        self._samples.commit(1)
 
         self.now = t + dt
 
@@ -609,8 +677,7 @@ class FluidNetwork:
         return self._links[li].capacity_pps(t)
 
     def _advance_fast(self, dt: float, n_ticks: int) -> None:
-        n = len(self._order)
-        if n == 0:
+        if not self._flows:
             self._advance_fast_idle(dt, n_ticks)
             return
         if self._single_simple:
@@ -632,23 +699,22 @@ class FluidNetwork:
             t = t + dt
         self.now = t
 
-    def _new_sample_block(self, n_ticks: int, n: int) -> np.ndarray:
-        """A ``(n_ticks, 8, n)`` sample block in ring-column layout.
+    def _new_sample_block(self, n_ticks: int) -> np.ndarray:
+        """The store's next ``(n_ticks, 8, n)`` rows, for the kernel to fill.
 
         The kernel writes each tick's per-flow results straight into
-        ``blk[k, COL_*]`` (contiguous length-``n`` rows); the flush then
-        lands flow ``i``'s samples in its monitor with the single
-        assignment ``push_rows(blk[:, :, i])``.  Loss and mark columns
+        ``blk[k, COL_*]`` (contiguous length-``n`` rows of the ring) and
+        :meth:`_flush_block` publishes them.  Loss and mark columns
         start zeroed — the kernel only writes them when nonzero.
         """
-        blk = np.empty((n_ticks, N_SAMPLE_COLS, n))
+        blk = self._samples.reserve(n_ticks)
         blk[:, COL_LOST:, :] = 0.0
         return blk
 
     def _flush_block(self, dt: float, times: np.ndarray, blk: np.ndarray,
                      last_rate: np.ndarray,
                      last_goodput: np.ndarray) -> None:
-        """Columnwise flush of one finished block into the flow states."""
+        """Finish one block in place and publish it to the store."""
         blk[:, COL_TIME, :] = times[:, None]
         # avail = (t + dt) + rtt/2, folded in the reference order (float
         # addition is commutative, so adding the rtt/2 term first is
@@ -657,20 +723,13 @@ class FluidNetwork:
         np.multiply(blk[:, COL_RTT, :], 0.5, out=avail)
         avail += (times + dt)[:, None]
         blk[:, COL_DT, :] = dt
-        rtt_last = blk[-1, COL_RTT].tolist()
-        sent_sums = blk[:, COL_SENT, :].sum(axis=0).tolist()
-        dlv_sums = blk[:, COL_DLV, :].sum(axis=0).tolist()
-        lost_sums = blk[:, COL_LOST, :].sum(axis=0).tolist()
-        rate_l = last_rate.tolist()
-        gp_l = last_goodput.tolist()
-        for i, f in enumerate(self._order):
-            f.last_rtt_s = rtt_last[i]
-            f.last_rate_pps = rate_l[i]
-            f.last_goodput_pps = gp_l[i]
-            f.total_sent_pkts += sent_sums[i]
-            f.total_delivered_pkts += dlv_sums[i]
-            f.total_lost_pkts += lost_sums[i]
-            f.monitor.push_rows(blk[:, :, i])
+        self._last_rtt = blk[-1, COL_RTT].copy()
+        self._last_rate = last_rate
+        self._last_goodput = last_goodput
+        self._total_sent += blk[:, COL_SENT, :].sum(axis=0)
+        self._total_delivered += blk[:, COL_DLV, :].sum(axis=0)
+        self._total_lost += blk[:, COL_LOST, :].sum(axis=0)
+        self._samples.commit(len(times))
 
     def _advance_fast_single(self, dt: float, n_ticks: int) -> None:
         """Block kernel specialised for the dominant single-link case.
@@ -684,7 +743,7 @@ class FluidNetwork:
         base_rtt = self._base_rtt
         cwnd = self._cwnd
         pacing = self._pacing
-        n = len(self._order)
+        n = len(self._flows)
         have_faults = self._faults is not None
         traced = bool(self._traced_idx)
         static0 = float(self._static_cap[0]) if not traced else 0.0
@@ -692,7 +751,7 @@ class FluidNetwork:
         buffer_pkts = link.buffer_pkts
 
         times = np.empty(n_ticks)
-        blk = self._new_sample_block(n_ticks, n)
+        blk = self._new_sample_block(n_ticks)
         rate = np.empty(n)
         goodput = np.empty(n)
         share = np.empty(n)
@@ -792,7 +851,7 @@ class FluidNetwork:
         """
         links = self._links
         n_links = len(links)
-        n = len(self._order)
+        n = len(self._flows)
         base_rtt = self._base_rtt
         cwnd = self._cwnd
         pacing = self._pacing
@@ -800,7 +859,7 @@ class FluidNetwork:
         on_link = self._on_link
 
         times = np.empty(n_ticks)
-        blk = self._new_sample_block(n_ticks, n)
+        blk = self._new_sample_block(n_ticks)
         rate = np.empty(n)
         current = np.empty(n)
         path_delay = np.empty(n)

@@ -8,19 +8,21 @@ sender-side monitor (the MTP collector) read only samples that have become
 observable.  This observation delay is what makes large-RTT scenarios
 genuinely harder for every controller, exactly as in the paper (§5.1.3).
 
-Storage is a growable numpy ring buffer, one row per tick sample, so the
-engine's block kernel can append a whole tick batch columnwise
-(:meth:`FlowMonitor.push_block`) without allocating a Python object per
-tick.  :meth:`FlowMonitor.collect` drains the observable prefix — located
-with ``searchsorted`` on the availability column when it is monotone — and
-folds it with the exact accumulation order of the original deque
-implementation, so :class:`MtpStats` values (including the srtt fold) are
-bit-compatible with the per-sample path.
+Two collectors share those semantics.  :class:`FlowMonitor` is the
+standalone per-flow monitor: a growable numpy ring, one row per tick
+sample pushed one at a time, whose :meth:`FlowMonitor.collect` drains the
+observable prefix and folds it row by row in the exact accumulation order
+of the original deque implementation.  :class:`SampleStore` is what a
+:class:`~repro.netsim.fluid.FluidNetwork` keeps for *all* its flows: one
+``(rows, 8, n_flows)`` ring the block kernel writes whole tick batches
+into, and a columnar :meth:`SampleStore.collect` that folds many flows at
+once and returns :class:`MtpColumns`.  The row fold is the oracle the
+columnar fold is tested against, bit for bit (including the srtt fold).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,9 +103,9 @@ class MtpStats:
         return min(1.0, self.marked_pkts / self.delivered_pkts)
 
 
-# Ring-buffer column layout (one row per tick sample).  The engine's
-# block kernel writes sample blocks in this exact layout so a whole
-# block lands in the ring with one assignment (:meth:`FlowMonitor.push_rows`).
+# Ring-buffer column layout (one row per tick sample), shared by
+# :class:`FlowMonitor` and :class:`SampleStore`; the engine's block
+# kernel writes its results straight into the store in this layout.
 (COL_TIME, COL_AVAIL, COL_DT, COL_RTT,
  COL_SENT, COL_DLV, COL_LOST, COL_MARK) = range(8)
 N_SAMPLE_COLS = 8
@@ -233,52 +235,6 @@ class FlowMonitor:
         row[COL_MARK] = sample.marked_pkts
         self._end = end + 1
 
-    def push_rows(self, rows: np.ndarray) -> None:
-        """Append a ``(k, 8)`` sample block laid out in ring-column order.
-
-        The engine's block kernel assembles its per-flow results in this
-        layout so one assignment lands the whole block in the ring.
-        """
-        k = len(rows)
-        if k == 0:
-            return
-        end = self._end
-        if end + k > len(self._buf):
-            self._reserve(k)
-            end = self._end
-        buf = self._buf
-        new_end = end + k
-        buf[end:new_end] = rows
-        if self._avail_sorted:
-            avail = buf[end:new_end, COL_AVAIL]
-            if (end > self._start and avail[0] < buf[end - 1, COL_AVAIL]) \
-                    or (k > 1 and (avail[1:] < avail[:-1]).any()):
-                self._avail_sorted = False
-        self._end = new_end
-
-    def push_block(self, times: np.ndarray, avail_at: np.ndarray,
-                   dt: float, rtt_s: np.ndarray, sent_pkts: np.ndarray,
-                   delivered_pkts: np.ndarray, lost_pkts: np.ndarray,
-                   marked_pkts: np.ndarray) -> None:
-        """Record one engine block of tick samples columnwise.
-
-        Equivalent to ``push``-ing a :class:`TickSample` per row, without
-        constructing any; ``dt`` is the (uniform) tick length of the block.
-        """
-        k = len(times)
-        if k == 0:
-            return
-        rows = np.empty((k, N_SAMPLE_COLS))
-        rows[:, COL_TIME] = times
-        rows[:, COL_AVAIL] = avail_at
-        rows[:, COL_DT] = dt
-        rows[:, COL_RTT] = rtt_s
-        rows[:, COL_SENT] = sent_pkts
-        rows[:, COL_DLV] = delivered_pkts
-        rows[:, COL_LOST] = lost_pkts
-        rows[:, COL_MARK] = marked_pkts
-        self.push_rows(rows)
-
     def observe_rtt(self, rtt_s: float) -> None:
         """Fold an RTT measurement into the smoothed estimate."""
         self._srtt += self.SRTT_GAIN * (rtt_s - self._srtt)
@@ -349,5 +305,219 @@ class FlowMonitor:
             cwnd_pkts=cwnd_pkts,
             pacing_pps=pacing_pps,
             srtt_s=self._srtt,
+            marked_pkts=marked,
+        )
+
+
+#: ``MtpStats`` fields that are per-flow columns of :class:`MtpColumns`
+#: (all but ``time_s``), in constructor order.
+_COLUMN_FIELDS = tuple(f.name for f in fields(MtpStats))[1:]
+
+
+@dataclass
+class MtpColumns:
+    """:class:`MtpStats` of several flows at one instant, a column per field.
+
+    What :meth:`SampleStore.collect` returns: field ``x`` holds the
+    ``MtpStats.x`` of every collected flow, in the order the slots were
+    given.  :meth:`rows` materialises the per-flow records.
+    """
+
+    time_s: float
+    duration_s: np.ndarray
+    throughput_pps: np.ndarray
+    avg_rtt_s: np.ndarray
+    min_rtt_s: np.ndarray
+    sent_pkts: np.ndarray
+    delivered_pkts: np.ndarray
+    lost_pkts: np.ndarray
+    pkts_in_flight: np.ndarray
+    cwnd_pkts: np.ndarray
+    pacing_pps: np.ndarray
+    srtt_s: np.ndarray
+    marked_pkts: np.ndarray
+
+    @property
+    def throughput_mbps(self) -> np.ndarray:
+        """The column of :attr:`MtpStats.throughput_mbps`."""
+        return pps_to_mbps(self.throughput_pps)
+
+    @property
+    def loss_rate(self) -> np.ndarray:
+        """The column of :attr:`MtpStats.loss_rate`."""
+        sent = self.sent_pkts
+        rate = np.zeros(len(sent))
+        np.divide(self.lost_pkts, sent, out=rate, where=sent > 0)
+        return np.minimum(rate, 1.0, out=rate)
+
+    def rows(self) -> list[MtpStats]:
+        """One :class:`MtpStats` per collected flow."""
+        columns = [getattr(self, name).tolist() for name in _COLUMN_FIELDS]
+        now = self.time_s
+        out = []
+        for row in zip(*columns):
+            # The frozen dataclass's __init__ is 13 object.__setattr__
+            # calls; filling the instance dict builds the identical
+            # record in half the time, per flow per decision.
+            stats = object.__new__(MtpStats)
+            stats.__dict__.update(zip(_COLUMN_FIELDS, row), time_s=now)
+            out.append(stats)
+        return out
+
+
+class SampleStore:
+    """Columnar tick-sample store shared by all flows of one network.
+
+    Every flow of a :class:`~repro.netsim.fluid.FluidNetwork` receives a
+    sample on every tick, so their histories are rows of one
+    ``(rows, 8, n_flows)`` ring: the block kernel writes a whole block
+    in place (:meth:`reserve` / :meth:`commit`), and :meth:`collect`
+    drains and folds the observable prefix of many flows at once.  Per
+    flow the semantics are exactly :meth:`FlowMonitor.collect`'s — the
+    same floats added in the same order, vectorised *across* flows only
+    — which the property tests pin on ``float.hex``.
+
+    ``start[i]`` is flow ``i``'s consumed offset (its first undrained
+    row); rows below ``start.min()`` are dead and reclaimed when the
+    ring fills, and a drain that leaves the ring four times larger than
+    its live rows reallocates it down, so capacity stays within about
+    twice the peak live history, as for :class:`FlowMonitor`.
+    """
+
+    def __init__(self):
+        self._buf = np.empty((_INITIAL_CAPACITY, N_SAMPLE_COLS, 0))
+        self._end = 0
+        self.start = np.zeros(0, dtype=np.intp)
+        self.srtt = np.zeros(0)
+        self.last_collect = np.zeros(0)
+
+    @property
+    def capacity(self) -> int:
+        """Rows the ring currently holds memory for."""
+        return len(self._buf)
+
+    def pending(self, slot: int) -> np.ndarray:
+        """The undrained ``(k, 8)`` sample rows of one flow, oldest first."""
+        return self._buf[self.start[slot]:self._end, :, slot]
+
+    @staticmethod
+    def _fit(live: int) -> int:
+        cap = _INITIAL_CAPACITY
+        while cap < 2 * live:
+            cap *= 2
+        return cap
+
+    def _move(self, lo: int, cap: int) -> None:
+        """Drop the dead rows below ``lo``; reallocate if ``cap`` changed."""
+        live = self._end - lo
+        if cap != len(self._buf):
+            buf = np.empty((cap,) + self._buf.shape[1:])
+            buf[:live] = self._buf[lo:self._end]
+            self._buf = buf
+        elif lo:
+            self._buf[:live] = self._buf[lo:self._end]
+        self.start -= lo
+        self._end = live
+
+    def reindex(self, keep: np.ndarray, base_rtt_s) -> None:
+        """Flow churn: keep the flows at slots ``keep`` (with their
+        undrained history and offsets), then append one fresh flow per
+        entry of ``base_rtt_s``."""
+        lo = int(self.start[keep].min(initial=self._end))
+        live = self._end - lo
+        fresh = len(base_rtt_s)
+        buf = np.empty((self._fit(live), N_SAMPLE_COLS, len(keep) + fresh))
+        buf[:live, :, :len(keep)] = self._buf[lo:self._end][:, :, keep]
+        self._buf = buf
+        self._end = live
+        self.start = np.concatenate(
+            [self.start[keep] - lo, np.full(fresh, live, dtype=np.intp)])
+        self.srtt = np.concatenate([self.srtt[keep], base_rtt_s])
+        self.last_collect = np.concatenate(
+            [self.last_collect[keep], np.zeros(fresh)])
+
+    def reserve(self, k: int) -> np.ndarray:
+        """The next ``k`` rows of the ring as a writable ``(k, 8, n)``
+        view; :meth:`commit` publishes them."""
+        end = self._end
+        if end + k > len(self._buf):
+            lo = int(self.start.min(initial=end))
+            live = end - lo
+            cap = len(self._buf)
+            while cap < live + k:
+                cap *= 2
+            self._move(lo, cap)
+            end = self._end
+        return self._buf[end:end + k]
+
+    def commit(self, k: int) -> None:
+        self._end += k
+
+    def collect(self, slots: np.ndarray, now: float, cwnd_pkts: np.ndarray,
+                pacing_pps: np.ndarray,
+                pkts_in_flight: np.ndarray) -> MtpColumns:
+        """:meth:`FlowMonitor.collect` for the flows at ``slots`` (distinct)
+        in one pass; the last three arguments are per-slot columns."""
+        start = self.start[slots]
+        end = self._end
+        lo = int(start.min(initial=end))
+        # Observable prefix per flow: stop at its first live sample with
+        # ``avail_at > now``, even if later ones are observable.
+        rows = np.arange(lo, end)[:, None]
+        live = rows >= start
+        blocked = live & (self._buf[lo:end, COL_AVAIL][:, slots] > now)
+        stop = np.where(blocked, rows, end).min(axis=0, initial=end)
+        hi = int(stop.max(initial=lo))
+        inside = live[:hi - lo] & (rows[:hi - lo] < stop)
+        # acc[1:] = (dt, rtt, sent, delivered, lost, marked) per sample,
+        # +0.0 outside each flow's prefix.  Sums are accumulated down the
+        # sample axis from a zero first row: strictly sequential per
+        # lane like the row fold (np.sum is free to re-associate).
+        acc = np.zeros((hi - lo + 1, N_SAMPLE_COLS - COL_DT, len(slots)))
+        np.copyto(acc[1:], self._buf[lo:hi, COL_DT:][:, :, slots],
+                  where=inside[:, None, :])
+        rtt = acc[1:, 1].copy()
+        acc[1:, 1] *= acc[1:, 0]
+        weight, rtt_weighted, sent, delivered, lost, marked = \
+            np.add.accumulate(acc, axis=0)[-1]
+        rtt_min = np.where(inside, rtt, np.inf).min(axis=0, initial=np.inf)
+        # The srtt EWMA is order-dependent: loop over the sample index
+        # with flows as lanes (gain 0 leaves a lane untouched).
+        srtt = self.srtt[slots]
+        step = np.empty_like(srtt)
+        for rtt_r, gain_r in zip(
+                rtt, np.where(inside, FlowMonitor.SRTT_GAIN, 0.0)):
+            np.subtract(rtt_r, srtt, out=step)
+            step *= gain_r
+            srtt += step
+        self.start[slots] = stop
+        self.srtt[slots] = srtt
+        duration = np.maximum(now - self.last_collect[slots], 1e-9)
+        self.last_collect[slots] = now
+        if len(self._buf) > _INITIAL_CAPACITY:
+            lo = int(self.start.min(initial=end))
+            if len(self._buf) >= 4 * max(end - lo, 1):
+                self._move(lo, self._fit(end - lo))
+
+        # An empty (or zero-weight) window reuses srtt, as the row fold.
+        seen = weight > 0
+        avg_rtt = srtt.copy()
+        np.divide(rtt_weighted, weight, out=avg_rtt, where=seen)
+        throughput = np.zeros(len(slots))
+        np.divide(delivered, weight, out=throughput, where=seen)
+        rtt_min = np.where(seen, rtt_min, srtt)
+        return MtpColumns(
+            time_s=now,
+            duration_s=duration,
+            throughput_pps=throughput,
+            avg_rtt_s=avg_rtt,
+            min_rtt_s=np.where(rtt_min != np.inf, rtt_min, avg_rtt),
+            sent_pkts=sent,
+            delivered_pkts=delivered,
+            lost_pkts=lost,
+            pkts_in_flight=pkts_in_flight,
+            cwnd_pkts=cwnd_pkts,
+            pacing_pps=pacing_pps,
+            srtt_s=srtt,
             marked_pkts=marked,
         )

@@ -1,11 +1,15 @@
-"""The driver's two-phase decision pass against a per-flow reference.
+"""The driver's decision pass against a per-flow reference.
 
-``ScenarioDriver._controller_pass`` stacks the policy forward of every
-due learned controller into one row-exact call per bundle.  The oracle
-here is the loop it replaced — ``on_interval`` flow by flow over the
-same ``step_collect`` / ``finish_flow`` halves — and the contract is
-``==`` on every ``FlowLog``, not a tolerance: one ulp in one action
-diverges a chaotic rollout (and the pinned fleet digests with it).
+``ScenarioDriver._controller_pass`` collects every due flow's stats in
+one columnar pass, stacks the policy forward of every due learned
+controller into one row-exact call per bundle, and applies all windows
+with one ``set_cwnds``.  The oracle here is the loop it replaced —
+``on_interval`` then ``finish_flow`` (a scalar ``set_cwnd``) flow by
+flow over ``step_collect`` — and the contract is ``==`` on every
+``FlowLog``, not a tolerance: one ulp in one action diverges a chaotic
+rollout (and the pinned fleet digests with it).  (The columnar collect
+itself is pinned against per-flow monitors in
+``tests/netsim/test_sample_store.py``.)
 """
 
 from __future__ import annotations
@@ -14,20 +18,31 @@ from collections import defaultdict
 
 import pytest
 
+from repro.cc.base import CongestionController, Decision
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
 from repro.core.astraea import AstraeaController
 from repro.core.policy import MODELS_DIR, PolicyBundle, load_default_policy
 from repro.env import build_driver, run_scenario
+from repro.env.multiflow import ScenarioDriver, run_topology
+from repro.errors import SimulationError
+from repro.netsim import FluidNetwork
+from repro.netsim.faults import Blackout, DelaySpike, FaultSchedule
+from repro.netsim.fluid import SLOWPATH_ENV
+from repro.netsim.topology import parking_lot
 from repro.scenarios import build_scenario
 
 
-def run_per_flow(scenario, controllers=None):
+def drive_per_flow(driver):
     """The reference: one ``on_interval`` call per due flow."""
-    driver = build_driver(scenario, controllers=controllers)
     while (due := driver.step_collect()) is not None:
         for rf, stats in due:
             driver.finish_flow(rf, stats, rf.controller.on_interval(stats))
     return driver.result()
+
+
+def run_per_flow(scenario, controllers=None, on_interval=None):
+    return drive_per_flow(build_driver(scenario, controllers=controllers,
+                                       on_interval=on_interval))
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +78,71 @@ def mixed_controllers(alt):
             for cc, _ in MIXED_FLOWS]
 
 
+def churn_scenario(faults=None):
+    """Staggered starts, mid-run stops, unequal RTTs and cadences, and
+    three flows that end on the same tick."""
+    flows = [FlowConfig(cc="cubic"),
+             FlowConfig(cc="astraea", start_s=0.31, duration_s=2.0),
+             FlowConfig(cc="vegas", start_s=0.7, extra_rtt_ms=60.0),
+             FlowConfig(cc="cubic", start_s=0.7, duration_s=1.1),
+             FlowConfig(cc="astraea", start_s=1.2, extra_rtt_ms=15.0)]
+    flows += [FlowConfig(cc="cubic", start_s=0.5, duration_s=2.5)] * 3
+    return ScenarioConfig(
+        link=LinkConfig(bandwidth_mbps=60.0, rtt_ms=40.0, buffer_bdp=1.0),
+        flows=tuple(flows), duration_s=4.5, faults=faults)
+
+
 class TestBatchedPassEqualsPerFlow:
+    def check(self, scenario):
+        batched = run_scenario(scenario)
+        assert all(len(log.times) > 0 for log in batched.flows)
+        assert batched.flows == run_per_flow(scenario).flows
+
     @pytest.mark.parametrize("family", ["incast", "asymmetric-rtt"])
     def test_registry_family(self, family):
-        scenario = build_scenario(family, cc="astraea", quick=True)
-        batched = run_scenario(scenario)
-        reference = run_per_flow(scenario)
+        self.check(build_scenario(family, cc="astraea", quick=True))
+
+    @pytest.mark.parametrize("family", ["incast", "asymmetric-rtt"])
+    def test_registry_family_classical(self, family):
+        self.check(build_scenario(family, cc="cubic", quick=True))
+
+    def test_staggered_starts_and_mid_run_stops(self):
+        self.check(churn_scenario())
+
+    def test_fault_schedule(self):
+        self.check(churn_scenario(FaultSchedule((
+            Blackout(1.5, 0.3), DelaySpike(2.5, 0.5, extra_ms=40.0)))))
+
+    def test_two_link_topology(self):
+        """The multi-link kernel flushes into the same store."""
+        topology = parking_lot(3, cc="cubic", duration_s=4.0)
+        first = topology.links[0]
+        reference = drive_per_flow(ScenarioDriver(
+            FluidNetwork(list(topology.links), seed=topology.seed),
+            topology.flows, topology.paths,
+            lambda i: first.rtt_s + topology.flows[i].extra_rtt_ms / 1e3,
+            topology.duration_s, topology.tick_s, None,
+            bottleneck_mbps=first.bandwidth_mbps, base_rtt_s=first.rtt_s))
+        batched = run_topology(topology)
         assert all(len(log.times) > 0 for log in batched.flows)
         assert batched.flows == reference.flows
+
+    def test_simultaneous_departures_rebuild_the_engine_once(self):
+        scenario = ScenarioConfig(
+            link=LinkConfig(bandwidth_mbps=100.0, rtt_ms=30.0),
+            flows=(FlowConfig(cc="cubic"),) * 5
+            + (FlowConfig(cc="cubic", duration_s=0.5),) * 200,
+            duration_s=1.0)
+        driver = build_driver(scenario)
+        rebuilds = []
+        rebuild = driver.engine._rebuild_soa
+        driver.engine._rebuild_soa = \
+            lambda *args: (rebuilds.append(driver.now), rebuild(*args))
+        while driver.step_block():
+            pass
+        assert rebuilds == [0.0, pytest.approx(0.5, abs=0.002)]
+        assert len(driver.running_flows) == 5
+        assert driver.result().flows == run_per_flow(scenario).flows
 
     def test_mixed_schemes_cohorts_and_bundles(self, alt_bundle):
         shipped = load_default_policy("astraea")
@@ -107,6 +179,56 @@ class TestBatchedPassEqualsPerFlow:
         while driver.step():
             pass
         assert driver.result().flows == run_scenario(scenario).flows
+
+    def test_reference_engine_takes_the_same_pass(self, monkeypatch):
+        monkeypatch.setenv(SLOWPATH_ENV, "1")
+        scenario = churn_scenario()
+        driver = build_driver(scenario)
+        assert driver.engine._slowpath
+        while driver.step():
+            pass
+        batched = run_scenario(scenario)
+        assert batched.flows == driver.result().flows
+        assert batched.flows == run_per_flow(scenario).flows
+
+    def test_observer_sees_each_decision_in_running_order(self):
+        scenario = churn_scenario()
+        batched, reference = [], []
+        result = run_scenario(
+            scenario,
+            on_interval=lambda now, i, s, c: batched.append((now, i, s)))
+        run_per_flow(
+            scenario,
+            on_interval=lambda now, i, s, c: reference.append((now, i, s)))
+        assert batched == reference
+        assert len(batched) == sum(len(f.times) for f in result.flows)
+        # Flows start in (start time, index) order and `_running` keeps
+        # it, so within a pass the callbacks come in that order.
+        start_order = sorted(range(len(scenario.flows)),
+                             key=lambda i: scenario.flows[i].start_s)
+        rank = {flow: r for r, flow in enumerate(start_order)}
+        passes = defaultdict(list)
+        for now, i, _stats in batched:
+            passes[now].append(rank[i])
+        assert any(len(ranks) > 3 for ranks in passes.values())
+        assert all(ranks == sorted(ranks) for ranks in passes.values())
+
+    def test_non_finite_window_names_the_first_flow_in_running_order(self):
+        class Broken(CongestionController):
+            def on_interval(self, stats):
+                return Decision(cwnd_pkts=float("nan"))
+
+        scenario = ScenarioConfig(
+            link=LinkConfig(bandwidth_mbps=50.0, rtt_ms=20.0),
+            flows=(FlowConfig(cc="cubic"),) * 4, duration_s=1.0)
+        driver = build_driver(
+            scenario, controllers=[None, Broken(), None, Broken()])
+        with pytest.raises(SimulationError,
+                           match="non-finite cwnd for flow 1: nan"):
+            while driver.step_block():
+                pass
+        # All-or-nothing: the failing pass applied and logged nothing.
+        assert all(len(log.times) == 0 for log in driver.result().flows)
 
 
 class TestOverridesKeepThePerObjectCall:

@@ -180,7 +180,7 @@ class TestFluidEngine:
     def test_loss_burst_inflates_observed_loss(self):
         faults = FaultSchedule((LossBurst(1.0, 1.0, loss_rate=0.2),))
         net, fid, _ = _run_fluid(faults, seconds=1.5, cwnd=40.0)
-        assert net._flows[fid].total_lost_pkts > 0
+        assert net.flow_lost_pkts(fid) > 0
 
     def test_delay_spike_raises_rtt_by_extra(self):
         faults = FaultSchedule((DelaySpike(1.0, 1.0, extra_ms=50.0),))
@@ -197,8 +197,8 @@ class TestFluidEngine:
         during = np.mean([g for t, g, _, _ in samples if 1.5 <= t < 3.0])
         clean = np.mean([g for t, g, _, _ in clean_samples if 1.5 <= t < 3.0])
         assert during == pytest.approx(clean, rel=0.01)  # goodput kept
-        assert net._flows[fid].total_lost_pkts > \
-            clean_net._flows[clean_fid].total_lost_pkts
+        assert net.flow_lost_pkts(fid) > \
+            clean_net.flow_lost_pkts(clean_fid)
 
     def test_identical_seeds_are_bit_identical(self):
         faults = FaultSchedule.sample(4.0, seed=11)
@@ -342,7 +342,7 @@ class TestEdgeWindows:
         # 10 ms burst < 30 ms MTP: still visible as loss, nothing NaN.
         faults = FaultSchedule((LossBurst(1.0, 0.010, loss_rate=0.5),))
         net, fid, samples = _run_fluid(faults, cwnd=40.0)
-        assert net._flows[fid].total_lost_pkts > 0
+        assert net.flow_lost_pkts(fid) > 0
         assert np.isfinite([g for _, g, _, _ in samples]).all()
 
     def test_sub_mtp_fault_packet(self):

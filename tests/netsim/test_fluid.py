@@ -25,6 +25,19 @@ def run(net, seconds, dt=0.002):
         net.advance(dt)
 
 
+def spy_rebuilds(net):
+    """Count the network's SoA rebuilds from here on."""
+    calls = []
+    orig = net._rebuild_soa
+
+    def spy(*args):
+        calls.append(1)
+        orig(*args)
+
+    net._rebuild_soa = spy
+    return calls
+
+
 class TestSingleFlow:
     def test_underload_passes_through(self):
         net, link = make_net()
@@ -89,10 +102,10 @@ class TestMultiFlow:
         fids = [net.add_flow(base_rtt_s=0.030, cwnd_pkts=c)
                 for c in (200.0, 300.0)]
         run(net, 4.0)
-        total_sent = sum(net._flows[f].total_sent_pkts for f in fids)
-        total_delivered = sum(net._flows[f].total_delivered_pkts
+        total_sent = sum(net.flow_sent_pkts(f) for f in fids)
+        total_delivered = sum(net.flow_delivered_pkts(f)
                               for f in fids)
-        total_lost = sum(net._flows[f].total_lost_pkts for f in fids)
+        total_lost = sum(net.flow_lost_pkts(f) for f in fids)
         queued = net.queue_pkts()
         assert total_sent == pytest.approx(
             total_delivered + total_lost + queued, rel=1e-6)
@@ -140,27 +153,16 @@ class TestMultiLink:
 
 
 class TestAddFlowsBatch:
-    def _spy_rebuilds(self, net):
-        calls = []
-        orig = net._rebuild_soa
-
-        def spy():
-            calls.append(1)
-            orig()
-
-        net._rebuild_soa = spy
-        return calls
-
     def test_one_rebuild_per_batch(self):
         net, _ = make_net()
-        calls = self._spy_rebuilds(net)
+        calls = spy_rebuilds(net)
         fids = net.add_flows([{"base_rtt_s": 0.03}] * 50)
         assert len(fids) == 50
         assert len(calls) == 1  # not one per flow
 
     def test_empty_batch_no_rebuild(self):
         net, _ = make_net()
-        calls = self._spy_rebuilds(net)
+        calls = spy_rebuilds(net)
         assert net.add_flows([]) == []
         assert calls == []
 
@@ -205,6 +207,50 @@ class TestAddFlowsBatch:
         assert net.flow_delivered_pkts(fid) > 0.0
         with pytest.raises(SimulationError):
             net.flow_delivered_pkts(fid + 1)
+
+
+class TestRemoveFlowsBatch:
+    """Simultaneous departures are one SoA rebuild, not one per flow."""
+
+    def build(self):
+        net, _ = make_net()
+        fids = net.add_flows(
+            [{"base_rtt_s": 0.02 + 0.0005 * (i % 40), "cwnd_pkts": 4.0}
+             for i in range(205)])
+        net.advance_block(0.002, 30)
+        # Survivors with different consumed offsets and undrained rows.
+        slots = net.slots(fids[200:203])
+        net.collect_stats(slots, net.now - 0.02)
+        net.advance_block(0.002, 10)
+        return net, fids
+
+    def test_one_rebuild_and_survivors_bit_identical(self):
+        batch, fids = self.build()
+        loop, _ = self.build()
+        calls = spy_rebuilds(batch)
+        batch.remove_flows(fids[:200] + [9999])  # unknown ids are ignored
+        assert len(calls) == 1
+        calls = spy_rebuilds(loop)
+        for fid in fids[:200]:
+            loop.remove_flow(fid)
+        assert len(calls) == 200
+        assert batch.flow_ids == loop.flow_ids == fids[200:]
+        for net in (batch, loop):
+            net.advance_block(0.002, 20)
+        survivors = fids[200:]
+        got = batch.collect_stats(batch.slots(survivors), batch.now).rows()
+        want = loop.collect_stats(loop.slots(survivors), loop.now).rows()
+        assert got == want  # dataclass ==: exact float equality per field
+        assert all(s.delivered_pkts > 0 for s in got)
+        for fid in survivors:
+            assert batch.flow_delivered_pkts(fid) == \
+                loop.flow_delivered_pkts(fid)
+
+    def test_unknown_only_is_a_no_op(self):
+        net, _ = make_net()
+        calls = spy_rebuilds(net)
+        net.remove_flows([123, 456])
+        assert calls == []
 
 
 class TestTraceDriven:

@@ -79,8 +79,7 @@ class TestMtpStats:
 
 
 class TestRingBuffer:
-    """Growable-ring internals: growth, compaction, partial drains, and
-    equivalence of the three push entry points."""
+    """Growable-ring internals: growth, compaction and partial drains."""
 
     def collect(self, mon, now):
         return mon.collect(now, cwnd_pkts=10, pacing_pps=0, pkts_in_flight=0)
@@ -127,39 +126,6 @@ class TestRingBuffer:
         stats = self.collect(mon, now=5.0)
         assert stats.sent_pkts == 6.0
         assert len(mon) == 0
-
-    def test_push_entry_points_equivalent(self):
-        import numpy as np
-
-        samples = [sample(time=i * 0.002, avail_at=i * 0.002 + 0.03,
-                          rtt=0.03 + 0.001 * i, sent=float(i),
-                          delivered=float(i) * 0.9, lost=float(i) * 0.1)
-                   for i in range(20)]
-        a = FlowMonitor(base_rtt_s=0.03)
-        for s in samples:
-            a.push(s)
-        b = FlowMonitor(base_rtt_s=0.03)
-        b.push_block(
-            times=np.array([s.time for s in samples]),
-            avail_at=np.array([s.avail_at for s in samples]),
-            dt=0.002,
-            rtt_s=np.array([s.rtt_s for s in samples]),
-            sent_pkts=np.array([s.sent_pkts for s in samples]),
-            delivered_pkts=np.array([s.delivered_pkts for s in samples]),
-            lost_pkts=np.array([s.lost_pkts for s in samples]),
-            marked_pkts=np.array([s.marked_pkts for s in samples]),
-        )
-        c = FlowMonitor(base_rtt_s=0.03)
-        rows = np.array([[s.time, s.avail_at, s.dt, s.rtt_s, s.sent_pkts,
-                          s.delivered_pkts, s.lost_pkts, s.marked_pkts]
-                         for s in samples])
-        c.push_rows(rows)
-        assert a.pending_samples() == b.pending_samples()
-        assert a.pending_samples() == c.pending_samples()
-        sa = self.collect(a, now=1.0)
-        sb = self.collect(b, now=1.0)
-        sc = self.collect(c, now=1.0)
-        assert sa == sb == sc
 
     def test_pending_property_compat(self):
         # Diagnostics peek at ``_pending``; it must mirror the ring.
