@@ -4,12 +4,11 @@
 scenario driver, observer, action selection and replay writes — in three
 modes over the same warm-learner episodes:
 
-* **serial**: the honest per-flow reference (one
-  :meth:`~repro.core.learner.Learner.act` call per flow, the shared
-  reward recomputed per callback);
-* **batched**: one stacked forward per controller pass, the shared
-  reward computed once per pass, transitions buffered for block replay
-  writes;
+* **serial**: the per-object path of the same driver pass (each agent's
+  own ``on_interval``, one :meth:`~repro.core.learner.Learner.act` call
+  per flow, transitions written to replay one by one);
+* **batched**: one stacked forward per controller pass, transitions
+  buffered for block replay writes;
 * **batched+workers**: a frozen-policy :class:`~repro.env.pool.
   EnvironmentPool` stride shipping whole episodes through the process
   pool.

@@ -67,6 +67,39 @@ class CongestionController(ABC):
         return 10.0
 
 
+class TwoPhaseController(CongestionController):
+    """A controller whose decision brackets one policy forward.
+
+    :meth:`begin_interval` does everything that needs no policy and
+    returns either a finished :class:`Decision` or the state the policy
+    must act on; :meth:`finish_interval` applies that state's action.
+    ``policy`` — anything with ``act(state)`` and a row-exact
+    ``act_batch(states)`` — is the forward a driver may stack over every
+    due flow between the two halves; ``None`` leaves each decision to
+    the per-object :meth:`on_interval`, which acts through :meth:`act`.
+    """
+
+    policy = None
+
+    @abstractmethod
+    def begin_interval(self, stats: MtpStats):
+        """Observe ``stats``; a finished :class:`Decision` or a state."""
+
+    @abstractmethod
+    def finish_interval(self, stats: MtpStats, action: float) -> Decision:
+        """Apply the policy's ``action`` for the state just returned."""
+
+    def act(self, state) -> float:
+        """The per-object forward of :meth:`on_interval`."""
+        return self.policy.act(state)
+
+    def on_interval(self, stats: MtpStats) -> Decision:
+        state = self.begin_interval(stats)
+        if isinstance(state, Decision):
+            return state
+        return self.finish_interval(stats, self.act(state))
+
+
 _REGISTRY: dict[str, type[CongestionController]] = {}
 
 

@@ -7,16 +7,17 @@ world-observation exchange), compiles the Table 2 global state, evaluates
 the global reward, assembles ``(g, s, a, r, g', s')`` transitions, and
 tracks per-episode statistics.
 
-:func:`run_training_episode` drives the scenario through the two-phase
-driver protocol (:meth:`~repro.env.multiflow.ScenarioDriver.step_collect`
-/ :meth:`~repro.env.multiflow.ScenarioDriver.finish_flow`): every pass
-first publishes all due flows' stats at the same instant, then selects
-actions — per flow, or stacked into a single batched forward for the
-whole pass — and finally applies every decision and lets the Learner
-update on the Table 4 cadence.  The serial and batched legs are bitwise
-identical: the forward kernel is row-consistent, exploration randomness
-lives on per-controller streams, and the shared global reward is a
-deterministic function of the same published snapshot either way.
+:func:`run_training_episode` steps the same scenario driver as every
+other fluid run (:meth:`~repro.env.multiflow.ScenarioDriver.step_block`).
+Each step's pass collects all due flows' stats at one instant, lets every
+agent decide — its policy forward stacked into one batched call for the
+whole pass, or per flow on the serial leg — and applies every decision;
+the observer, the driver's per-step hook, then publishes that snapshot,
+computes the shared reward and global state once, emits the pass's
+transitions and lets the Learner update on the Table 4 cadence.  The
+serial and batched legs are bitwise identical: the forward kernel is
+row-consistent, exploration randomness lives on per-controller streams,
+and the observer sees the same published snapshot either way.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cc.base import CongestionController, Decision
+from ..cc.base import Decision, TwoPhaseController
 from ..config import (
     ACTION_ALPHA,
     FlowConfig,
@@ -41,7 +42,7 @@ from ..netsim.stats import MtpStats
 from .multiflow import build_driver
 
 
-class TrainFlowController(CongestionController):
+class TrainFlowController(TwoPhaseController):
     """Astraea agent in training mode: shared policy plus exploration.
 
     The initial window is randomised per flow so early training covers the
@@ -55,12 +56,13 @@ class TrainFlowController(CongestionController):
     episode's randomness is independent of *how* actions were computed
     (one flow at a time or one stacked batch per pass).
 
-    The decision is split in two: :meth:`begin_interval` folds the new
-    stats into the local state block and either stages an exploratory
-    action (returning ``None``) or returns the state the policy should
-    act on; :meth:`finish_interval` takes the (possibly batched) policy
-    action back, perturbs and applies it.  :meth:`on_interval` composes
-    the two for standalone use.
+    The decision is two-phase (:class:`~repro.cc.base.TwoPhaseController`):
+    :meth:`begin_interval` folds the new stats into the local state block
+    and either finishes an exploratory decision or returns the state the
+    policy should act on; :meth:`finish_interval` perturbs and applies the
+    (possibly batched) policy action.  ``policy`` is the shared learner,
+    which a driver stacks across the pass's agents; with ``policy`` set to
+    ``None`` every decision runs the per-object ``on_interval``.
     """
 
     EPSILON_UNIFORM = 0.10
@@ -70,7 +72,7 @@ class TrainFlowController(CongestionController):
                  initial_cwnd: float = 10.0, use_pacing: bool = True,
                  episode: int = 0, flow_index: int = 0):
         super().__init__(mtp_s)
-        self.learner = learner
+        self.learner = self.policy = learner
         self.noise_std = noise_std
         self.alpha = alpha
         self.use_pacing = use_pacing
@@ -94,55 +96,40 @@ class TrainFlowController(CongestionController):
         self.cwnd = self._initial_cwnd
         self.last_state: np.ndarray | None = None
         self.last_action: float = 0.0
-        self._staged_state: np.ndarray | None = None
-        self._staged_action: float | None = None
+        self._state: np.ndarray | None = None
 
-    def begin_interval(self, stats: MtpStats) -> np.ndarray | None:
+    def begin_interval(self, stats: MtpStats) -> Decision | np.ndarray:
         """First half of a decision: observe, and choose *how* to act.
 
-        Returns the local state the shared policy should act on, or
-        ``None`` when this interval explores with a uniform random action
-        (not warm yet, or the epsilon draw fired) — the uniform action is
-        staged internally for :meth:`finish_interval`.
+        Returns the finished :class:`Decision` when this interval explores
+        with a uniform random action (not warm yet, or the epsilon draw
+        fired), otherwise the local state the shared policy must act on.
         """
-        state = self.state_block.update(stats)
-        self._staged_state = state
+        state = self._state = self.state_block.update(stats)
         if not self.learner.warm \
                 or self._rng.random() < self.EPSILON_UNIFORM:
-            self._staged_action = float(self._rng.uniform(-0.999, 0.999))
-            return None
-        self._staged_action = None
+            return self._apply(stats,
+                               float(self._rng.uniform(-0.999, 0.999)))
         return state
 
-    def finish_interval(self, stats: MtpStats,
-                        action: float | None) -> Decision:
-        """Second half: perturb and apply the action chosen for this pass.
+    def finish_interval(self, stats: MtpStats, action: float) -> Decision:
+        """Second half: perturb the clean policy ``action`` for the state
+        :meth:`begin_interval` returned (Gaussian noise from this
+        controller's stream) and apply it."""
+        if self.noise_std > 0:
+            action = action + float(self._rng.normal(0.0, self.noise_std))
+        return self._apply(stats, float(np.clip(action, -0.999, 0.999)))
 
-        ``action`` is the clean policy output for the state returned by
-        :meth:`begin_interval` (Gaussian exploration noise is added here,
-        from this controller's stream), or ``None`` to use the staged
-        uniform action.  Must be preceded by :meth:`begin_interval` on
-        the same stats.
-        """
-        state = self._staged_state
-        if action is None:
-            action = self._staged_action
-        else:
-            if self.noise_std > 0:
-                action = action + float(self._rng.normal(0.0,
-                                                         self.noise_std))
-            action = float(np.clip(action, -0.999, 0.999))
+    def act(self, state: np.ndarray) -> float:
+        return self.learner.act(state)
+
+    def _apply(self, stats: MtpStats, action: float) -> Decision:
         self.cwnd = apply_action(self.cwnd, action, self.alpha)
-        self.last_state = state
+        self.last_state = self._state
         self.last_action = action
         pacing = pacing_from_cwnd(self.cwnd, max(stats.srtt_s, 1e-6)) \
             if self.use_pacing else None
         return Decision(cwnd_pkts=self.cwnd, pacing_pps=pacing)
-
-    def on_interval(self, stats: MtpStats) -> Decision:
-        state = self.begin_interval(stats)
-        action = None if state is None else self.learner.act(state)
-        return self.finish_interval(stats, action)
 
 
 @dataclass
@@ -163,10 +150,12 @@ class EpisodeStats:
 class Observer:
     """Gathers world observations and feeds the Learner (§3.2 Controller).
 
-    ``transition_sink`` redirects assembled transitions away from the
-    learner: the rollout workers of :mod:`repro.env.pool` capture them
-    (with timestamps) for shipping back to the parent process instead of
-    writing a replay buffer they don't own.
+    An observer is the scenario driver's per-step hook (see
+    :meth:`__call__`).  ``transition_sink`` redirects assembled
+    transitions away from the learner: the rollout workers of
+    :mod:`repro.env.pool` capture them (with timestamps) for shipping back
+    to the parent process instead of writing a replay buffer they don't
+    own.
     """
 
     def __init__(self, learner: Learner, link: LinkConfig,
@@ -185,31 +174,9 @@ class Observer:
         self.transition_sink = transition_sink
         self._latest: dict[int, MtpStats] = {}
         self._pending: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        self._pass_now: float | None = None
-        self._pass_share = False
-        self._pass_cache: tuple[float, np.ndarray] | None = None
         self.stats = EpisodeStats()
 
     # ------------------------------------------------------------------
-
-    def begin_pass(self, now: float, updates: list[tuple[int, MtpStats]],
-                   share_reward: bool = False) -> None:
-        """Publish all due flows' stats at the same instant.
-
-        The two-phase runner calls this before any controller decides, so
-        every agent in the pass observes the identical world snapshot —
-        the paper's synchronous world-observation exchange.  With
-        ``share_reward`` the (global) reward and global-state vector are
-        computed once per pass and reused across the pass's callbacks;
-        they are deterministic functions of the snapshot, so sharing is
-        bitwise identical to recomputing per flow, and skipping the
-        recomputation is most of the batched rollout speedup.
-        """
-        for idx, stats in updates:
-            self._latest[idx] = stats
-        self._pass_now = now
-        self._pass_share = share_reward and self.local_reward is None
-        self._pass_cache = None
 
     def _active_indices(self, now: float) -> list[int]:
         """Active *agent* flows (cross-traffic competitors are part of the
@@ -233,104 +200,62 @@ class Observer:
             ))
         return out
 
-    def __call__(self, now: float, idx: int, stats: MtpStats,
-                 controller: CongestionController) -> None:
-        """The scenario runner's on_interval hook."""
-        self._latest[idx] = stats
-        if not isinstance(controller, TrainFlowController):
-            return  # cross traffic: environment, not an agent
-        active = self._active_indices(now)
-        if not active:
-            return
-        if self._pass_share and self._pass_now == now \
-                and self._pass_cache is not None:
-            reward, g_now = self._pass_cache
-        else:
-            if self.local_reward is not None:
-                reward = self.local_reward(stats, self.link)
-            else:
-                reward = self.reward_block.compute(
-                    self._snapshots(active)).total
-            g_now = global_state_vector([self._latest[i] for i in active],
-                                        self.link)
-            if self._pass_share and self._pass_now == now:
-                self._pass_cache = (reward, g_now)
-        ctl = self.controllers[idx]
-        s_now, a_now = ctl.last_state, ctl.last_action
-        if s_now is None:
-            # The flow's first on_interval has not produced a state yet
-            # (e.g. a freshly reset controller observed out of band); a
-            # None here would poison a transition tuple, so skip it.
-            self._pending.pop(idx, None)
-            return
-        if idx in self._pending:
-            g_prev, s_prev, a_prev = self._pending[idx]
-            if self.transition_sink is not None:
-                self.transition_sink(now, g_prev, s_prev, a_prev, reward,
-                                     g_now, s_now)
-            else:
-                self.learner.add_transition(g_prev, s_prev, a_prev, reward,
-                                            g_now, s_now)
-            self.stats.transitions += 1
-            self.stats.reward_sum += reward
-            self.stats.reward_count += 1
-        self._pending[idx] = (g_now, s_now, a_now)
+    def __call__(self, now: float, flows, stats: list[MtpStats]) -> None:
+        """The driver's per-step hook: ``flows`` (running records with an
+        ``index``) decided on ``stats`` in this step's pass, possibly none.
 
+        Publishes the pass's stats, so every agent's transition sees the
+        identical world snapshot — the paper's synchronous
+        world-observation exchange — and the (global) reward and global
+        state are computed once from it.  Then one transition per agent
+        that decided, in pass order, and the Learner's shot at an update
+        burst, which it gets on every step.
+        """
+        agents = []
+        for rf, s in zip(flows, stats):
+            self._latest[rf.index] = s
+            if isinstance(self.controllers[rf.index], TrainFlowController):
+                agents.append((rf.index, s))
+        active = self._active_indices(now) if agents else None
+        if active:
+            self._emit(now, agents, active)
         if self.do_updates:
             losses = self.learner.maybe_update(now)
             if losses is not None:
                 self.stats.update_bursts += 1
                 self.stats.last_losses = losses
 
-
-def _drive_episode(learner, driver, observer, batched: bool,
-                   do_updates: bool) -> None:
-    """Run one training episode through the two-phase driver protocol.
-
-    Each pass: collect all due flows' stats, publish them at the same
-    instant, let every agent choose how to act, compute the policy
-    actions — one stacked :meth:`~repro.core.learner.Learner.act_batch`
-    call when ``batched``, per-flow :meth:`~repro.core.learner.Learner.act`
-    calls otherwise — then apply every decision and give the Learner one
-    shot at an update burst.  The two legs are bitwise identical (see the
-    module docstring); updates firing at the pass boundary rather than
-    inside a flow's callback is what makes that possible.
-    """
-    while True:
-        due = driver.step_collect()
-        if due is None:
-            break
-        now = driver.now
-        observer.begin_pass(now, [(rf.index, stats) for rf, stats in due],
-                            share_reward=batched)
-        needs_policy: list[tuple[int, np.ndarray]] = []
-        for slot, (rf, stats) in enumerate(due):
-            ctl = rf.controller
-            if isinstance(ctl, TrainFlowController):
-                state = ctl.begin_interval(stats)
-                if state is not None:
-                    needs_policy.append((slot, state))
-        actions: dict[int, float] = {}
-        if needs_policy:
-            if batched:
-                acts = learner.act_batch(
-                    np.stack([state for _, state in needs_policy]))
-            else:
-                acts = [learner.act(state) for _, state in needs_policy]
-            for (slot, _), a in zip(needs_policy, acts):
-                actions[slot] = float(a)
-        for slot, (rf, stats) in enumerate(due):
-            ctl = rf.controller
-            if isinstance(ctl, TrainFlowController):
-                decision = ctl.finish_interval(stats, actions.get(slot))
-            else:
-                decision = ctl.on_interval(stats)
-            driver.finish_flow(rf, stats, decision)
-        if do_updates:
-            losses = learner.maybe_update(now)
-            if losses is not None:
-                observer.stats.update_bursts += 1
-                observer.stats.last_losses = losses
+    def _emit(self, now: float, agents: list[tuple[int, MtpStats]],
+              active: list[int]) -> None:
+        """One transition per agent of the pass (cross traffic is
+        environment, not an agent, and emits none)."""
+        if self.local_reward is None:
+            reward = self.reward_block.compute(self._snapshots(active)).total
+        g_now = global_state_vector([self._latest[i] for i in active],
+                                    self.link)
+        for idx, stats in agents:
+            if self.local_reward is not None:
+                reward = self.local_reward(stats, self.link)
+            ctl = self.controllers[idx]
+            s_now, a_now = ctl.last_state, ctl.last_action
+            if s_now is None:
+                # The flow has not produced a state yet (e.g. a freshly
+                # reset controller observed out of band); a None here
+                # would poison a transition tuple, so skip it.
+                self._pending.pop(idx, None)
+                continue
+            if idx in self._pending:
+                g_prev, s_prev, a_prev = self._pending[idx]
+                if self.transition_sink is not None:
+                    self.transition_sink(now, g_prev, s_prev, a_prev, reward,
+                                         g_now, s_now)
+                else:
+                    self.learner.add_transition(g_prev, s_prev, a_prev,
+                                                reward, g_now, s_now)
+                self.stats.transitions += 1
+                self.stats.reward_sum += reward
+                self.stats.reward_count += 1
+            self._pending[idx] = (g_now, s_now, a_now)
 
 
 def build_training_controllers(learner, scenario: ScenarioConfig,
@@ -381,29 +306,34 @@ def run_training_episode(learner: Learner, scenario: ScenarioConfig,
     checkpoint resume bit-exact — regardless of process history.
 
     ``batched`` selects the fast path: all policy actions of a pass in
-    one stacked forward, the shared reward computed once per pass, and
-    transitions buffered for block writes into replay.  ``batched=False``
-    runs the honest per-flow path; both produce bitwise-identical
-    episodes (the contract ``repro bench train`` verifies).
+    one stacked forward and transitions buffered for block writes into
+    replay.  ``batched=False`` runs the per-object path of the same pass
+    (one ``on_interval`` per agent) with direct replay writes; both
+    produce bitwise-identical episodes (the contract ``repro bench
+    train`` verifies).
 
     ``transition_sink`` forwards transitions to a callable instead of the
     learner's replay buffer (the rollout-worker capture path).
     """
     controllers = build_training_controllers(learner, scenario, noise_std,
                                              initial_cwnds, episode=episode)
+    if not batched:
+        for ctl in controllers:
+            if isinstance(ctl, TrainFlowController):
+                ctl.policy = None
     observer = Observer(learner, scenario.link, scenario.flows,
                         controllers, reward_config=reward_config,
-                        local_reward=local_reward, do_updates=False,
+                        local_reward=local_reward, do_updates=do_updates,
                         transition_sink=transition_sink)
     driver = build_driver(scenario, controllers=controllers,
-                          on_interval=observer, align_intervals=True)
+                          on_step=observer, align_intervals=True)
     learner.reset_update_clock()
     defer = batched and hasattr(learner, "set_deferred")
     if defer:
         learner.set_deferred(True)
     try:
-        _drive_episode(learner, driver, observer, batched=batched,
-                       do_updates=do_updates)
+        while driver.step_block():
+            pass
     finally:
         if defer:
             learner.set_deferred(False)

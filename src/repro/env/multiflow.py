@@ -13,19 +13,18 @@ consume.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cc import create
-from ..cc.base import CongestionController, Decision
-from ..config import ScenarioConfig
-from ..core.astraea import AstraeaController
-from ..core.policy import PolicyBundle
+from ..cc.base import CongestionController, Decision, TwoPhaseController
+from ..config import FlowConfig, ScenarioConfig
 from ..errors import SimulationError
 from ..netsim import FluidNetwork, INITIAL_CWND_PKTS
-from ..netsim.stats import MtpColumns
+from ..netsim.stats import MtpColumns, MtpStats
 from ..netsim.topology import TopologyConfig
 from ..netsim.traces import create_trace
 from ..units import mbps_to_pps
@@ -48,6 +47,16 @@ class FlowLog:
     loss_rate: list[float] = field(default_factory=list)
     cwnd_pkts: list[float] = field(default_factory=list)
     send_rate_mbps: list[float] = field(default_factory=list)
+
+    def record(self, now: float, stats: MtpStats, cwnd_pkts: float) -> None:
+        """Log one decision: the interval's stats and the window set."""
+        self.times.append(now)
+        self.throughput_mbps.append(stats.throughput_mbps)
+        self.rtt_s.append(stats.avg_rtt_s)
+        self.loss_rate.append(stats.loss_rate)
+        self.cwnd_pkts.append(cwnd_pkts)
+        self.send_rate_mbps.append(
+            cwnd_pkts / max(stats.srtt_s, 1e-6) / mbps_to_pps(1.0))
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         """All series as numpy arrays keyed by field name."""
@@ -190,19 +199,45 @@ class ScenarioResult:
         return float(np.mean(np.concatenate(values)))
 
 
-def _stacked_policy(controller: CongestionController
-                    ) -> PolicyBundle | None:
-    """The bundle whose forward the driver may stack for ``controller``.
+def flow_controller(controllers: list[CongestionController | None] | None,
+                    i: int, cfg: FlowConfig) -> CongestionController:
+    """Flow ``i``'s controller, reset for a new connection: the injected
+    ``controllers[i]`` when there is one, else a new ``cfg.cc``."""
+    controller = controllers[i] if controllers is not None else None
+    if controller is None:
+        controller = create(cfg.cc, **cfg.cc_kwargs)
+    controller.reset()
+    return controller
 
-    Only a model-backed controller whose ``on_interval`` is
-    :class:`AstraeaController`'s own two-phase composition qualifies: a
+
+def decide(controller: CongestionController, stats: MtpStats,
+           flow: int) -> Decision:
+    """One per-object decision, refusing a non-finite window with the
+    error the fluid engine raises when such a window reaches it."""
+    decision = controller.on_interval(stats)
+    if not math.isfinite(decision.cwnd_pkts):
+        raise SimulationError(
+            f"non-finite cwnd for flow {flow}: {decision.cwnd_pkts}")
+    return decision
+
+
+def _stacked_policy(controller: CongestionController):
+    """The forward the driver may stack for ``controller``.
+
+    Only a :class:`TwoPhaseController` qualifies, and only while its
+    ``on_interval`` is the one of the class that implements its
+    ``begin_interval`` — that class's composition of the two halves: a
     subclass that overrides ``on_interval`` (a recording teacher, a test
-    double) must have its override run, and the reference backend has no
-    forward to stack — both get ``None`` and keep the per-object call.
+    double) must have its override run.  A ``None`` policy — the
+    reference backend, the serial training leg — keeps the per-object
+    call too.
     """
-    if type(controller).on_interval is AstraeaController.on_interval:
-        return controller.policy
-    return None
+    if not isinstance(controller, TwoPhaseController):
+        return None
+    kind = type(controller)
+    owner = next(k for k in kind.__mro__ if "begin_interval" in vars(k))
+    return controller.policy if kind.on_interval is owner.on_interval \
+        else None
 
 
 @dataclass
@@ -213,7 +248,7 @@ class _RunningFlow:
     end_s: float
     #: Decided once at flow start (see :func:`_stacked_policy`), so a
     #: pass over classical controllers pays one ``None`` test per flow.
-    policy: PolicyBundle | None = None
+    policy: object | None = None
     #: Position in ``ScenarioDriver._running`` and in the driver's
     #: per-flow vectors; renumbered on flow churn.
     pos: int = -1
@@ -223,16 +258,17 @@ class ScenarioDriver:
     """Steppable scenario executor.
 
     One call to :meth:`step` advances the network by one tick and runs
-    every controller whose monitoring interval expired.  ``run_scenario``
-    simply steps a driver to completion; the training pool
-    (:class:`repro.env.pool.EnvironmentPool`) interleaves several drivers
-    to emulate the paper's parallel environment instances (Appendix A).
+    every controller whose monitoring interval expired; :meth:`step_block`
+    advances to the next such event in one engine block.  ``run_scenario``
+    and the fleet shards step a driver to completion, and so does a
+    training episode (:func:`repro.env.episode.run_training_episode`),
+    whose observer is the driver's ``on_step`` hook.
     """
 
     def __init__(self, engine: FluidNetwork, scenario_flows, paths,
                  base_rtt_fn, duration_s: float, tick_s: float, controllers,
                  bottleneck_mbps: float, base_rtt_s: float,
-                 on_interval=None, align_intervals: bool = False):
+                 on_step=None, align_intervals: bool = False):
         self._engine = engine
         self._flows = scenario_flows
         self._paths = paths
@@ -240,7 +276,7 @@ class ScenarioDriver:
         self.duration_s = duration_s
         self._tick_s = tick_s
         self._controllers = controllers
-        self._on_interval = on_interval
+        self._on_step = on_step
         self._align_intervals = align_intervals
         self._logs = [FlowLog(cc_name=f.cc, start_s=f.start_s,
                               end_s=min(f.end_s(), duration_s))
@@ -298,13 +334,7 @@ class ScenarioDriver:
                 self._flows[self._pending[0]].start_s <= now + 1e-12:
             i = self._pending.popleft()
             cfg = self._flows[i]
-            if self._controllers is not None and \
-                    self._controllers[i] is not None:
-                controller = self._controllers[i]
-            else:
-                controller = create(cfg.cc, **cfg.cc_kwargs)
-            controller.reset()
-            due.append((i, cfg, controller))
+            due.append((i, cfg, flow_controller(self._controllers, i, cfg)))
         if not due:
             return
         fids = self._engine.add_flows([
@@ -402,32 +432,44 @@ class ScenarioDriver:
         return True
 
     def _controller_pass(self, now: float) -> None:
-        """Run every controller whose monitoring interval has expired:
-        one columnar collect, the decisions, one ``set_cwnds``, then the
-        per-flow bookkeeping — the same code for one due flow or 400.
+        """Run every controller whose monitoring interval has expired,
+        then the ``on_step`` hook.
 
-        Deciding is two-phase, like the training runner: every due flow
-        with a stackable policy first does the policy-free half of its
-        decision, then each distinct :class:`PolicyBundle` runs *one*
-        row-exact forward over the stacked states of its flows, then
-        every decision is completed in ``_running`` order.  Such
-        controllers share no state (their bundle is frozen) and row ``i``
-        of the stacked forward is bitwise ``act`` of that row, so the
-        pass equals calling ``on_interval`` flow by flow.  Every other
-        flow takes exactly that per-object call.
-
-        Applying is all-or-nothing and happens before any observer
-        fires: windows never alter stats already collected, so setting
-        them together equals setting them flow by flow, and an observer
-        sees the pass's decisions already in force.
+        The hook fires on every step, one with no due flow included, as
+        ``on_step(now, flows, stats)`` with the due flows in ``_running``
+        order and their stats.  A training observer gives the learner its
+        update burst there, and a burst must land at the same engine
+        instant whether or not a flow happened to decide at it.
         """
         flows, columns = self.collect_due(now)
-        if not flows:
-            return
+        stats = self._decide_and_apply(flows, columns) if flows else []
+        if self._on_step is not None:
+            self._on_step(now, flows, stats)
+
+    def _decide_and_apply(self, flows: list[_RunningFlow],
+                          columns: MtpColumns) -> list[MtpStats]:
+        """The decisions of the due ``flows``, one ``set_cwnds``, then the
+        per-flow bookkeeping — the same code for one due flow or 400.
+
+        Deciding is two-phase: every due flow with a stackable policy
+        first does the policy-free half of its decision, then each
+        distinct policy runs *one* row-exact forward over the stacked
+        states of its flows, then every decision is completed in
+        ``_running`` order.  The policy is frozen for the pass, the
+        controllers share no other state, and row ``i`` of the stacked
+        forward is bitwise ``act`` of that row, so the pass equals
+        calling ``on_interval`` flow by flow.  Every other flow takes
+        exactly that per-object call.
+
+        Applying is all-or-nothing and happens before the hook fires:
+        windows never alter stats already collected, so setting them
+        together equals setting them flow by flow, and the hook sees the
+        pass's decisions already in force.
+        """
         stats = columns.rows()
         decisions: list = [None] * len(flows)
-        # bundle id -> (bundle, slots in ``flows`` that need its forward)
-        stacks: dict[int, tuple[PolicyBundle, list[int]]] = {}
+        # policy id -> (policy, slots in ``flows`` that need its forward)
+        stacks: dict[int, tuple[object, list[int]]] = {}
         for slot, rf in enumerate(flows):
             if rf.policy is None:
                 decisions[slot] = rf.controller.on_interval(stats[slot])
@@ -456,6 +498,7 @@ class ScenarioDriver:
             self._finish(*row) for row in
             zip(flows, stats, cwnds, columns.throughput_mbps.tolist(),
                 columns.loss_rate.tolist(), send_mbps.tolist())]
+        return stats
 
     def collect_due(self, now: float
                     ) -> tuple[list[_RunningFlow], MtpColumns | None]:
@@ -476,8 +519,9 @@ class ScenarioDriver:
     def _finish(self, rf: _RunningFlow, stats, cwnd_pkts: float,
                 thr_mbps: float, loss_rate: float,
                 send_mbps: float) -> float:
-        """Log one applied decision, fire the observer callback and
-        return the flow's next deadline."""
+        """Log one applied decision — the row :meth:`FlowLog.record`
+        would append, from values the pass already computed as columns —
+        and return the flow's next deadline."""
         now = self._engine.now
         log = self._logs[rf.index]
         log.times.append(now)
@@ -486,33 +530,29 @@ class ScenarioDriver:
         log.loss_rate.append(loss_rate)
         log.cwnd_pkts.append(cwnd_pkts)
         log.send_rate_mbps.append(send_mbps)
-        if self._on_interval is not None:
-            self._on_interval(now, rf.index, stats, rf.controller)
         return self._next_deadline(
             now, rf.controller.interval_s(stats.srtt_s), rf.controller.mtp_s)
 
     def finish_flow(self, rf: _RunningFlow, stats, decision) -> None:
         """Apply one controller decision collected by :meth:`step_collect`:
-        set the window, log the interval, fire the observer callback and
-        schedule the flow's next deadline.  The one-flow-at-a-time twin
-        of the apply half of :meth:`_controller_pass`, for callers that
-        decide outside the driver (the training runner)."""
+        set the window, log the interval and schedule the flow's next
+        deadline.  With :meth:`step_collect` this is the one-flow-at-a-time
+        reference the batched pass is tested against; it fires no hook."""
         self._engine.set_cwnd(rf.engine_id, decision.cwnd_pkts,
                               decision.pacing_pps)
-        self._next_ctrl[rf.pos] = self._finish(
-            rf, stats, decision.cwnd_pkts, stats.throughput_mbps,
-            stats.loss_rate,
-            decision.cwnd_pkts / max(stats.srtt_s, 1e-6) / mbps_to_pps(1.0))
+        now = self._engine.now
+        self._logs[rf.index].record(now, stats, decision.cwnd_pkts)
+        self._next_ctrl[rf.pos] = self._next_deadline(
+            now, rf.controller.interval_s(stats.srtt_s), rf.controller.mtp_s)
 
     def step_collect(self) -> list | None:
-        """First half of a two-phase block step (the training fast path).
+        """First half of the per-flow reference step.
 
         Advances the engine to the next controller/flow event (exactly
         like :meth:`step_block`) and returns the due ``(running_flow,
         stats)`` pairs *without* invoking any controller; the caller
-        decides — per flow or batched across the whole pass — and hands
-        each decision back through :meth:`finish_flow`.  Returns ``None``
-        once the scenario has finished.
+        decides and hands each decision back through :meth:`finish_flow`.
+        Returns ``None`` once the scenario has finished.
         """
         if not self._begin_step():
             return None
@@ -532,11 +572,11 @@ class ScenarioDriver:
 
 def _drive(engine: FluidNetwork, scenario_flows, paths, base_rtt_fn,
            duration_s: float, tick_s: float, controllers, bottleneck_mbps: float,
-           base_rtt_s: float, on_interval=None) -> ScenarioResult:
+           base_rtt_s: float) -> ScenarioResult:
     """Run a driver to completion (single-link and topology runs)."""
     driver = ScenarioDriver(engine, scenario_flows, paths, base_rtt_fn,
                             duration_s, tick_s, controllers,
-                            bottleneck_mbps, base_rtt_s, on_interval)
+                            bottleneck_mbps, base_rtt_s)
     while driver.step_block():
         pass
     return driver.result()
@@ -544,7 +584,7 @@ def _drive(engine: FluidNetwork, scenario_flows, paths, base_rtt_fn,
 
 def build_driver(scenario: ScenarioConfig,
                  controllers: list[CongestionController | None] | None = None,
-                 on_interval=None,
+                 on_step=None,
                  align_intervals: bool = False) -> ScenarioDriver:
     """Create a steppable driver for a single-bottleneck scenario."""
     traces = None
@@ -562,25 +602,26 @@ def build_driver(scenario: ScenarioConfig,
         scenario.duration_s, scenario.tick_s, controllers,
         bottleneck_mbps=scenario.link.bandwidth_mbps,
         base_rtt_s=scenario.link.rtt_s,
-        on_interval=on_interval,
+        on_step=on_step,
         align_intervals=align_intervals,
     )
 
 
 def run_scenario(scenario: ScenarioConfig,
                  controllers: list[CongestionController | None] | None = None,
-                 on_interval=None) -> ScenarioResult:
+                 on_step=None) -> ScenarioResult:
     """Run a single-bottleneck scenario and return its logs.
 
     ``controllers`` optionally injects pre-built controller instances
     (index-aligned with ``scenario.flows``); entries left ``None`` are
-    created from the flow's registered scheme name.  ``on_interval`` is an
-    optional callback ``(now, flow_index, stats, controller)`` invoked after
-    every controller decision — the training loop uses it to harvest
-    transitions.
+    created from the flow's registered scheme name.  ``on_step`` is an
+    optional callback ``(now, flows, stats)`` invoked after every
+    engine-advancing step with the flows that decided in it (running
+    records with ``index`` and ``controller``, possibly none) and their
+    stats — the training loop uses it to harvest transitions.
     """
     driver = build_driver(scenario, controllers=controllers,
-                          on_interval=on_interval)
+                          on_step=on_step)
     while driver.step_block():
         pass
     return driver.result()

@@ -17,42 +17,36 @@ incast bursts) map onto the engine's send-window guards.  Traced
 
 from __future__ import annotations
 
-from ..cc import create
 from ..cc.base import CongestionController
 from ..config import ScenarioConfig
 from ..errors import SimulationError
 from ..netsim.packet import PacketNetwork
-from ..netsim.stats import FlowMonitor, MtpStats
-from ..units import mbps_to_pps
-from .multiflow import FlowLog, ScenarioResult
+from ..netsim.stats import IntervalWindow
+from .multiflow import FlowLog, ScenarioResult, decide, flow_controller
 
 
 class _PacketFlowDriver:
     """Adapts the engine's per-MTP callback to the controller contract.
 
     The engine fires once per ``mtp_s`` with raw window counters; the
-    driver accumulates them until the controller's own monitoring interval
-    expires (per-RTT schemes stretch it), assembles an
-    :class:`~repro.netsim.stats.MtpStats`, applies the decision, and logs
-    one record — mirroring what :class:`ScenarioDriver` does per tick on
-    the fluid engine.
+    driver folds them into an :class:`~repro.netsim.stats.IntervalWindow`
+    until the controller's own monitoring interval expires (per-RTT
+    schemes stretch it), then decides, applies and logs one record —
+    what :class:`ScenarioDriver`'s pass does per flow on the fluid engine.
     """
 
-    def __init__(self, controller: CongestionController, base_rtt_s: float,
-                 mtp_s: float, log: FlowLog, start_s: float = 0.0):
+    def __init__(self, index: int, controller: CongestionController,
+                 base_rtt_s: float, mtp_s: float, log: FlowLog,
+                 start_s: float = 0.0):
+        self._index = index
         self._controller = controller
-        self._base_rtt_s = base_rtt_s
         self._mtp_s = mtp_s
         self._log = log
-        self._srtt = FlowMonitor(base_rtt_s)  # reuse its smoothed-RTT rule
+        self._window = IntervalWindow(base_rtt_s, start_s)
         self._net: PacketNetwork | None = None
         self._fid = -1
         self._pacing_pps: float | None = None
         self._next_ctrl_s = start_s + mtp_s
-        self._window_start_s = start_s
-        self._sent = self._delivered = self._lost = 0.0
-        self._rtt_weighted = 0.0
-        self._rtt_min = float("inf")
 
     def bind(self, net: PacketNetwork, fid: int) -> None:
         self._net = net
@@ -60,55 +54,23 @@ class _PacketFlowDriver:
 
     def __call__(self, raw: dict) -> None:
         now = raw["time_s"]
-        self._sent += raw["sent_pkts"]
-        self._lost += raw["lost_pkts"]
+        window = self._window
         delivered = raw["throughput_pps"] * raw["duration_s"]
-        self._delivered += delivered
+        window.add(raw["sent_pkts"], delivered, raw["lost_pkts"])
         if delivered > 0:
-            self._rtt_weighted += raw["avg_rtt_s"] * delivered
-            self._rtt_min = min(self._rtt_min, raw["avg_rtt_s"])
-            self._srtt.observe_rtt(raw["avg_rtt_s"])
+            window.observe_rtt(raw["avg_rtt_s"], delivered)
         if now + 1e-12 < self._next_ctrl_s:
             return None
-        duration = max(now - self._window_start_s, 1e-9)
-        if self._delivered > 0:
-            avg_rtt = self._rtt_weighted / self._delivered
-        else:
-            avg_rtt = self._srtt.srtt_s
-        stats = MtpStats(
-            time_s=now,
-            duration_s=duration,
-            throughput_pps=self._delivered / duration,
-            avg_rtt_s=avg_rtt,
-            min_rtt_s=self._rtt_min if self._rtt_min != float("inf")
-            else avg_rtt,
-            sent_pkts=self._sent,
-            delivered_pkts=self._delivered,
-            lost_pkts=self._lost,
-            pkts_in_flight=raw["pkts_in_flight"],
-            cwnd_pkts=raw["cwnd_pkts"],
-            pacing_pps=self._pacing_pps if self._pacing_pps else 0.0,
-            srtt_s=self._srtt.srtt_s,
-        )
-        decision = self._controller.on_interval(stats)
+        stats = window.close(now, raw["pkts_in_flight"], raw["cwnd_pkts"],
+                             self._pacing_pps)
+        decision = decide(self._controller, stats, self._index)
         self._pacing_pps = decision.pacing_pps
         assert self._net is not None
         self._net.set_cwnd(self._fid, decision.cwnd_pkts,
                            decision.pacing_pps)
-        log = self._log
-        log.times.append(now)
-        log.throughput_mbps.append(stats.throughput_mbps)
-        log.rtt_s.append(stats.avg_rtt_s)
-        log.loss_rate.append(stats.loss_rate)
-        log.cwnd_pkts.append(decision.cwnd_pkts)
-        log.send_rate_mbps.append(
-            decision.cwnd_pkts / max(stats.srtt_s, 1e-6) / mbps_to_pps(1.0))
-        self._window_start_s = now
+        self._log.record(now, stats, decision.cwnd_pkts)
         self._next_ctrl_s = now + max(
             self._controller.interval_s(stats.srtt_s), self._mtp_s)
-        self._sent = self._delivered = self._lost = 0.0
-        self._rtt_weighted = 0.0
-        self._rtt_min = float("inf")
         return None
 
 
@@ -129,17 +91,13 @@ def run_scenario_packet(scenario: ScenarioConfig,
                         mtp_s=scenario.mtp_s, faults=scenario.faults)
     logs = []
     for i, cfg in enumerate(scenario.flows):
-        if controllers is not None and controllers[i] is not None:
-            controller = controllers[i]
-        else:
-            controller = create(cfg.cc, **cfg.cc_kwargs)
-        controller.reset()
+        controller = flow_controller(controllers, i, cfg)
         base_rtt_s = scenario.link.rtt_s + cfg.extra_rtt_ms / 1e3
         stop_s = min(cfg.end_s(), scenario.duration_s)
         log = FlowLog(cc_name=cfg.cc, start_s=cfg.start_s,
                       end_s=stop_s)
-        driver = _PacketFlowDriver(controller, base_rtt_s, scenario.mtp_s,
-                                   log, start_s=cfg.start_s)
+        driver = _PacketFlowDriver(i, controller, base_rtt_s,
+                                   scenario.mtp_s, log, start_s=cfg.start_s)
         fid = net.add_flow(base_rtt_s=base_rtt_s,
                            cwnd=controller.initial_cwnd, on_mtp=driver,
                            start_s=cfg.start_s, stop_s=stop_s)

@@ -23,7 +23,7 @@ from .flowgen import (
 )
 from .packet import PacketNetwork
 from .qdisc import CoDel, DropTail, QueueDiscipline, Red, create_qdisc
-from .stats import FlowMonitor, MtpStats, TickSample
+from .stats import MtpStats, TickSample
 from .topology import TopologyConfig, parking_lot, parking_lot_ideal_shares
 from .traces import (
     CapacityTrace,
@@ -51,7 +51,6 @@ __all__ = [
     "Red",
     "CoDel",
     "create_qdisc",
-    "FlowMonitor",
     "MtpStats",
     "TickSample",
     "CapacityTrace",

@@ -19,8 +19,10 @@ tests against :mod:`repro.netsim.packet`).
 
 Observation delay: the conditions a tick records become visible to the
 sender one ACK-return delay later (about half the current RTT after the
-bottleneck experienced them — a full RTT after the send decision), via
-:class:`repro.netsim.stats.FlowMonitor`.
+bottleneck experienced them — a full RTT after the send decision): every
+sample carries that availability time in the network's
+:class:`~repro.netsim.stats.SampleStore`, and a collect drains only the
+samples observable by then.
 
 Fast path (docs/architecture.md §7): controllers only intervene once per
 MTP (~15 ticks), so the engine keeps its per-flow state in persistent

@@ -33,14 +33,13 @@ import time
 from dataclasses import dataclass
 from hashlib import blake2b
 
-from ...cc import create
 from ...cc.base import CongestionController
 from ...config import LinkConfig, ScenarioConfig
 from ...errors import ConfigError, SimulationError, TransportError, \
     TransportStalledError
-from ...env.multiflow import FlowLog, ScenarioResult
-from ...netsim.stats import FlowMonitor, MtpStats
-from ...units import mbps_to_pps
+from ...env.multiflow import FlowLog, ScenarioResult, decide, \
+    flow_controller
+from ...netsim.stats import IntervalWindow
 from .impair import ImpairmentLink, ImpairmentProxy
 from .transport import AckSegment, DataSegment, ReceiverFlow, RtoEstimator, \
     SenderFlow, decode
@@ -141,13 +140,12 @@ class _FlowRuntime:
     sock: socket.socket
     pkts_per_seg: int
     controller: CongestionController | None = None
-    monitor: FlowMonitor | None = None
+    window: IntervalWindow | None = None
     log: FlowLog | None = None
     mtp_s: float = 0.0
     cwnd_pkts: float = 0.0
     pacing_pps: float | None = None
     next_ctrl_wall: float = math.inf
-    window_start_sim: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -250,40 +248,23 @@ def _pump_send(fr: _FlowRuntime, now_wall: float, burst: int,
 
 def _control_tick(fr: _FlowRuntime, now_wall: float, sim_now: float,
                   clock: WallClock) -> None:
-    """One controller interval: assemble MtpStats, apply the decision.
+    """One controller interval: close the window, apply the decision.
 
     Mirrors :class:`~repro.env.packetrun._PacketFlowDriver` — counters
     are converted from wire segments back to simulated packets and
     wall RTTs back to simulated seconds before the controller sees them.
     """
-    assert fr.controller is not None and fr.monitor is not None \
+    assert fr.controller is not None and fr.window is not None \
         and fr.log is not None
     scale = clock.scale
     pps = fr.pkts_per_seg
     sent, delivered, lost, samples = fr.sender.take_window()
+    fr.window.add(sent * pps, delivered * pps, lost * pps)
     for sample in samples:
-        fr.monitor.observe_rtt(sample * scale)
-    duration = max(sim_now - fr.window_start_sim, 1e-9)
-    if samples:
-        avg_rtt = sum(samples) / len(samples) * scale
-        min_rtt = min(samples) * scale
-    else:
-        avg_rtt = min_rtt = fr.monitor.srtt_s
-    stats = MtpStats(
-        time_s=sim_now,
-        duration_s=duration,
-        throughput_pps=delivered * pps / duration,
-        avg_rtt_s=avg_rtt,
-        min_rtt_s=min_rtt,
-        sent_pkts=sent * pps,
-        delivered_pkts=delivered * pps,
-        lost_pkts=lost * pps,
-        pkts_in_flight=fr.sender.inflight_segs * pps,
-        cwnd_pkts=fr.cwnd_pkts,
-        pacing_pps=fr.pacing_pps if fr.pacing_pps else 0.0,
-        srtt_s=fr.monitor.srtt_s,
-    )
-    decision = fr.controller.on_interval(stats)
+        fr.window.observe_rtt(sample * scale)
+    stats = fr.window.close(sim_now, fr.sender.inflight_segs * pps,
+                            fr.cwnd_pkts, fr.pacing_pps)
+    decision = decide(fr.controller, stats, fr.index)
     fr.cwnd_pkts = decision.cwnd_pkts
     fr.pacing_pps = decision.pacing_pps
     fr.sender.cwnd_segs = max(1.0, decision.cwnd_pkts / pps)
@@ -291,15 +272,7 @@ def _control_tick(fr: _FlowRuntime, now_wall: float, sim_now: float,
         fr.sender.pace_gap_wall = pps / (decision.pacing_pps * scale)
     else:
         fr.sender.pace_gap_wall = None
-    log = fr.log
-    log.times.append(sim_now)
-    log.throughput_mbps.append(stats.throughput_mbps)
-    log.rtt_s.append(stats.avg_rtt_s)
-    log.loss_rate.append(stats.loss_rate)
-    log.cwnd_pkts.append(decision.cwnd_pkts)
-    log.send_rate_mbps.append(
-        decision.cwnd_pkts / max(stats.srtt_s, 1e-6) / mbps_to_pps(1.0))
-    fr.window_start_sim = sim_now
+    fr.log.record(sim_now, stats, decision.cwnd_pkts)
     interval_sim = max(fr.controller.interval_s(stats.srtt_s), fr.mtp_s)
     fr.next_ctrl_wall = now_wall + interval_sim / scale
 
@@ -408,11 +381,7 @@ def run_scenario_socket_report(
     seg_bytes = tuning.seg_payload_bytes
     try:
         for i, cfg in enumerate(scenario.flows):
-            if controllers is not None and controllers[i] is not None:
-                controller = controllers[i]
-            else:
-                controller = create(cfg.cc, **cfg.cc_kwargs)
-            controller.reset()
+            controller = flow_controller(controllers, i, cfg)
             receivers[i] = ReceiverFlow(
                 i, expected_for_seq=(
                     lambda seq, fid=i: stream_chunk(fid, seq, seg_bytes)))
@@ -434,7 +403,7 @@ def run_scenario_socket_report(
             flows.append(_FlowRuntime(
                 index=i, sender=sender, sock=_open_udp(),
                 pkts_per_seg=pkts_per_seg, controller=controller,
-                monitor=FlowMonitor(scenario.link.rtt_s), log=log,
+                window=IntervalWindow(scenario.link.rtt_s), log=log,
                 mtp_s=scenario.mtp_s,
                 cwnd_pkts=controller.initial_cwnd,
                 next_ctrl_wall=clock.t0 + scenario.mtp_s / scale))

@@ -18,6 +18,9 @@ of the original deque implementation.  :class:`SampleStore` is what a
 into, and a columnar :meth:`SampleStore.collect` that folds many flows at
 once and returns :class:`MtpColumns`.  The row fold is the oracle the
 columnar fold is tested against, bit for bit (including the srtt fold).
+The packet and socket engines report raw counters instead of tick
+samples; their runners fold them into an :class:`IntervalWindow`, which
+keeps the same srtt rule.
 """
 
 from __future__ import annotations
@@ -165,12 +168,6 @@ class FlowMonitor:
         rows = self._buf[self._start:self._end]
         return [TickSample(*r) for r in rows.tolist()]
 
-    @property
-    def _pending(self) -> list[TickSample]:
-        # Backwards-compatible view for callers that peeked at the old
-        # deque (diagnostics / ablation benchmarks).
-        return self.pending_samples()
-
     def _reserve(self, k: int) -> None:
         """Make room for ``k`` more rows, compacting or growing the buffer."""
         live = self._end - self._start
@@ -307,6 +304,68 @@ class FlowMonitor:
             srtt_s=self._srtt,
             marked_pkts=marked,
         )
+
+
+class IntervalWindow:
+    """One flow's counters between two controller decisions.
+
+    What the packet and socket runners fold their raw per-MTP (or
+    per-ACK) counters into; :meth:`close` turns them into the
+    :class:`MtpStats` the controller sees and starts the next interval.
+    The srtt fold is :meth:`FlowMonitor.observe_rtt`'s, and an interval
+    without an RTT sample reuses srtt for both the mean and the minimum,
+    as :meth:`FlowMonitor.collect` does.
+    """
+
+    def __init__(self, base_rtt_s: float, start_s: float = 0.0):
+        self.srtt_s = base_rtt_s
+        self.start_s = start_s
+        self._clear()
+
+    def _clear(self) -> None:
+        self.sent = self.delivered = self.lost = 0.0
+        self._rtt_sum = self._rtt_weight = 0.0
+        self._rtt_min = float("inf")
+
+    def add(self, sent: float, delivered: float, lost: float) -> None:
+        """Count packets sent, delivered and lost inside the interval."""
+        self.sent += sent
+        self.delivered += delivered
+        self.lost += lost
+
+    def observe_rtt(self, rtt_s: float, weight: float = 1.0) -> None:
+        """Fold an RTT sample that stands for ``weight`` packets."""
+        self._rtt_sum += rtt_s * weight
+        self._rtt_weight += weight
+        self._rtt_min = min(self._rtt_min, rtt_s)
+        self.srtt_s += FlowMonitor.SRTT_GAIN * (rtt_s - self.srtt_s)
+
+    def close(self, now: float, pkts_in_flight: float, cwnd_pkts: float,
+              pacing_pps: float | None) -> MtpStats:
+        """The interval ending at ``now`` as one MTP record; resets."""
+        duration = max(now - self.start_s, 1e-9)
+        if self._rtt_weight > 0:
+            avg_rtt = self._rtt_sum / self._rtt_weight
+            min_rtt = self._rtt_min
+        else:
+            avg_rtt = min_rtt = self.srtt_s
+        stats = MtpStats(
+            time_s=now,
+            duration_s=duration,
+            throughput_pps=self.delivered / duration,
+            avg_rtt_s=avg_rtt,
+            min_rtt_s=min_rtt,
+            sent_pkts=self.sent,
+            delivered_pkts=self.delivered,
+            lost_pkts=self.lost,
+            pkts_in_flight=pkts_in_flight,
+            cwnd_pkts=cwnd_pkts,
+            pacing_pps=pacing_pps or 0.0,
+            srtt_s=self.srtt_s,
+        )
+        self.start_s = now
+        self._clear()
+        return stats
 
 
 #: ``MtpStats`` fields that are per-flow columns of :class:`MtpColumns`

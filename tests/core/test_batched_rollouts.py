@@ -1,7 +1,7 @@
 """End-to-end equivalence of the batched training fast path.
 
-The batched rollout (stacked act, shared-reward pass cache, deferred
-replay flushes) and the worker pool must be *bitwise* transparent: the
+The batched rollout (one stacked act per driver pass, deferred replay
+flushes) and the worker pool must be *bitwise* transparent: the
 same episode run serially, batched, or across pool workers leaves the
 learner in the identical state.  These tests pin that contract at the
 episode and the train-loop level; the unit-level pieces live in
@@ -50,8 +50,8 @@ def warm_learner():
 
 
 def scenario():
-    # Two agents plus CUBIC cross traffic: exercises the shared-reward
-    # cache, the mixed begin/finish pass and the cross-traffic slots.
+    # Two agents plus CUBIC cross traffic: exercises the shared reward,
+    # the mixed begin/finish pass and the cross-traffic slots.
     return ScenarioConfig(
         link=LinkConfig(bandwidth_mbps=96.0, rtt_ms=30.0, buffer_bdp=1.5),
         flows=(FlowConfig(cc="astraea", start_s=0.0, duration_s=5.0),

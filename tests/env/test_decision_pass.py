@@ -32,17 +32,20 @@ from repro.netsim.topology import parking_lot
 from repro.scenarios import build_scenario
 
 
-def drive_per_flow(driver):
-    """The reference: one ``on_interval`` call per due flow."""
+def drive_per_flow(driver, seen=None):
+    """The reference: one ``on_interval`` call per due flow; ``seen``
+    collects each decision's ``(now, flow index, stats)``."""
     while (due := driver.step_collect()) is not None:
         for rf, stats in due:
+            if seen is not None:
+                seen.append((driver.now, rf.index, stats))
             driver.finish_flow(rf, stats, rf.controller.on_interval(stats))
     return driver.result()
 
 
-def run_per_flow(scenario, controllers=None, on_interval=None):
-    return drive_per_flow(build_driver(scenario, controllers=controllers,
-                                       on_interval=on_interval))
+def run_per_flow(scenario, controllers=None, seen=None):
+    return drive_per_flow(build_driver(scenario, controllers=controllers),
+                          seen)
 
 
 @pytest.fixture(scope="module")
@@ -150,20 +153,21 @@ class TestBatchedPassEqualsPerFlow:
         #: pass time -> what each due flow did in that pass
         passes: dict[float, set[str]] = defaultdict(set)
 
-        def observe(now, _index, _stats, ctl):
-            if not isinstance(ctl, AstraeaController):
-                passes[now].add("classical")
-            elif ctl._in_slow_start:
-                passes[now].add("slow-start")
-            elif ctl._drain_left > 0:
-                passes[now].add("probe-drain")
-            else:
-                passes[now].add("alt" if ctl.policy is alt_bundle
-                                else "shipped")
+        def observe(now, flows, _stats):
+            for ctl in (rf.controller for rf in flows):
+                if not isinstance(ctl, AstraeaController):
+                    passes[now].add("classical")
+                elif ctl._in_slow_start:
+                    passes[now].add("slow-start")
+                elif ctl._drain_left > 0:
+                    passes[now].add("probe-drain")
+                else:
+                    passes[now].add("alt" if ctl.policy is alt_bundle
+                                    else "shipped")
 
         scenario = mixed_scenario()
         batched = run_scenario(scenario, mixed_controllers(alt_bundle),
-                               on_interval=observe)
+                               on_step=observe)
         reference = run_per_flow(scenario, mixed_controllers(alt_bundle))
         assert batched.flows == reference.flows
         # The scenario did put all five kinds of decision in one pass.
@@ -195,11 +199,9 @@ class TestBatchedPassEqualsPerFlow:
         scenario = churn_scenario()
         batched, reference = [], []
         result = run_scenario(
-            scenario,
-            on_interval=lambda now, i, s, c: batched.append((now, i, s)))
-        run_per_flow(
-            scenario,
-            on_interval=lambda now, i, s, c: reference.append((now, i, s)))
+            scenario, on_step=lambda now, flows, stats: batched.extend(
+                (now, rf.index, s) for rf, s in zip(flows, stats)))
+        run_per_flow(scenario, seen=reference)
         assert batched == reference
         assert len(batched) == sum(len(f.times) for f in result.flows)
         # Flows start in (start time, index) order and `_running` keeps
@@ -212,6 +214,32 @@ class TestBatchedPassEqualsPerFlow:
             passes[now].append(rank[i])
         assert any(len(ranks) > 3 for ranks in passes.values())
         assert all(ranks == sorted(ranks) for ranks in passes.values())
+
+    def test_step_hook_fires_on_every_engine_step_even_if_none_is_due(self):
+        # A training observer drives the learner's update clock from this
+        # hook.  Skipping a step at which no flow is due would move an
+        # update burst that falls due there from before the next pass's
+        # decisions to after them, and change every training trajectory.
+        for advance in ("step_block", "step"):
+            calls = []
+            driver = build_driver(
+                churn_scenario(), on_step=lambda now, flows, stats:
+                calls.append((now, [rf.index for rf in flows], stats)))
+            steps = 0
+            while True:
+                before = driver.now
+                if not getattr(driver, advance)():
+                    break
+                steps += 1
+                assert driver.now > before
+                assert calls[-1][0] == driver.now
+            assert len(calls) == steps, advance
+            assert any(not due for _, due, _ in calls), advance
+            assert all(len(due) == len(stats) and
+                       all(s.time_s == now for s in stats)
+                       for now, due, stats in calls)
+            logged = sum(len(f.times) for f in driver.result().flows)
+            assert sum(len(due) for _, due, _ in calls) == logged
 
     def test_non_finite_window_names_the_first_flow_in_running_order(self):
         class Broken(CongestionController):

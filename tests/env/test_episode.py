@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from repro.config import (
     replace,
 )
 from repro.core.learner import Learner
-from repro.env.episode import TrainFlowController, run_training_episode
+from repro.env.episode import Observer, TrainFlowController, \
+    run_training_episode
 from repro.netsim import staggered_flows
 
 SMALL = replace(TrainingConfig(), hidden_layers=(16, 16), batch_size=16,
@@ -158,46 +161,85 @@ class TestDeterminism:
         assert len(draws) == 3
 
 
+def step(obs, now):
+    """Fire ``obs`` as the driver's per-step hook for a pass in which
+    flow 0 decided at ``now``."""
+    from tests.cc.test_base import make_stats
+
+    obs(now, [SimpleNamespace(index=0)], [make_stats(time_s=now)])
+
+
 class TestObserverGuards:
+    def observer(self, learner):
+        ctl = TrainFlowController(learner, initial_cwnd=30.0)
+        flows = (FlowConfig(cc="astraea", duration_s=100.0),)
+        return ctl, Observer(learner, LINK, flows, [ctl])
+
     def test_skips_controller_that_has_no_state_yet(self):
         """A controller observed before its first on_interval has
         ``last_state is None``; the Observer must skip it rather than
         poison a transition tuple."""
-        from repro.env.episode import Observer
         from tests.cc.test_base import make_stats
 
         learner = Learner(SMALL)
-        ctl = TrainFlowController(learner, initial_cwnd=30.0)
-        flows = (FlowConfig(cc="astraea", duration_s=100.0),)
-        obs = Observer(learner, LINK, flows, [ctl])
+        ctl, obs = self.observer(learner)
 
-        obs(1.0, 0, make_stats(time_s=1.0), ctl)  # last_state is None
+        step(obs, 1.0)  # last_state is None
         assert obs.stats.transitions == 0
         assert len(learner.replay) == 0
 
         # Once the controller produces states, transitions resume.
         ctl.on_interval(make_stats(time_s=1.03))
-        obs(1.03, 0, make_stats(time_s=1.03), ctl)
+        step(obs, 1.03)
         ctl.on_interval(make_stats(time_s=1.06))
-        obs(1.06, 0, make_stats(time_s=1.06), ctl)
+        step(obs, 1.06)
         assert obs.stats.transitions == 1
         assert len(learner.replay) == 1
 
     def test_reset_mid_episode_drops_stale_pending_pair(self):
-        from repro.env.episode import Observer
         from tests.cc.test_base import make_stats
 
         learner = Learner(SMALL)
-        ctl = TrainFlowController(learner, initial_cwnd=30.0)
-        flows = (FlowConfig(cc="astraea", duration_s=100.0),)
-        obs = Observer(learner, LINK, flows, [ctl])
+        ctl, obs = self.observer(learner)
 
         ctl.on_interval(make_stats(time_s=1.0))
-        obs(1.0, 0, make_stats(time_s=1.0), ctl)      # seeds pending
-        ctl.reset()                                   # last_state -> None
-        obs(1.03, 0, make_stats(time_s=1.03), ctl)    # must drop pending
+        step(obs, 1.0)       # seeds pending
+        ctl.reset()          # last_state -> None
+        step(obs, 1.03)      # must drop pending
         assert obs.stats.transitions == 0
 
         ctl.on_interval(make_stats(time_s=1.06))
-        obs(1.06, 0, make_stats(time_s=1.06), ctl)
+        step(obs, 1.06)
         assert obs.stats.transitions == 0  # pending re-seeded, not paired
+
+    def test_a_pass_with_no_due_flow_still_runs_the_update_clock(self):
+        learner = Learner(SMALL)
+        _ctl, obs = self.observer(learner)
+        obs(SMALL.update_interval_s, [], [])
+        assert obs.stats.update_bursts == 1
+        assert obs.stats.transitions == 0
+
+
+class TestStackedForward:
+    def test_batched_leg_stacks_the_pass_and_serial_leg_does_not(
+            self, monkeypatch):
+        rows = {True: [], False: []}
+        leg = [True]
+        act_batch = Learner.act_batch
+
+        def counting(self, states, noise_std=0.0):
+            rows[leg[0]].append(len(states))
+            return act_batch(self, states, noise_std)
+
+        monkeypatch.setattr(Learner, "act_batch", counting)
+        scenario = ScenarioConfig(
+            link=LINK, flows=(FlowConfig(cc="astraea"),) * 3,
+            duration_s=2.0)
+        for batched in (True, False):
+            leg[0] = batched
+            learner = Learner(replace(SMALL, warmup_transitions=0))
+            run_training_episode(learner, scenario, noise_std=0.1,
+                                 initial_cwnds=[30.0] * 3,
+                                 batched=batched)
+        assert max(rows[True]) == 3     # one forward for all three agents
+        assert set(rows[False]) == {1}  # one forward per agent

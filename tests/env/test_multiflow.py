@@ -40,17 +40,17 @@ class TestLifecycle:
         result = run_scenario(scenario)  # returns promptly
         assert np.asarray(result.flows[0].times).max() <= 2.1
 
-    def test_on_interval_hook_sees_every_decision(self):
+    def test_step_hook_sees_every_decision(self):
         calls = []
         scenario = ScenarioConfig(
             link=LINK,
             flows=(FlowConfig(cc="cubic", start_s=0.0),),
             duration_s=3.0,
         )
-        run_scenario(scenario, on_interval=lambda now, i, s, c:
-                     calls.append((now, i)))
+        run_scenario(scenario, on_step=lambda now, flows, stats: calls.extend(
+            (now, rf.index, s) for rf, s in zip(flows, stats)))
         assert len(calls) == len(run_scenario(scenario).flows[0].times)
-        assert all(i == 0 for _, i in calls)
+        assert all(i == 0 and s.time_s == now for now, i, s in calls)
 
     def test_injected_controllers_used(self):
         from repro.cc import Decision

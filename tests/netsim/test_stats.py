@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.stats import FlowMonitor, MtpStats, TickSample
+from repro.netsim.stats import FlowMonitor, IntervalWindow, MtpStats, \
+    TickSample
 
 
 def sample(time, avail_at, rtt=0.03, sent=10.0, delivered=9.0, lost=1.0,
@@ -50,6 +51,67 @@ class TestFlowMonitor:
                             pkts_in_flight=3)
         assert stats.avg_rtt_s == pytest.approx(0.05)
         assert stats.min_rtt_s == pytest.approx(0.05)
+
+
+class TestIntervalWindow:
+    """The packet / socket runners' interval counters."""
+
+    RTTS = [0.031, 0.0875, 0.02, 0.0523, 0.04100000000000001, 0.3]
+
+    def test_srtt_fold_is_flow_monitors_bit_for_bit(self):
+        window = IntervalWindow(base_rtt_s=0.03)
+        mon = FlowMonitor(base_rtt_s=0.03)
+        for i, rtt in enumerate(self.RTTS):
+            window.observe_rtt(rtt, weight=1.0 + i)
+            mon.observe_rtt(rtt)
+            assert window.srtt_s.hex() == mon.srtt_s.hex()
+        stats = window.close(1.0, pkts_in_flight=0.0, cwnd_pkts=10.0,
+                             pacing_pps=None)
+        assert stats.srtt_s.hex() == mon.srtt_s.hex()
+
+    def test_empty_interval_reuses_srtt_for_mean_and_min(self):
+        window = IntervalWindow(base_rtt_s=0.03)
+        window.observe_rtt(0.06)
+        window.close(0.5, 0.0, 10.0, None)  # drain the sample
+        window.add(sent=4.0, delivered=0.0, lost=4.0)
+        stats = window.close(1.0, 0.0, 10.0, None)
+        assert stats.avg_rtt_s == stats.min_rtt_s == window.srtt_s
+        assert stats.srtt_s == window.srtt_s != 0.03
+        assert stats.throughput_pps == 0.0 and stats.loss_rate == 1.0
+
+    def test_mean_is_delivered_weighted_and_min_unweighted(self):
+        window = IntervalWindow(base_rtt_s=0.03, start_s=2.0)
+        window.add(sent=30.0, delivered=27.0, lost=3.0)
+        window.observe_rtt(0.04, weight=20.0)
+        window.observe_rtt(0.10, weight=7.0)
+        stats = window.close(2.5, pkts_in_flight=6.0, cwnd_pkts=40.0,
+                             pacing_pps=900.0)
+        assert stats.avg_rtt_s == (0.04 * 20.0 + 0.10 * 7.0) / 27.0
+        assert stats.min_rtt_s == 0.04
+        assert stats.throughput_pps == 27.0 / 0.5
+        assert (stats.sent_pkts, stats.delivered_pkts, stats.lost_pkts) \
+            == (30.0, 27.0, 3.0)
+        assert (stats.time_s, stats.pkts_in_flight, stats.cwnd_pkts,
+                stats.pacing_pps) == (2.5, 6.0, 40.0, 900.0)
+
+    def test_close_resets_counters_and_starts_the_next_interval(self):
+        window = IntervalWindow(base_rtt_s=0.03, start_s=1.0)
+        window.add(10.0, 9.0, 1.0)
+        window.observe_rtt(0.05)
+        first = window.close(1.3, 0.0, 10.0, None)
+        assert first.duration_s == pytest.approx(0.3)
+        assert first.pacing_pps == 0.0  # unpaced reads as 0
+        srtt = window.srtt_s
+        second = window.close(1.42, 0.0, 10.0, None)
+        assert second.duration_s == pytest.approx(0.12)
+        assert (second.sent_pkts, second.delivered_pkts,
+                second.lost_pkts) == (0.0, 0.0, 0.0)
+        # The srtt carries across intervals; the per-interval RTT
+        # statistics do not.
+        assert second.avg_rtt_s == second.min_rtt_s == srtt == \
+            window.srtt_s
+        # Two closes at one instant still yield a positive duration.
+        assert window.close(1.42, 0.0, 10.0, None).duration_s == 1e-9
 
 
 class TestMtpStats:
@@ -127,11 +189,10 @@ class TestRingBuffer:
         assert stats.sent_pkts == 6.0
         assert len(mon) == 0
 
-    def test_pending_property_compat(self):
-        # Diagnostics peek at ``_pending``; it must mirror the ring.
+    def test_pending_samples_mirror_the_ring(self):
         mon = FlowMonitor(base_rtt_s=0.03)
         mon.push(sample(time=0.5, avail_at=0.6))
-        view = list(mon._pending)
+        view = mon.pending_samples()
         assert len(view) == 1
         assert view[0].time == 0.5
         assert view[0].avail_at == 0.6
