@@ -120,7 +120,7 @@ def test_ablation_observation_delay(benchmark):
             net = FluidNetwork(link)
             fid = net.add_flow(base_rtt_s=rtt_ms / 1e3, cwnd_pkts=100.0)
             net.advance(0.002)
-            pending = net.monitor(fid).pending_samples()
+            pending = net.pending_samples(fid)
             out[rtt_ms] = pending[0].avail_at - pending[0].time
         return out
 

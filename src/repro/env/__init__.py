@@ -13,9 +13,9 @@ from .multiflow import (
     ScenarioResult,
     build_driver,
     run_scenario,
+    run_scenario_packet,
     run_topology,
 )
-from .packetrun import run_scenario_packet
 from .pool import EnvironmentPool
 
 __all__ = [

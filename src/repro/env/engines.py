@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from ..config import ScenarioConfig
 from ..errors import ConfigError
-from .multiflow import run_scenario
-from .packetrun import run_scenario_packet
+from .multiflow import run_scenario, run_scenario_packet
 
 
 def _run_scenario_socket(scenario: ScenarioConfig):

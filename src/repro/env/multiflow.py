@@ -1,19 +1,19 @@
 """Multi-flow scenario runner (§3.2 "Runtime" + "Flow generator").
 
-:func:`run_scenario` builds a :class:`~repro.netsim.fluid.FluidNetwork`
-from a :class:`~repro.config.ScenarioConfig`, instantiates one congestion
-controller per flow, starts and stops flows at their configured times, and
-drives every controller at its own monitoring cadence.  The result records
-one row per (flow, monitoring interval) which all metrics and benchmarks
+:class:`ScenarioDriver` is the one control loop of all three engines:
+it instantiates one congestion controller per flow, starts and stops
+flows at their configured times, and drives every controller at its own
+monitoring cadence.  :func:`run_scenario` runs a
+:class:`~repro.config.ScenarioConfig` on the fluid engine,
+:func:`run_scenario_packet` on the packet engine, and
+:func:`run_topology` over a multi-bottleneck
+:class:`~repro.netsim.topology.TopologyConfig`.  The result records one
+row per (flow, monitoring interval) which all metrics and benchmarks
 consume.
-
-:func:`run_topology` does the same over a multi-bottleneck
-:class:`~repro.netsim.topology.TopologyConfig`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,7 +23,7 @@ from ..cc import create
 from ..cc.base import CongestionController, Decision, TwoPhaseController
 from ..config import FlowConfig, ScenarioConfig
 from ..errors import SimulationError
-from ..netsim import FluidNetwork, INITIAL_CWND_PKTS
+from ..netsim import FluidNetwork, PacketNetwork
 from ..netsim.stats import MtpColumns, MtpStats
 from ..netsim.topology import TopologyConfig
 from ..netsim.traces import create_trace
@@ -210,17 +210,6 @@ def flow_controller(controllers: list[CongestionController | None] | None,
     return controller
 
 
-def decide(controller: CongestionController, stats: MtpStats,
-           flow: int) -> Decision:
-    """One per-object decision, refusing a non-finite window with the
-    error the fluid engine raises when such a window reaches it."""
-    decision = controller.on_interval(stats)
-    if not math.isfinite(decision.cwnd_pkts):
-        raise SimulationError(
-            f"non-finite cwnd for flow {flow}: {decision.cwnd_pkts}")
-    return decision
-
-
 def _stacked_policy(controller: CongestionController):
     """The forward the driver may stack for ``controller``.
 
@@ -255,35 +244,43 @@ class _RunningFlow:
 
 
 class ScenarioDriver:
-    """Steppable scenario executor.
+    """Steppable scenario executor over any of the three engines.
 
-    One call to :meth:`step` advances the network by one tick and runs
-    every controller whose monitoring interval expired; :meth:`step_block`
-    advances to the next such event in one engine block.  ``run_scenario``
-    and the fleet shards step a driver to completion, and so does a
-    training episode (:func:`repro.env.episode.run_training_episode`),
-    whose observer is the driver's ``on_step`` hook.
+    :meth:`step_block` advances the engine to its next decision instant
+    or flow event and runs every controller whose monitoring interval
+    expired there; :meth:`run` steps to completion.  The runners of all
+    three engines, the fleet shards and training episodes run one (the
+    training observer is the ``on_step`` hook).
+
+    The engine supplies ``now``, its decision granularity ``tick_s``,
+    ``add_flows`` / ``remove_flows`` / ``slots`` / ``collect_stats`` /
+    ``set_cwnds``, ``advance_to(t)``, ``instants(slots)`` (which flows
+    stand at a decision instant) and ``windowed`` (whether it keeps
+    flows' sending windows itself).  ``flow_spec(i)`` is flow ``i``'s
+    spec less what the driver adds: the initial window, and on a
+    windowed engine ``start_s`` / ``stop_s``.
     """
 
-    def __init__(self, engine: FluidNetwork, scenario_flows, paths,
-                 base_rtt_fn, duration_s: float, tick_s: float, controllers,
-                 bottleneck_mbps: float, base_rtt_s: float,
+    def __init__(self, engine, scenario_flows, flow_spec, duration_s: float,
+                 controllers, bottleneck_mbps: float, base_rtt_s: float,
                  on_step=None, align_intervals: bool = False):
         self._engine = engine
         self._flows = scenario_flows
-        self._paths = paths
-        self._base_rtt_fn = base_rtt_fn
+        self._flow_spec = flow_spec
         self.duration_s = duration_s
-        self._tick_s = tick_s
+        self._tick_s = engine.tick_s
         self._controllers = controllers
         self._on_step = on_step
         self._align_intervals = align_intervals
         self._logs = [FlowLog(cc_name=f.cc, start_s=f.start_s,
                               end_s=min(f.end_s(), duration_s))
                       for f in scenario_flows]
-        self._pending = deque(sorted(
-            range(len(scenario_flows)),
-            key=lambda i: scenario_flows[i].start_s))
+        # A windowed engine gets every flow at once, with its window.
+        self._windowed = engine.windowed
+        self._start_at = [0.0 if self._windowed else f.start_s
+                          for f in scenario_flows]
+        self._pending = deque(sorted(range(len(scenario_flows)),
+                                     key=self._start_at.__getitem__))
         self._running: list[_RunningFlow] = []
         # Per running flow, in ``_running`` order: next controller
         # deadline and engine slot; plus the earliest flow end.
@@ -299,7 +296,7 @@ class ScenarioDriver:
         return self._engine.now
 
     @property
-    def engine(self) -> FluidNetwork:
+    def engine(self):
         """The underlying network engine (read-only observer access)."""
         return self._engine
 
@@ -331,25 +328,24 @@ class ScenarioDriver:
         # engine's SoA state once per flow — O(n^2) for an n-flow shard.
         due = []
         while self._pending and \
-                self._flows[self._pending[0]].start_s <= now + 1e-12:
+                self._start_at[self._pending[0]] <= now + 1e-12:
             i = self._pending.popleft()
             cfg = self._flows[i]
             due.append((i, cfg, flow_controller(self._controllers, i, cfg)))
         if not due:
             return
-        fids = self._engine.add_flows([
-            {
-                "base_rtt_s": self._base_rtt_fn(i),
-                "path": list(self._paths[i]) if self._paths is not None
-                else None,
-                "cwnd_pkts": controller.initial_cwnd,
-            }
-            for i, _cfg, controller in due
-        ])
+        specs = []
+        for i, cfg, controller in due:
+            spec = self._flow_spec(i)
+            spec["cwnd_pkts"] = controller.initial_cwnd
+            if self._windowed:
+                spec.update(start_s=cfg.start_s, stop_s=self._logs[i].end_s)
+            specs.append(spec)
+        fids = self._engine.add_flows(specs)
         for fid, (i, cfg, controller) in zip(fids, due):
             self._running.append(_RunningFlow(
                 index=i, engine_id=fid, controller=controller,
-                end_s=min(cfg.end_s(), self.duration_s),
+                end_s=np.inf if self._windowed else self._logs[i].end_s,
                 policy=_stacked_policy(controller),
             ))
         self._renumber(np.concatenate([self._next_ctrl, [
@@ -388,7 +384,8 @@ class ScenarioDriver:
         return True
 
     def step(self) -> bool:
-        """Advance one tick; returns False once the scenario finished."""
+        """Advance the fluid engine one tick; returns False once the
+        scenario finished."""
         if not self._begin_step():
             return False
         engine = self._engine
@@ -397,39 +394,36 @@ class ScenarioDriver:
         return True
 
     def _advance_to_next_event(self) -> None:
-        """Advance the engine to the next controller/flow event in one
-        block.
-
-        The block is sized so that no controller deadline, flow
-        start/stop, or the scenario end falls strictly inside it, and
-        the tick count is the *floor* of the distance to the nearest
-        event, so the landing tick boundaries are exactly the ones
-        per-tick stepping would visit.  Float rounding makes the floor
-        land one tick short of about a third of all events, which merely
-        costs another one-tick block — do not nudge it: the floor is
-        load-bearing for the pinned digests (rounding up instead moves
-        both pinned fleet digests).
-        """
+        """Advance the engine towards the nearest controller deadline
+        still ahead, flow start/stop, or the scenario end (a deadline
+        already passed is a packet flow's, waiting for its MTP event)."""
         engine = self._engine
+        next_ctrl = self._next_ctrl
         horizon = min(self.duration_s, self._next_end,
-                      self._next_ctrl.min(initial=np.inf))
+                      next_ctrl.min(initial=np.inf,
+                                    where=next_ctrl > engine.now))
         if self._pending:
-            horizon = min(horizon, self._flows[self._pending[0]].start_s)
-        n_ticks = max(1, int((horizon - engine.now) / self._tick_s))
-        engine.advance_block(self._tick_s, n_ticks)
+            horizon = min(horizon, self._start_at[self._pending[0]])
+        engine.advance_to(horizon)
 
     def step_block(self) -> bool:
-        """Advance to the next controller/flow event in one engine block.
+        """Advance to the next controller/flow event and run the pass.
 
-        Equivalent to calling :meth:`step` repeatedly (see
-        :meth:`_advance_to_next_event`); between MTP decisions this lets
-        the engine run its vectorized multi-tick kernel.
+        On the fluid engine this equals calling :meth:`step` repeatedly
+        (see :meth:`_advance_to_next_event`); between MTP decisions it
+        lets the engine run its vectorized multi-tick kernel.
         """
         if not self._begin_step():
             return False
         self._advance_to_next_event()
         self._controller_pass(self._engine.now)
         return True
+
+    def run(self) -> ScenarioResult:
+        """Step to completion and return the logs."""
+        while self.step_block():
+            pass
+        return self.result()
 
     def _controller_pass(self, now: float) -> None:
         """Run every controller whose monitoring interval has expired,
@@ -504,12 +498,14 @@ class ScenarioDriver:
                     ) -> tuple[list[_RunningFlow], MtpColumns | None]:
         """Stats for every flow whose monitoring interval has expired.
 
-        One columnar collect over the due flows' engine slots — monitor
-        reads only, no controller call and no engine mutation.  Returns
+        A flow is due once its deadline is not after the decision
+        instant it stands at (``engine.instants``).  One columnar collect
+        over the due flows' engine slots, no controller call.  Returns
         the due flows in ``_running`` order and their stats as columns
         (``None`` when no flow is due, which is most per-tick steps).
         """
-        pos = np.flatnonzero(self._next_ctrl <= now + 1e-12)
+        pos = np.flatnonzero(
+            self._next_ctrl <= self._engine.instants(self._slots) + 1e-12)
         if not len(pos):
             return [], None
         running = self._running
@@ -570,36 +566,29 @@ class ScenarioDriver:
         )
 
 
-def _drive(engine: FluidNetwork, scenario_flows, paths, base_rtt_fn,
-           duration_s: float, tick_s: float, controllers, bottleneck_mbps: float,
-           base_rtt_s: float) -> ScenarioResult:
-    """Run a driver to completion (single-link and topology runs)."""
-    driver = ScenarioDriver(engine, scenario_flows, paths, base_rtt_fn,
-                            duration_s, tick_s, controllers,
-                            bottleneck_mbps, base_rtt_s)
-    while driver.step_block():
-        pass
-    return driver.result()
-
-
 def build_driver(scenario: ScenarioConfig,
                  controllers: list[CongestionController | None] | None = None,
-                 on_step=None,
-                 align_intervals: bool = False) -> ScenarioDriver:
-    """Create a steppable driver for a single-bottleneck scenario."""
-    traces = None
-    if scenario.trace is not None:
-        traces = {scenario.link.name: create_trace(scenario.trace,
-                                                   **scenario.trace_kwargs)}
-    engine = FluidNetwork(scenario.link, traces=traces, seed=scenario.seed,
-                          faults=scenario.faults)
+                 on_step=None, align_intervals: bool = False,
+                 engine=None) -> ScenarioDriver:
+    """Create a steppable driver for a single-bottleneck scenario.
 
-    def base_rtt(i: int) -> float:
-        return scenario.link.rtt_s + scenario.flows[i].extra_rtt_ms / 1e3
+    ``engine`` defaults to a :class:`FluidNetwork` for the scenario.
+    """
+    if engine is None:
+        traces = None
+        if scenario.trace is not None:
+            traces = {scenario.link.name: create_trace(
+                scenario.trace, **scenario.trace_kwargs)}
+        engine = FluidNetwork(scenario.link, traces=traces,
+                              seed=scenario.seed, faults=scenario.faults,
+                              tick_s=scenario.tick_s)
+
+    def flow_spec(i: int) -> dict:
+        return {"base_rtt_s":
+                scenario.link.rtt_s + scenario.flows[i].extra_rtt_ms / 1e3}
 
     return ScenarioDriver(
-        engine, scenario.flows, None, base_rtt,
-        scenario.duration_s, scenario.tick_s, controllers,
+        engine, scenario.flows, flow_spec, scenario.duration_s, controllers,
         bottleneck_mbps=scenario.link.bandwidth_mbps,
         base_rtt_s=scenario.link.rtt_s,
         on_step=on_step,
@@ -620,26 +609,40 @@ def run_scenario(scenario: ScenarioConfig,
     records with ``index`` and ``controller``, possibly none) and their
     stats — the training loop uses it to harvest transitions.
     """
-    driver = build_driver(scenario, controllers=controllers,
-                          on_step=on_step)
-    while driver.step_block():
-        pass
-    return driver.result()
+    return build_driver(scenario, controllers=controllers,
+                        on_step=on_step).run()
+
+
+def run_scenario_packet(scenario: ScenarioConfig,
+                        controllers: list[CongestionController | None]
+                        | None = None) -> ScenarioResult:
+    """:func:`run_scenario` on the packet engine: each flow decides at
+    its own MTP events, the last at or after its stop.  Traced
+    (variable-capacity) scenarios stay on the fluid engine."""
+    if scenario.trace is not None:
+        raise SimulationError(
+            "the packet runner does not support capacity traces; "
+            "run traced scenarios on the fluid engine")
+    engine = PacketNetwork(scenario.link, seed=scenario.seed,
+                           mtp_s=scenario.mtp_s, faults=scenario.faults)
+    return build_driver(scenario, controllers, engine=engine).run()
 
 
 def run_topology(topology: TopologyConfig,
                  controllers: list[CongestionController | None] | None = None,
                  ) -> ScenarioResult:
     """Run a multi-bottleneck scenario described by a TopologyConfig."""
-    engine = FluidNetwork(list(topology.links), seed=topology.seed)
     first_link = topology.links[0]
 
-    def base_rtt(i: int) -> float:
-        return first_link.rtt_s + topology.flows[i].extra_rtt_ms / 1e3
+    def flow_spec(i: int) -> dict:
+        return {"base_rtt_s":
+                first_link.rtt_s + topology.flows[i].extra_rtt_ms / 1e3,
+                "path": list(topology.paths[i])}
 
-    return _drive(
-        engine, topology.flows, topology.paths, base_rtt,
-        topology.duration_s, topology.tick_s, controllers,
+    return ScenarioDriver(
+        FluidNetwork(list(topology.links), seed=topology.seed,
+                     tick_s=topology.tick_s),
+        topology.flows, flow_spec, topology.duration_s, controllers,
         bottleneck_mbps=first_link.bandwidth_mbps,
         base_rtt_s=first_link.rtt_s,
-    )
+    ).run()

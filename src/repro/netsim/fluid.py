@@ -62,7 +62,6 @@ from .stats import (
     COL_SENT,
     COL_TIME,
     MtpColumns,
-    MtpStats,
     SampleStore,
     TickSample,
 )
@@ -78,6 +77,16 @@ SLOWPATH_ENV = "REPRO_ENGINE_SLOWPATH"
 def slowpath_enabled() -> bool:
     """Whether ``REPRO_ENGINE_SLOWPATH`` selects the reference path."""
     return os.environ.get(SLOWPATH_ENV, "").strip() not in ("", "0")
+
+
+def check_cwnds(cwnd_pkts, flow_id) -> None:
+    """Every engine's ``set_cwnds`` rule: a non-finite window raises,
+    naming the first such flow (entry ``k`` is flow ``flow_id(k)``)."""
+    finite = np.isfinite(cwnd_pkts)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise SimulationError(
+            f"non-finite cwnd for flow {flow_id(bad)}: {cwnd_pkts[bad]}")
 
 
 @dataclass
@@ -108,41 +117,6 @@ class _LinkState:
         return self.config.buffer_size_packets
 
 
-class _FlowMonitorView:
-    """One flow's slice of the network's sample store, with the row API
-    of :class:`~repro.netsim.stats.FlowMonitor` (diagnostics and tests;
-    the driver collects in columns)."""
-
-    def __init__(self, net: FluidNetwork, fid: int):
-        self._net = net
-        self._fid = fid
-
-    @property
-    def _slot(self) -> int:
-        return self._net._slot_of(self._fid)
-
-    @property
-    def srtt_s(self) -> float:
-        """Current smoothed RTT estimate in seconds."""
-        return self._net._samples.srtt.item(self._slot)
-
-    def __len__(self) -> int:
-        return len(self._net._samples.pending(self._slot))
-
-    def pending_samples(self) -> list[TickSample]:
-        """Materialise the undrained samples (oldest first) for inspection."""
-        rows = self._net._samples.pending(self._slot)
-        return [TickSample(*r) for r in rows.tolist()]
-
-    def collect(self, now: float, cwnd_pkts: float, pacing_pps: float,
-                pkts_in_flight: float) -> MtpStats:
-        """Aggregate all samples observable at ``now`` into one MTP record."""
-        return self._net._samples.collect(
-            np.array([self._slot]), now, np.array([float(cwnd_pkts)]),
-            np.array([float(pacing_pps)]),
-            np.array([float(pkts_in_flight)])).rows()[0]
-
-
 class FluidNetwork:
     """Multi-flow, multi-link fluid simulator.
 
@@ -166,12 +140,17 @@ class FluidNetwork:
         ``True`` forces the per-tick reference implementation, ``False``
         forces the vectorized fast path; ``None`` (default) follows the
         ``REPRO_ENGINE_SLOWPATH`` environment variable.
+    tick_s:
+        The tick of :meth:`advance_to`: the decision granularity.
     """
+
+    #: Flows send from :meth:`add_flows` to :meth:`remove_flows`.
+    windowed = False
 
     def __init__(self, links: list[LinkConfig] | LinkConfig,
                  traces: dict[str, CapacityTrace] | None = None,
                  seed: int = 0, faults: FaultSchedule | None = None,
-                 slowpath: bool | None = None):
+                 slowpath: bool | None = None, tick_s: float = 0.002):
         if isinstance(links, LinkConfig):
             links = [links]
         if not links:
@@ -196,6 +175,7 @@ class FluidNetwork:
         self._rng = np.random.default_rng(seed)
         self._faults = faults if faults else None
         self.now = 0.0
+        self.tick_s = tick_s
         self._slowpath = slowpath_enabled() if slowpath is None else slowpath
         # Constant-rate links resolve their capacity once; traced links
         # are re-evaluated per tick through the same code path as the
@@ -373,12 +353,7 @@ class FluidNetwork:
         ``None`` when none is paced.  All-or-nothing: a non-finite window
         raises naming the first offending flow and applies nothing.
         """
-        finite = np.isfinite(cwnd_pkts)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise SimulationError(
-                f"non-finite cwnd for flow {self.flow_ids[slots[bad]]}: "
-                f"{cwnd_pkts[bad]}")
+        check_cwnds(cwnd_pkts, lambda k: self.flow_ids[slots[k]])
         self._cwnd[slots] = np.clip(cwnd_pkts, MIN_CWND_PKTS, 1e9)
         self._pacing[slots] = np.inf if pacing_pps is None else pacing_pps
 
@@ -397,10 +372,10 @@ class FluidNetwork:
         """Ids of all currently registered flows."""
         return list(self._flows)
 
-    def monitor(self, fid: int) -> _FlowMonitorView:
-        """The sender-side monitor of a flow (a view of the shared store)."""
-        self._slot_of(fid)
-        return _FlowMonitorView(self, fid)
+    def pending_samples(self, fid: int) -> list[TickSample]:
+        """A flow's undrained tick samples, oldest first (diagnostics)."""
+        rows = self._samples.pending(self._slot_of(fid))
+        return [TickSample(*r) for r in rows.tolist()]
 
     def collect_stats(self, slots: np.ndarray, now: float) -> MtpColumns:
         """Drain every sample observable at ``now`` for the flows at
@@ -512,6 +487,18 @@ class FluidNetwork:
                 self._advance_reference(dt)
         else:
             self._advance_fast(dt, n_ticks)
+
+    def advance_to(self, t: float) -> None:
+        """Advance whole ticks (at least one) towards ``t``: the *floor*
+        of the distance, so the boundaries are the ones per-tick stepping
+        visits.  Rounding lands one tick short of a third of all targets;
+        do not round up instead — it moves both pinned fleet digests."""
+        self.advance_block(self.tick_s,
+                           max(1, int((t - self.now) / self.tick_s)))
+
+    def instants(self, slots: np.ndarray) -> float:
+        """Every flow stands at a decision instant at every tick."""
+        return self.now
 
     # -- reference per-tick path ---------------------------------------
 

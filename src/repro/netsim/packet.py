@@ -5,8 +5,9 @@ but it is an approximation.  This module provides a reference packet-level
 simulator — a drop-tail FIFO bottleneck with per-packet service, explicit
 propagation delay and per-packet random loss — used by the fidelity tests
 to check that the fluid model's per-MTP statistics (throughput shares,
-RTT inflation, loss under overload) agree with real FIFO queueing, and by
-integration tests that drive full CC controllers per-ACK-clocked.
+RTT inflation, loss under overload) agree with real FIFO queueing, and as
+the second engine under :class:`~repro.env.multiflow.ScenarioDriver`,
+which drives full CC controllers on it per-ACK-clocked.
 
 Event model
 -----------
@@ -16,12 +17,17 @@ expectation to the fluid model's ``base_rtt + queue/capacity``.  Senders
 are cwnd-limited and optionally paced; drops are tail drops plus Bernoulli
 random loss, and the sender learns of a drop one base RTT after it happens
 (a duplicate-ACK-like notification), which also releases the in-flight slot.
+Every ``mtp_s`` from its start each flow has an MTP event, which folds the
+period's counters into the flow's
+:class:`~repro.netsim.stats.IntervalWindow`; MTP events are the engine's
+decision instants.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -31,6 +37,8 @@ from ..config import LinkConfig
 from ..errors import SimulationError
 from ..units import mbps_to_pps
 from .faults import FaultSchedule
+from .fluid import check_cwnds
+from .stats import IntervalWindow, MtpColumns
 
 _SEND = 0
 _SERVICE_DONE = 1
@@ -58,6 +66,7 @@ class _Flow:
     fid: int
     cwnd: float
     base_rtt_s: float
+    window: IntervalWindow
     max_cwnd: float = float("inf")
     pacing_pps: float | None = None
     start_s: float = 0.0
@@ -65,6 +74,8 @@ class _Flow:
     inflight: int = 0
     next_send_ok: float = 0.0
     send_event_at: float = -1.0
+    #: Time of the MTP event the flow is stopped at, else ``-inf``.
+    fired_at: float = -math.inf
     stats: PacketFlowStats = field(default_factory=PacketFlowStats)
     # Per-MTP accumulators.
     mtp_delivered: int = 0
@@ -74,12 +85,12 @@ class _Flow:
 
 
 class PacketNetwork:
-    """Single-bottleneck packet-level simulator.
+    """Single-bottleneck packet-level simulator with the fluid engine's
+    batch surface (see :class:`~repro.env.multiflow.ScenarioDriver`);
+    runs resume exactly (:meth:`advance_to`, :meth:`run`)."""
 
-    Flows are added with :meth:`add_flow`; an optional per-flow callback
-    ``on_mtp(stats_dict) -> new_cwnd`` runs every ``mtp_s`` and may adjust
-    the window, which lets real controllers drive the packet engine.
-    """
+    #: Flows send inside their own ``[start_s, stop_s)`` windows.
+    windowed = True
 
     def __init__(self, link: LinkConfig, seed: int = 0, mtp_s: float = 0.030,
                  faults: FaultSchedule | None = None):
@@ -91,51 +102,99 @@ class PacketNetwork:
         self._busy = False
         self._events: list[tuple[float, int, int, int, float]] = []
         self._counter = itertools.count()
-        self._flows: dict[int, _Flow] = {}
-        self._callbacks: dict[int, object] = {}
+        #: Every flow ever added, by id (which is also its slot).
+        self._flows: list[_Flow] = []
+        #: Flows stopped at an MTP event, released by the next advance.
+        self._fired: list[_Flow] = []
         self._rng = np.random.default_rng(seed)
-        self._mtp_s = mtp_s
+        #: The decision granularity: one MTP.
+        self.tick_s = mtp_s
         self.now = 0.0
 
     # ------------------------------------------------------------------
 
     def add_flow(self, base_rtt_s: float, cwnd: float = 10.0,
-                 pacing_pps: float | None = None,
-                 on_mtp=None, start_s: float = 0.0,
+                 pacing_pps: float | None = None, start_s: float = 0.0,
                  stop_s: float = float("inf")) -> int:
-        """Register a flow; returns its id.  Must be called before run().
+        """Register one flow; returns its id (see :meth:`add_flows`)."""
+        return self.add_flows([{
+            "base_rtt_s": base_rtt_s, "cwnd_pkts": cwnd,
+            "pacing_pps": pacing_pps, "start_s": start_s,
+            "stop_s": stop_s}])[0]
 
-        The flow sends only inside ``[start_s, stop_s)``; in-flight
-        packets launched before ``stop_s`` still drain normally.
-        """
-        if base_rtt_s <= 0:
-            raise SimulationError("base rtt must be positive")
-        if start_s < 0:
-            raise SimulationError("flow start must be >= 0")
-        if stop_s <= start_s:
-            raise SimulationError("flow stop must be after its start")
-        fid = len(self._flows)
-        # Cap the acceptable window at the pipe limit (buffer plus a few
-        # bandwidth-delay products).  Every packet beyond it is an
-        # immediate, guaranteed tail drop: simulating each one costs an
-        # event while telling the sender nothing it does not already see
-        # at the cap, and rate-based schemes (BBR, Vivace, Astraea) can
-        # otherwise push cwnd so high during a blackout that the event
-        # queue grows without bound.
-        max_cwnd = self._buffer_pkts + 4.0 * self._capacity_pps * base_rtt_s
-        self._flows[fid] = _Flow(fid=fid, cwnd=min(cwnd, max_cwnd),
-                                 base_rtt_s=base_rtt_s, max_cwnd=max_cwnd,
-                                 pacing_pps=pacing_pps, start_s=start_s,
-                                 stop_s=stop_s)
-        if on_mtp is not None:
-            self._callbacks[fid] = on_mtp
-        return fid
+    def add_flows(self, specs) -> list[int]:
+        """Register flows; returns their ids.  A spec has ``base_rtt_s``
+        and optionally ``cwnd_pkts`` (10), ``pacing_pps``, ``start_s`` and
+        ``stop_s``: the flow sends only inside ``[start_s, stop_s)``, and
+        packets launched before ``stop_s`` still drain."""
+        specs = [{"start_s": 0.0, "stop_s": math.inf, **spec}
+                 for spec in specs]
+        for spec in specs:
+            if spec["base_rtt_s"] <= 0:
+                raise SimulationError("base rtt must be positive")
+            if spec["start_s"] < 0:
+                raise SimulationError("flow start must be >= 0")
+            if spec["stop_s"] <= spec["start_s"]:
+                raise SimulationError("flow stop must be after its start")
+        fids = []
+        for spec in specs:
+            fid = len(self._flows)
+            base_rtt_s = spec["base_rtt_s"]
+            # Cap the acceptable window at the pipe limit (buffer plus a
+            # few bandwidth-delay products).  Every packet beyond it is
+            # an immediate, guaranteed tail drop: simulating each one
+            # costs an event while telling the sender nothing it does not
+            # already see at the cap, and rate-based schemes (BBR,
+            # Vivace, Astraea) can otherwise push cwnd so high during a
+            # blackout that the event queue grows without bound.
+            max_cwnd = self._buffer_pkts \
+                + 4.0 * self._capacity_pps * base_rtt_s
+            flow = _Flow(
+                fid=fid, cwnd=min(spec.get("cwnd_pkts", 10.0), max_cwnd),
+                base_rtt_s=base_rtt_s,
+                window=IntervalWindow(base_rtt_s, spec["start_s"]),
+                max_cwnd=max_cwnd, pacing_pps=spec.get("pacing_pps"),
+                start_s=spec["start_s"], stop_s=spec["stop_s"])
+            self._flows.append(flow)
+            start = max(self.now, flow.start_s)
+            self._push(start, _SEND, fid)
+            self._push(start + self.tick_s, _MTP, fid)
+            fids.append(fid)
+        return fids
 
-    def set_cwnd(self, fid: int, cwnd: float,
-                 pacing_pps: float | None = None) -> None:
-        flow = self._flows[fid]
-        flow.cwnd = min(max(cwnd, 1.0), flow.max_cwnd)
-        flow.pacing_pps = pacing_pps
+    def remove_flows(self, fids) -> None:
+        """Close the flows' windows now: they stop sending, and the
+        packets they launched still drain."""
+        for fid in fids:
+            flow = self._flows[fid]
+            flow.stop_s = min(flow.stop_s, self.now)
+
+    def slots(self, fids) -> np.ndarray:
+        """What the batch calls take: a flow's slot is its id."""
+        return np.array(list(fids), dtype=np.intp)
+
+    def set_cwnds(self, slots: np.ndarray, cwnd_pkts,
+                  pacing_pps=None) -> None:
+        """All-or-nothing, as the fluid engine's."""
+        check_cwnds(cwnd_pkts, lambda k: slots[k])
+        for k, slot in enumerate(slots.tolist()):
+            flow = self._flows[slot]
+            flow.cwnd = min(max(cwnd_pkts[k], 1.0), flow.max_cwnd)
+            pacing = None if pacing_pps is None else pacing_pps[k]
+            flow.pacing_pps = None if pacing == math.inf else pacing
+
+    def collect_stats(self, slots: np.ndarray, now: float) -> MtpColumns:
+        """Close the flows' interval windows at ``now``."""
+        return MtpColumns.of(now, [
+            flow.window.close(now, float(flow.inflight), flow.cwnd,
+                              flow.pacing_pps)
+            for flow in (self._flows[slot] for slot in slots.tolist())])
+
+    def instants(self, slots: np.ndarray) -> np.ndarray:
+        """Per flow: the time of the MTP event it is stopped at (a
+        decision instant, see :meth:`advance_to`), else ``-inf``."""
+        return np.array([self._flows[slot].fired_at
+                         for slot in slots.tolist()])
 
     def stats(self, fid: int) -> PacketFlowStats:
         return self._flows[fid].stats
@@ -232,46 +291,49 @@ class PacketNetwork:
         else:
             self._busy = False
 
-    def _fire_mtp(self, fid: int) -> None:
-        flow = self._flows[fid]
-        cb = self._callbacks.get(fid)
-        if cb is not None:
-            stats = {
-                "time_s": self.now,
-                "duration_s": self._mtp_s,
-                "throughput_pps": flow.mtp_delivered / self._mtp_s,
-                "avg_rtt_s": (flow.mtp_rtt_sum / flow.mtp_delivered
-                              if flow.mtp_delivered else flow.base_rtt_s),
-                "lost_pkts": float(flow.mtp_lost),
-                "sent_pkts": float(flow.mtp_sent),
-                "pkts_in_flight": float(flow.inflight),
-                "cwnd_pkts": flow.cwnd,
-            }
-            new_cwnd = cb(stats)
-            if new_cwnd is not None:
-                self.set_cwnd(fid, float(new_cwnd), flow.pacing_pps)
+    def _fire_mtp(self, flow: _Flow) -> None:
+        """Fold the MTP's counters into the flow's interval window and
+        stop the flow at this decision instant."""
+        # The period's delivery rate times its length, not the count: the
+        # pinned trajectories fold exactly this float.
+        delivered = flow.mtp_delivered / self.tick_s * self.tick_s
+        flow.window.add(float(flow.mtp_sent), delivered,
+                        float(flow.mtp_lost))
+        if delivered > 0:
+            flow.window.observe_rtt(flow.mtp_rtt_sum / flow.mtp_delivered,
+                                    delivered)
         flow.mtp_delivered = flow.mtp_lost = flow.mtp_sent = 0
         flow.mtp_rtt_sum = 0.0
-        if self.now < flow.stop_s - 1e-12:
-            self._push(self.now + self._mtp_s, _MTP, fid)
-        self._try_send(flow)
+        flow.fired_at = self.now
+        self._fired.append(flow)
+
+    def _release(self) -> None:
+        """Let the flows stopped at an MTP event go on: schedule their
+        next MTP event and send under the windows now in force."""
+        for flow in self._fired:
+            flow.fired_at = -math.inf
+            if self.now < flow.stop_s - 1e-12:
+                self._push(self.now + self.tick_s, _MTP, flow.fid)
+            self._try_send(flow)
+        self._fired.clear()
 
     # ------------------------------------------------------------------
 
-    def run(self, duration_s: float) -> None:
-        """Run the event loop for ``duration_s`` simulated seconds."""
-        if duration_s <= 0:
-            raise SimulationError("duration must be positive")
-        end = self.now + duration_s
-        for flow in self._flows.values():
-            start = max(self.now, flow.start_s)
-            self._push(start, _SEND, flow.fid)
-            self._push(start + self._mtp_s, _MTP, flow.fid)
-        while self._events:
-            t, _, kind, fid, payload = heapq.heappop(self._events)
-            if t > end:
-                break
-            self.now = t
+    def advance_to(self, t: float) -> None:
+        """Run the event loop up to ``t``, stopping early at an MTP event.
+
+        The stop comes right after the next MTP event and any queued
+        directly behind it at the same instant: those flows stand at a
+        decision instant and send again only on the next call, after a
+        caller's :meth:`collect_stats` / :meth:`set_cwnds`.  Events past
+        ``t`` stay queued: advancing to ``a`` then ``b`` is advancing to
+        ``b``.
+        """
+        self._release()
+        events = self._events
+        while events and events[0][0] <= t:
+            now, _, kind, fid, payload = heapq.heappop(events)
+            self.now = now
             if kind == _SERVICE_DONE:
                 self._finish_service()
             elif kind == _ACK:
@@ -290,6 +352,18 @@ class PacketNetwork:
                 flow = self._flows[fid]
                 flow.send_event_at = -1.0
                 self._try_send(flow)
-            elif kind == _MTP:
-                self._fire_mtp(fid)
-        self.now = end
+            else:
+                self._fire_mtp(self._flows[fid])
+                while events and events[0][0] == now \
+                        and events[0][2] == _MTP:
+                    self._fire_mtp(self._flows[heapq.heappop(events)[3]])
+                return
+        self.now = max(self.now, t)
+
+    def run(self, duration_s: float) -> None:
+        """Run ``duration_s`` more simulated seconds, folding every MTP."""
+        if duration_s <= 0:
+            raise SimulationError("duration must be positive")
+        end = self.now + duration_s
+        while self.now < end:
+            self.advance_to(end)

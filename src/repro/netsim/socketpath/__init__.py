@@ -6,11 +6,13 @@ UDP sockets here.  :mod:`.transport` implements the reliable-UDP segment
 layer (cumulative ACK + SACK, RFC 6298-style RTO), :mod:`.impair` the
 deterministic in-process impairment proxy honouring
 :class:`~repro.netsim.faults.FaultSchedule`, and :mod:`.runner` the
-event loop plus :func:`run_scenario_socket`, which mirrors
-:func:`~repro.env.packetrun.run_scenario_packet`.
+event loop, :class:`~.runner.SocketNetwork` (the simulators' batch
+surface) and :func:`run_scenario_socket`, which drives it with
+:class:`~repro.env.multiflow.ScenarioDriver`.
 """
 
 from .runner import (  # noqa: F401
+    SocketNetwork,
     SocketRunReport,
     SocketTuning,
     TransferReport,

@@ -1,22 +1,23 @@
-"""Socket-engine scenario runner: real datagrams, simulated clock.
+"""Socket engine: real datagrams, simulated clock.
 
-:func:`run_scenario_socket` executes a
-:class:`~repro.config.ScenarioConfig` over localhost UDP: per-flow
-sender sockets, one shared receiver socket and the
-:class:`~.impair.ImpairmentProxy` in between, all serviced by one
-single-threaded ``selectors`` event loop.  It produces the same
-:class:`~repro.env.multiflow.ScenarioResult` record the other engines
-emit, so every metric (:mod:`repro.metrics.recovery` included) works
-unchanged.
+:class:`SocketNetwork` is the loopback-UDP datapath as an engine under
+:class:`~repro.env.multiflow.ScenarioDriver`: per-flow sender sockets,
+one shared receiver socket and the :class:`~.impair.ImpairmentProxy` in
+between, all serviced by one single-threaded ``selectors`` event loop,
+behind the fluid engine's batch surface.  :func:`run_scenario_socket`
+runs a :class:`~repro.config.ScenarioConfig` on it and produces the
+same :class:`~repro.env.multiflow.ScenarioResult` record the other
+engines emit, so every metric (:mod:`repro.metrics.recovery` included)
+works unchanged.
 
 **Time scaling.**  The loop runs in wall-clock time; simulated time is
 ``wall x time_scale`` (default 6), so a 30 s quick scenario finishes in
 ~5 s wall.  Rates convert by multiplying with the scale, delays by
 dividing.  **Packet aggregation** keeps a Python loop feasible: one UDP
 datagram represents ``pkts_per_seg`` simulated packets, sized so the
-wall datagram rate stays near ``max_wall_dgrams_per_s``.  Per-MTP
-counters are converted back to simulated packets before they reach the
-controller, mirroring :class:`~repro.env.packetrun._PacketFlowDriver`.
+wall datagram rate stays near ``max_wall_dgrams_per_s``.  Counters are
+converted back to simulated packets, and wall RTTs to simulated
+seconds, before they reach the controller.
 
 :func:`transfer_payload` is the byte-exact entry point the reliability
 tests drive: a finite payload crosses the impaired loopback path and
@@ -33,13 +34,15 @@ import time
 from dataclasses import dataclass
 from hashlib import blake2b
 
+import numpy as np
+
 from ...cc.base import CongestionController
 from ...config import LinkConfig, ScenarioConfig
 from ...errors import ConfigError, SimulationError, TransportError, \
     TransportStalledError
-from ...env.multiflow import FlowLog, ScenarioResult, decide, \
-    flow_controller
-from ...netsim.stats import IntervalWindow
+from ...env.multiflow import ScenarioResult, build_driver
+from ..fluid import check_cwnds
+from ..stats import IntervalWindow, MtpColumns
 from .impair import ImpairmentLink, ImpairmentProxy
 from .transport import AckSegment, DataSegment, ReceiverFlow, RtoEstimator, \
     SenderFlow, decode
@@ -138,14 +141,6 @@ class _FlowRuntime:
     index: int
     sender: SenderFlow
     sock: socket.socket
-    pkts_per_seg: int
-    controller: CongestionController | None = None
-    window: IntervalWindow | None = None
-    log: FlowLog | None = None
-    mtp_s: float = 0.0
-    cwnd_pkts: float = 0.0
-    pacing_pps: float | None = None
-    next_ctrl_wall: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -246,48 +241,18 @@ def _pump_send(fr: _FlowRuntime, now_wall: float, burst: int,
             return
 
 
-def _control_tick(fr: _FlowRuntime, now_wall: float, sim_now: float,
-                  clock: WallClock) -> None:
-    """One controller interval: close the window, apply the decision.
-
-    Mirrors :class:`~repro.env.packetrun._PacketFlowDriver` — counters
-    are converted from wire segments back to simulated packets and
-    wall RTTs back to simulated seconds before the controller sees them.
-    """
-    assert fr.controller is not None and fr.window is not None \
-        and fr.log is not None
-    scale = clock.scale
-    pps = fr.pkts_per_seg
-    sent, delivered, lost, samples = fr.sender.take_window()
-    fr.window.add(sent * pps, delivered * pps, lost * pps)
-    for sample in samples:
-        fr.window.observe_rtt(sample * scale)
-    stats = fr.window.close(sim_now, fr.sender.inflight_segs * pps,
-                            fr.cwnd_pkts, fr.pacing_pps)
-    decision = decide(fr.controller, stats, fr.index)
-    fr.cwnd_pkts = decision.cwnd_pkts
-    fr.pacing_pps = decision.pacing_pps
-    fr.sender.cwnd_segs = max(1.0, decision.cwnd_pkts / pps)
-    if decision.pacing_pps:
-        fr.sender.pace_gap_wall = pps / (decision.pacing_pps * scale)
-    else:
-        fr.sender.pace_gap_wall = None
-    fr.log.record(sim_now, stats, decision.cwnd_pkts)
-    interval_sim = max(fr.controller.interval_s(stats.srtt_s), fr.mtp_s)
-    fr.next_ctrl_wall = now_wall + interval_sim / scale
-
-
 def _event_loop(clock: WallClock, proxy: ImpairmentProxy,
                 recv_sock: socket.socket,
                 receivers: dict[int, ReceiverFlow],
                 flows: list[_FlowRuntime], tuning: SocketTuning, *,
                 end_wall: float | None,
                 hard_deadline_wall: float | None = None) -> None:
-    """Service sockets, timers and controller ticks until done.
+    """Service sockets and timers until done.
 
-    ``end_wall`` bounds a scenario run; with ``end_wall=None`` the loop
-    runs until every (finite) sender is done — ``hard_deadline_wall``
-    then backstops a transfer that cannot complete.
+    ``end_wall`` bounds an engine advance, which services the sockets
+    at least once; with ``end_wall=None`` the loop runs until every
+    (finite) sender is done — ``hard_deadline_wall`` then backstops a
+    transfer that cannot complete.
     """
     sel = selectors.DefaultSelector()
     sel.register(proxy.sock, selectors.EVENT_READ, ("proxy", None))
@@ -297,19 +262,15 @@ def _event_loop(clock: WallClock, proxy: ImpairmentProxy,
     try:
         while True:
             now = clock.now_wall()
-            if end_wall is not None and now >= end_wall:
-                return
             if end_wall is None and all(fr.sender.done for fr in flows):
                 return
             if hard_deadline_wall is not None and now > hard_deadline_wall:
                 raise TransportStalledError(
                     f"transfer exceeded its wall deadline "
                     f"({hard_deadline_wall - clock.t0:.2f}s)")
-            due = [release for release in (proxy.next_release_wall(),)
-                   if release is not None]
+            due = [wall for wall in (proxy.next_release_wall(), end_wall)
+                   if wall is not None]
             for fr in flows:
-                if fr.next_ctrl_wall != math.inf:
-                    due.append(fr.next_ctrl_wall)
                 sender_due = fr.sender.next_due_wall()
                 if sender_due is not None:
                     due.append(sender_due)
@@ -326,12 +287,11 @@ def _event_loop(clock: WallClock, proxy: ImpairmentProxy,
                     _drain_acks(fr, clock)
             proxy.pump()
             now = clock.now_wall()
-            sim_now = clock.sim_at(now)
             for fr in flows:
                 fr.sender.check_timers(now)
                 _pump_send(fr, now, tuning.burst_segs, proxy.address)
-                if fr.controller is not None and now >= fr.next_ctrl_wall:
-                    _control_tick(fr, now, sim_now, clock)
+            if end_wall is not None and now >= end_wall:
+                return
     finally:
         sel.close()
 
@@ -353,6 +313,133 @@ def _validate_scenario(scenario: ScenarioConfig) -> None:
                 "RTT-heterogeneous flows stay on the simulators")
 
 
+class SocketNetwork:
+    """The socket datapath behind the fluid engine's batch surface:
+    one UDP sender socket per flow, one impairment proxy, one receiver
+    socket.  :meth:`collect_stats` folds each sender's counters and RTT
+    samples into its :class:`~repro.netsim.stats.IntervalWindow`, in
+    simulated packets and seconds."""
+
+    #: Flows send from :meth:`add_flows` to :meth:`remove_flows`.
+    windowed = False
+
+    def __init__(self, link: LinkConfig, faults=None, seed: int = 0,
+                 mtp_s: float = 0.030, tuning: SocketTuning | None = None):
+        self._tuning = tuning = tuning if tuning is not None \
+            else SocketTuning()
+        self.tick_s = mtp_s
+        self.pkts_per_seg = tuning.pkts_per_seg(link.capacity_pps)
+        self.clock = WallClock(tuning.time_scale)
+        self.core = ImpairmentLink(link, faults, seed=seed,
+                                   time_scale=tuning.time_scale,
+                                   pkts_per_seg=self.pkts_per_seg)
+        self.proxy = ImpairmentProxy(self.core, self.clock)
+        self.recv_sock = _open_udp()
+        self.proxy.set_receiver(self.recv_sock.getsockname())
+        self.receivers: dict[int, ReceiverFlow] = {}
+        #: Every flow, by id (which is also its slot), and those polled.
+        self.flows: list[_FlowRuntime] = []
+        self._active: list[_FlowRuntime] = []
+        self._windows: list[IntervalWindow] = []
+        self._cwnd: list[float] = []
+        self._pacing: list[float | None] = []
+        self.now = 0.0
+
+    def add_flows(self, specs) -> list[int]:
+        """Open one stream sender per spec (``base_rtt_s``, ``cwnd_pkts``);
+        the receiver checks every segment against the stream."""
+        seg_bytes = self._tuning.seg_payload_bytes
+        fids = []
+        for spec in specs:
+            fid = len(self.flows)
+
+            def chunk(seq, fid=fid):
+                return stream_chunk(fid, seq, seg_bytes)
+
+            self._open(ReceiverFlow(fid, expected_for_seq=chunk), chunk,
+                       max(1.0, spec["cwnd_pkts"] / self.pkts_per_seg))
+            self._windows.append(IntervalWindow(spec["base_rtt_s"]))
+            self._cwnd.append(spec["cwnd_pkts"])
+            self._pacing.append(None)
+            fids.append(fid)
+        return fids
+
+    def _open(self, receiver: ReceiverFlow, payload_for_seq,
+              cwnd_segs: float, n_segments: int | None = None) -> SenderFlow:
+        """Register one sender/receiver pair on a fresh sender socket."""
+        tuning, scale = self._tuning, self.clock.scale
+        fid = len(self.flows)
+        self.receivers[fid] = receiver
+        sender = SenderFlow(
+            fid, rto=RtoEstimator(min_rto_s=tuning.min_rto_s / scale,
+                                  max_rto_s=tuning.max_rto_s / scale),
+            payload_for_seq=payload_for_seq, n_segments=n_segments,
+            cwnd_segs=cwnd_segs, max_attempts=tuning.max_attempts,
+            stall_wall_s=tuning.stall_budget_s / scale,
+            fast_rtx_dupes=tuning.fast_rtx_dupes,
+            now_wall=self.clock.now_wall())
+        fr = _FlowRuntime(index=fid, sender=sender, sock=_open_udp())
+        self.flows.append(fr)
+        self._active.append(fr)
+        return sender
+
+    def remove_flows(self, fids) -> None:
+        """Stop polling these flows' senders."""
+        gone = set(fids)
+        self._active = [fr for fr in self._active if fr.index not in gone]
+
+    def slots(self, fids) -> np.ndarray:
+        return np.array(list(fids), dtype=np.intp)
+
+    def set_cwnds(self, slots: np.ndarray, cwnd_pkts,
+                  pacing_pps=None) -> None:
+        """Apply one decision per flow, in segments and wall seconds;
+        all-or-nothing like the fluid engine's."""
+        check_cwnds(cwnd_pkts, lambda k: slots[k])
+        pps, scale = self.pkts_per_seg, self.clock.scale
+        for k, slot in enumerate(slots.tolist()):
+            fr = self.flows[slot]
+            pacing = None if pacing_pps is None else pacing_pps[k]
+            pacing = None if pacing == math.inf else pacing
+            self._cwnd[slot] = cwnd_pkts[k]
+            self._pacing[slot] = pacing
+            fr.sender.cwnd_segs = max(1.0, cwnd_pkts[k] / pps)
+            fr.sender.pace_gap_wall = pps / (pacing * scale) if pacing \
+                else None
+
+    def collect_stats(self, slots: np.ndarray, now: float) -> MtpColumns:
+        """Close the flows' interval windows at ``now``."""
+        pps, scale = self.pkts_per_seg, self.clock.scale
+        rows = []
+        for slot in slots.tolist():
+            sender, window = self.flows[slot].sender, self._windows[slot]
+            sent, delivered, lost, samples = sender.take_window()
+            window.add(sent * pps, delivered * pps, lost * pps)
+            for sample in samples:
+                window.observe_rtt(sample * scale)
+            rows.append(window.close(now, sender.inflight_segs * pps,
+                                     self._cwnd[slot], self._pacing[slot]))
+        return MtpColumns.of(now, rows)
+
+    def instants(self, slots: np.ndarray) -> float:
+        """Every flow stands at a decision instant after an advance."""
+        return self.now
+
+    def advance_to(self, t: float) -> None:
+        """Poll the event loop until the simulated clock reaches ``t``."""
+        clock = self.clock
+        _event_loop(clock, self.proxy, self.recv_sock, self.receivers,
+                    self._active, self._tuning,
+                    end_wall=clock.t0 + t / clock.scale)
+        self.now = clock.sim_at(clock.now_wall())
+
+    def close(self) -> None:
+        self.proxy.close()
+        self.recv_sock.close()
+        for fr in self.flows:
+            fr.sock.close()
+
+
 def run_scenario_socket_report(
         scenario: ScenarioConfig,
         controllers: list[CongestionController | None] | None = None, *,
@@ -365,82 +452,32 @@ def run_scenario_socket_report(
     registry), matching the other engine runners.
     """
     _validate_scenario(scenario)
-    tuning = tuning if tuning is not None else SocketTuning()
-    scale = tuning.time_scale
-    pkts_per_seg = tuning.pkts_per_seg(scenario.link.capacity_pps)
-    clock = WallClock(scale)
-    core = ImpairmentLink(scenario.link, scenario.faults,
-                          seed=scenario.seed, time_scale=scale,
-                          pkts_per_seg=pkts_per_seg)
-    proxy = ImpairmentProxy(core, clock)
-    recv_sock = _open_udp()
-    proxy.set_receiver(recv_sock.getsockname())
-    receivers: dict[int, ReceiverFlow] = {}
-    flows: list[_FlowRuntime] = []
-    logs: list[FlowLog] = []
-    seg_bytes = tuning.seg_payload_bytes
+    net = SocketNetwork(scenario.link, scenario.faults, seed=scenario.seed,
+                        mtp_s=scenario.mtp_s, tuning=tuning)
     try:
-        for i, cfg in enumerate(scenario.flows):
-            controller = flow_controller(controllers, i, cfg)
-            receivers[i] = ReceiverFlow(
-                i, expected_for_seq=(
-                    lambda seq, fid=i: stream_chunk(fid, seq, seg_bytes)))
-            rto = RtoEstimator(min_rto_s=tuning.min_rto_s / scale,
-                               max_rto_s=tuning.max_rto_s / scale)
-            now0 = clock.now_wall()
-            sender = SenderFlow(
-                i, rto=rto,
-                payload_for_seq=(
-                    lambda seq, fid=i: stream_chunk(fid, seq, seg_bytes)),
-                cwnd_segs=max(1.0, controller.initial_cwnd / pkts_per_seg),
-                max_attempts=tuning.max_attempts,
-                stall_wall_s=tuning.stall_budget_s / scale,
-                fast_rtx_dupes=tuning.fast_rtx_dupes,
-                now_wall=now0)
-            log = FlowLog(cc_name=cfg.cc, start_s=0.0,
-                          end_s=scenario.duration_s)
-            logs.append(log)
-            flows.append(_FlowRuntime(
-                index=i, sender=sender, sock=_open_udp(),
-                pkts_per_seg=pkts_per_seg, controller=controller,
-                window=IntervalWindow(scenario.link.rtt_s), log=log,
-                mtp_s=scenario.mtp_s,
-                cwnd_pkts=controller.initial_cwnd,
-                next_ctrl_wall=clock.t0 + scenario.mtp_s / scale))
-        end_wall = clock.t0 + scenario.duration_s / scale
-        _event_loop(clock, proxy, recv_sock, receivers, flows, tuning,
-                    end_wall=end_wall)
-        wall_s = clock.now_wall() - clock.t0
+        result = build_driver(scenario, controllers, engine=net).run()
+        wall_s = net.clock.now_wall() - net.clock.t0
     finally:
-        proxy.close()
-        recv_sock.close()
-        for fr in flows:
-            fr.sock.close()
+        net.close()
     report = SocketRunReport(
         wall_s=wall_s,
         sim_s=scenario.duration_s,
-        time_scale=scale,
-        pkts_per_seg=pkts_per_seg,
+        time_scale=net.clock.scale,
+        pkts_per_seg=net.pkts_per_seg,
         flows=tuple({
             "flow": fr.index,
             "cc": scenario.flows[fr.index].cc,
             "sent_segs": fr.sender.sent_segs,
-            "delivered_segs": receivers[fr.index].delivered_segs,
+            "delivered_segs": net.receivers[fr.index].delivered_segs,
             "retransmits": fr.sender.retransmits,
             "fast_retransmits": fr.sender.fast_retransmits,
             "rto_timeouts": fr.sender.rto_timeouts,
-            "duplicates": receivers[fr.index].duplicates,
-            "corrupt": receivers[fr.index].corrupt,
-        } for fr in flows),
-        proxy_drops=dict(core.drops),
-        proxy_reordered=core.reordered,
-        proxy_malformed=proxy.malformed,
-    )
-    result = ScenarioResult(
-        flows=logs,
-        duration_s=scenario.duration_s,
-        bottleneck_mbps=scenario.link.bandwidth_mbps,
-        base_rtt_s=scenario.link.rtt_s,
+            "duplicates": net.receivers[fr.index].duplicates,
+            "corrupt": net.receivers[fr.index].corrupt,
+        } for fr in net.flows),
+        proxy_drops=dict(net.core.drops),
+        proxy_reordered=net.core.reordered,
+        proxy_malformed=net.proxy.malformed,
     )
     return result, report
 
@@ -451,7 +488,7 @@ def run_scenario_socket(
         tuning: SocketTuning | None = None) -> ScenarioResult:
     """Run a scenario on the socket engine (third-engine dispatch entry).
 
-    Same contract as :func:`~repro.env.packetrun.run_scenario_packet`;
+    Same contract as :func:`~repro.env.multiflow.run_scenario_packet`;
     use :func:`run_scenario_socket_report` when the datapath accounting
     (retransmits, duplicates, content integrity) is needed too.
     """
@@ -492,34 +529,17 @@ def transfer_payload(payload: bytes, *, link: LinkConfig | None = None,
                                 rto_timeouts=0, duplicates=0, wall_s=0.0,
                                 srtt_s=None)
         return b"", report
-    pkts_per_seg = tuning.pkts_per_seg(link.capacity_pps)
-    clock = WallClock(scale)
-    core = ImpairmentLink(link, faults, seed=seed, time_scale=scale,
-                          pkts_per_seg=pkts_per_seg)
-    proxy = ImpairmentProxy(core, clock)
-    recv_sock = _open_udp()
-    proxy.set_receiver(recv_sock.getsockname())
+    net = SocketNetwork(link, faults, seed=seed, tuning=tuning)
     receiver = ReceiverFlow(0, capture=True)
-    rto = RtoEstimator(min_rto_s=tuning.min_rto_s / scale,
-                       max_rto_s=tuning.max_rto_s / scale)
-    sender = SenderFlow(
-        0, rto=rto, payload_for_seq=lambda seq: chunks[seq],
-        n_segments=len(chunks), cwnd_segs=cwnd_segs,
-        max_attempts=tuning.max_attempts,
-        stall_wall_s=tuning.stall_budget_s / scale,
-        fast_rtx_dupes=tuning.fast_rtx_dupes,
-        now_wall=clock.now_wall())
-    fr = _FlowRuntime(index=0, sender=sender, sock=_open_udp(),
-                      pkts_per_seg=pkts_per_seg)
     try:
-        _event_loop(clock, proxy, recv_sock, {0: receiver}, [fr], tuning,
-                    end_wall=None,
-                    hard_deadline_wall=clock.t0 + max_wall_s)
-        wall_s = clock.now_wall() - clock.t0
+        sender = net._open(receiver, lambda seq: chunks[seq], cwnd_segs,
+                           n_segments=len(chunks))
+        _event_loop(net.clock, net.proxy, net.recv_sock, net.receivers,
+                    net.flows, tuning, end_wall=None,
+                    hard_deadline_wall=net.clock.t0 + max_wall_s)
+        wall_s = net.clock.now_wall() - net.clock.t0
     finally:
-        proxy.close()
-        recv_sock.close()
-        fr.sock.close()
+        net.close()
     data = b"".join(receiver.chunks)
     report = TransferReport(
         n_segments=len(chunks),
@@ -529,6 +549,7 @@ def transfer_payload(payload: bytes, *, link: LinkConfig | None = None,
         rto_timeouts=sender.rto_timeouts,
         duplicates=receiver.duplicates,
         wall_s=wall_s,
-        srtt_s=None if rto.srtt_s is None else rto.srtt_s * scale,
+        srtt_s=None if sender.rto.srtt_s is None
+        else sender.rto.srtt_s * scale,
     )
     return data, report

@@ -18,9 +18,10 @@ of the original deque implementation.  :class:`SampleStore` is what a
 into, and a columnar :meth:`SampleStore.collect` that folds many flows at
 once and returns :class:`MtpColumns`.  The row fold is the oracle the
 columnar fold is tested against, bit for bit (including the srtt fold).
-The packet and socket engines report raw counters instead of tick
-samples; their runners fold them into an :class:`IntervalWindow`, which
-keeps the same srtt rule.
+The packet and socket engines count packets instead of producing tick
+samples; each folds its counters into one :class:`IntervalWindow` per
+flow, which keeps the same srtt rule, and its ``collect_stats`` closes
+those windows into the same :class:`MtpColumns`.
 """
 
 from __future__ import annotations
@@ -309,8 +310,8 @@ class FlowMonitor:
 class IntervalWindow:
     """One flow's counters between two controller decisions.
 
-    What the packet and socket runners fold their raw per-MTP (or
-    per-ACK) counters into; :meth:`close` turns them into the
+    What the packet and socket engines fold their per-MTP (or per-ACK)
+    counters into; :meth:`close` turns them into the
     :class:`MtpStats` the controller sees and starts the next interval.
     The srtt fold is :meth:`FlowMonitor.observe_rtt`'s, and an interval
     without an RTT sample reuses srtt for both the mean and the minimum,
@@ -395,6 +396,13 @@ class MtpColumns:
     pacing_pps: np.ndarray
     srtt_s: np.ndarray
     marked_pkts: np.ndarray
+
+    @classmethod
+    def of(cls, now: float, rows: list[MtpStats]) -> MtpColumns:
+        """Stack per-flow records, all taken at ``now``, into columns."""
+        return cls(now, *(np.array([getattr(r, name) for r in rows],
+                                   dtype=float)
+                          for name in _COLUMN_FIELDS))
 
     @property
     def throughput_mbps(self) -> np.ndarray:

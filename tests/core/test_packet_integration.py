@@ -1,77 +1,42 @@
 """Astraea on the packet-level engine.
 
-The policy is trained on the fluid substrate; these tests drive the same
-controller through the discrete-event packet simulator's per-MTP callback
-to confirm the learned behaviour carries over to real FIFO queueing —
-the fidelity claim of DESIGN.md §2 exercised end-to-end.
+The policy is trained on the fluid substrate; these tests run the same
+controller through the shipped packet path — the scenario driver over
+the discrete-event packet simulator — to confirm the learned behaviour
+carries over to real FIFO queueing, the fidelity claim of DESIGN.md §2
+exercised end-to-end.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.config import LinkConfig
-from repro.netsim import PacketNetwork
-from repro.netsim.stats import MtpStats
-
-
-def packet_adapter(controller):
-    """Bridge the packet engine's stats dict to the controller interface."""
-
-    def on_mtp(raw: dict) -> float:
-        delivered = raw["throughput_pps"] * raw["duration_s"]
-        stats = MtpStats(
-            time_s=raw["time_s"],
-            duration_s=raw["duration_s"],
-            throughput_pps=raw["throughput_pps"],
-            avg_rtt_s=raw["avg_rtt_s"],
-            min_rtt_s=raw["avg_rtt_s"],
-            sent_pkts=raw["sent_pkts"],
-            delivered_pkts=delivered,
-            lost_pkts=raw["lost_pkts"],
-            pkts_in_flight=raw["pkts_in_flight"],
-            cwnd_pkts=raw["cwnd_pkts"],
-            pacing_pps=raw["cwnd_pkts"] / max(raw["avg_rtt_s"], 1e-6),
-            srtt_s=raw["avg_rtt_s"],
-        )
-        return controller.on_interval(stats).cwnd_pkts
-
-    return on_mtp
-
+from repro.config import FlowConfig, LinkConfig, ScenarioConfig
+from repro.env import run_engine_scenario
 
 LINK = LinkConfig(bandwidth_mbps=12.0, rtt_ms=30.0, buffer_bdp=2.0)
+
+
+def run_packet(cc_names, duration_s):
+    return run_engine_scenario(ScenarioConfig(
+        link=LINK, flows=tuple(FlowConfig(cc=cc) for cc in cc_names),
+        duration_s=duration_s, seed=0), "packet")
 
 
 class TestAstraeaOnPackets:
     @pytest.mark.parametrize("cc_name", ["astraea", "astraea-ref"])
     def test_single_flow_fills_link_without_bloat(self, cc_name):
-        from repro.cc import create
-
-        controller = create(cc_name)
-        controller.reset()
-        net = PacketNetwork(LINK, seed=0)
-        fid = net.add_flow(base_rtt_s=0.030, cwnd=10.0,
-                           on_mtp=packet_adapter(controller))
-        net.run(20.0)
-        stats = net.stats(fid)
-        rate = stats.delivered / 20.0
-        assert rate > 0.8 * 1000.0          # 12 Mbps = 1000 pkt/s
-        assert stats.avg_rtt_s < 0.060      # bounded queueing
-        loss_rate = stats.lost / max(stats.lost + stats.delivered, 1)
-        assert loss_rate < 0.02
+        result = run_packet([cc_name], 20.0)
+        log = result.flows[0]
+        rate = result.flow_mean_throughput(0)
+        assert rate > 0.8 * LINK.bandwidth_mbps
+        assert np.mean(log.rtt_s) < 0.060      # bounded queueing
+        assert np.mean(log.loss_rate) < 0.02
 
     def test_two_flows_share_fairly(self):
-        from repro.cc import create
-
-        net = PacketNetwork(LINK, seed=0)
-        fids = []
-        for _ in range(2):
-            controller = create("astraea-ref")
-            controller.reset()
-            fids.append(net.add_flow(base_rtt_s=0.030, cwnd=10.0,
-                                     on_mtp=packet_adapter(controller)))
-        net.run(30.0)
-        rates = [net.stats(f).delivered / 30.0 for f in fids]
+        result = run_packet(["astraea-ref"] * 2, 30.0)
+        rates = [result.flow_mean_throughput(i) for i in range(2)]
         ratio = max(rates) / max(min(rates), 1e-9)
         assert ratio < 1.6
-        assert sum(rates) > 0.8 * 1000.0
+        assert sum(rates) > 0.8 * LINK.bandwidth_mbps

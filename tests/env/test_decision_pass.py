@@ -121,10 +121,13 @@ class TestBatchedPassEqualsPerFlow:
         topology = parking_lot(3, cc="cubic", duration_s=4.0)
         first = topology.links[0]
         reference = drive_per_flow(ScenarioDriver(
-            FluidNetwork(list(topology.links), seed=topology.seed),
-            topology.flows, topology.paths,
-            lambda i: first.rtt_s + topology.flows[i].extra_rtt_ms / 1e3,
-            topology.duration_s, topology.tick_s, None,
+            FluidNetwork(list(topology.links), seed=topology.seed,
+                         tick_s=topology.tick_s),
+            topology.flows,
+            lambda i: {"base_rtt_s": first.rtt_s
+                       + topology.flows[i].extra_rtt_ms / 1e3,
+                       "path": list(topology.paths[i])},
+            topology.duration_s, None,
             bottleneck_mbps=first.bandwidth_mbps, base_rtt_s=first.rtt_s))
         batched = run_topology(topology)
         assert all(len(log.times) > 0 for log in batched.flows)

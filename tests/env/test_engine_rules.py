@@ -1,7 +1,7 @@
 """Controller rules every engine enforces the same way.
 
-The fluid, packet and socket runners take their windows from the same
-controllers, so a controller's failure must look the same on each: a
+The fluid, packet and socket engines take their windows from the same
+driver pass, so a controller's failure must look the same on each: a
 non-finite window is a typed :class:`~repro.errors.SimulationError`
 naming the flow, never a bare ``ValueError`` or ``OverflowError`` from
 deep inside an engine, and never a run that carries on logging it.
@@ -15,8 +15,7 @@ import pytest
 
 from repro.cc.base import CongestionController, Decision
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
-from repro.env import run_scenario
-from repro.env.packetrun import run_scenario_packet
+from repro.env import run_scenario, run_scenario_packet
 from repro.errors import SimulationError
 from repro.netsim.socketpath import run_scenario_socket
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
-from repro.env.packetrun import run_scenario_packet
+from repro.env import run_scenario_packet
 from repro.errors import SimulationError
 from repro.scenarios import build_scenario
 
@@ -68,9 +68,10 @@ class TestGolden:
     Five classical schemes (no BLAS anywhere on the path, so the values
     are host-independent) with staggered starts and unequal RTTs, clean
     and under a blackout, a loss burst and a delay spike.  Any change to
-    how the runner folds the engine's counters into ``MtpStats``, decides
-    or logs shows up here; update the constants only when the semantics
-    change on purpose.
+    how the engine folds its counters into ``MtpStats``, when a flow
+    decides, or how the driver decides and logs shows up here — the
+    digests pin every logged value bit for bit; update the constants
+    only when the semantics change on purpose.
     """
 
     #: (scheme, start_s, extra_rtt_ms) per flow.
@@ -105,10 +106,18 @@ class TestGolden:
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_pinned_flows(self, case):
-        import numpy as np
+    #: Per flow: blake2b digest of every ``FlowLog`` field — the whole
+    #: trajectory, bit for bit (see :meth:`digest`).
+    DIGESTS = {
+        "clean": ("2cbf940629dfb8ee", "ac3b24a92dbe8016", "7f4d542cdf9ceb48",
+                  "0a75e8c63c358b53", "573f1089c794c8ae"),
+        "faults": ("c187cb4001490659", "c745b97a458bf97e",
+                   "f5b37741e50e90de", "0d91b630a2b6a361",
+                   "19828f7132aaffe8"),
+    }
 
+    @classmethod
+    def scenario(cls, case):
         from repro.netsim.faults import (
             Blackout,
             DelaySpike,
@@ -120,15 +129,37 @@ class TestGolden:
             Blackout(2.5, 0.4), LossBurst(3.5, 0.6, loss_rate=0.05),
             DelaySpike(4.5, 0.5, extra_ms=40.0))) if case == "faults" \
             else None
-        scenario = ScenarioConfig(
+        return ScenarioConfig(
             link=LinkConfig(bandwidth_mbps=30.0, rtt_ms=30.0,
                             buffer_bdp=1.5),
             flows=tuple(FlowConfig(cc=cc, start_s=start, extra_rtt_ms=extra)
-                        for cc, start, extra in self.FLOWS),
+                        for cc, start, extra in cls.FLOWS),
             duration_s=6.0, seed=3, faults=faults)
-        result = run_scenario_packet(scenario)
+
+    @staticmethod
+    def digest(log):
+        from hashlib import blake2b
+
+        h = blake2b(digest_size=8)
+        h.update(repr((log.cc_name, log.start_s, log.end_s)).encode())
+        for name, values in sorted(log.as_arrays().items()):
+            h.update(name.encode())
+            h.update(values.astype("<f8").tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_pinned_flows(self, case):
+        import numpy as np
+
+        result = run_scenario_packet(self.scenario(case))
         for i, (log, want) in enumerate(zip(result.flows,
                                             self.GOLDEN[case])):
             got = (result.flow_mean_throughput(i), float(np.mean(log.rtt_s)),
                    float(np.mean(log.loss_rate)), log.cwnd_pkts[-1])
             assert got == pytest.approx(want, rel=1e-9), log.cc_name
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_pinned_trajectories(self, case):
+        result = run_scenario_packet(self.scenario(case))
+        assert tuple(self.digest(log) for log in result.flows) \
+            == self.DIGESTS[case]

@@ -42,7 +42,7 @@ class TestEngineMarking:
         fid = net.add_flow(base_rtt_s=0.030, cwnd_pkts=400.0)
         for _ in range(3000):
             net.advance(0.002)
-        stats = net.monitor(fid).collect(net.now, 400.0, 0.0, 300.0)
+        stats = net.collect_stats(net.slots([fid]), net.now).rows()[0]
         assert stats.marked_pkts > 0.0
         assert stats.mark_rate > 0.0
         # ECN marks congestion without dropping.
@@ -53,7 +53,7 @@ class TestEngineMarking:
         fid = net.add_flow(base_rtt_s=0.030, cwnd_pkts=400.0)
         for _ in range(1000):
             net.advance(0.002)
-        stats = net.monitor(fid).collect(net.now, 400.0, 0.0, 300.0)
+        stats = net.collect_stats(net.slots([fid]), net.now).rows()[0]
         assert stats.marked_pkts == 0.0
 
 

@@ -7,8 +7,8 @@ flap scales delivery by its factor, a loss burst raises the loss signal
 only inside its window, a delay spike adds its extra delay to measured
 RTT, a reorder window inflates the observed-loss signal.  These tests
 drive a fixed-cwnd sender on each engine, bin both runs onto the same
-grid, and compare the binned series inside / outside the fault window
-within documented tolerances.
+grid through each engine's ``collect_stats``, and compare the binned
+series inside / outside the fault window within documented tolerances.
 
 Known modelled divergence (asserted as such below): the packet engine
 approximates reordering as loss (goodput dips), while the fluid engine
@@ -47,39 +47,21 @@ GRID = [
 ]
 
 
+def record(columns, k):
+    """The binned observation of flow ``k`` of a collect."""
+    return {"t": columns.time_s,
+            "delivered_pps": columns.throughput_pps[k],
+            "rtt_s": columns.avg_rtt_s[k],
+            "lost": columns.lost_pkts[k],
+            "sent": columns.sent_pkts[k]}
+
+
 def fluid_series(link, cwnd, faults):
-    net = FluidNetwork(link, faults=faults)
-    fid = net.add_flow(base_rtt_s=link.rtt_ms / 1e3, cwnd_pkts=cwnd)
-    records = []
-    per_bin = int(round(BIN_S / TICK_S))
-    while net.now < SECONDS - 1e-9:
-        for _ in range(per_bin):
-            net.advance(TICK_S)
-        stats = net.monitor(fid).collect(net.now, cwnd, 0.0,
-                                         net.pkts_in_flight(fid))
-        records.append({"t": net.now,
-                        "delivered_pps": stats.throughput_pps,
-                        "rtt_s": stats.avg_rtt_s,
-                        "lost": stats.lost_pkts,
-                        "sent": stats.sent_pkts})
-    return records
+    return fluid_multi(link, [{"cwnd": cwnd}], faults=faults)[0]
 
 
 def packet_series(link, cwnd, faults, seed=0):
-    records = []
-
-    def on_mtp(stats):
-        records.append({"t": stats["time_s"],
-                        "delivered_pps": stats["throughput_pps"],
-                        "rtt_s": stats["avg_rtt_s"],
-                        "lost": stats["lost_pkts"],
-                        "sent": stats["sent_pkts"]})
-        return None  # fixed cwnd
-
-    net = PacketNetwork(link, seed=seed, mtp_s=BIN_S, faults=faults)
-    net.add_flow(base_rtt_s=link.rtt_ms / 1e3, cwnd=cwnd, on_mtp=on_mtp)
-    net.run(SECONDS)
-    return records
+    return packet_multi(link, [{"cwnd": cwnd}], seed=seed, faults=faults)[0]
 
 
 def both(link, cwnd, *events):
@@ -226,10 +208,10 @@ MF_LINK = LinkConfig(bandwidth_mbps=20.0, rtt_ms=30.0, buffer_bdp=2.0)
 MF_CAPACITY_PPS = 20e6 / (1500 * 8)
 
 
-def fluid_multi(link, specs, seconds=SECONDS):
-    from repro.netsim import FluidNetwork as _Fluid
-
-    net = _Fluid(link)
+def fluid_multi(link, specs, seconds=SECONDS, faults=None):
+    """Bin ``specs`` on the fluid engine: one ``collect_stats`` over the
+    running flows at every bin edge, flows added and removed on edges."""
+    net = FluidNetwork(link, faults=faults)
     fids = [None] * len(specs)
     stopped = [False] * len(specs)
     records = [[] for _ in specs]
@@ -247,35 +229,32 @@ def fluid_multi(link, specs, seconds=SECONDS):
                     cwnd_pkts=s["cwnd"], pacing_pps=s.get("pacing_pps"))
         for _ in range(per_bin):
             net.advance(TICK_S)
-        for i, s in enumerate(specs):
-            if fids[i] is None or stopped[i]:
-                continue
-            stats = net.monitor(fids[i]).collect(
-                net.now, s["cwnd"], 0.0, net.pkts_in_flight(fids[i]))
-            records[i].append({"t": net.now,
-                               "delivered_pps": stats.throughput_pps,
-                               "rtt_s": stats.avg_rtt_s,
-                               "lost": stats.lost_pkts,
-                               "sent": stats.sent_pkts})
+        running = [i for i in range(len(specs))
+                   if fids[i] is not None and not stopped[i]]
+        columns = net.collect_stats(net.slots([fids[i] for i in running]),
+                                    net.now)
+        for k, i in enumerate(running):
+            records[i].append(record(columns, k))
     return records
 
 
-def packet_multi(link, specs, seconds=SECONDS, seed=0):
+def packet_multi(link, specs, seconds=SECONDS, seed=0, faults=None):
+    """Bin ``specs`` on the packet engine (``mtp_s`` = one bin): one
+    ``collect_stats`` over the flows stopped at each MTP event."""
     records = [[] for _ in specs]
-    net = PacketNetwork(link, seed=seed, mtp_s=BIN_S)
-    for i, s in enumerate(specs):
-        def on_mtp(stats, i=i):
-            records[i].append({"t": stats["time_s"],
-                               "delivered_pps": stats["throughput_pps"],
-                               "rtt_s": stats["avg_rtt_s"],
-                               "lost": stats["lost_pkts"],
-                               "sent": stats["sent_pkts"]})
-            return None  # fixed cwnd
-        net.add_flow(
-            base_rtt_s=link.rtt_ms / 1e3 + s.get("extra_rtt_s", 0.0),
-            cwnd=s["cwnd"], pacing_pps=s.get("pacing_pps"), on_mtp=on_mtp,
-            start_s=s.get("start", 0.0), stop_s=s.get("stop", float("inf")))
-    net.run(seconds)
+    net = PacketNetwork(link, seed=seed, mtp_s=BIN_S, faults=faults)
+    slots = net.slots(net.add_flows([
+        {"base_rtt_s": link.rtt_ms / 1e3 + s.get("extra_rtt_s", 0.0),
+         "cwnd_pkts": s["cwnd"], "pacing_pps": s.get("pacing_pps"),
+         "start_s": s.get("start", 0.0), "stop_s": s.get("stop", np.inf)}
+        for s in specs]))
+    while net.now < seconds:
+        net.advance_to(seconds)
+        fired = np.flatnonzero(np.isfinite(net.instants(slots)))
+        if len(fired):
+            columns = net.collect_stats(slots[fired], net.now)
+            for k, i in enumerate(fired):
+                records[i].append(record(columns, k))
     return records
 
 

@@ -42,10 +42,11 @@ ALL_FAULTS = FaultSchedule([
 
 
 def drain_all(net: FluidNetwork) -> dict:
-    """Collect every monitor and return comparable MTP stats per flow."""
+    """Collect every flow and return comparable MTP stats per flow."""
     out = {}
-    for fid in net.flow_ids:
-        s = net.monitor(fid).collect(net.now, net.cwnd(fid), 0.0, 0.0)
+    fids = net.flow_ids
+    for fid, s in zip(fids, net.collect_stats(net.slots(fids),
+                                              net.now).rows()):
         out[fid] = (s.throughput_pps, s.avg_rtt_s, s.min_rtt_s,
                     s.sent_pkts, s.delivered_pkts, s.lost_pkts,
                     s.marked_pkts, s.srtt_s)
@@ -58,8 +59,8 @@ def assert_networks_equal(ref: FluidNetwork, fast: FluidNetwork,
     assert ref.now == pytest.approx(fast.now, abs=1e-12)
     assert sorted(ref.flow_ids) == sorted(fast.flow_ids)
     for fid in ref.flow_ids:
-        pa = ref.monitor(fid).pending_samples()
-        pb = fast.monitor(fid).pending_samples()
+        pa = ref.pending_samples(fid)
+        pb = fast.pending_samples(fid)
         assert len(pa) == len(pb)
         for a, b in zip(pa, pb):
             assert a.time == pytest.approx(b.time, abs=1e-12)
@@ -272,7 +273,7 @@ class TestZeroArrivalGoodput:
         delivered = 0.0
         for _ in range(30):
             net.advance(DT)
-        for s in net.monitor(fid).pending_samples()[-30:]:
+        for s in net.pending_samples(fid)[-30:]:
             delivered += s.delivered_pkts
         assert net.queue_pkts() < drained_before
         # The drained backlog shows up as this flow's goodput.
@@ -291,7 +292,7 @@ class TestZeroArrivalGoodput:
         for _ in range(40):
             net.advance(DT)
         flow_delivered = sum(
-            sum(s.delivered_pkts for s in net.monitor(f).pending_samples())
+            sum(s.delivered_pkts for s in net.pending_samples(f))
             for f in (f1, f2))
         # Link-level deliveries equal the per-flow attribution (no fluid
         # delivered "to nobody").

@@ -251,7 +251,7 @@ class TestSetCwnds:
 
 
 class TestNetworkCollectStats:
-    def test_equals_the_per_flow_monitor_view(self):
+    def test_equals_collecting_each_flow_alone(self):
         a, fids = make_net(5)
         b, _ = make_net(5)
         for net in (a, b):
@@ -259,9 +259,9 @@ class TestNetworkCollectStats:
                 net.advance_block(TICK, 15)
         cols = a.collect_stats(a.slots(fids[::-1]), a.now)
         for stats, fid in zip(cols.rows(), fids[::-1]):
-            want = b.monitor(fid).collect(
-                b.now, b.cwnd(fid), b.flow_rate_pps(fid),
-                b.pkts_in_flight(fid))
+            want = b.collect_stats(b.slots([fid]), b.now).rows()[0]
+            assert (want.cwnd_pkts, want.pacing_pps, want.pkts_in_flight) \
+                == (b.cwnd(fid), b.flow_rate_pps(fid), b.pkts_in_flight(fid))
             assert hexed(stats) == hexed(want)
         assert cols.loss_rate.tolist() == [s.loss_rate for s in cols.rows()]
         assert cols.throughput_mbps.tolist() == \

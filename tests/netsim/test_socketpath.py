@@ -27,6 +27,7 @@ from repro.netsim.faults import (
 from repro.netsim.socketpath import (
     ReceiverFlow,
     RtoEstimator,
+    SocketNetwork,
     SocketTuning,
     run_scenario_socket,
     run_scenario_socket_report,
@@ -304,6 +305,22 @@ class TestScenarioRunner:
         assert report.total_delivered_segs > 0
         assert report.pkts_per_seg >= 1
         assert report.wall_s > 0
+
+    def test_removed_flow_stops_sending(self):
+        net = SocketNetwork(LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0),
+                            tuning=FAST)
+        try:
+            kept, gone = net.add_flows(
+                [{"base_rtt_s": 0.02, "cwnd_pkts": 20.0}] * 2)
+            net.advance_to(0.5)
+            net.remove_flows([gone])
+            sent = net.flows[gone].sender.sent_segs
+            before = net.flows[kept].sender.sent_segs
+            net.advance_to(1.5)
+        finally:
+            net.close()
+        assert sent > 0 and net.flows[gone].sender.sent_segs == sent
+        assert net.flows[kept].sender.sent_segs > before
 
     def test_run_scenario_socket_returns_result_only(self):
         result = run_scenario_socket(self._scenario(duration_s=1.5),
