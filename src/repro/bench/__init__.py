@@ -1,6 +1,5 @@
 """Benchmark harness: trial runners, reporting, the bench registry."""
 
-from .engine import check_equivalence, run_engine_benchmark
 from .runners import (
     run_family_trials,
     run_scheme_trials,
@@ -27,6 +26,4 @@ __all__ = [
     "save_results",
     "save_markdown",
     "load_results",
-    "run_engine_benchmark",
-    "check_equivalence",
 ]

@@ -15,8 +15,8 @@ throughput at >= ``GATE_MIN_FLOWS`` flows; on a single-core host the
 gate is recorded as not applicable rather than silently passed.
 
 Result persists as ``benchmarks/results/BENCH_fleet.json`` following
-the ``BENCH_engine`` / ``BENCH_train`` pattern (strict JSON, gating
-``--check-only`` in CI, informational ``--small``).
+the ``BENCH_train`` pattern (strict JSON, gating ``--check-only`` in CI,
+informational ``--small``).
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from importlib import import_module
 
 #: Modules holding a ``BENCH`` entry, in ``repro bench --help`` order.
-BENCH_MODULES = ("robustness", "scenariobench", "scaling", "engine",
-                 "trainbench", "fleetbench", "serve", "socketbench")
+BENCH_MODULES = ("robustness", "scenariobench", "scaling", "trainbench",
+                 "fleetbench", "serve", "socketbench")
 
 
 class Flag:

@@ -1,7 +1,6 @@
 """Socket-datapath benchmark: wire rate, goodput under loss, recovery.
 
-``repro bench socket`` pins the loopback-UDP engine the way
-``BENCH_engine.json`` pinned the fluid fast path:
+``repro bench socket`` measures and gates the loopback-UDP engine:
 
 * **throughput** — a single cubic flow per bandwidth level; how much of
   the emulated capacity the reliable-UDP transport actually delivers,

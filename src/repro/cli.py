@@ -386,7 +386,7 @@ def _add_bench_parsers(p_bench: argparse.ArgumentParser) -> None:
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The full parser; given the ``argv`` about to be parsed, the bench
     sub-parsers attach only if the command is ``bench`` — they import all
-    eight bench modules, which ``repro serve`` startup must not pay."""
+    seven bench modules, which ``repro serve`` startup must not pay."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

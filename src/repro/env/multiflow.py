@@ -383,16 +383,6 @@ class ScenarioDriver:
             return False
         return True
 
-    def step(self) -> bool:
-        """Advance the fluid engine one tick; returns False once the
-        scenario finished."""
-        if not self._begin_step():
-            return False
-        engine = self._engine
-        engine.advance(self._tick_s)
-        self._controller_pass(engine.now)
-        return True
-
     def _advance_to_next_event(self) -> None:
         """Advance the engine towards the nearest controller deadline
         still ahead, flow start/stop, or the scenario end (a deadline
@@ -407,11 +397,11 @@ class ScenarioDriver:
         engine.advance_to(horizon)
 
     def step_block(self) -> bool:
-        """Advance to the next controller/flow event and run the pass.
+        """Advance to the next controller/flow event and run the pass;
+        returns False once the scenario finished.
 
-        On the fluid engine this equals calling :meth:`step` repeatedly
-        (see :meth:`_advance_to_next_event`); between MTP decisions it
-        lets the engine run its vectorized multi-tick kernel.
+        Between MTP decisions this lets the fluid engine run its
+        vectorized multi-tick kernel (see :meth:`_advance_to_next_event`).
         """
         if not self._begin_step():
             return False
@@ -502,7 +492,7 @@ class ScenarioDriver:
         instant it stands at (``engine.instants``).  One columnar collect
         over the due flows' engine slots, no controller call.  Returns
         the due flows in ``_running`` order and their stats as columns
-        (``None`` when no flow is due, which is most per-tick steps).
+        (``None`` when no flow is due).
         """
         pos = np.flatnonzero(
             self._next_ctrl <= self._engine.instants(self._slots) + 1e-12)
@@ -557,7 +547,8 @@ class ScenarioDriver:
         return list(zip(flows, columns.rows())) if flows else []
 
     def result(self) -> ScenarioResult:
-        """Logs collected so far (complete once :meth:`step` returns False)."""
+        """Logs collected so far (complete once :meth:`step_block`
+        returns False)."""
         return ScenarioResult(
             flows=self._logs,
             duration_s=self.duration_s,

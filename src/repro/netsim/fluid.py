@@ -34,16 +34,15 @@ and :meth:`FluidNetwork.advance_block` advances whole tick batches with
 zero per-tick Python object churn, writing its samples straight into
 the network's one columnar :class:`~repro.netsim.stats.SampleStore`,
 which :meth:`FluidNetwork.collect_stats` drains for many flows at once.
-The original per-tick physics is retained as the reference path and
-selected by setting ``REPRO_ENGINE_SLOWPATH=1`` (or the ``slowpath=True``
-constructor argument); the differential equivalence suite pins the two
-paths to per-tick per-flow deltas <= 1e-9.
+There is one kernel per topology: a single-link specialisation and a
+general multi-link kernel, which also drains the queues of an idle
+network.  The original per-tick physics is the test oracle
+(``tests/oracles/fluid_reference.py``); the differential suite pins the
+kernels to it at per-tick per-flow deltas <= 1e-9.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,23 +69,23 @@ from .traces import CapacityTrace, ConstantTrace
 INITIAL_CWND_PKTS = 10.0
 MIN_CWND_PKTS = 2.0
 
-#: Environment variable selecting the per-tick reference implementation.
-SLOWPATH_ENV = "REPRO_ENGINE_SLOWPATH"
-
-
-def slowpath_enabled() -> bool:
-    """Whether ``REPRO_ENGINE_SLOWPATH`` selects the reference path."""
-    return os.environ.get(SLOWPATH_ENV, "").strip() not in ("", "0")
-
-
-def check_cwnds(cwnd_pkts, flow_id) -> None:
-    """Every engine's ``set_cwnds`` rule: a non-finite window raises,
-    naming the first such flow (entry ``k`` is flow ``flow_id(k)``)."""
+def check_decisions(cwnd_pkts, pacing_pps, flow_id) -> None:
+    """Every engine's ``set_cwnds`` rule: a non-finite window, or a NaN
+    or negative pacing rate, raises naming the first such flow (entry
+    ``k`` is flow ``flow_id(k)``).  ``inf`` pacing, or a ``None``
+    column, is unpaced."""
     finite = np.isfinite(cwnd_pkts)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise SimulationError(
             f"non-finite cwnd for flow {flow_id(bad)}: {cwnd_pkts[bad]}")
+    if pacing_pps is None:
+        return
+    valid = np.greater_equal(pacing_pps, 0.0)  # False for NaN too
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise SimulationError(
+            f"invalid pacing rate for flow {flow_id(bad)}: {pacing_pps[bad]}")
 
 
 @dataclass
@@ -136,10 +135,6 @@ class FluidNetwork:
         Optional :class:`~repro.netsim.faults.FaultSchedule` of link
         impairments (blackouts, flaps, loss bursts, delay spikes, reorder
         windows) applied to every link on each tick.
-    slowpath:
-        ``True`` forces the per-tick reference implementation, ``False``
-        forces the vectorized fast path; ``None`` (default) follows the
-        ``REPRO_ENGINE_SLOWPATH`` environment variable.
     tick_s:
         The tick of :meth:`advance_to`: the decision granularity.
     """
@@ -150,7 +145,7 @@ class FluidNetwork:
     def __init__(self, links: list[LinkConfig] | LinkConfig,
                  traces: dict[str, CapacityTrace] | None = None,
                  seed: int = 0, faults: FaultSchedule | None = None,
-                 slowpath: bool | None = None, tick_s: float = 0.002):
+                 tick_s: float = 0.002):
         if isinstance(links, LinkConfig):
             links = [links]
         if not links:
@@ -176,10 +171,8 @@ class FluidNetwork:
         self._faults = faults if faults else None
         self.now = 0.0
         self.tick_s = tick_s
-        self._slowpath = slowpath_enabled() if slowpath is None else slowpath
         # Constant-rate links resolve their capacity once; traced links
-        # are re-evaluated per tick through the same code path as the
-        # reference implementation.
+        # are re-evaluated per tick.
         self._static_cap = np.array([
             link.capacity_pps(0.0)
             if isinstance(link.trace, ConstantTrace) else np.nan
@@ -208,7 +201,7 @@ class FluidNetwork:
         whose old slots are ``keep`` and whose vector entries and
         undrained samples carry over, followed by one new flow per entry
         of the three spec columns.  Slot order matches dict insertion
-        order, i.e. the exact order the reference path iterates.  Flow
+        order, i.e. the exact order the per-tick reference iterates.  Flow
         churn also invalidates every link's drain-attribution share
         vector, whose positions are aligned with the on-link flow sets.
         """
@@ -235,8 +228,10 @@ class FluidNetwork:
         self._on_link = [np.flatnonzero(member[li] > 0)
                          for li in range(n_links)]
         # The specialised single-link kernel assumes every flow crosses
-        # the one link exactly once (always true for default paths).
-        self._single_simple = n_links == 1 and all(
+        # the one link exactly once (always true for default paths).  An
+        # idle network takes the general kernel, whose drain branch
+        # leaves the qdiscs alone.
+        self._single_simple = n_links == 1 and n > 0 and all(
             len(path) == 1 for path in paths)
         for link in self._links:
             link.last_share = None
@@ -338,10 +333,12 @@ class FluidNetwork:
 
     def set_cwnd(self, fid: int, cwnd_pkts: float,
                  pacing_pps: float | None = None) -> None:
-        """Apply a controller decision to a flow."""
+        """Apply a controller decision to a flow (the rule of
+        :meth:`set_cwnds`)."""
         i = self._slot_of(fid)
-        if not math.isfinite(cwnd_pkts):
-            raise SimulationError(f"non-finite cwnd for flow {fid}: {cwnd_pkts}")
+        check_decisions([cwnd_pkts],
+                        None if pacing_pps is None else [pacing_pps],
+                        lambda k: fid)
         self._cwnd[i] = min(max(cwnd_pkts, MIN_CWND_PKTS), 1e9)
         self._pacing[i] = np.inf if pacing_pps is None else pacing_pps
 
@@ -351,9 +348,11 @@ class FluidNetwork:
 
         ``pacing_pps`` is a column with ``inf`` for unpaced flows, or
         ``None`` when none is paced.  All-or-nothing: a non-finite window
-        raises naming the first offending flow and applies nothing.
+        or a NaN or negative pacing rate raises naming the first
+        offending flow and applies nothing.
         """
-        check_cwnds(cwnd_pkts, lambda k: self.flow_ids[slots[k]])
+        check_decisions(cwnd_pkts, pacing_pps,
+                        lambda k: self.flow_ids[slots[k]])
         self._cwnd[slots] = np.clip(cwnd_pkts, MIN_CWND_PKTS, 1e9)
         self._pacing[slots] = np.inf if pacing_pps is None else pacing_pps
 
@@ -459,19 +458,14 @@ class FluidNetwork:
 
     def advance(self, dt: float) -> None:
         """Advance the network by one tick of ``dt`` seconds."""
-        if dt <= 0:
-            raise SimulationError(f"tick must be positive, got {dt}")
-        if self._slowpath:
-            self._advance_reference(dt)
-        else:
-            self._advance_fast(dt, 1)
+        self.advance_block(dt, 1)
 
     def advance_block(self, dt: float, n_ticks: int) -> None:
         """Advance the network by ``n_ticks`` ticks of ``dt`` seconds each.
 
         The block kernel produces the exact same trajectory as ``n_ticks``
-        calls to :meth:`advance` — same tick boundaries, same fault/qdisc
-        queries, same monitor samples — but runs the whole batch through
+        one-tick blocks — same tick boundaries, same fault/qdisc
+        queries, same samples — but runs the whole batch through
         persistent state vectors with no per-tick Python object churn.
         Callers use it to cover the controller-free stretches between MTP
         decisions.
@@ -482,11 +476,10 @@ class FluidNetwork:
         if n_ticks <= 0:
             raise SimulationError(
                 f"block must cover at least one tick, got {n_ticks}")
-        if self._slowpath:
-            for _ in range(n_ticks):
-                self._advance_reference(dt)
+        if self._single_simple:
+            self._advance_single(dt, n_ticks)
         else:
-            self._advance_fast(dt, n_ticks)
+            self._advance_multi(dt, n_ticks)
 
     def advance_to(self, t: float) -> None:
         """Advance whole ticks (at least one) towards ``t``: the *floor*
@@ -500,157 +493,7 @@ class FluidNetwork:
         """Every flow stands at a decision instant at every tick."""
         return self.now
 
-    # -- reference per-tick path ---------------------------------------
-
-    def _advance_reference(self, dt: float) -> None:
-        """One tick of the original per-tick implementation.
-
-        Kept as the executable specification of the engine's physics:
-        the fast kernel is pinned against it by the differential suite.
-        It shares only the per-flow state vectors and the sample store
-        with the fast path.  Selected at run time via
-        ``REPRO_ENGINE_SLOWPATH=1``.
-        """
-        paths = list(self._flows.values())
-        t = self.now
-        n_links = len(self._links)
-        # Fault impairments are uniform across links (single-bottleneck
-        # scenarios dominate; a multi-link path degrades end to end).
-        fault_mult, fault_loss = 1.0, 0.0
-        fault_spurious, fault_delay = 0.0, 0.0
-        if self._faults is not None:
-            fault_mult = self._faults.bandwidth_multiplier(t)
-            fault_loss = self._faults.extra_loss(t)
-            fault_spurious = self._faults.spurious_loss(t)
-            fault_delay = self._faults.extra_delay_s(t)
-        qdelay = np.empty(n_links)
-        capacity = np.empty(n_links)
-        for li, link in enumerate(self._links):
-            capacity[li] = link.capacity_pps(t) * fault_mult
-            if capacity[li] > 0:
-                qdelay[li] = link.queue_pkts / capacity[li]
-            else:
-                # Blackout: estimate drain time at the unimpaired rate so
-                # RTTs stay finite (service resumes at that rate).
-                nominal = link.capacity_pps(t)
-                qdelay[li] = link.queue_pkts / nominal if nominal > 0 else 0.0
-
-        if not paths:
-            # Queues still drain when idle.
-            for li, link in enumerate(self._links):
-                drained = min(link.queue_pkts, capacity[li] * dt)
-                link.queue_pkts -= drained
-                link.total_delivered_pkts += drained
-            self.now = t + dt
-            return
-
-        n = len(paths)
-        base_rtt, cwnd, pacing = self._base_rtt, self._cwnd, self._pacing
-        # Path delay through the precomputed membership matrix — the same
-        # product the block kernel uses, so the two paths agree bitwise.
-        path_delay = self._member_t @ qdelay
-        rtt = base_rtt + path_delay + fault_delay
-
-        # Window-limited sending rate, optionally pacing-capped.
-        rate = np.minimum(cwnd / rtt, pacing)
-        sent = rate * dt
-        lost = np.zeros(n)
-        marked = np.zeros(n)
-
-        # Push the fluid through each link in network order.  A flow's rate
-        # entering a link is its departure rate from the previous hop.
-        current = rate.copy()
-        for li, link in enumerate(self._links):
-            on_link = [i for i, path in enumerate(paths) if li in path]
-            if not on_link:
-                drained = min(link.queue_pkts, capacity[li] * dt)
-                link.queue_pkts -= drained
-                link.total_delivered_pkts += drained
-                continue
-            idx = np.array(on_link)
-            arrival = current[idx]
-            # Active queue management: early-drop a fraction of arrivals.
-            early = link.qdisc.drop_fraction(
-                link.queue_pkts, qdelay[li], t, dt)
-            if early > 0:
-                early_drop = arrival * early
-                lost[idx] += early_drop * dt
-                link.total_dropped_pkts += float(early_drop.sum()) * dt
-                arrival = arrival - early_drop
-            total_arrival = float(arrival.sum())
-            link.total_arrived_pkts += total_arrival * dt
-            q_tentative = link.queue_pkts + (total_arrival - capacity[li]) * dt
-            dropped_pkts = 0.0
-            if q_tentative > link.buffer_pkts:
-                dropped_pkts = q_tentative - link.buffer_pkts
-                q_new = link.buffer_pkts
-            else:
-                q_new = max(q_tentative, 0.0)
-            delivered_pkts = (
-                link.queue_pkts + total_arrival * dt - dropped_pkts - q_new
-            )
-            departure = delivered_pkts / dt
-            link.queue_pkts = q_new
-            link.total_delivered_pkts += delivered_pkts
-            link.total_dropped_pkts += dropped_pkts
-            if total_arrival > 0:
-                share = arrival / total_arrival
-                link.last_share = share
-            elif link.last_share is not None and \
-                    link.last_share.size == idx.size:
-                # Zero arrivals over a queued backlog: the drain serves
-                # the flows whose fluid is queued, in the proportions of
-                # the last tick that actually sent (goodput-attribution
-                # fix; previously the drained packets went to no flow).
-                share = link.last_share
-            else:
-                share = np.zeros_like(arrival)
-            out = share * departure
-            drop_rate = share * (dropped_pkts / dt)
-            # ECN marking: a fraction of what passes through is marked.
-            mark = link.qdisc.mark_fraction(link.queue_pkts, qdelay[li],
-                                            t, dt)
-            if mark > 0:
-                marked[idx] += out * mark * dt
-            # Stochastic (non-congestion) loss happens on the wire after the
-            # queue; it removes goodput but does not occupy the buffer.
-            # Fault-injected loss bursts add to the configured rate.
-            p = min(link.config.random_loss + fault_loss, 0.99)
-            if p > 0:
-                rand_loss = out * p
-                out = out - rand_loss
-                drop_rate = drop_rate + rand_loss
-            # Reordering: a fraction of deliveries is *signalled* lost
-            # (duplicate-ACK spurious retransmits) but still arrives, so
-            # it inflates the loss observation without touching goodput.
-            if fault_spurious > 0:
-                drop_rate = drop_rate + out * fault_spurious
-            lost[idx] += drop_rate * dt
-            current[idx] = out
-
-        delivered = current * dt
-
-        # Record per-flow samples; they become observable one ACK-return
-        # delay (~rtt/2 from the bottleneck's perspective) later.
-        self._last_rtt, self._last_rate, self._last_goodput = \
-            rtt, rate, current
-        self._total_sent += sent
-        self._total_delivered += delivered
-        self._total_lost += lost
-        row = self._samples.reserve(1)[0]
-        row[COL_TIME] = t
-        row[COL_AVAIL] = t + dt + rtt / 2.0
-        row[COL_DT] = dt
-        row[COL_RTT] = rtt
-        row[COL_SENT] = sent
-        row[COL_DLV] = delivered
-        row[COL_LOST] = lost
-        row[COL_MARK] = marked
-        self._samples.commit(1)
-
-        self.now = t + dt
-
-    # -- vectorized block kernel ---------------------------------------
+    # -- block kernels -------------------------------------------------
 
     def _fault_terms(self, t: float) -> tuple[float, float, float, float]:
         faults = self._faults
@@ -664,29 +507,6 @@ class FluidNetwork:
         if cap == cap:  # not NaN: constant-rate link
             return float(cap)
         return self._links[li].capacity_pps(t)
-
-    def _advance_fast(self, dt: float, n_ticks: int) -> None:
-        if not self._flows:
-            self._advance_fast_idle(dt, n_ticks)
-            return
-        if self._single_simple:
-            self._advance_fast_single(dt, n_ticks)
-        else:
-            self._advance_fast_multi(dt, n_ticks)
-
-    def _advance_fast_idle(self, dt: float, n_ticks: int) -> None:
-        """Idle drain: no flows registered, queues still serve."""
-        t = self.now
-        links = self._links
-        for _ in range(n_ticks):
-            fault_mult = self._fault_terms(t)[0]
-            for li, link in enumerate(links):
-                cap = self._nominal_cap(li, t) * fault_mult
-                drained = min(link.queue_pkts, cap * dt)
-                link.queue_pkts -= drained
-                link.total_delivered_pkts += drained
-            t = t + dt
-        self.now = t
 
     def _new_sample_block(self, n_ticks: int) -> np.ndarray:
         """The store's next ``(n_ticks, 8, n)`` rows, for the kernel to fill.
@@ -720,7 +540,7 @@ class FluidNetwork:
         self._total_lost += blk[:, COL_LOST, :].sum(axis=0)
         self._samples.commit(len(times))
 
-    def _advance_fast_single(self, dt: float, n_ticks: int) -> None:
+    def _advance_single(self, dt: float, n_ticks: int) -> None:
         """Block kernel specialised for the dominant single-link case.
 
         Queue state lives in Python scalars and per-flow state in the
@@ -831,12 +651,14 @@ class FluidNetwork:
         link.last_share = share if have_share else None
         self._flush_block(dt, times, blk, rate, goodput)
 
-    def _advance_fast_multi(self, dt: float, n_ticks: int) -> None:
-        """Block kernel for multi-link topologies.
+    def _advance_multi(self, dt: float, n_ticks: int) -> None:
+        """Block kernel for multi-link topologies and idle networks.
 
-        A vectorized transcription of the reference tick: path delay is
-        one matrix-vector product over the precomputed membership matrix,
-        and per-link flow sets come from the cached index vectors.
+        A vectorized transcription of the per-tick reference: path delay
+        is one matrix-vector product over the precomputed membership
+        matrix, and per-link flow sets come from the cached index
+        vectors.  A link no flow crosses (every link, with no flows)
+        only drains its queue.
         """
         links = self._links
         n_links = len(links)

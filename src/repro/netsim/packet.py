@@ -37,7 +37,7 @@ from ..config import LinkConfig
 from ..errors import SimulationError
 from ..units import mbps_to_pps
 from .faults import FaultSchedule
-from .fluid import check_cwnds
+from .fluid import check_decisions
 from .stats import IntervalWindow, MtpColumns
 
 _SEND = 0
@@ -176,7 +176,7 @@ class PacketNetwork:
     def set_cwnds(self, slots: np.ndarray, cwnd_pkts,
                   pacing_pps=None) -> None:
         """All-or-nothing, as the fluid engine's."""
-        check_cwnds(cwnd_pkts, lambda k: slots[k])
+        check_decisions(cwnd_pkts, pacing_pps, lambda k: slots[k])
         for k, slot in enumerate(slots.tolist()):
             flow = self._flows[slot]
             flow.cwnd = min(max(cwnd_pkts[k], 1.0), flow.max_cwnd)

@@ -41,7 +41,7 @@ from ...config import LinkConfig, ScenarioConfig
 from ...errors import ConfigError, SimulationError, TransportError, \
     TransportStalledError
 from ...env.multiflow import ScenarioResult, build_driver
-from ..fluid import check_cwnds
+from ..fluid import check_decisions
 from ..stats import IntervalWindow, MtpColumns
 from .impair import ImpairmentLink, ImpairmentProxy
 from .transport import AckSegment, DataSegment, ReceiverFlow, RtoEstimator, \
@@ -395,7 +395,7 @@ class SocketNetwork:
                   pacing_pps=None) -> None:
         """Apply one decision per flow, in segments and wall seconds;
         all-or-nothing like the fluid engine's."""
-        check_cwnds(cwnd_pkts, lambda k: slots[k])
+        check_decisions(cwnd_pkts, pacing_pps, lambda k: slots[k])
         pps, scale = self.pkts_per_seg, self.clock.scale
         for k, slot in enumerate(slots.tolist()):
             fr = self.flows[slot]

@@ -67,8 +67,8 @@ def raising(exc):
 
 def test_every_subcommand_is_registered_once():
     names = [b.name for b in BENCHES]
-    assert names == ["robustness", "scenarios", "scaling", "engine",
-                     "train", "fleet", "serve", "socket"]
+    assert names == ["robustness", "scenarios", "scaling", "train",
+                     "fleet", "serve", "socket"]
     assert len({b.bench_id for b in BENCHES}) == len(BENCHES)
 
 
@@ -87,8 +87,8 @@ def test_run_writes_strict_artifact_and_prints_table(
     doc = reporting.loads_strict((tmp_path / f"{stem}.json").read_text())
     assert doc == payload
     # robustness, scenarios and socket payloads have never carried it.
-    assert ("bench" in doc) == (bench.name in {"scaling", "engine", "train",
-                                               "fleet", "serve"})
+    assert ("bench" in doc) == (bench.name in {"scaling", "train", "fleet",
+                                               "serve"})
     twin = tmp_path / f"{stem}.md"
     if bench.markdown:
         assert twin.read_text() == bench.markdown(payload) + "\n"
@@ -151,16 +151,15 @@ def test_gate_flag_runs_check_only(bench, tmp_path, capsys, monkeypatch):
 LIST_FLAGS = [(b, f.names[0]) for b in BENCHES for f in b.flags if f.parse]
 
 
-def test_six_benches_take_list_valued_flags():
+def test_five_benches_take_list_valued_flags():
     assert {b.name for b, _ in LIST_FLAGS} == {
-        "robustness", "scenarios", "scaling", "engine", "fleet", "serve"}
+        "robustness", "scenarios", "scaling", "fleet", "serve"}
 
 
 @pytest.mark.parametrize(
     "bench,flag,value",
     [(b, flag, ",") for b, flag in LIST_FLAGS]
     + [(b, flag, value) for b in BENCHES for flag, value in {
-        "engine": [("--flows", "a,b")],
         "serve": [("--levels", "x"), ("--connect", "host:notaport")],
         "fleet": [("--points", "nope"), ("--points", "1x2x3")],
     }.get(b.name, [])],
@@ -183,7 +182,7 @@ def test_bench_help_lists_every_subcommand(capsys):
 
 
 def test_non_bench_commands_import_no_bench_module():
-    # `repro serve` is spawned per serving-benchmark job; the eight bench
+    # `repro serve` is spawned per serving-benchmark job; the seven bench
     # modules must stay off its (and every other command's) import path.
     code = ("import sys, repro.cli; repro.cli.main(['template']); "
             "assert not [m for m in sys.modules "

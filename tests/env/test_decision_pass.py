@@ -27,9 +27,9 @@ from repro.env.multiflow import ScenarioDriver, run_topology
 from repro.errors import SimulationError
 from repro.netsim import FluidNetwork
 from repro.netsim.faults import Blackout, DelaySpike, FaultSchedule
-from repro.netsim.fluid import SLOWPATH_ENV
 from repro.netsim.topology import parking_lot
 from repro.scenarios import build_scenario
+from tests.oracles.fluid_reference import ReferenceFluid
 
 
 def drive_per_flow(driver, seen=None):
@@ -179,23 +179,12 @@ class TestBatchedPassEqualsPerFlow:
         assert any(kinds == everything for kinds in passes.values()), \
             sorted(passes.values(), key=len)[-1]
 
-    def test_per_tick_stepping_takes_the_same_pass(self):
-        scenario = build_scenario("asymmetric-rtt", cc="astraea",
-                                  quick=True)
-        driver = build_driver(scenario)
-        while driver.step():
-            pass
-        assert driver.result().flows == run_scenario(scenario).flows
-
-    def test_reference_engine_takes_the_same_pass(self, monkeypatch):
-        monkeypatch.setenv(SLOWPATH_ENV, "1")
+    def test_reference_engine_takes_the_same_pass(self):
         scenario = churn_scenario()
-        driver = build_driver(scenario)
-        assert driver.engine._slowpath
-        while driver.step():
-            pass
+        reference = build_driver(
+            scenario, engine=ReferenceFluid.for_scenario(scenario)).run()
         batched = run_scenario(scenario)
-        assert batched.flows == driver.result().flows
+        assert batched.flows == reference.flows
         assert batched.flows == run_per_flow(scenario).flows
 
     def test_observer_sees_each_decision_in_running_order(self):
@@ -223,26 +212,25 @@ class TestBatchedPassEqualsPerFlow:
         # hook.  Skipping a step at which no flow is due would move an
         # update burst that falls due there from before the next pass's
         # decisions to after them, and change every training trajectory.
-        for advance in ("step_block", "step"):
-            calls = []
-            driver = build_driver(
-                churn_scenario(), on_step=lambda now, flows, stats:
-                calls.append((now, [rf.index for rf in flows], stats)))
-            steps = 0
-            while True:
-                before = driver.now
-                if not getattr(driver, advance)():
-                    break
-                steps += 1
-                assert driver.now > before
-                assert calls[-1][0] == driver.now
-            assert len(calls) == steps, advance
-            assert any(not due for _, due, _ in calls), advance
-            assert all(len(due) == len(stats) and
-                       all(s.time_s == now for s in stats)
-                       for now, due, stats in calls)
-            logged = sum(len(f.times) for f in driver.result().flows)
-            assert sum(len(due) for _, due, _ in calls) == logged
+        calls = []
+        driver = build_driver(
+            churn_scenario(), on_step=lambda now, flows, stats:
+            calls.append((now, [rf.index for rf in flows], stats)))
+        steps = 0
+        while True:
+            before = driver.now
+            if not driver.step_block():
+                break
+            steps += 1
+            assert driver.now > before
+            assert calls[-1][0] == driver.now
+        assert len(calls) == steps
+        assert any(not due for _, due, _ in calls)
+        assert all(len(due) == len(stats) and
+                   all(s.time_s == now for s in stats)
+                   for now, due, stats in calls)
+        logged = sum(len(f.times) for f in driver.result().flows)
+        assert sum(len(due) for _, due, _ in calls) == logged
 
     def test_non_finite_window_names_the_first_flow_in_running_order(self):
         class Broken(CongestionController):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
 from repro.env import build_driver, run_scenario
 
@@ -17,12 +15,6 @@ def tiny(duration=4.0):
 
 
 class TestScenarioDriver:
-    def test_step_advances_one_tick(self):
-        driver = build_driver(tiny())
-        t0 = driver.now
-        assert driver.step()
-        assert driver.now == pytest.approx(t0 + 0.002)
-
     def test_done_after_duration(self):
         scenario = ScenarioConfig(
             link=LinkConfig(bandwidth_mbps=50.0, rtt_ms=20.0),
@@ -31,16 +23,16 @@ class TestScenarioDriver:
         )
         driver = build_driver(scenario)
         steps = 0
-        while driver.step():
+        while driver.step_block():
             steps += 1
         assert driver.done
-        assert not driver.step()          # idempotent once finished
+        assert not driver.step_block()    # idempotent once finished
         assert steps <= int(1.0 / 0.002) + 2
 
     def test_partial_result_readable_midway(self):
         driver = build_driver(tiny())
-        for _ in range(600):               # 1.2 s
-            driver.step()
+        while driver.now < 1.2:
+            driver.step_block()
         partial = driver.result()
         assert 0 < len(partial.flows[0].times)
         assert max(partial.flows[0].times) <= 1.3
@@ -49,7 +41,7 @@ class TestScenarioDriver:
         scenario = tiny()
         direct = run_scenario(scenario)
         driver = build_driver(scenario)
-        while driver.step():
+        while driver.step_block():
             pass
         stepped = driver.result()
         assert stepped.flows[0].times == direct.flows[0].times
@@ -66,7 +58,7 @@ class TestScenarioDriver:
         )
         driver = build_driver(scenario)
         steps = 0
-        while driver.step():
+        while driver.step_block():
             steps += 1
         # Finishes shortly after the flow ends, not after 100 s.
         assert driver.now < 2.0

@@ -1,9 +1,10 @@
-"""Differential suite pinning the vectorized fast path to the reference.
+"""Differential suite pinning the block kernels to the per-tick oracle.
 
 The contract (docs/architecture.md §7): for any scenario — qdiscs,
 faults, multi-link paths, pacing caps, mid-run flow churn — the block
-kernel produces the same trajectory as the per-tick reference
-implementation with per-tick per-flow deltas <= 1e-9.  Most cases here
+kernels produce the same trajectory as the per-tick reference
+implementation (:class:`~tests.oracles.fluid_reference.ReferenceFluid`)
+with per-tick per-flow deltas <= 1e-9.  Most cases here
 are in fact bitwise identical; the tolerance absorbs only summation-order
 differences that BLAS may introduce on some platforms.
 """
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LinkConfig, ScenarioConfig
-from repro.env.multiflow import run_scenario
+from repro.env.multiflow import build_driver, run_scenario
 from repro.errors import SimulationError
 from repro.netsim.faults import (
     BandwidthFlap,
@@ -26,8 +27,9 @@ from repro.netsim.faults import (
     LossBurst,
     ReorderWindow,
 )
-from repro.netsim.fluid import FluidNetwork, slowpath_enabled
+from repro.netsim.fluid import FluidNetwork
 from repro.netsim.flowgen import staggered_flows
+from tests.oracles.fluid_reference import ReferenceFluid
 
 TOL = 1e-9
 DT = 0.002
@@ -74,9 +76,10 @@ def assert_networks_equal(ref: FluidNetwork, fast: FluidNetwork,
 
 
 def run_pair(build, script):
-    """Run ``script(net, fids)`` on a reference and a fast engine."""
-    ref, rfids = build(slowpath=True)
-    fast, ffids = build(slowpath=False)
+    """Run ``script(net, fids)`` on the reference and the production
+    engine; ``build(engine)`` builds a network of class ``engine``."""
+    ref, rfids = build(ReferenceFluid)
+    fast, ffids = build(FluidNetwork)
     script(ref, rfids, per_tick=True)
     script(fast, ffids, per_tick=False)
     return ref, fast
@@ -96,14 +99,14 @@ def advance(net: FluidNetwork, n_ticks: int, per_tick: bool,
 
 
 class TestDifferentialGolden:
-    """Pinned scenarios on both paths, compared tick by tick."""
+    """Pinned scenarios on both engines, compared tick by tick."""
 
     @pytest.mark.parametrize("qdisc", ["droptail", "red", "codel"])
     def test_single_link_qdiscs(self, qdisc):
-        def build(slowpath):
+        def build(engine):
             link = LinkConfig(bandwidth_mbps=48.0, rtt_ms=30.0,
                               buffer_bdp=1.5, qdisc=qdisc)
-            net = FluidNetwork(link, slowpath=slowpath)
+            net = engine(link)
             fids = [net.add_flow(0.03, cwnd_pkts=90.0),
                     net.add_flow(0.05, cwnd_pkts=45.0)]
             return net, fids
@@ -118,10 +121,10 @@ class TestDifferentialGolden:
         assert ref.queue_pkts() == pytest.approx(fast.queue_pkts(), abs=TOL)
 
     def test_all_fault_kinds(self):
-        def build(slowpath):
+        def build(engine):
             link = LinkConfig(bandwidth_mbps=48.0, rtt_ms=30.0,
                               buffer_bdp=1.0, random_loss=0.001)
-            net = FluidNetwork(link, faults=ALL_FAULTS, slowpath=slowpath)
+            net = engine(link, faults=ALL_FAULTS)
             fids = [net.add_flow(0.03, cwnd_pkts=80.0)]
             return net, fids
 
@@ -132,10 +135,10 @@ class TestDifferentialGolden:
         assert_networks_equal(ref, fast)
 
     def test_pacing_caps(self):
-        def build(slowpath):
+        def build(engine):
             link = LinkConfig(bandwidth_mbps=48.0, rtt_ms=20.0,
                               buffer_bdp=1.0)
-            net = FluidNetwork(link, slowpath=slowpath)
+            net = engine(link)
             fids = [net.add_flow(0.02, cwnd_pkts=200.0, pacing_pps=1500.0),
                     net.add_flow(0.02, cwnd_pkts=50.0)]
             return net, fids
@@ -151,7 +154,7 @@ class TestDifferentialGolden:
         assert_networks_equal(ref, fast)
 
     def test_multi_link_paths(self):
-        def build(slowpath):
+        def build(engine):
             links = [
                 LinkConfig(name="a", bandwidth_mbps=40.0, rtt_ms=20.0,
                            buffer_bdp=1.0),
@@ -160,7 +163,7 @@ class TestDifferentialGolden:
                 LinkConfig(name="c", bandwidth_mbps=60.0, rtt_ms=20.0,
                            buffer_bdp=2.0),
             ]
-            net = FluidNetwork(links, slowpath=slowpath)
+            net = engine(links)
             fids = [net.add_flow(0.02, path=["a", "b"], cwnd_pkts=60.0),
                     net.add_flow(0.03, path=["b", "c"], cwnd_pkts=50.0),
                     net.add_flow(0.01, path=["a"], cwnd_pkts=40.0)]
@@ -178,10 +181,10 @@ class TestDifferentialGolden:
                 fast.queue_pkts(name), abs=TOL)
 
     def test_flow_churn_mid_run(self):
-        def build(slowpath):
+        def build(engine):
             link = LinkConfig(bandwidth_mbps=48.0, rtt_ms=30.0,
                               buffer_bdp=1.5)
-            net = FluidNetwork(link, slowpath=slowpath)
+            net = engine(link)
             fids = [net.add_flow(0.03, cwnd_pkts=80.0)]
             return net, fids
 
@@ -202,7 +205,7 @@ class TestDifferentialGolden:
         def build():
             link = LinkConfig(bandwidth_mbps=48.0, rtt_ms=30.0,
                               buffer_bdp=1.5, qdisc="red")
-            net = FluidNetwork(link, faults=ALL_FAULTS, slowpath=False)
+            net = FluidNetwork(link, faults=ALL_FAULTS)
             net.add_flow(0.03, cwnd_pkts=80.0)
             net.add_flow(0.05, cwnd_pkts=40.0)
             return net
@@ -214,54 +217,52 @@ class TestDifferentialGolden:
         assert_networks_equal(ticked, blocked, tol=0.0)
 
     def test_scenario_logs_identical(self):
-        """Full run_scenario: block-stepped fast vs per-tick reference."""
-        def make():
-            return ScenarioConfig(
-                link=LinkConfig(bandwidth_mbps=48.0, rtt_ms=30.0,
-                                buffer_bdp=1.5, qdisc="red"),
-                flows=staggered_flows(3, "cubic", interval_s=3.0,
-                                      duration_s=8.0),
-                duration_s=12.0,
-                seed=5,
-                faults=FaultSchedule([Blackout(start_s=4.0, duration_s=0.4)]),
-            )
-
-        slow = run_scenario_with_path(make(), slowpath=True)
-        fast = run_scenario_with_path(make(), slowpath=False)
-        for a, b in zip(slow.flows, fast.flows):
-            assert a.times == b.times
-            for series in ("throughput_mbps", "rtt_s", "loss_rate",
-                           "cwnd_pkts", "send_rate_mbps"):
-                da = np.asarray(getattr(a, series))
-                db = np.asarray(getattr(b, series))
-                if len(da):
-                    assert float(np.max(np.abs(da - db))) <= TOL
-
-
-def run_scenario_with_path(scenario, slowpath: bool):
-    import os
-
-    from repro.netsim.fluid import SLOWPATH_ENV
-
-    saved = os.environ.get(SLOWPATH_ENV)
-    os.environ[SLOWPATH_ENV] = "1" if slowpath else "0"
-    try:
-        return run_scenario(scenario)
-    finally:
-        if saved is None:
-            os.environ.pop(SLOWPATH_ENV, None)
-        else:
-            os.environ[SLOWPATH_ENV] = saved
+        """Full scenario runs: the driver over the production engine vs
+        over the per-tick reference, on two pinned scenarios (qdisc,
+        faults, staggered starts and stops)."""
+        red = LinkConfig(bandwidth_mbps=48.0, rtt_ms=30.0, buffer_bdp=1.5,
+                         qdisc="red")
+        blackout = ScenarioConfig(
+            link=red,
+            flows=staggered_flows(3, "cubic", interval_s=3.0,
+                                  duration_s=8.0),
+            duration_s=12.0,
+            seed=5,
+            faults=FaultSchedule([Blackout(start_s=4.0, duration_s=0.4)]),
+        )
+        blackout_and_loss = ScenarioConfig(
+            link=red,
+            flows=staggered_flows(3, "cubic", interval_s=3.0,
+                                  duration_s=10.0),
+            duration_s=14.0,
+            seed=23,
+            faults=FaultSchedule([
+                Blackout(start_s=4.0, duration_s=0.5),
+                LossBurst(start_s=8.0, duration_s=0.5, loss_rate=0.1),
+            ]),
+        )
+        for scenario in (blackout, blackout_and_loss):
+            ref = build_driver(
+                scenario, engine=ReferenceFluid.for_scenario(scenario)).run()
+            prod = run_scenario(scenario)
+            for a, b in zip(ref.flows, prod.flows, strict=True):
+                assert a.times == b.times
+                for series in ("throughput_mbps", "rtt_s", "loss_rate",
+                               "cwnd_pkts", "send_rate_mbps"):
+                    da = np.asarray(getattr(a, series))
+                    db = np.asarray(getattr(b, series))
+                    if len(da):
+                        assert float(np.max(np.abs(da - db))) <= TOL
 
 
 class TestZeroArrivalGoodput:
     """Regression: backlog drained on a zero-arrival tick must still be
     attributed to the flows whose fluid is queued (it used to vanish)."""
 
-    @pytest.mark.parametrize("slowpath", [True, False])
-    def test_drain_attributed_after_sender_stalls(self, slowpath):
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_drain_attributed_after_sender_stalls(self, reference):
         link = LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0, buffer_bdp=4.0)
-        net = FluidNetwork(link, slowpath=slowpath)
+        net = (ReferenceFluid if reference else FluidNetwork)(link)
         fid = net.add_flow(0.02, cwnd_pkts=400.0)
         for _ in range(50):
             net.advance(DT)
@@ -279,10 +280,10 @@ class TestZeroArrivalGoodput:
         # The drained backlog shows up as this flow's goodput.
         assert delivered > 0.5 * (drained_before - net.queue_pkts())
 
-    @pytest.mark.parametrize("slowpath", [True, False])
-    def test_total_delivered_conserved_through_stall(self, slowpath):
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_total_delivered_conserved_through_stall(self, reference):
         link = LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0, buffer_bdp=4.0)
-        net = FluidNetwork(link, slowpath=slowpath)
+        net = (ReferenceFluid if reference else FluidNetwork)(link)
         f1 = net.add_flow(0.02, cwnd_pkts=300.0)
         f2 = net.add_flow(0.02, cwnd_pkts=100.0)
         for _ in range(50):
@@ -335,11 +336,11 @@ class TestHypothesisDifferential:
         (n_flows, qdisc, bw, buf, rloss, flows, fault, churn,
          n_ticks, block) = params
 
-        def build(slowpath):
+        def build(engine):
             link = LinkConfig(bandwidth_mbps=bw, rtt_ms=20.0,
                               buffer_bdp=buf, qdisc=qdisc,
                               random_loss=rloss)
-            net = FluidNetwork(link, faults=fault, slowpath=slowpath)
+            net = engine(link, faults=fault)
             fids = [net.add_flow(rtt, cwnd_pkts=cwnd, pacing_pps=pace)
                     for rtt, cwnd, pace in flows]
             return net, fids
@@ -367,33 +368,36 @@ class TestBlockApi:
             net.advance_block(0.002, -3)
 
     def test_idle_network_blocks_drain_queues(self):
-        ref = FluidNetwork(LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0),
-                           slowpath=True)
-        fast = FluidNetwork(LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0),
-                            slowpath=False)
-        for net in (ref, fast):
-            fid = net.add_flow(0.02, cwnd_pkts=200.0)
-            for _ in range(50):
-                net.advance(DT)
-            net.remove_flow(fid)
-        assert ref.queue_pkts() > 0
-        for _ in range(100):
-            ref.advance(DT)
-        fast.advance_block(DT, 100)
-        assert ref.queue_pkts() == pytest.approx(fast.queue_pkts(), abs=TOL)
-        assert ref.now == pytest.approx(fast.now, abs=1e-12)
-
-    def test_env_variable_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
-        assert slowpath_enabled()
-        net = FluidNetwork(LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0))
-        assert net._slowpath
-        monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "0")
-        assert not slowpath_enabled()
-        net = FluidNetwork(LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0))
-        assert not net._slowpath
-        # Explicit constructor argument overrides the environment.
-        monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
-        net = FluidNetwork(LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0),
-                           slowpath=False)
-        assert not net._slowpath
+        """Queues left by removed flows drain on the general kernel as on
+        the reference, compared mid-drain and through a blackout, on one
+        link and on two; the idle drain leaves the RED state alone, so a
+        flow that starts afterwards sees the same qdisc."""
+        one = [LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0, buffer_bdp=4.0,
+                          qdisc="red")]
+        two = [LinkConfig(name="a", bandwidth_mbps=10.0, rtt_ms=20.0,
+                          buffer_bdp=4.0),
+               LinkConfig(name="b", bandwidth_mbps=4.0, rtt_ms=20.0,
+                          buffer_bdp=4.0)]
+        blackout = FaultSchedule([Blackout(start_s=0.15, duration_s=0.05)])
+        for links in (one, two):
+            ref = ReferenceFluid(links, faults=blackout)
+            fast = FluidNetwork(links, faults=blackout)
+            for net in (ref, fast):
+                fid = net.add_flow(0.02, cwnd_pkts=400.0)
+                for _ in range(50):
+                    net.advance(DT)
+                net.remove_flow(fid)
+            assert ref.queue_pkts() > 0
+            for n_ticks in (7, 1, 30, 200):
+                for _ in range(n_ticks):
+                    ref.advance(DT)
+                fast.advance_block(DT, n_ticks)
+                for link in links:
+                    assert ref.queue_pkts(link.name) == pytest.approx(
+                        fast.queue_pkts(link.name), abs=TOL)
+                assert ref.now == pytest.approx(fast.now, abs=1e-12)
+            for net in (ref, fast):
+                net.add_flow(0.02, cwnd_pkts=400.0)
+            advance(ref, 100, per_tick=True)
+            advance(fast, 100, per_tick=False)
+            assert_networks_equal(ref, fast)
