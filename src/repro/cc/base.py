@@ -16,9 +16,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import MTP_S
 from ..errors import ConfigError
-from ..netsim.stats import MtpStats
+from ..netsim.stats import MtpColumns, MtpStats
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,55 @@ class TwoPhaseController(CongestionController):
         if isinstance(state, Decision):
             return state
         return self.finish_interval(stats, self.act(state))
+
+
+class ColumnController(CongestionController):
+    """A controller whose decision a driver may take for many flows at once.
+
+    ``STATE`` names the per-flow attributes the decision reads and
+    writes.  :meth:`decide_columns` is :meth:`on_interval` over columns:
+    ``state`` is a ``(len(STATE), k)`` array, row ``j`` holding attribute
+    ``STATE[j]`` of ``k`` flows, which it updates in place; ``columns``
+    are the same flows' stats; it returns their windows.  For finite
+    inputs, entry ``i`` of every output must be bitwise what
+    ``on_interval`` gives flow ``i`` — the scalar method stays the
+    definition.  Array ``+ - * /`` round as Python's float operators do
+    and ``np.maximum`` / ``np.minimum`` pick the value ``max`` / ``min``
+    pick; ``**`` does not (see :func:`py_pow`).  A driver loads a flow's
+    state with :meth:`read_state` when the flow starts and hands it back
+    with :meth:`write_state`.
+    """
+
+    STATE: tuple[str, ...] = ()
+
+    @classmethod
+    @abstractmethod
+    def decide_columns(cls, state: np.ndarray,
+                       columns: MtpColumns) -> np.ndarray:
+        """One interval of every flow in ``columns``; the new windows."""
+
+    def read_state(self) -> list[float]:
+        return [float(getattr(self, name)) for name in self.STATE]
+
+    def write_state(self, values) -> None:
+        # Each attribute keeps its type (``Cubic.ecn`` is a bool).
+        for name, value in zip(self.STATE, values):
+            setattr(self, name, type(getattr(self, name))(value))
+
+
+def rows_where(mask: np.ndarray):
+    """The rows ``mask`` selects as an index: ``None`` for none, a full
+    slice for all (so the branch works on views), else positions."""
+    count = np.count_nonzero(mask)
+    if count == len(mask):
+        return slice(None)
+    return np.flatnonzero(mask) if count else None
+
+
+def py_pow(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` elementwise through Python floats, i.e. libm ``pow``:
+    NumPy's SIMD ``np.power`` is not bit-equal to it."""
+    return np.array([v ** y for v in x.tolist()], dtype=float)
 
 
 _REGISTRY: dict[str, type[CongestionController]] = {}

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from ..netsim.stats import MtpStats
-from .base import CongestionController, Decision, register
+import numpy as np
+
+from ..netsim.stats import MtpColumns, MtpStats
+from .base import ColumnController, Decision, py_pow, register, rows_where
 
 
 @register("cubic")
-class Cubic(CongestionController):
+class Cubic(ColumnController):
     """CUBIC: time-based cubic window growth around the last-loss window.
 
     On a loss event the window is reduced by the multiplicative factor
@@ -19,6 +21,9 @@ class Cubic(CongestionController):
     BETA = 0.7           # multiplicative decrease factor
     MIN_CWND = 2.0
     ECN_MARK_THRESHOLD = 0.01
+
+    STATE = ("cwnd", "ssthresh", "_w_max", "_k", "_epoch_start",
+             "_recovery_until", "ecn")
 
     def __init__(self, mtp_s: float = 0.030, ecn: bool = False):
         super().__init__(mtp_s)
@@ -73,3 +78,61 @@ class Cubic(CongestionController):
             self.cwnd = min(self.cwnd + max(growth, 0.0), self.cwnd * 1.5 + 1.0)
         self.cwnd = max(self.cwnd, self.MIN_CWND)
         return Decision(cwnd_pkts=self.cwnd)
+
+    @classmethod
+    def decide_columns(cls, state: np.ndarray,
+                       columns: MtpColumns) -> np.ndarray:
+        """:meth:`on_interval` of many flows: one row set per branch,
+        each taken from the state the interval found, and every
+        expression in the scalar's evaluation order."""
+        cwnd, ssthresh, w_max, k, epoch, recovery, ecn = state
+        now = columns.time_s
+        srtt = columns.srtt_s
+        congested = columns.lost_pkts > 0
+        if np.count_nonzero(ecn):
+            congested |= (ecn != 0) \
+                & (columns.mark_rate > cls.ECN_MARK_THRESHOLD)
+        loss = congested & (now >= recovery) \
+            if np.count_nonzero(congested) else None
+        slow = cwnd < ssthresh
+        avoid = ~slow
+        if loss is not None:
+            slow &= ~loss
+            avoid &= ~loss
+            loss = rows_where(loss)
+        slow, avoid = rows_where(slow), rows_where(avoid)
+
+        if loss is not None:
+            w_max[loss] = cwnd[loss]
+            w = w_max[loss]
+            cwnd[loss] = ssthresh[loss] = np.maximum(w * cls.BETA,
+                                                     cls.MIN_CWND)
+            k[loss] = py_pow(w * (1.0 - cls.BETA) / cls.C, 1.0 / 3.0)
+            epoch[loss] = now
+            recovery[loss] = now + srtt[loss]
+        if slow is not None:
+            cwnd[slow] = np.minimum(
+                cwnd[slow] + columns.delivered_pkts[slow], ssthresh[slow])
+        if avoid is not None:
+            fresh = epoch[avoid] < 0
+            if np.count_nonzero(fresh):
+                # No loss yet: a fresh epoch anchored at the window.
+                epoch[avoid] = np.where(fresh, now, epoch[avoid])
+                w_max[avoid] = np.where(fresh, cwnd[avoid], w_max[avoid])
+                k[avoid] = np.where(fresh, 0.0, k[avoid])
+            cw, wm, s = cwnd[avoid], w_max[avoid], srtt[avoid]
+            t = now - epoch[avoid]
+            s_floor = np.maximum(s, 1e-6)
+            target = np.maximum(
+                cls.C * py_pow(t + s - k[avoid], 3) + wm,
+                wm * cls.BETA
+                + 3.0 * (1.0 - cls.BETA) / (1.0 + cls.BETA) * t / s_floor)
+            growth = (target - cw) * np.minimum(
+                columns.duration_s[avoid] / s_floor, 1.0)
+            cwnd[avoid] = np.maximum(
+                np.where(target > cw,
+                         np.minimum(cw + np.maximum(growth, 0.0),
+                                    cw * 1.5 + 1.0),
+                         cw),
+                cls.MIN_CWND)
+        return cwnd

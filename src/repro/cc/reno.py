@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from ..netsim.stats import MtpStats
-from .base import CongestionController, Decision, register
+import numpy as np
+
+from ..netsim.stats import MtpColumns, MtpStats
+from .base import ColumnController, Decision, register, rows_where
 
 
 @register("reno")
-class Reno(CongestionController):
+class Reno(ColumnController):
     """Classic loss-based AIMD.
 
     Per interval the window grows by one packet per ``cwnd`` acked packets
@@ -17,6 +19,8 @@ class Reno(CongestionController):
     """
 
     MIN_CWND = 2.0
+
+    STATE = ("cwnd", "ssthresh", "_recovery_until")
 
     def __init__(self, mtp_s: float = 0.030):
         super().__init__(mtp_s)
@@ -42,3 +46,26 @@ class Reno(CongestionController):
                 # Congestion avoidance: one packet per window per RTT.
                 self.cwnd += acked / max(self.cwnd, 1.0)
         return Decision(cwnd_pkts=self.cwnd)
+
+    @classmethod
+    def decide_columns(cls, state: np.ndarray,
+                       columns: MtpColumns) -> np.ndarray:
+        """:meth:`on_interval` of many flows, branch by branch."""
+        cwnd, ssthresh, recovery = state
+        now = columns.time_s
+        acked = columns.delivered_pkts
+        loss = (columns.lost_pkts > 0) & (now >= recovery)
+        slow = ~loss & (cwnd < ssthresh)
+        avoid = rows_where(~(loss | slow))
+        loss, slow = rows_where(loss), rows_where(slow)
+
+        if loss is not None:
+            cwnd[loss] = ssthresh[loss] = \
+                np.maximum(cwnd[loss] / 2.0, cls.MIN_CWND)
+            recovery[loss] = now + columns.srtt_s[loss]
+        if slow is not None:
+            cwnd[slow] = np.minimum(cwnd[slow] + acked[slow], ssthresh[slow])
+        if avoid is not None:
+            cw = cwnd[avoid]
+            cwnd[avoid] = cw + acked[avoid] / np.maximum(cw, 1.0)
+        return cwnd

@@ -20,9 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cc import create
-from ..cc.base import CongestionController, Decision, TwoPhaseController
+from ..cc.base import (
+    ColumnController,
+    CongestionController,
+    Decision,
+    TwoPhaseController,
+    rows_where,
+)
 from ..config import FlowConfig, ScenarioConfig
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..netsim import FluidNetwork, PacketNetwork
 from ..netsim.stats import MtpColumns, MtpStats
 from ..netsim.topology import TopologyConfig
@@ -229,18 +235,42 @@ def _stacked_policy(controller: CongestionController):
         else None
 
 
+def _column_kind(controller: CongestionController):
+    """The class whose ``decide_columns`` may decide for ``controller``,
+    or ``None``.
+
+    The rule of :func:`_stacked_policy`: the class that defines
+    ``decide_columns`` must also own the controller's ``on_interval``
+    (and not see ``interval_s`` overridden below it), so a subclass or
+    test double that overrides either keeps the per-object call.
+    """
+    if not isinstance(controller, ColumnController):
+        return None
+    kind = type(controller)
+    owner = next(k for k in kind.__mro__ if "decide_columns" in vars(k))
+    if vars(owner).get("on_interval") is kind.on_interval \
+            and kind.interval_s is owner.interval_s:
+        return kind
+    return None
+
+
 @dataclass
 class _RunningFlow:
     index: int
     engine_id: int
     controller: CongestionController
     end_s: float
-    #: Decided once at flow start (see :func:`_stacked_policy`), so a
-    #: pass over classical controllers pays one ``None`` test per flow.
+    #: Decided once at flow start (see :func:`_stacked_policy`).
     policy: object | None = None
     #: Position in ``ScenarioDriver._running`` and in the driver's
     #: per-flow vectors; renumbered on flow churn.
     pos: int = -1
+
+
+#: ``FlowLog`` series in the order of a log block's columns after the
+#: flow indices.
+_LOG_SERIES = ("times", "throughput_mbps", "rtt_s", "loss_rate",
+               "cwnd_pkts", "send_rate_mbps")
 
 
 class ScenarioDriver:
@@ -261,9 +291,26 @@ class ScenarioDriver:
     windowed engine ``start_s`` / ``stop_s``.
     """
 
+    #: Per-flow vectors in ``_running`` order (besides ``_state`` and the
+    #: engine's ``_slots``): next controller deadline, scenario index,
+    #: the controller's MTP, whether its ``interval_s`` follows the srtt,
+    #: and its column kind (an index into ``_column_kinds``, -1 for the
+    #: per-object call).
+    _PER_FLOW = ("_next_ctrl", "_index", "_mtp", "_per_rtt", "_kind")
+
     def __init__(self, engine, scenario_flows, flow_spec, duration_s: float,
                  controllers, bottleneck_mbps: float, base_rtt_s: float,
                  on_step=None, align_intervals: bool = False):
+        if controllers is not None:
+            first: dict[int, int] = {}
+            for i, controller in enumerate(controllers):
+                if controller is None:
+                    continue
+                j = first.setdefault(id(controller), i)
+                if j != i:
+                    raise ConfigError(
+                        f"flows {j} and {i} share one controller object; "
+                        "give every flow its own")
         self._engine = engine
         self._flows = scenario_flows
         self._flow_spec = flow_spec
@@ -275,6 +322,9 @@ class ScenarioDriver:
         self._logs = [FlowLog(cc_name=f.cc, start_s=f.start_s,
                               end_s=min(f.end_s(), duration_s))
                       for f in scenario_flows]
+        #: One block of columns per pass — flow indices, then the
+        #: ``_LOG_SERIES`` — flushed into ``_logs`` by :meth:`result`.
+        self._log_blocks: list[tuple] = []
         # A windowed engine gets every flow at once, with its window.
         self._windowed = engine.windowed
         self._start_at = [0.0 if self._windowed else f.start_s
@@ -282,9 +332,15 @@ class ScenarioDriver:
         self._pending = deque(sorted(range(len(scenario_flows)),
                                      key=self._start_at.__getitem__))
         self._running: list[_RunningFlow] = []
-        # Per running flow, in ``_running`` order: next controller
-        # deadline and engine slot; plus the earliest flow end.
         self._next_ctrl = np.zeros(0)
+        self._index = np.zeros(0, dtype=np.intp)
+        self._mtp = np.zeros(0)
+        self._per_rtt = np.zeros(0, dtype=bool)
+        self._kind = np.zeros(0, dtype=np.intp)
+        self._column_kinds: list[type] = []
+        #: Column flows' ``STATE``, one row per attribute (as many rows as
+        #: the longest ``STATE`` of ``_column_kinds``).
+        self._state = np.zeros((0, 0))
         self._slots = np.zeros(0, dtype=np.intp)
         self._next_end = np.inf
         self._bottleneck_mbps = bottleneck_mbps
@@ -305,21 +361,21 @@ class ScenarioDriver:
         """Currently active flows (engine id + scenario index pairs)."""
         return list(self._running)
 
-    def _next_deadline(self, now: float, interval_s: float,
-                       grid_s: float) -> float:
-        """The next controller deadline after ``now``.
+    def _next_deadlines(self, now: float, interval_s, grid_s):
+        """The next controller deadlines after ``now``, for columns (or
+        scalars) of controller intervals and MTPs.
 
-        With ``align_intervals`` the deadline snaps up to the next
+        With ``align_intervals`` a deadline snaps up to the next
         multiple of the controller's MTP, so every same-cadence flow of
         the scenario decides in the *same* pass — the property the
         batched training runner needs to stack whole-pool action
         selection into one matmul.  Flows started at staggered offsets
         otherwise keep pairwise-irrational deadlines forever.
         """
-        t = now + max(interval_s, self._tick_s)
-        if not self._align_intervals or grid_s <= 0:
+        t = now + np.maximum(interval_s, self._tick_s)
+        if not self._align_intervals:
             return t
-        return max(1, int(np.ceil(t / grid_s - 1e-9))) * grid_s
+        return np.maximum(np.ceil(t / grid_s - 1e-9), 1.0) * grid_s
 
     def _start_due_flows(self, now: float) -> None:
         # Gather every due flow first and register the whole batch with
@@ -342,24 +398,69 @@ class ScenarioDriver:
                 spec.update(start_s=cfg.start_s, stop_s=self._logs[i].end_s)
             specs.append(spec)
         fids = self._engine.add_flows(specs)
-        for fid, (i, cfg, controller) in zip(fids, due):
-            self._running.append(_RunningFlow(
-                index=i, engine_id=fid, controller=controller,
-                end_s=np.inf if self._windowed else self._logs[i].end_s,
-                policy=_stacked_policy(controller),
-            ))
-        self._renumber(np.concatenate([self._next_ctrl, [
-            self._next_deadline(now, controller.mtp_s, controller.mtp_s)
-            for _i, _cfg, controller in due]]))
+        fresh = [_RunningFlow(
+            index=i, engine_id=fid, controller=controller,
+            end_s=np.inf if self._windowed else self._logs[i].end_s,
+            policy=_stacked_policy(controller),
+        ) for fid, (i, _cfg, controller) in zip(fids, due)]
+        self._running += fresh
+        self._renumber(np.arange(len(self._next_ctrl)), fresh, now)
 
-    def _renumber(self, next_ctrl: np.ndarray) -> None:
-        """Realign the per-flow vectors with ``_running`` after churn."""
+    def _column_code(self, controller: CongestionController) -> int:
+        """``controller``'s index in ``_column_kinds`` (registered on
+        first sight), or -1 for the per-object call."""
+        kind = _column_kind(controller)
+        if kind is None:
+            return -1
+        if kind not in self._column_kinds:
+            self._column_kinds.append(kind)
+            grow = len(kind.STATE) - len(self._state)
+            if grow > 0:
+                self._state = np.concatenate(
+                    [self._state, np.zeros((grow, self._state.shape[1]))])
+        return self._column_kinds.index(kind)
+
+    def _renumber(self, keep: np.ndarray, fresh=(), now: float = 0.0
+                  ) -> None:
+        """Realign the per-flow vectors with ``_running`` after churn.
+
+        The entries at positions ``keep`` stay; the flows of ``fresh``,
+        started at ``now`` and appended to ``_running``, get theirs: the
+        first deadline one MTP out and, for a column flow, the state of
+        its reset controller.
+        """
+        kinds = [self._column_code(rf.controller) for rf in fresh]
+        state = np.zeros((len(self._state), len(fresh)))
+        for j, (rf, code) in enumerate(zip(fresh, kinds)):
+            if code >= 0:
+                values = rf.controller.read_state()
+                state[:len(values), j] = values
+        mtp = np.array([rf.controller.mtp_s for rf in fresh], dtype=float)
+        added = {
+            "_next_ctrl": self._next_deadlines(now, mtp, mtp),
+            "_index": np.array([rf.index for rf in fresh], dtype=np.intp),
+            "_mtp": mtp,
+            "_per_rtt": np.array(
+                [type(rf.controller).interval_s
+                 is not CongestionController.interval_s for rf in fresh],
+                dtype=bool),
+            "_kind": np.array(kinds, dtype=np.intp),
+        }
+        for name in self._PER_FLOW:
+            setattr(self, name, np.concatenate(
+                [getattr(self, name)[keep], added[name]]))
+        self._state = np.concatenate([self._state[:, keep], state], axis=1)
         running = self._running
-        self._next_ctrl = next_ctrl
         for pos, rf in enumerate(running):
             rf.pos = pos
         self._slots = self._engine.slots([rf.engine_id for rf in running])
         self._next_end = min((rf.end_s for rf in running), default=np.inf)
+
+    def _write_back(self, flows) -> None:
+        """Hand every column flow among ``flows`` its state back."""
+        for rf in flows:
+            if self._kind[rf.pos] >= 0:
+                rf.controller.write_state(self._state[:, rf.pos].tolist())
 
     def _begin_step(self) -> bool:
         """Shared per-step preamble: flow churn and termination checks."""
@@ -373,11 +474,12 @@ class ScenarioDriver:
         self._start_due_flows(now)
         if self._next_end <= now:
             # One engine rebuild for every flow ending on this tick.
-            engine.remove_flows([rf.engine_id for rf in self._running
-                                 if rf.end_s <= now])
+            ended = [rf for rf in self._running if rf.end_s <= now]
+            self._write_back(ended)
+            engine.remove_flows([rf.engine_id for rf in ended])
             self._running = [rf for rf in self._running if rf.end_s > now]
-            self._renumber(
-                self._next_ctrl[[rf.pos for rf in self._running]])
+            self._renumber(np.array([rf.pos for rf in self._running],
+                                    dtype=np.intp))
         if not self._running and not self._pending:
             self.done = True
             return False
@@ -425,32 +527,97 @@ class ScenarioDriver:
         update burst there, and a burst must land at the same engine
         instant whether or not a flow happened to decide at it.
         """
-        flows, columns = self.collect_due(now)
-        stats = self._decide_and_apply(flows, columns) if flows else []
+        pos, columns = self.collect_due(now)
+        flows, stats = self._decide_and_apply(now, pos, columns) \
+            if len(pos) else ([], [])
         if self._on_step is not None:
             self._on_step(now, flows, stats)
 
-    def _decide_and_apply(self, flows: list[_RunningFlow],
-                          columns: MtpColumns) -> list[MtpStats]:
-        """The decisions of the due ``flows``, one ``set_cwnds``, then the
-        per-flow bookkeeping — the same code for one due flow or 400.
+    def _decide_and_apply(self, now: float, pos: np.ndarray,
+                          columns: MtpColumns):
+        """The decisions of the flows at ``_running`` positions ``pos``,
+        one ``set_cwnds``, one log block and the next deadlines as a
+        column — the same code for one due flow or 400.  Returns the due
+        flows and their ``MtpStats`` when an ``on_step`` hook wants them
+        (else ``None, None``).
 
-        Deciding is two-phase: every due flow with a stackable policy
-        first does the policy-free half of its decision, then each
-        distinct policy runs *one* row-exact forward over the stacked
-        states of its flows, then every decision is completed in
-        ``_running`` order.  The policy is frozen for the pass, the
-        controllers share no other state, and row ``i`` of the stacked
-        forward is bitwise ``act`` of that row, so the pass equals
-        calling ``on_interval`` flow by flow.  Every other flow takes
-        exactly that per-object call.
+        Column flows decide first: one ``decide_columns`` per column
+        kind over its flows' state columns.  The others take
+        :meth:`_decide_objects`.  The
+        controllers share no state, so the order of the two makes no
+        difference, and each decision is bitwise the flow's
+        ``on_interval``.  ``MtpStats`` rows are built only for the
+        per-object flows, or for every due flow when a hook is set.
 
         Applying is all-or-nothing and happens before the hook fires:
         windows never alter stats already collected, so setting them
         together equals setting them flow by flow, and the hook sees the
         pass's decisions already in force.
         """
-        stats = columns.rows()
+        n = len(pos)
+        running = self._running
+        # With every running flow due, index the per-flow vectors by a
+        # slice: views, and the state is updated where it lives.
+        every = slice(None) if n == len(running) else pos
+        kind = self._kind[every]
+        cwnds = np.empty(n)
+        for code, cls in enumerate(self._column_kinds):
+            sel = rows_where(kind == code)
+            if sel is not None:
+                at = every if isinstance(sel, slice) else pos[sel]
+                rows = len(cls.STATE)
+                state = self._state[:rows, at]
+                cwnds[sel] = cls.decide_columns(
+                    state,
+                    columns if isinstance(sel, slice) else columns.take(sel))
+                if not isinstance(at, slice):
+                    self._state[:rows, at] = state
+
+        flows = stats = None
+        if self._on_step is not None:
+            flows = [running[p] for p in pos.tolist()]
+            stats = columns.rows()
+        pacing = None
+        obj = kind < 0
+        if np.count_nonzero(obj):
+            obj = np.flatnonzero(obj)
+            decisions = self._decide_objects(
+                [running[p] for p in pos[obj].tolist()],
+                [stats[j] for j in obj.tolist()] if stats is not None
+                else (columns if len(obj) == n else columns.take(obj)).rows())
+            cwnds[obj] = [d.cwnd_pkts for d in decisions]
+            pacing = np.full(n, np.inf)
+            pacing[obj] = [np.inf if d.pacing_pps is None else d.pacing_pps
+                           for d in decisions]
+
+        self._engine.set_cwnds(self._slots[every], cwnds, pacing)
+        self._log_blocks.append((
+            self._index[every], np.full(n, now), columns.throughput_mbps,
+            columns.avg_rtt_s, columns.loss_rate, cwnds,
+            cwnds / np.maximum(columns.srtt_s, 1e-6) / mbps_to_pps(1.0)))
+        interval = mtp = self._mtp[every]
+        per_rtt = self._per_rtt[every]
+        if np.count_nonzero(per_rtt):
+            interval = mtp.copy()
+            for j in np.flatnonzero(per_rtt).tolist():
+                interval[j] = running[pos[j]].controller.interval_s(
+                    columns.srtt_s[j].item())
+        self._next_ctrl[every] = self._next_deadlines(now, interval, mtp)
+        return flows, stats
+
+    @staticmethod
+    def _decide_objects(flows: list[_RunningFlow],
+                        stats: list[MtpStats]) -> list[Decision]:
+        """The decisions of per-object flows, in order.
+
+        Two-phase: every flow with a stackable policy first does the
+        policy-free half of its decision, then each distinct policy runs
+        *one* row-exact forward over the stacked states of its flows,
+        then every decision is completed.  The policy is frozen for the
+        pass and row ``i`` of the stacked forward is bitwise ``act`` of
+        that row, so this equals calling ``on_interval`` flow by flow.
+        Every other flow takes exactly that per-object call.
+        """
         decisions: list = [None] * len(flows)
         # policy id -> (policy, slots in ``flows`` that need its forward)
         stacks: dict[int, tuple[object, list[int]]] = {}
@@ -469,67 +636,58 @@ class ScenarioDriver:
             for slot, action in zip(slots, actions.tolist()):
                 decisions[slot] = flows[slot].controller.finish_interval(
                     stats[slot], action)
-
-        cwnds = [d.cwnd_pkts for d in decisions]
-        pos = [rf.pos for rf in flows]
-        self._engine.set_cwnds(
-            self._slots[pos], cwnds,
-            [np.inf if d.pacing_pps is None else d.pacing_pps
-             for d in decisions])
-        send_mbps = cwnds / np.maximum(columns.srtt_s, 1e-6) \
-            / mbps_to_pps(1.0)
-        self._next_ctrl[pos] = [
-            self._finish(*row) for row in
-            zip(flows, stats, cwnds, columns.throughput_mbps.tolist(),
-                columns.loss_rate.tolist(), send_mbps.tolist())]
-        return stats
+        return decisions
 
     def collect_due(self, now: float
-                    ) -> tuple[list[_RunningFlow], MtpColumns | None]:
+                    ) -> tuple[np.ndarray, MtpColumns | None]:
         """Stats for every flow whose monitoring interval has expired.
 
         A flow is due once its deadline is not after the decision
         instant it stands at (``engine.instants``).  One columnar collect
         over the due flows' engine slots, no controller call.  Returns
-        the due flows in ``_running`` order and their stats as columns
-        (``None`` when no flow is due).
+        the due flows' positions in ``_running`` (ascending) and their
+        stats as columns (``None`` when no flow is due).
         """
         pos = np.flatnonzero(
             self._next_ctrl <= self._engine.instants(self._slots) + 1e-12)
         if not len(pos):
-            return [], None
-        running = self._running
-        return [running[p] for p in pos.tolist()], \
-            self._engine.collect_stats(self._slots[pos], now)
+            return pos, None
+        return pos, self._engine.collect_stats(self._slots[pos], now)
 
-    def _finish(self, rf: _RunningFlow, stats, cwnd_pkts: float,
-                thr_mbps: float, loss_rate: float,
-                send_mbps: float) -> float:
-        """Log one applied decision — the row :meth:`FlowLog.record`
-        would append, from values the pass already computed as columns —
-        and return the flow's next deadline."""
-        now = self._engine.now
-        log = self._logs[rf.index]
-        log.times.append(now)
-        log.throughput_mbps.append(thr_mbps)
-        log.rtt_s.append(stats.avg_rtt_s)
-        log.loss_rate.append(loss_rate)
-        log.cwnd_pkts.append(cwnd_pkts)
-        log.send_rate_mbps.append(send_mbps)
-        return self._next_deadline(
-            now, rf.controller.interval_s(stats.srtt_s), rf.controller.mtp_s)
+    def _flush_log(self) -> None:
+        """Move the pending log blocks into the ``FlowLog``\\ s: one stable
+        sort by flow index keeps every flow's rows in pass order."""
+        blocks = self._log_blocks
+        if not blocks:
+            return
+        self._log_blocks = []
+        index = np.concatenate([b[0] for b in blocks])
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        cuts = (np.flatnonzero(np.diff(index)) + 1).tolist()
+        bounds = list(zip([0] + cuts, cuts + [len(index)]))
+        logs = [self._logs[i] for i in index[[0] + cuts].tolist()]
+        for k, name in enumerate(_LOG_SERIES, start=1):
+            values = np.concatenate([b[k] for b in blocks])[order].tolist()
+            for log, (lo, hi) in zip(logs, bounds):
+                getattr(log, name).extend(values[lo:hi])
 
     def finish_flow(self, rf: _RunningFlow, stats, decision) -> None:
         """Apply one controller decision collected by :meth:`step_collect`:
         set the window, log the interval and schedule the flow's next
         deadline.  With :meth:`step_collect` this is the one-flow-at-a-time
-        reference the batched pass is tested against; it fires no hook."""
+        reference the batched pass is tested against; it fires no hook.
+        The caller decided with the object, so a column flow's state
+        columns are reloaded from it."""
         self._engine.set_cwnd(rf.engine_id, decision.cwnd_pkts,
                               decision.pacing_pps)
         now = self._engine.now
         self._logs[rf.index].record(now, stats, decision.cwnd_pkts)
-        self._next_ctrl[rf.pos] = self._next_deadline(
+        self._next_ctrl[rf.pos] = self._next_deadlines(
             now, rf.controller.interval_s(stats.srtt_s), rf.controller.mtp_s)
+        if self._kind[rf.pos] >= 0:
+            values = rf.controller.read_state()
+            self._state[:len(values), rf.pos] = values
 
     def step_collect(self) -> list | None:
         """First half of the per-flow reference step.
@@ -543,12 +701,17 @@ class ScenarioDriver:
         if not self._begin_step():
             return None
         self._advance_to_next_event()
-        flows, columns = self.collect_due(self._engine.now)
-        return list(zip(flows, columns.rows())) if flows else []
+        pos, columns = self.collect_due(self._engine.now)
+        running = self._running
+        return [(running[p], stats) for p, stats in
+                zip(pos.tolist(), columns.rows())] if len(pos) else []
 
     def result(self) -> ScenarioResult:
         """Logs collected so far (complete once :meth:`step_block`
-        returns False)."""
+        returns False).  Hands every running column flow its state back,
+        so the controller objects are current too."""
+        self._write_back(self._running)
+        self._flush_log()
         return ScenarioResult(
             flows=self._logs,
             duration_s=self.duration_s,

@@ -177,10 +177,13 @@ class PacketNetwork:
                   pacing_pps=None) -> None:
         """All-or-nothing, as the fluid engine's."""
         check_decisions(cwnd_pkts, pacing_pps, lambda k: slots[k])
-        for k, slot in enumerate(slots.tolist()):
+        pacing_pps = [math.inf] * len(slots) if pacing_pps is None \
+            else np.asarray(pacing_pps, dtype=float).tolist()
+        for slot, cwnd, pacing in zip(
+                slots.tolist(), np.asarray(cwnd_pkts, dtype=float).tolist(),
+                pacing_pps):
             flow = self._flows[slot]
-            flow.cwnd = min(max(cwnd_pkts[k], 1.0), flow.max_cwnd)
-            pacing = None if pacing_pps is None else pacing_pps[k]
+            flow.cwnd = min(max(cwnd, 1.0), flow.max_cwnd)
             flow.pacing_pps = None if pacing == math.inf else pacing
 
     def collect_stats(self, slots: np.ndarray, now: float) -> MtpColumns:

@@ -397,13 +397,16 @@ class SocketNetwork:
         all-or-nothing like the fluid engine's."""
         check_decisions(cwnd_pkts, pacing_pps, lambda k: slots[k])
         pps, scale = self.pkts_per_seg, self.clock.scale
-        for k, slot in enumerate(slots.tolist()):
+        pacing_pps = [math.inf] * len(slots) if pacing_pps is None \
+            else np.asarray(pacing_pps, dtype=float).tolist()
+        for slot, cwnd, pacing in zip(
+                slots.tolist(), np.asarray(cwnd_pkts, dtype=float).tolist(),
+                pacing_pps):
             fr = self.flows[slot]
-            pacing = None if pacing_pps is None else pacing_pps[k]
             pacing = None if pacing == math.inf else pacing
-            self._cwnd[slot] = cwnd_pkts[k]
+            self._cwnd[slot] = cwnd
             self._pacing[slot] = pacing
-            fr.sender.cwnd_segs = max(1.0, cwnd_pkts[k] / pps)
+            fr.sender.cwnd_segs = max(1.0, cwnd / pps)
             fr.sender.pace_gap_wall = pps / (pacing * scale) if pacing \
                 else None
 

@@ -417,6 +417,19 @@ class MtpColumns:
         np.divide(self.lost_pkts, sent, out=rate, where=sent > 0)
         return np.minimum(rate, 1.0, out=rate)
 
+    @property
+    def mark_rate(self) -> np.ndarray:
+        """The column of :attr:`MtpStats.mark_rate`."""
+        delivered = self.delivered_pkts
+        rate = np.zeros(len(delivered))
+        np.divide(self.marked_pkts, delivered, out=rate, where=delivered > 0)
+        return np.minimum(rate, 1.0, out=rate)
+
+    def take(self, sel: np.ndarray) -> MtpColumns:
+        """The columns of the flows at positions ``sel``."""
+        return MtpColumns(self.time_s, *(getattr(self, name)[sel]
+                                         for name in _COLUMN_FIELDS))
+
     def rows(self) -> list[MtpStats]:
         """One :class:`MtpStats` per collected flow."""
         columns = [getattr(self, name).tolist() for name in _COLUMN_FIELDS]

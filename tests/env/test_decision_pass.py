@@ -14,19 +14,26 @@ itself is pinned against per-flow monitors in
 
 from __future__ import annotations
 
+import pickle
 from collections import defaultdict
 
 import pytest
 
+from repro.cc import Cubic, Reno, create
 from repro.cc.base import CongestionController, Decision
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
 from repro.core.astraea import AstraeaController
 from repro.core.policy import MODELS_DIR, PolicyBundle, load_default_policy
 from repro.env import build_driver, run_scenario
-from repro.env.multiflow import ScenarioDriver, run_topology
+from repro.env.multiflow import ScenarioDriver, _column_kind, run_topology
 from repro.errors import SimulationError
 from repro.netsim import FluidNetwork
-from repro.netsim.faults import Blackout, DelaySpike, FaultSchedule
+from repro.netsim.faults import (
+    Blackout,
+    DelaySpike,
+    FaultSchedule,
+    LossBurst,
+)
 from repro.netsim.topology import parking_lot
 from repro.scenarios import build_scenario
 from tests.oracles.fluid_reference import ReferenceFluid
@@ -248,6 +255,120 @@ class TestBatchedPassEqualsPerFlow:
                 pass
         # All-or-nothing: the failing pass applied and logged nothing.
         assert all(len(log.times) == 0 for log in driver.result().flows)
+
+
+class CountingCubic(Cubic):
+    """A CUBIC test double that overrides ``on_interval``."""
+
+    def __init__(self):
+        super().__init__()
+        self.fired = 0
+
+    def on_interval(self, stats):
+        self.fired += 1
+        return super().on_interval(stats)
+
+
+#: (scheme, start_s, duration_s, extra_rtt_ms) per flow of the column
+#: scenario: the three column kinds next to per-RTT, two-phase, composed
+#: and overriding controllers, staggered starts off the MTP grid, and
+#: three flows (one of each column kind) that stop on the same tick.
+COLUMN_FLOWS = (("cubic", 0.0, None, 0.0), ("cubic-ecn", 0.31, None, 10.0),
+                ("reno", 0.5, None, 20.0), ("vegas", 0.7, None, 0.0),
+                ("astraea", 0.2, 3.0, 0.0), ("counting", 1.0, 2.0, 0.0),
+                ("orca", 0.9, None, 5.0), ("cubic", 0.55, 2.5, 0.0),
+                ("reno", 0.55, 2.5, 15.0), ("cubic-ecn", 0.55, 2.5, 0.0))
+
+
+def column_scenario():
+    return ScenarioConfig(
+        link=LinkConfig(bandwidth_mbps=80.0, rtt_ms=30.0, buffer_bdp=2.0,
+                        qdisc="red",
+                        qdisc_kwargs={"min_th_pkts": 20.0,
+                                      "max_th_pkts": 150.0,
+                                      "max_p": 0.2, "ecn": True}),
+        flows=tuple(
+            FlowConfig(cc=cc.partition("-")[0].replace("counting", "cubic"),
+                       start_s=start, duration_s=duration,
+                       extra_rtt_ms=extra,
+                       cc_kwargs={"ecn": True} if cc == "cubic-ecn" else {})
+            for cc, start, duration, extra in COLUMN_FLOWS),
+        duration_s=4.5,
+        faults=FaultSchedule((Blackout(1.5, 0.3),
+                              LossBurst(2.2, 0.4, loss_rate=0.05),
+                              DelaySpike(3.0, 0.5, extra_ms=40.0))))
+
+
+def column_controllers(scenario):
+    return [CountingCubic() if kind == "counting"
+            else create(cfg.cc, **cfg.cc_kwargs)
+            for (kind, *_), cfg in zip(COLUMN_FLOWS, scenario.flows)]
+
+
+def pickled(controllers):
+    """Every attribute of every controller, bit for bit (floats are
+    pickled as their IEEE bytes, and a bool is not a float)."""
+    return [pickle.dumps(c) for c in controllers]
+
+
+class TestColumnPass:
+    """CUBIC and Reno flows decide through ``decide_columns`` over the
+    driver's state columns; everything they leave behind — logs and the
+    controller objects — equals the per-object loop's."""
+
+    def test_the_column_kinds_are_chosen_by_the_rule(self):
+        scenario = column_scenario()
+        kinds = [_column_kind(c) for c in column_controllers(scenario)]
+        assert kinds == [Cubic, Cubic, Reno, None, None, None, None, Cubic,
+                         Reno, Cubic]
+
+    def test_logs_and_controllers_equal_the_per_object_loop(self):
+        scenario = column_scenario()
+        batched_ctl = column_controllers(scenario)
+        reference_ctl = column_controllers(scenario)
+        batched = run_scenario(scenario, batched_ctl)
+        reference = drive_per_flow(
+            build_driver(scenario, controllers=reference_ctl))
+        assert all(len(log.times) > 0 for log in batched.flows)
+        assert batched.flows == reference.flows
+        assert pickled(batched_ctl) == pickled(reference_ctl)
+        counting = batched_ctl[5]
+        assert counting.fired == len(batched.flows[5].times)
+
+    def test_a_hooked_pass_sees_the_same_decisions(self):
+        """With an ``on_step`` hook every due flow gets its ``MtpStats``
+        row, column flows included; the ECN flows did see marks."""
+        scenario = column_scenario()
+        marks = defaultdict(float)
+
+        def hook(_now, flows, stats):
+            for rf, s in zip(flows, stats):
+                marks[rf.index] = max(marks[rf.index], s.mark_rate)
+
+        controllers = column_controllers(scenario)
+        hooked = run_scenario(scenario, controllers, on_step=hook)
+        plain_ctl = column_controllers(scenario)
+        assert hooked.flows == run_scenario(scenario, plain_ctl).flows
+        assert pickled(controllers) == pickled(plain_ctl)
+        assert marks[1] > Cubic.ECN_MARK_THRESHOLD
+        assert marks[9] > Cubic.ECN_MARK_THRESHOLD
+
+    def test_result_mid_run_then_continuing_equals_one_run(self):
+        scenario = column_scenario()
+        controllers = column_controllers(scenario)
+        driver = build_driver(scenario, controllers=controllers)
+        midway = []
+        while driver.step_block():
+            if not midway and driver.now >= 2.0:
+                mid = driver.result()
+                midway = [len(log.times) for log in mid.flows]
+                # Written back: the objects are current mid-run too.
+                assert controllers[0].cwnd == mid.flows[0].cwnd_pkts[-1]
+        final = driver.result()
+        one_ctl = column_controllers(scenario)
+        assert final.flows == run_scenario(scenario, one_ctl).flows
+        assert pickled(controllers) == pickled(one_ctl)
+        assert 0 < sum(midway) < sum(len(log.times) for log in final.flows)
 
 
 class TestOverridesKeepThePerObjectCall:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
 from repro.env import run_scenario, run_topology
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.netsim import staggered_flows
 from repro.netsim.topology import parking_lot
 
@@ -67,6 +67,27 @@ class TestLifecycle:
         )
         result = run_scenario(scenario, controllers=[Fixed()])
         assert np.allclose(result.flows[0].cwnd_pkts, 50.0)
+
+    @pytest.mark.parametrize("runner", ["fluid", "packet", "topology"])
+    def test_one_controller_object_for_two_flows_is_refused(self, runner):
+        """Two flows on one object would share one CUBIC state; the
+        driver refuses, naming both flows."""
+        from repro.cc import Cubic
+        from repro.env import run_scenario_packet
+
+        shared = Cubic()
+        controllers = [None, shared, Cubic(), shared]
+        scenario = ScenarioConfig(
+            link=LinkConfig(bandwidth_mbps=48.0, rtt_ms=30.0),
+            flows=(FlowConfig(cc="cubic"),) * 4, duration_s=1.0)
+        run = {"fluid": lambda: run_scenario(scenario, controllers),
+               "packet": lambda: run_scenario_packet(scenario, controllers),
+               "topology": lambda: run_topology(
+                   parking_lot(2, 2, cc="cubic", duration_s=1.0),
+                   controllers)}[runner]
+        with pytest.raises(ConfigError, match="flows 1 and 3 share one "
+                                              "controller object"):
+            run()
 
 
 class TestResultAnalytics:
