@@ -107,25 +107,41 @@ class ColumnController(CongestionController):
 
     ``STATE`` names the per-flow attributes the decision reads and
     writes.  :meth:`decide_columns` is :meth:`on_interval` over columns:
-    ``state`` is a ``(len(STATE), k)`` array, row ``j`` holding attribute
-    ``STATE[j]`` of ``k`` flows, which it updates in place; ``columns``
-    are the same flows' stats; it returns their windows.  For finite
-    inputs, entry ``i`` of every output must be bitwise what
-    ``on_interval`` gives flow ``i`` — the scalar method stays the
-    definition.  Array ``+ - * /`` round as Python's float operators do
-    and ``np.maximum`` / ``np.minimum`` pick the value ``max`` / ``min``
-    pick; ``**`` does not (see :func:`py_pow`).  A driver loads a flow's
-    state with :meth:`read_state` when the flow starts and hands it back
-    with :meth:`write_state`.
+    ``state`` is a ``(state_rows(), k)`` array, row ``j`` holding
+    attribute ``STATE[j]`` of ``k`` flows, which it updates in place;
+    ``columns`` are the same flows' stats; ``policy`` is the forward
+    their decisions need (``None`` for a classical scheme).  It returns
+    their windows and their pacing rates (``inf`` for an unpaced flow),
+    or ``None`` for pacing when no flow is paced.  For finite inputs,
+    entry ``i`` of every output must be bitwise what ``on_interval``
+    gives flow ``i`` — the scalar method stays the definition.  Array
+    ``+ - * /`` round as Python's float operators do and ``np.maximum``
+    / ``np.minimum`` pick the value ``max`` / ``min`` pick; ``**`` does
+    not (see :func:`py_pow`).  A driver loads a flow's state with
+    :meth:`read_state` when the flow starts and hands it back with
+    :meth:`write_state`; flows with equal :meth:`column_key` share one
+    call.
     """
 
     STATE: tuple[str, ...] = ()
+    policy = None
 
     @classmethod
     @abstractmethod
-    def decide_columns(cls, state: np.ndarray,
-                       columns: MtpColumns) -> np.ndarray:
-        """One interval of every flow in ``columns``; the new windows."""
+    def decide_columns(cls, state: np.ndarray, columns: MtpColumns,
+                       policy) -> tuple[np.ndarray, np.ndarray | None]:
+        """One interval of every flow in ``columns``: the new windows
+        and pacing rates."""
+
+    def column_key(self) -> tuple:
+        """Everything that sizes or drives the state: flows with equal
+        keys decide in one :meth:`decide_columns` call.  The class and
+        the policy (by identity)."""
+        return (type(self), id(self.policy))
+
+    def state_rows(self) -> int:
+        """Rows of this controller's state column."""
+        return len(self.STATE)
 
     def read_state(self) -> list[float]:
         return [float(getattr(self, name)) for name in self.STATE]

@@ -80,8 +80,8 @@ class Cubic(ColumnController):
         return Decision(cwnd_pkts=self.cwnd)
 
     @classmethod
-    def decide_columns(cls, state: np.ndarray,
-                       columns: MtpColumns) -> np.ndarray:
+    def decide_columns(cls, state: np.ndarray, columns: MtpColumns,
+                       policy) -> tuple[np.ndarray, None]:
         """:meth:`on_interval` of many flows: one row set per branch,
         each taken from the state the interval found, and every
         expression in the scalar's evaluation order."""
@@ -135,4 +135,4 @@ class Cubic(ColumnController):
                                     cw * 1.5 + 1.0),
                          cw),
                 cls.MIN_CWND)
-        return cwnd
+        return cwnd, None

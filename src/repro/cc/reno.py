@@ -48,8 +48,8 @@ class Reno(ColumnController):
         return Decision(cwnd_pkts=self.cwnd)
 
     @classmethod
-    def decide_columns(cls, state: np.ndarray,
-                       columns: MtpColumns) -> np.ndarray:
+    def decide_columns(cls, state: np.ndarray, columns: MtpColumns,
+                       policy) -> tuple[np.ndarray, None]:
         """:meth:`on_interval` of many flows, branch by branch."""
         cwnd, ssthresh, recovery = state
         now = columns.time_s
@@ -68,4 +68,4 @@ class Reno(ColumnController):
         if avoid is not None:
             cw = cwnd[avoid]
             cwnd[avoid] = cw + acked[avoid] / np.maximum(cw, 1.0)
-        return cwnd
+        return cwnd, None

@@ -16,21 +16,30 @@ benchmarks report which backend was used.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from ..cc.base import Decision, TwoPhaseController, register
+from ..cc.base import ColumnController, Decision, TwoPhaseController, \
+    register, rows_where
 from ..config import ACTION_ALPHA, HISTORY_LENGTH, MTP_S
-from ..netsim.stats import MtpStats
+from ..errors import ModelError
+from ..netsim.fluid import MIN_CWND_PKTS
+from ..netsim.stats import MtpColumns, MtpStats
 from .action import apply_action, pacing_from_cwnd
 from .policy import PolicyBundle, resolve_policy
-from .state import LocalStateBlock
+from .state import LOCAL_FEATURES, LocalStateBlock
 
 
 @register("astraea")
-class AstraeaController(TwoPhaseController):
-    """Astraea in inference mode: local state -> actor -> Eq. 3 window."""
+class AstraeaController(TwoPhaseController, ColumnController):
+    """Astraea in inference mode: local state -> actor -> Eq. 3 window.
+
+    With a trained bundle it is also a column controller: a driver
+    decides every due flow of one bundle in one :meth:`decide_columns`
+    call, around one stacked forward.
+    """
 
     SLOW_START_GROWTH = 1.5
     SLOW_START_BACKLOG_EXIT = 10.0   # packets queued before handover
@@ -43,6 +52,16 @@ class AstraeaController(TwoPhaseController):
     BLOAT_RATIO = 3.0                # above this ratio, always back off
     BLOAT_ACTION = -0.5
     RTT_WINDOW_S = 10.0
+
+    #: The scalar rows of the column state.  The frame stack (``8 *
+    #: history`` rows, oldest frame first), the throughput history
+    #: (``history`` rows) and the guard's RTT ring (``ring`` rows of
+    #: sample times, then ``ring`` of values) follow; ``frames`` counts
+    #: the real frames and ``ring_next`` is the ring's write slot.
+    STATE = ("cwnd", "_in_slow_start", "_rtt_min", "_next_probe_s",
+             "_drain_left", "thr_max_pps", "lat_min_s", "frames",
+             "ring_next", "alpha", "use_pacing", "probe_rtt_enabled",
+             "guards_enabled")
 
     def __init__(self, mtp_s: float = MTP_S,
                  policy: PolicyBundle | str | None = None,
@@ -65,6 +84,10 @@ class AstraeaController(TwoPhaseController):
             history = policy.history
             alpha = alpha if alpha is not None else policy.alpha
         self.alpha = alpha if alpha is not None else ACTION_ALPHA
+        if not 0 < self.alpha < 1:
+            # apply_action's check, at construction instead of at the
+            # first decision after slow start.
+            raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
         self.use_pacing = use_pacing
         self._fallback = None
         if self.policy is None:
@@ -220,7 +243,209 @@ class AstraeaController(TwoPhaseController):
         :meth:`begin_interval` returned, then apply it."""
         return self._apply(self._guarded(action, stats), stats)
 
-    # The base class's composition, bound in this class's own namespace
-    # so per-scheme instrumentation (the perf ledger's ``cc.on_interval``
-    # span) finds it here like every other scheme's.
+    # The base class's composition, bound in this class's own namespace:
+    # per-scheme instrumentation (the perf ledger's ``cc.on_interval``
+    # span) finds it here like every other scheme's, and the driver's
+    # column rule (``env.multiflow._column_kind``) reads this binding to
+    # tell the class's own composition from a subclass's override.
     on_interval = TwoPhaseController.on_interval
+
+    # -- columns -----------------------------------------------------------
+
+    def column_key(self) -> tuple:
+        return (type(self), id(self.policy), self.state_block.history,
+                self.mtp_s)
+
+    def _ring_size(self) -> int:
+        """Guard samples one RTT window can hold: a driver's decisions
+        are at least one MTP apart."""
+        return math.ceil(self.RTT_WINDOW_S / self.mtp_s) + 2
+
+    def state_rows(self) -> int:
+        return len(self.STATE) \
+            + (LOCAL_FEATURES + 1) * self.state_block.history \
+            + 2 * self._ring_size()
+
+    @classmethod
+    def _blocks(cls, state: np.ndarray, history: int):
+        """The frame stack, throughput history, ring times and ring
+        values of a state column (or block of columns)."""
+        lo = len(cls.STATE)
+        hi = lo + (LOCAL_FEATURES + 1) * history
+        ring = (len(state) - hi) // 2
+        return (state[lo:hi - history], state[hi - history:hi],
+                state[hi:hi + ring], state[hi + ring:])
+
+    def read_state(self) -> np.ndarray:
+        block = self.state_block
+        history, ring = block.history, self._ring_size()
+        samples = self._rtt_samples
+        if len(samples) > ring:
+            raise ModelError(f"{len(samples)} windowed RTT samples do not "
+                             f"fit a ring of {ring}")
+        values = np.zeros(self.state_rows())
+        values[:len(self.STATE)] = (
+            self.cwnd, self._in_slow_start, self._rtt_min,
+            np.nan if self._next_probe_s is None else self._next_probe_s,
+            self._drain_left, block.thr_max_pps, block.lat_min_s,
+            len(block._frames), len(samples) % ring, self.alpha,
+            self.use_pacing, self.probe_rtt_enabled, self.guards_enabled)
+        stack, thr_history, times, rtts = self._blocks(values, history)
+        for frame_no, frame in enumerate(block._frames,
+                                         history - len(block._frames)):
+            stack[frame_no * LOCAL_FEATURES:
+                  (frame_no + 1) * LOCAL_FEATURES] = frame
+        thr_history[history - len(block.thr_history_pps):] = \
+            list(block.thr_history_pps)
+        times[:] = -np.inf
+        rtts[:] = np.inf
+        for slot, (t, rtt) in enumerate(samples):
+            times[slot], rtts[slot] = t, rtt
+        return values
+
+    def write_state(self, values) -> None:
+        """Hand a state column back: the deques as the scalar leaves
+        them, the RTT deque as the ring's in-window suffix minima."""
+        values = np.asarray(values, dtype=float)
+        block = self.state_block
+        history = block.history
+        # The switches (alpha, pacing, probe, guards) never change.
+        (self.cwnd, slow, self._rtt_min, next_probe, drain,
+         block.thr_max_pps, block.lat_min_s, depth, ring_next, *_) = \
+            values[:len(self.STATE)].tolist()
+        self._in_slow_start = bool(slow)
+        self._next_probe_s = None if math.isnan(next_probe) else next_probe
+        self._drain_left = int(drain)
+        stack, thr_history, times, rtts = self._blocks(values, history)
+        depth = int(depth)
+        block._frames.clear()
+        block._frames.extend(
+            frame.copy() for frame in
+            stack.reshape(history, LOCAL_FEATURES)[history - depth:])
+        block.thr_history_pps.clear()
+        block.thr_history_pps.extend(thr_history[history - depth:].tolist())
+        # Oldest first; never-written slots (time -inf) lead.  The deque
+        # keeps the newest sample and, going back, each sample below
+        # every later one, inside the newest sample's window.
+        order = np.roll(np.arange(len(times)), -int(ring_next))
+        times, rtts = times[order].tolist(), rtts[order].tolist()
+        horizon = times[-1] - self.RTT_WINDOW_S
+        kept = []
+        for t, rtt in zip(reversed(times), reversed(rtts)):
+            if t < horizon or t == -math.inf:
+                break
+            if not kept or rtt < kept[-1][1]:
+                kept.append((t, rtt))
+        self._rtt_samples.clear()
+        self._rtt_samples.extend(reversed(kept))
+
+    @classmethod
+    def decide_columns(cls, state: np.ndarray, columns: MtpColumns,
+                       policy: PolicyBundle
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`on_interval` of many flows around one stacked forward.
+
+        Each branch of :meth:`begin_interval` / :meth:`finish_interval`
+        — a slow-start step or the handover, the probe's first call,
+        firing and draining, the policy's action through the guard's
+        idle, bloat or pass — is a row set taken from the state the
+        interval found, with every expression in the scalar's order.
+        The policy acts once, through the row-exact ``act_batch``, on
+        the rows that need an action from it.  The guard's windowed
+        minimum is a masked minimum over the RTT ring; a minimum is
+        exact, so it is the monotonic deque's front.
+        """
+        (cwnd, slow, rtt_min, next_probe, drain, thr_max, lat_min, depth,
+         ring_next, alpha, use_pacing, probe_rtt, guards) = \
+            state[:len(cls.STATE)]
+        stack, thr_history, times, rtts = cls._blocks(state, policy.history)
+        LocalStateBlock.update_columns(columns, thr_max, lat_min, stack,
+                                       thr_history, depth)
+        now = columns.time_s
+        every = slice(None)
+        # Rows whose decision ends in an action: all but slow-start steps
+        # (a mask, or ``every``).
+        acting = every
+        sel = rows_where(slow != 0)
+        if sel is not None:
+            rtt_min[sel] = np.minimum(rtt_min[sel], columns.min_rtt_s[sel])
+            low = rtt_min[sel]
+            rtt = np.maximum(np.maximum(columns.avg_rtt_s[sel], low), 1e-6)
+            backlog = columns.cwnd_pkts[sel] * (1.0 - low / rtt)
+            leave = (backlog > cls.SLOW_START_BACKLOG_EXIT) \
+                | (columns.loss_rate[sel] > cls.SLOW_START_LOSS_EXIT)
+            w = cwnd[sel]
+            cwnd[sel] = np.where(
+                leave, np.maximum(w / cls.SLOW_START_GROWTH, 2.0),
+                np.minimum(w * cls.SLOW_START_GROWTH,
+                           w + np.maximum(columns.delivered_pkts[sel], 1.0)))
+            slow[sel] = ~leave
+            acting = slow == 0
+
+        # The probe's rows: a first call, a firing or a drain.
+        action = np.empty(len(cwnd))
+        asking = acting            # rows that ask the policy
+        probe = (drain > 0) | ~(next_probe > now)
+        if acting is not every:
+            probe &= acting
+        if np.count_nonzero(probe):
+            probe &= probe_rtt != 0
+        if np.count_nonzero(probe):
+            p = next_probe[probe]
+            p[np.isnan(p)] = now + cls.PROBE_INTERVAL_S
+            fire = now >= p
+            p[fire] = now + cls.PROBE_INTERVAL_S
+            left = np.where(fire, cls.PROBE_INTERVALS, drain[probe])
+            next_probe[probe] = p
+            draining = probe.copy()
+            draining[probe] = left > 0
+            drain[probe] = np.where(left > 0, left - 1.0, left)
+            action[draining] = -1.0
+            asking = ~draining if acting is every else acting & ~draining
+
+        sel = every if asking is every else rows_where(asking)
+        if sel is not None:
+            # The stacked forward needs rows laid out as act() sees them.
+            action[sel] = policy.act_batch(
+                np.ascontiguousarray(stack[:, sel].T))
+            guarded = guards != 0
+            sel = rows_where(guarded if asking is every
+                             else guarded & asking)
+        if sel is not None:
+            flows = np.arange(len(cwnd)) if isinstance(sel, slice) else sel
+            slot = ring_next[sel].astype(np.intp)
+            times[slot, flows] = now
+            rtts[slot, flows] = columns.min_rtt_s[sel]
+            ring_next[sel] = (slot + 1) % len(times)
+            floor = np.minimum.reduce(
+                rtts[:, sel], axis=0, initial=np.inf,
+                where=times[:, sel] >= now - cls.RTT_WINDOW_S)
+            ratio = columns.avg_rtt_s[sel] / np.maximum(floor, 1e-9)
+            # Idle and bloat exclude each other (ratio < 1.05 vs > 3).
+            a = action[sel]
+            idle = ratio < cls.IDLE_RATIO
+            if np.count_nonzero(idle):
+                idle &= columns.loss_rate[sel] < 0.01
+                np.maximum(a, cls.IDLE_ACTION, out=a, where=idle)
+            np.minimum(a, cls.BLOAT_ACTION, out=a,
+                       where=ratio > cls.BLOAT_RATIO)
+            action[sel] = a
+
+        sel = every if acting is every else rows_where(acting)
+        if sel is not None:
+            # apply_action (Eq. 3) over the rows, its range check first.
+            # Both branches' factor is 1 + alpha |a| bit for bit: for
+            # a < 0, alpha * a is exactly -(alpha * |a|).
+            a = action[sel]
+            size = np.abs(a)
+            inside = size <= 1.0
+            if not inside.all():
+                raise ModelError(f"action must lie in [-1, 1], got "
+                                 f"{a[~inside][0].item()}")
+            w = cwnd[sel]
+            factor = 1.0 + alpha[sel] * size
+            cwnd[sel] = np.maximum(np.where(a >= 0, w * factor, w / factor),
+                                   MIN_CWND_PKTS)
+        pacing = np.where(use_pacing != 0,
+                          cwnd / np.maximum(columns.srtt_s, 1e-6), np.inf)
+        return cwnd, pacing

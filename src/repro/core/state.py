@@ -21,7 +21,7 @@ import numpy as np
 
 from ..config import HISTORY_LENGTH, LinkConfig
 from ..errors import ModelError
-from ..netsim.stats import MtpStats
+from ..netsim.stats import MtpColumns, MtpStats
 from ..units import mbps_to_pps, pps_to_mbps
 
 LOCAL_FEATURES = 8
@@ -52,6 +52,26 @@ def local_feature_vector(stats: MtpStats, thr_max_pps: float,
         stats.pacing_pps / thr_max,                           # pacing ratio
     ])
     return np.clip(features, 0.0, _RATIO_CLIP)
+
+
+def local_feature_columns(columns: MtpColumns, thr_max_pps: np.ndarray,
+                          lat_min_s: np.ndarray, out: np.ndarray) -> None:
+    """:func:`local_feature_vector` of many flows into the ``(8, k)``
+    ``out``: the same expressions in the same order, elementwise."""
+    thr_max = np.maximum(thr_max_pps, 1e-6)
+    lat_min = np.maximum(lat_min_s, 1e-6)
+    bdp_est = np.maximum(thr_max * lat_min, 1e-6)
+    # Every feature is one quotient: one divide over the stacked rows.
+    divisors = np.array([thr_max, thr_max, lat_min, lat_min, bdp_est,
+                         thr_max, np.maximum(columns.cwnd_pkts, 1.0),
+                         thr_max])
+    divisors[1] = _THR_MAX_SCALE_MBPS
+    divisors[3] = _LAT_SCALE_S
+    np.divide(
+        [columns.throughput_pps, pps_to_mbps(thr_max), columns.avg_rtt_s,
+         lat_min, columns.cwnd_pkts, columns.loss_pps,
+         columns.pkts_in_flight, columns.pacing_pps], divisors, out=out)
+    out.clip(0.0, _RATIO_CLIP, out=out)
 
 
 class LocalStateBlock:
@@ -88,6 +108,30 @@ class LocalStateBlock:
         frame = local_feature_vector(stats, self.thr_max_pps, self.lat_min_s)
         self._frames.append(frame)
         return self.input_vector()
+
+    @staticmethod
+    def update_columns(columns: MtpColumns, thr_max_pps: np.ndarray,
+                       lat_min_s: np.ndarray, frames: np.ndarray,
+                       thr_history_pps: np.ndarray,
+                       depth: np.ndarray) -> None:
+        """:meth:`update` of ``k`` blocks held as columns, in place.
+
+        ``frames`` is the ``(8 * history, k)`` stack, oldest frame first,
+        whose column is :meth:`input_vector` (zero rows where it pads);
+        ``thr_history_pps`` is ``(history, k)``, oldest first; ``depth``
+        counts the real frames.
+        """
+        np.maximum(thr_max_pps, columns.throughput_pps, out=thr_max_pps)
+        np.minimum(lat_min_s, columns.min_rtt_s, out=lat_min_s)
+        unset = (lat_min_s == np.inf) | (lat_min_s <= 0)
+        if np.count_nonzero(unset):
+            lat_min_s[unset] = np.maximum(columns.srtt_s[unset], 1e-3)
+        thr_history_pps[:-1] = thr_history_pps[1:]
+        thr_history_pps[-1] = columns.throughput_pps
+        frames[:-LOCAL_FEATURES] = frames[LOCAL_FEATURES:]
+        local_feature_columns(columns, thr_max_pps, lat_min_s,
+                              frames[-LOCAL_FEATURES:])
+        np.minimum(depth + 1.0, len(thr_history_pps), out=depth)
 
     def input_vector(self) -> np.ndarray:
         """Current stacked history, zero-padded on the left if young."""

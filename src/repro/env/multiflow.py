@@ -242,9 +242,13 @@ def _column_kind(controller: CongestionController):
     The rule of :func:`_stacked_policy`: the class that defines
     ``decide_columns`` must also own the controller's ``on_interval``
     (and not see ``interval_s`` overridden below it), so a subclass or
-    test double that overrides either keeps the per-object call.
+    test double that overrides either keeps the per-object call.  A
+    two-phase controller without a policy (Astraea's reference backend)
+    has no forward to decide around and keeps it too.
     """
-    if not isinstance(controller, ColumnController):
+    if not isinstance(controller, ColumnController) or (
+            isinstance(controller, TwoPhaseController)
+            and controller.policy is None):
         return None
     kind = type(controller)
     owner = next(k for k in kind.__mro__ if "decide_columns" in vars(k))
@@ -337,9 +341,11 @@ class ScenarioDriver:
         self._mtp = np.zeros(0)
         self._per_rtt = np.zeros(0, dtype=bool)
         self._kind = np.zeros(0, dtype=np.intp)
-        self._column_kinds: list[type] = []
-        #: Column flows' ``STATE``, one row per attribute (as many rows as
-        #: the longest ``STATE`` of ``_column_kinds``).
+        #: ``(class, policy, state rows)`` per column kind, and the kinds'
+        #: codes by ``column_key``.
+        self._column_kinds: list[tuple[type, object, int]] = []
+        self._kind_codes: dict[tuple, int] = {}
+        #: Column flows' state columns (as many rows as the largest kind's).
         self._state = np.zeros((0, 0))
         self._slots = np.zeros(0, dtype=np.intp)
         self._next_end = np.inf
@@ -412,13 +418,17 @@ class ScenarioDriver:
         kind = _column_kind(controller)
         if kind is None:
             return -1
-        if kind not in self._column_kinds:
-            self._column_kinds.append(kind)
-            grow = len(kind.STATE) - len(self._state)
+        key = controller.column_key()
+        code = self._kind_codes.get(key)
+        if code is None:
+            code = self._kind_codes[key] = len(self._column_kinds)
+            rows = controller.state_rows()
+            self._column_kinds.append((kind, controller.policy, rows))
+            grow = rows - len(self._state)
             if grow > 0:
                 self._state = np.concatenate(
                     [self._state, np.zeros((grow, self._state.shape[1]))])
-        return self._column_kinds.index(kind)
+        return code
 
     def _renumber(self, keep: np.ndarray, fresh=(), now: float = 0.0
                   ) -> None:
@@ -459,8 +469,10 @@ class ScenarioDriver:
     def _write_back(self, flows) -> None:
         """Hand every column flow among ``flows`` its state back."""
         for rf in flows:
-            if self._kind[rf.pos] >= 0:
-                rf.controller.write_state(self._state[:, rf.pos].tolist())
+            code = self._kind[rf.pos]
+            if code >= 0:
+                rows = self._column_kinds[code][2]
+                rf.controller.write_state(self._state[:rows, rf.pos])
 
     def _begin_step(self) -> bool:
         """Shared per-step preamble: flow churn and termination checks."""
@@ -542,12 +554,13 @@ class ScenarioDriver:
         (else ``None, None``).
 
         Column flows decide first: one ``decide_columns`` per column
-        kind over its flows' state columns.  The others take
-        :meth:`_decide_objects`.  The
-        controllers share no state, so the order of the two makes no
-        difference, and each decision is bitwise the flow's
-        ``on_interval``.  ``MtpStats`` rows are built only for the
-        per-object flows, or for every due flow when a hook is set.
+        kind over its flows' state columns, with the kind's policy (an
+        Astraea kind runs its bundle's one stacked forward in there).
+        The others take :meth:`_decide_objects`.  The controllers share
+        no state, so the order of the two makes no difference, and each
+        decision is bitwise the flow's ``on_interval``.  ``MtpStats``
+        rows are built only for the per-object flows, or for every due
+        flow when a hook is set.
 
         Applying is all-or-nothing and happens before the hook fires:
         windows never alter stats already collected, so setting them
@@ -561,23 +574,29 @@ class ScenarioDriver:
         every = slice(None) if n == len(running) else pos
         kind = self._kind[every]
         cwnds = np.empty(n)
-        for code, cls in enumerate(self._column_kinds):
+        pacing = None
+        for code, (cls, policy, rows) in enumerate(self._column_kinds):
             sel = rows_where(kind == code)
             if sel is not None:
                 at = every if isinstance(sel, slice) else pos[sel]
-                rows = len(cls.STATE)
                 state = self._state[:rows, at]
-                cwnds[sel] = cls.decide_columns(
+                cwnds[sel], paced = cls.decide_columns(
                     state,
-                    columns if isinstance(sel, slice) else columns.take(sel))
+                    columns if isinstance(sel, slice) else columns.take(sel),
+                    policy)
                 if not isinstance(at, slice):
                     self._state[:rows, at] = state
+                if paced is not None and isinstance(sel, slice):
+                    pacing = paced      # every due flow is of this kind
+                elif paced is not None:
+                    if pacing is None:
+                        pacing = np.full(n, np.inf)
+                    pacing[sel] = paced
 
         flows = stats = None
         if self._on_step is not None:
             flows = [running[p] for p in pos.tolist()]
             stats = columns.rows()
-        pacing = None
         obj = kind < 0
         if np.count_nonzero(obj):
             obj = np.flatnonzero(obj)
@@ -586,7 +605,8 @@ class ScenarioDriver:
                 [stats[j] for j in obj.tolist()] if stats is not None
                 else (columns if len(obj) == n else columns.take(obj)).rows())
             cwnds[obj] = [d.cwnd_pkts for d in decisions]
-            pacing = np.full(n, np.inf)
+            if pacing is None:
+                pacing = np.full(n, np.inf)
             pacing[obj] = [np.inf if d.pacing_pps is None else d.pacing_pps
                            for d in decisions]
 

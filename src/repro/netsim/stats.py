@@ -418,6 +418,14 @@ class MtpColumns:
         return np.minimum(rate, 1.0, out=rate)
 
     @property
+    def loss_pps(self) -> np.ndarray:
+        """The column of :attr:`MtpStats.loss_pps`."""
+        duration = self.duration_s
+        rate = np.zeros(len(duration))
+        np.divide(self.lost_pkts, duration, out=rate, where=duration > 0)
+        return rate
+
+    @property
     def mark_rate(self) -> np.ndarray:
         """The column of :attr:`MtpStats.mark_rate`."""
         delivered = self.delivered_pkts

@@ -52,8 +52,10 @@ def check_bitwise(kind, now: float, states: list[dict], rows: list[dict]):
 
     columns = [make_controller(kind, s) for s in states]
     state = np.array([c.read_state() for c in columns]).T.copy()
-    got_cwnd = kind.decide_columns(state, MtpColumns.of(now, stats))
+    got_cwnd, pacing = kind.decide_columns(state, MtpColumns.of(now, stats),
+                                           None)
 
+    assert pacing is None
     assert hexed(got_cwnd) == hexed(want_cwnd)
     for j, name in enumerate(kind.STATE):
         assert hexed(state[j]) == hexed(getattr(c, name) for c in scalar), \

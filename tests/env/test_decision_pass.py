@@ -23,11 +23,12 @@ from repro.cc import Cubic, Reno, create
 from repro.cc.base import CongestionController, Decision
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
 from repro.core.astraea import AstraeaController
+from repro.core.distill import _RecordingController
 from repro.core.policy import MODELS_DIR, PolicyBundle, load_default_policy
 from repro.env import build_driver, run_scenario
 from repro.env.multiflow import ScenarioDriver, _column_kind, run_topology
 from repro.errors import SimulationError
-from repro.netsim import FluidNetwork
+from repro.netsim import FluidNetwork, PacketNetwork
 from repro.netsim.faults import (
     Blackout,
     DelaySpike,
@@ -162,23 +163,34 @@ class TestBatchedPassEqualsPerFlow:
         assert shipped is not None and shipped is not alt_bundle
         #: pass time -> what each due flow did in that pass
         passes: dict[float, set[str]] = defaultdict(set)
+        slow_row = AstraeaController.STATE.index("_in_slow_start")
+        drain_row = AstraeaController.STATE.index("_drain_left")
 
         def observe(now, flows, _stats):
-            for ctl in (rf.controller for rf in flows):
+            # A column flow's object is stale until the driver writes its
+            # state back, so classify from the driver's state columns.
+            state = driver._state
+            for rf in flows:
+                ctl = rf.controller
                 if not isinstance(ctl, AstraeaController):
                     passes[now].add("classical")
-                elif ctl._in_slow_start:
+                elif state[slow_row, rf.pos]:
                     passes[now].add("slow-start")
-                elif ctl._drain_left > 0:
+                elif state[drain_row, rf.pos] > 0:
                     passes[now].add("probe-drain")
                 else:
                     passes[now].add("alt" if ctl.policy is alt_bundle
                                     else "shipped")
 
         scenario = mixed_scenario()
-        batched = run_scenario(scenario, mixed_controllers(alt_bundle),
-                               on_step=observe)
+        driver = build_driver(scenario, mixed_controllers(alt_bundle),
+                              on_step=observe)
+        batched = driver.run()
         reference = run_per_flow(scenario, mixed_controllers(alt_bundle))
+        # Two bundles are two column kinds, each with its own forward.
+        assert [(cls, policy) for cls, policy, _ in driver._column_kinds] \
+            == [(AstraeaController, shipped), (Cubic, None),
+                (AstraeaController, alt_bundle)]
         assert batched.flows == reference.flows
         # The scenario did put all five kinds of decision in one pass.
         everything = {"classical", "slow-start", "probe-drain", "alt",
@@ -270,14 +282,41 @@ class CountingCubic(Cubic):
 
 
 #: (scheme, start_s, duration_s, extra_rtt_ms) per flow of the column
-#: scenario: the three column kinds next to per-RTT, two-phase, composed
-#: and overriding controllers, staggered starts off the MTP grid, and
-#: three flows (one of each column kind) that stop on the same tick.
+#: scenario: the column kinds (CUBIC, Reno and Astraea, one kind of
+#: which runs without pacing and guards) next to per-RTT, composed and
+#: overriding controllers, Astraea's reference backend and a recording
+#: Astraea, staggered starts off the MTP grid, and four column flows
+#: that stop on the same tick.
 COLUMN_FLOWS = (("cubic", 0.0, None, 0.0), ("cubic-ecn", 0.31, None, 10.0),
                 ("reno", 0.5, None, 20.0), ("vegas", 0.7, None, 0.0),
                 ("astraea", 0.2, 3.0, 0.0), ("counting", 1.0, 2.0, 0.0),
                 ("orca", 0.9, None, 5.0), ("cubic", 0.55, 2.5, 0.0),
-                ("reno", 0.55, 2.5, 15.0), ("cubic-ecn", 0.55, 2.5, 0.0))
+                ("reno", 0.55, 2.5, 15.0), ("cubic-ecn", 0.55, 2.5, 0.0),
+                ("astraea-ref", 0.4, None, 5.0),
+                ("astraea-recording", 0.8, 2.5, 0.0),
+                ("astraea-bare", 0.55, 2.5, 10.0))
+
+
+def reference_astraea():
+    """An ``AstraeaController`` on the analytic reference backend."""
+    import repro.core.astraea as astraea_module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(astraea_module, "resolve_policy",
+                      lambda policy, scheme: None)
+        return AstraeaController()
+
+
+def column_controller(kind, cfg):
+    if kind == "counting":
+        return CountingCubic()
+    if kind == "astraea-ref":
+        return reference_astraea()
+    if kind == "astraea-recording":
+        return _RecordingController()
+    if kind == "astraea-bare":
+        return AstraeaController(use_pacing=False, guards=False)
+    return create(cfg.cc, **cfg.cc_kwargs)
 
 
 def column_scenario():
@@ -300,8 +339,7 @@ def column_scenario():
 
 
 def column_controllers(scenario):
-    return [CountingCubic() if kind == "counting"
-            else create(cfg.cc, **cfg.cc_kwargs)
+    return [column_controller(kind, cfg)
             for (kind, *_), cfg in zip(COLUMN_FLOWS, scenario.flows)]
 
 
@@ -312,15 +350,21 @@ def pickled(controllers):
 
 
 class TestColumnPass:
-    """CUBIC and Reno flows decide through ``decide_columns`` over the
-    driver's state columns; everything they leave behind — logs and the
-    controller objects — equals the per-object loop's."""
+    """CUBIC, Reno and Astraea flows decide through ``decide_columns``
+    over the driver's state columns; everything they leave behind — logs
+    and the controller objects — equals the per-object loop's."""
 
     def test_the_column_kinds_are_chosen_by_the_rule(self):
         scenario = column_scenario()
-        kinds = [_column_kind(c) for c in column_controllers(scenario)]
-        assert kinds == [Cubic, Cubic, Reno, None, None, None, None, Cubic,
-                         Reno, Cubic]
+        controllers = column_controllers(scenario)
+        kinds = [_column_kind(c) for c in controllers]
+        assert kinds == [Cubic, Cubic, Reno, None, AstraeaController, None,
+                         None, Cubic, Reno, Cubic, None, None,
+                         AstraeaController]
+        # Pacing and guards are state rows, not kinds.
+        assert controllers[4].column_key() == controllers[12].column_key()
+        assert controllers[4].column_key() != \
+            AstraeaController(mtp_s=0.02).column_key()
 
     def test_logs_and_controllers_equal_the_per_object_loop(self):
         scenario = column_scenario()
@@ -364,11 +408,85 @@ class TestColumnPass:
                 midway = [len(log.times) for log in mid.flows]
                 # Written back: the objects are current mid-run too.
                 assert controllers[0].cwnd == mid.flows[0].cwnd_pkts[-1]
+                assert controllers[4].cwnd == mid.flows[4].cwnd_pkts[-1]
+                assert controllers[4]._rtt_samples
         final = driver.result()
         one_ctl = column_controllers(scenario)
         assert final.flows == run_scenario(scenario, one_ctl).flows
         assert pickled(controllers) == pickled(one_ctl)
         assert 0 < sum(midway) < sum(len(log.times) for log in final.flows)
+
+
+def astraea_scenario():
+    """Three astraea flows (one unpaced and unguarded), staggered off the
+    MTP grid, one stopping mid-run, under a blackout and a delay spike."""
+    return ScenarioConfig(
+        link=LinkConfig(bandwidth_mbps=40.0, rtt_ms=30.0, buffer_bdp=1.5),
+        flows=(FlowConfig(cc="astraea"),
+               FlowConfig(cc="astraea", start_s=0.31, duration_s=2.0),
+               FlowConfig(cc="astraea", start_s=0.5, extra_rtt_ms=10.0)),
+        duration_s=4.0,
+        faults=FaultSchedule((Blackout(1.5, 0.3),
+                              DelaySpike(2.5, 0.5, extra_ms=40.0))))
+
+
+class PerObjectAstraea(AstraeaController):
+    """Overrides ``on_interval``, so the driver calls it flow by flow."""
+
+    def on_interval(self, stats):
+        return super().on_interval(stats)
+
+
+def astraea_controllers(cls=AstraeaController):
+    return [cls(), cls(), cls(use_pacing=False, guards=False)]
+
+
+class TestAstraeaColumnsOnEveryEngine:
+    def test_packet_engine_equals_the_per_object_loop(self):
+        scenario = astraea_scenario()
+        columns_ctl = astraea_controllers()
+        reference_ctl = astraea_controllers(PerObjectAstraea)
+        assert _column_kind(reference_ctl[0]) is None
+        columns, reference = (
+            build_driver(scenario, controllers, engine=PacketNetwork(
+                scenario.link, seed=scenario.seed, mtp_s=scenario.mtp_s,
+                faults=scenario.faults)).run()
+            for controllers in (columns_ctl, reference_ctl))
+        assert all(len(log.times) > 0 for log in columns.flows)
+        assert columns.flows == reference.flows
+        assert pickled(vars(c) for c in columns_ctl) \
+            == pickled(vars(c) for c in reference_ctl)
+
+    def test_socket_engine_equals_the_per_object_loop(self):
+        """The socket engine runs on the wall clock, so its stats differ
+        from run to run: a per-object shadow of every flow decides on the
+        stats the column pass saw, and must end where it did."""
+        from repro.netsim.socketpath import SocketNetwork, SocketTuning
+
+        scenario = ScenarioConfig(
+            link=LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0,
+                            buffer_bdp=2.0),
+            flows=(FlowConfig(cc="astraea"),) * 3, duration_s=1.5, seed=0)
+        controllers = astraea_controllers()
+        shadows = astraea_controllers()
+        decided = [[] for _ in shadows]
+
+        def shadow(_now, flows, stats):
+            for rf, s in zip(flows, stats):
+                decided[rf.index].append(
+                    shadows[rf.index].on_interval(s).cwnd_pkts)
+
+        net = SocketNetwork(scenario.link, scenario.faults,
+                            seed=scenario.seed, mtp_s=scenario.mtp_s,
+                            tuning=SocketTuning(time_scale=4.0))
+        try:
+            result = build_driver(scenario, controllers, on_step=shadow,
+                                  engine=net).run()
+        finally:
+            net.close()
+        assert all(len(log.times) > 0 for log in result.flows)
+        assert [log.cwnd_pkts for log in result.flows] == decided
+        assert pickled(controllers) == pickled(shadows)
 
 
 class TestOverridesKeepThePerObjectCall:
