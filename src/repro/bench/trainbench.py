@@ -6,22 +6,25 @@ modes over the same warm-learner episodes:
 
 * **serial**: the per-object path of the same driver pass (each agent's
   own ``on_interval``, one :meth:`~repro.core.learner.Learner.act` call
-  per flow, transitions written to replay one by one);
-* **batched**: one stacked forward per controller pass, transitions
-  buffered for block replay writes;
+  per flow, each pass's transitions written straight to replay);
+* **batched**: the agents' column decision, one stacked forward per
+  controller pass, transition blocks buffered for one replay write per
+  update burst;
 * **batched+workers**: a frozen-policy :class:`~repro.env.pool.
   EnvironmentPool` stride shipping whole episodes through the process
   pool.
 
 It also replays one pinned episode — cross traffic, update bursts,
 exploration — through both the serial and batched legs and embeds the
-bitwise verdict (replay contents, cursor, actor parameters, rewards), so
+bitwise verdict (replay memory, all six networks, both optimiser states,
+the episode statistics), so
 the artifact itself witnesses the equivalence contract the speedup rests
 on.  The result persists as ``benchmarks/results/BENCH_train.json``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -167,16 +170,83 @@ def measure_rollouts(n_flows: int, duration_s: float, episodes: int,
     return out
 
 
+def _bits(a) -> np.ndarray:
+    """``a`` as float64 bit patterns (NaN payloads and signed zeros
+    included)."""
+    return np.ascontiguousarray(a, dtype=np.float64).reshape(-1) \
+        .view(np.uint64)
+
+
+def _learner_arrays(learner: Learner) -> dict[str, np.ndarray]:
+    """Everything a training step reads or writes, by name: the replay
+    memory, its cursor and size, all six networks and both Adam
+    states."""
+    replay, td3 = learner.replay, learner.td3
+    out = {f"replay.{name}": getattr(replay, name)
+           for name in _REPLAY_ARRAYS}
+    out["replay.cursor_size"] = np.array([replay._cursor, len(replay)])
+    for net in td3.NETS:
+        for i, p in enumerate(getattr(td3, net).get_state()):
+            out[f"{net}.{i}"] = p
+    for opt in ("actor_opt", "critic_opt"):
+        state = getattr(td3, opt).get_state()
+        for moment in ("m", "v"):
+            for i, a in enumerate(state[moment]):
+                out[f"{opt}.{moment}.{i}"] = a
+        out[f"{opt}.t_lr"] = np.array([state["t"], state["lr"]])
+    return out
+
+
+def _stats_arrays(stats) -> dict[str, np.ndarray]:
+    out = {
+        "stats.counts": np.array([stats.transitions, stats.reward_count,
+                                  stats.update_bursts]),
+        "stats.reward_sum": np.array([stats.reward_sum]),
+    }
+    for name, value in stats.last_losses.items():
+        out[f"stats.{name}"] = np.array([value])
+    return out
+
+
+def compare_legs(ref_learner: Learner, ref_stats, fast_learner: Learner,
+                 fast_stats) -> dict:
+    """The bitwise verdict between two legs of one episode.
+
+    Compared bit for bit: the replay memory (contents, cursor, size),
+    all six TD3 networks, both Adam states (moments, step, learning
+    rate) and the ``EpisodeStats``.  ``mismatched`` names every
+    differing item; ``max_delta`` is the worst absolute difference among
+    differing values, ``inf`` when one of them is not finite (a NaN on
+    one leg).
+    """
+    ref = {**_learner_arrays(ref_learner), **_stats_arrays(ref_stats)}
+    fast = {**_learner_arrays(fast_learner), **_stats_arrays(fast_stats)}
+    mismatched, max_delta = [], 0.0
+    for name in sorted(ref.keys() | fast.keys()):
+        a, b = ref.get(name), fast.get(name)
+        if a is None or b is None or np.shape(a) != np.shape(b):
+            mismatched.append(name)
+            max_delta = math.inf
+            continue
+        differ = _bits(a) != _bits(b)
+        if differ.any():
+            mismatched.append(name)
+            delta = np.abs(np.asarray(a, dtype=float).reshape(-1)[differ]
+                           - np.asarray(b, dtype=float).reshape(-1)[differ])
+            worst = float(np.max(delta))
+            max_delta = max(max_delta, worst) if math.isfinite(worst) \
+                else math.inf
+    return {"passed": not mismatched, "mismatched": mismatched,
+            "max_delta": max_delta}
+
+
 def check_equivalence() -> dict:
     """Replay the pinned episode serially and batched; compare bitwise.
 
     The pinned episode covers the full path: cross traffic, epsilon and
     Gaussian exploration, warmup-crossing replay writes and real update
-    bursts.  Compared: transition count, reward sum, update bursts, the
-    entire replay memory (contents and cursor) and every actor
-    parameter.  ``max_delta`` is the worst absolute difference across
-    replay and actor arrays — the contract is exact, so any non-zero
-    delta fails.
+    bursts.  The verdict is :func:`compare_legs`: exact, so any
+    difference — NaN included — fails.
     """
     scenario = _train_scenario(4, 8.0, cross_traffic=True, seed=5)
     cwnds = _initial_cwnds(5)
@@ -190,23 +260,9 @@ def check_equivalence() -> dict:
 
     ref_learner, ref_stats = leg(False)
     fast_learner, fast_stats = leg(True)
-    counts_match = (
-        ref_stats.transitions == fast_stats.transitions
-        and ref_stats.update_bursts == fast_stats.update_bursts
-        and len(ref_learner.replay) == len(fast_learner.replay)
-        and ref_learner.replay._cursor == fast_learner.replay._cursor
-    )
-    max_delta = abs(ref_stats.reward_sum - fast_stats.reward_sum)
-    for name in _REPLAY_ARRAYS:
-        a = getattr(ref_learner.replay, name)
-        b = getattr(fast_learner.replay, name)
-        max_delta = max(max_delta, float(np.max(np.abs(a - b))))
-    for pa, pb in zip(ref_learner.td3.actor.get_state(),
-                      fast_learner.td3.actor.get_state()):
-        max_delta = max(max_delta, float(np.max(np.abs(pa - pb))))
+    verdict = compare_legs(ref_learner, ref_stats, fast_learner, fast_stats)
     return {
-        "passed": bool(counts_match and max_delta <= EQUIVALENCE_TOL),
-        "max_delta": max_delta,
+        **verdict,
         "rows": ref_stats.transitions,
         "update_bursts": ref_stats.update_bursts,
         "tolerance": EQUIVALENCE_TOL,

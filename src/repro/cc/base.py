@@ -75,10 +75,11 @@ class TwoPhaseController(CongestionController):
     :meth:`begin_interval` does everything that needs no policy and
     returns either a finished :class:`Decision` or the state the policy
     must act on; :meth:`finish_interval` applies that state's action.
-    ``policy`` — anything with ``act(state)`` and a row-exact
-    ``act_batch(states)`` — is the forward a driver may stack over every
-    due flow between the two halves; ``None`` leaves each decision to
-    the per-object :meth:`on_interval`, which acts through :meth:`act`.
+    ``policy`` is the forward between the two halves: :meth:`act` runs
+    it for one state, and a subclass that is also a
+    :class:`ColumnController` runs its row-exact ``act_batch(states)``
+    once over every due flow in ``decide_columns``.  ``None`` leaves each
+    decision to the per-object :meth:`on_interval`.
     """
 
     policy = None

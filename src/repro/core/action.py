@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..config import ACTION_ALPHA
 from ..errors import ModelError
 from ..netsim.fluid import MIN_CWND_PKTS
@@ -31,6 +33,22 @@ def apply_action(cwnd_pkts: float, action: float,
     else:
         new = cwnd_pkts / (1.0 - alpha * action)
     return max(new, MIN_CWND_PKTS)
+
+
+def apply_action_columns(cwnd_pkts: np.ndarray, action: np.ndarray,
+                         alpha) -> np.ndarray:
+    """:func:`apply_action` elementwise (``alpha`` an array or a float
+    already checked), its range check first.  Both branches' factor is
+    ``1 + alpha |a|`` bit for bit: for ``a < 0``, ``alpha * a`` is
+    exactly ``-(alpha * |a|)``."""
+    size = np.abs(action)
+    inside = size <= 1.0
+    if not inside.all():
+        raise ModelError(f"action must lie in [-1, 1], got "
+                         f"{action[~inside][0].item()}")
+    factor = 1.0 + alpha * size
+    return np.maximum(np.where(action >= 0, cwnd_pkts * factor,
+                               cwnd_pkts / factor), MIN_CWND_PKTS)
 
 
 def invert_action(cwnd_pkts: float, next_cwnd_pkts: float,

@@ -25,9 +25,9 @@ from ..cc.base import ColumnController, Decision, TwoPhaseController, \
     register, rows_where
 from ..config import ACTION_ALPHA, HISTORY_LENGTH, MTP_S
 from ..errors import ModelError
-from ..netsim.fluid import MIN_CWND_PKTS
 from ..netsim.stats import MtpColumns, MtpStats
-from .action import apply_action, pacing_from_cwnd
+from .action import apply_action, apply_action_columns, \
+    pacing_from_cwnd
 from .policy import PolicyBundle, resolve_policy
 from .state import LOCAL_FEATURES, LocalStateBlock
 
@@ -433,19 +433,8 @@ class AstraeaController(TwoPhaseController, ColumnController):
 
         sel = every if acting is every else rows_where(acting)
         if sel is not None:
-            # apply_action (Eq. 3) over the rows, its range check first.
-            # Both branches' factor is 1 + alpha |a| bit for bit: for
-            # a < 0, alpha * a is exactly -(alpha * |a|).
-            a = action[sel]
-            size = np.abs(a)
-            inside = size <= 1.0
-            if not inside.all():
-                raise ModelError(f"action must lie in [-1, 1], got "
-                                 f"{a[~inside][0].item()}")
-            w = cwnd[sel]
-            factor = 1.0 + alpha[sel] * size
-            cwnd[sel] = np.maximum(np.where(a >= 0, w * factor, w / factor),
-                                   MIN_CWND_PKTS)
+            cwnd[sel] = apply_action_columns(cwnd[sel], action[sel],
+                                             alpha[sel])
         pacing = np.where(use_pacing != 0,
                           cwnd / np.maximum(columns.srtt_s, 1e-6), np.inf)
         return cwnd, pacing

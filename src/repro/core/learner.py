@@ -124,7 +124,9 @@ class Learner:
         self._last_update_env_s = 0.0
         self.total_updates = 0
         self.total_transitions = 0
+        #: Pending transition blocks in deferred mode, and their rows.
         self._deferred: list | None = None
+        self._pending_rows = 0
 
     # ------------------------------------------------------------------
 
@@ -166,21 +168,46 @@ class Learner:
         """Store one (g, s, a, r, g', s') tuple in replay memory.
 
         In deferred mode (:meth:`set_deferred`) the tuple is buffered in
-        arrival order and lands in replay via one
-        :meth:`~repro.rl.replay.ReplayBuffer.add_batch` flush before the
-        next update burst — identical final replay contents and cursor.
+        arrival order, as a one-row block of :meth:`add_transitions`.
         """
         if self._deferred is not None:
-            self._deferred.append((np.asarray(local_state, dtype=float),
-                                   np.asarray(global_state, dtype=float),
-                                   float(action), float(reward),
-                                   np.asarray(next_local, dtype=float),
-                                   np.asarray(next_global, dtype=float),
-                                   float(done)))
-        else:
-            self.replay.add(local_state, global_state, np.array([action]),
-                            reward, next_local, next_global, done)
+            self.add_transitions(
+                np.asarray(global_state, dtype=float)[None, :],
+                np.asarray(local_state, dtype=float)[None, :],
+                np.array([float(action)]), np.array([float(reward)]),
+                np.asarray(next_global, dtype=float)[None, :],
+                np.asarray(next_local, dtype=float)[None, :],
+                np.array([float(done)]))
+            return
+        self.replay.add(local_state, global_state, np.array([action]),
+                        reward, next_local, next_global, done)
         self.total_transitions += 1
+
+    def add_transitions(self, global_states, local_states, actions,
+                        rewards, next_globals, next_locals,
+                        done=None) -> None:
+        """Store a block of ``k`` tuples, row ``i`` being one transition:
+        ``(k, global_dim)`` and ``(k, local_dim)`` states, ``(k,)``
+        actions, rewards and (optional, default 0) done flags.
+
+        Equal to ``k`` :meth:`add_transition` calls in row order.  In
+        deferred mode the block is kept as given (the caller hands over
+        the arrays) until :meth:`flush_transitions` writes every pending
+        block into replay at once.
+        """
+        rewards = np.asarray(rewards, dtype=float)
+        k = len(rewards)
+        if done is None:
+            done = np.zeros(k)
+        block = (local_states, global_states,
+                 np.asarray(actions, dtype=float).reshape(k, 1), rewards,
+                 next_locals, next_globals, done)
+        if self._deferred is not None:
+            self._deferred.append(block)
+            self._pending_rows += k
+        else:
+            self.replay.add_batch(*block)
+        self.total_transitions += k
 
     def set_deferred(self, deferred: bool) -> None:
         """Toggle deferred transition buffering (the batched-rollout mode).
@@ -195,19 +222,17 @@ class Learner:
             self._deferred = None
 
     def flush_transitions(self) -> None:
-        """Write all buffered transitions to replay in one block."""
+        """Write all buffered transition blocks to replay in one block."""
         pending = self._deferred
         if not pending:
             return
-        self.replay.add_batch(
-            np.stack([t[0] for t in pending]),
-            np.stack([t[1] for t in pending]),
-            np.array([[t[2]] for t in pending]),
-            np.array([t[3] for t in pending]),
-            np.stack([t[4] for t in pending]),
-            np.stack([t[5] for t in pending]),
-            np.array([t[6] for t in pending]))
+        if len(pending) == 1:
+            fields = pending[0]
+        else:
+            fields = [np.concatenate(column) for column in zip(*pending)]
+        self.replay.add_batch(*fields)
         pending.clear()
+        self._pending_rows = 0
 
     @property
     def warm(self) -> bool:
@@ -216,9 +241,8 @@ class Learner:
         Buffered-but-unflushed transitions count: the serial path would
         already have them in replay at the same point in the episode.
         """
-        pending = len(self._deferred) if self._deferred is not None else 0
-        return len(self.replay) + pending >= max(self.cfg.warmup_transitions,
-                                                 self.cfg.batch_size)
+        return len(self.replay) + self._pending_rows >= max(
+            self.cfg.warmup_transitions, self.cfg.batch_size)
 
     def update_burst(self) -> dict[str, float]:
         """Run one burst of ``model_update_steps`` gradient steps.

@@ -22,7 +22,7 @@ bounded to ``(-0.1, 0.1)`` per MTP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -100,20 +100,25 @@ class RewardBlock:
         ``capacity_pps`` overrides the link's nominal capacity for
         variable-bandwidth (trace-driven) training scenarios.
         """
-        if not snapshots:
+        return self.compute_columns(
+            *(np.array([getattr(s, f.name) for s in snapshots])
+              for f in fields(FlowSnapshot)),
+            capacity_pps=capacity_pps)
+
+    def compute_columns(self, thr: np.ndarray, avg_thr: np.ndarray,
+                        thr_std: np.ndarray, lat: np.ndarray,
+                        loss: np.ndarray, pacing: np.ndarray,
+                        capacity_pps: float | None = None) -> RewardTerms:
+        """:meth:`compute` from columns of the :class:`FlowSnapshot`
+        fields, one entry per active flow (in the flows' order: the sums
+        are order-dependent)."""
+        if not len(thr):
             raise ModelError("reward needs at least one active flow")
         cfg = self.config
         c = capacity_pps if capacity_pps is not None else \
             mbps_to_pps(self.link.bandwidth_mbps)
         if c <= 0:
             raise ModelError("link capacity must be positive")
-
-        thr = np.array([s.throughput_pps for s in snapshots])
-        avg_thr = np.array([s.avg_thr_pps for s in snapshots])
-        thr_std = np.array([s.thr_std_pps for s in snapshots])
-        lat = np.array([s.avg_rtt_s for s in snapshots])
-        loss = np.array([s.loss_pps for s in snapshots])
-        pacing = np.array([s.pacing_pps for s in snapshots])
 
         r_thr = min(float(thr.sum() / c), 1.5)
 

@@ -160,26 +160,33 @@ def global_state_vector(flow_stats: list[MtpStats], link: LinkConfig,
 
     ``flow_stats`` holds the most recent MTP record of every active flow.
     """
+    return global_state_columns(
+        np.array([s.throughput_pps for s in flow_stats]),
+        np.array([s.avg_rtt_s for s in flow_stats]),
+        np.array([s.cwnd_pkts for s in flow_stats]),
+        np.array([s.loss_rate for s in flow_stats]), link)
+
+
+def global_state_columns(thr_pps: np.ndarray, avg_rtt_s: np.ndarray,
+                         cwnd_pkts: np.ndarray, loss_rate: np.ndarray,
+                         link: LinkConfig) -> np.ndarray:
+    """:func:`global_state_vector` from the active flows' latest
+    throughput, latency, window and loss-rate columns (one entry per
+    flow, in the flows' order: the sums are order-dependent)."""
     c_pps = mbps_to_pps(link.bandwidth_mbps)
     bdp = max(c_pps * link.rtt_s, 1e-6)
-    if not flow_stats:
-        thr = lat = cwnd = loss = np.zeros(1)
-        n = 0
-    else:
-        thr = np.array([s.throughput_pps for s in flow_stats])
-        lat = np.array([s.avg_rtt_s for s in flow_stats])
-        cwnd = np.array([s.cwnd_pkts for s in flow_stats])
-        loss = np.array([s.loss_rate for s in flow_stats])
-        n = len(flow_stats)
+    n = len(thr_pps)
+    if not n:
+        thr_pps = avg_rtt_s = cwnd_pkts = loss_rate = np.zeros(1)
     vec = np.array([
-        thr.sum() / c_pps,                                    # ovr_thr
-        thr.min() / c_pps,                                    # min_thr
-        thr.max() / c_pps,                                    # max_thr
-        min(lat.mean() / link.rtt_s, _RATIO_CLIP),            # avg_lat
-        cwnd.min() / bdp,                                     # min_cwnd
-        cwnd.max() / bdp,                                     # max_cwnd
-        cwnd.mean() / bdp,                                    # avg_cwnd
-        loss.mean(),                                          # loss_ratio
+        thr_pps.sum() / c_pps,                                # ovr_thr
+        thr_pps.min() / c_pps,                                # min_thr
+        thr_pps.max() / c_pps,                                # max_thr
+        min(avg_rtt_s.mean() / link.rtt_s, _RATIO_CLIP),      # avg_lat
+        cwnd_pkts.min() / bdp,                                # min_cwnd
+        cwnd_pkts.max() / bdp,                                # max_cwnd
+        cwnd_pkts.mean() / bdp,                               # avg_cwnd
+        loss_rate.mean(),                                     # loss_ratio
         n / _NUM_FLOW_SCALE,                                  # num_flow
         link.one_way_delay_s / (_LAT_SCALE_S / 2.0),          # d0
         link.buffer_size_packets / bdp / _BUFFER_BDP_SCALE,   # buf

@@ -9,15 +9,17 @@ tracks per-episode statistics.
 
 :func:`run_training_episode` steps the same scenario driver as every
 other fluid run (:meth:`~repro.env.multiflow.ScenarioDriver.step_block`).
-Each step's pass collects all due flows' stats at one instant, lets every
-agent decide — its policy forward stacked into one batched call for the
-whole pass, or per flow on the serial leg — and applies every decision;
-the observer, the driver's per-step hook, then publishes that snapshot,
-computes the shared reward and global state once, emits the pass's
-transitions and lets the Learner update on the Table 4 cadence.  The
-serial and batched legs are bitwise identical: the forward kernel is
-row-consistent, exploration randomness lives on per-controller streams,
-and the observer sees the same published snapshot either way.
+Each step's pass collects all due flows' stats at one instant as
+columns, lets every agent decide — all agents in one column decision
+around one stacked forward, or per flow on the serial leg — and applies
+every decision; the observer, the driver's per-step hook, then publishes
+that snapshot into its per-flow arrays, computes the shared reward and
+global state once as column reductions, emits the pass's transitions as
+one block and lets the Learner update on the Table 4 cadence.  The serial
+and batched legs are bitwise identical: the forward kernel is
+row-consistent, exploration randomness lives on per-agent streams drawn
+in the same order, and the observer sees the same published snapshot
+either way.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cc.base import Decision, TwoPhaseController
+from ..cc.base import ColumnController, Decision, TwoPhaseController
 from ..config import (
     ACTION_ALPHA,
     FlowConfig,
@@ -34,15 +36,69 @@ from ..config import (
     RewardConfig,
     ScenarioConfig,
 )
-from ..core.action import apply_action, pacing_from_cwnd
+from ..core.action import apply_action, apply_action_columns, \
+    pacing_from_cwnd
 from ..core.learner import Learner
-from ..core.reward import FlowSnapshot, RewardBlock
-from ..core.state import LocalStateBlock, global_state_vector
-from ..netsim.stats import MtpStats
+from ..core.reward import RewardBlock
+from ..core.state import GLOBAL_FEATURES, LOCAL_FEATURES, LocalStateBlock, \
+    global_state_columns
+from ..errors import ConfigError, ModelError
+from ..netsim.stats import MtpColumns, MtpStats
 from .multiflow import build_driver
 
 
-class TrainFlowController(TwoPhaseController):
+class TrainingPolicy:
+    """The shared policy of one training episode's agents.
+
+    Holds the learner (or a :class:`~repro.env.pool.FrozenPolicy`) —
+    :meth:`act_batch` delegates to it, so the learner's ``act_batch``
+    stays the one forward per pass — and, per agent slot,
+    what cannot live in a float column: the agent's exploration stream,
+    and the last ``(state, action)`` the agent applied, which the
+    :class:`Observer` pairs into transitions.  A
+    :class:`TrainFlowController`'s state column carries its slot.
+    :func:`build_training_controllers` builds one per episode.
+    """
+
+    def __init__(self, learner):
+        self.learner = learner
+        local_dim = LOCAL_FEATURES * learner.cfg.history_length
+        self.streams: list[np.random.Generator] = []
+        #: Per slot: the state the agent's last decision acted on, that
+        #: decision's action, and whether there is one since its reset.
+        self.states = np.zeros((0, local_dim))
+        self.actions = np.zeros(0)
+        self.has_state = np.zeros(0, dtype=bool)
+        #: Per slot: whether the agent was reset since the observer last
+        #: looked (its state block, and so its Eq. 7 history, restarted).
+        self.restarted = np.zeros(0, dtype=bool)
+
+    def add_agent(self, stream: np.random.Generator) -> int:
+        """Register an agent's exploration stream; returns its slot."""
+        self.streams.append(stream)
+        self.states = np.concatenate(
+            [self.states, np.zeros((1, self.states.shape[1]))])
+        self.actions = np.append(self.actions, 0.0)
+        self.has_state = np.append(self.has_state, False)
+        self.restarted = np.append(self.restarted, True)
+        return len(self.streams) - 1
+
+    @property
+    def warm(self) -> bool:
+        return self.learner.warm
+
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
+        return self.learner.act_batch(states)
+
+    def record(self, slots, states: np.ndarray, actions) -> None:
+        """The decisions of the agents at ``slots``: the states acted on
+        and the actions applied."""
+        self.states[slots] = states
+        self.actions[slots] = actions
+        self.has_state[slots] = True
+
+
+class TrainFlowController(TwoPhaseController, ColumnController):
     """Astraea agent in training mode: shared policy plus exploration.
 
     The initial window is randomised per flow so early training covers the
@@ -54,25 +110,42 @@ class TrainFlowController(TwoPhaseController):
     perturbation itself.  Every random draw — epsilon, uniform action and
     the Gaussian noise — comes from this controller's own stream, so the
     episode's randomness is independent of *how* actions were computed
-    (one flow at a time or one stacked batch per pass).
+    (one flow at a time or one column pass).
 
-    The decision is two-phase (:class:`~repro.cc.base.TwoPhaseController`):
-    :meth:`begin_interval` folds the new stats into the local state block
-    and either finishes an exploratory decision or returns the state the
-    policy should act on; :meth:`finish_interval` perturbs and applies the
-    (possibly batched) policy action.  ``policy`` is the shared learner,
-    which a driver stacks across the pass's agents; with ``policy`` set to
-    ``None`` every decision runs the per-object ``on_interval``.
+    The per-object decision is two-phase
+    (:class:`~repro.cc.base.TwoPhaseController`): :meth:`begin_interval`
+    folds the new stats into the local state block and either finishes an
+    exploratory decision or returns the state the policy should act on;
+    :meth:`finish_interval` perturbs and applies the policy action.  It is
+    also a column kind: with ``policy`` set (the episode's
+    :class:`TrainingPolicy`) a driver decides every due agent in one
+    :meth:`decide_columns` call around one stacked forward; with
+    ``policy`` set to ``None`` every decision runs the per-object
+    ``on_interval``, the reference.
     """
 
     EPSILON_UNIFORM = 0.10
 
+    #: The scalar rows of the column state; the frame stack (``8 *
+    #: history`` rows, oldest frame first) and the throughput history
+    #: (``history`` rows) follow, ``frames`` counting the real frames.
+    #: The last state and action live in the :class:`TrainingPolicy`.
+    STATE = ("cwnd", "thr_max_pps", "lat_min_s", "frames", "alpha",
+             "use_pacing", "noise_std", "slot")
+
     def __init__(self, learner: Learner, noise_std: float = 0.1,
                  alpha: float = ACTION_ALPHA, mtp_s: float = 0.030,
                  initial_cwnd: float = 10.0, use_pacing: bool = True,
-                 episode: int = 0, flow_index: int = 0):
+                 episode: int = 0, flow_index: int = 0,
+                 agents: TrainingPolicy | None = None):
         super().__init__(mtp_s)
-        self.learner = self.policy = learner
+        if not 0 < alpha < 1:
+            # apply_action's check, at construction.
+            raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
+        self.learner = learner
+        self.agents = agents if agents is not None \
+            else TrainingPolicy(learner)
+        self.policy = self.agents
         self.noise_std = noise_std
         self.alpha = alpha
         self.use_pacing = use_pacing
@@ -85,17 +158,31 @@ class TrainFlowController(TwoPhaseController):
         # checkpoint resume.
         self._rng = np.random.default_rng(
             [learner.cfg.seed, episode, flow_index])
+        self.slot = self.agents.add_agent(self._rng)
         self.reset()
 
     @property
     def initial_cwnd(self) -> float:
         return self._initial_cwnd
 
+    @property
+    def last_state(self) -> np.ndarray | None:
+        """The state the last decision acted on (``None`` before the
+        first decision since :meth:`reset`)."""
+        agents = self.agents
+        return agents.states[self.slot].copy() \
+            if agents.has_state[self.slot] else None
+
+    @property
+    def last_action(self) -> float:
+        return float(self.agents.actions[self.slot])
+
     def reset(self) -> None:
         self.state_block.reset()
         self.cwnd = self._initial_cwnd
-        self.last_state: np.ndarray | None = None
-        self.last_action: float = 0.0
+        self.agents.has_state[self.slot] = False
+        self.agents.restarted[self.slot] = True
+        self.agents.actions[self.slot] = 0.0
         self._state: np.ndarray | None = None
 
     def begin_interval(self, stats: MtpStats) -> Decision | np.ndarray:
@@ -125,11 +212,115 @@ class TrainFlowController(TwoPhaseController):
 
     def _apply(self, stats: MtpStats, action: float) -> Decision:
         self.cwnd = apply_action(self.cwnd, action, self.alpha)
-        self.last_state = self._state
-        self.last_action = action
+        self.agents.record(self.slot, self._state, action)
         pacing = pacing_from_cwnd(self.cwnd, max(stats.srtt_s, 1e-6)) \
             if self.use_pacing else None
         return Decision(cwnd_pkts=self.cwnd, pacing_pps=pacing)
+
+    # The base class's composition, bound in this class's own namespace:
+    # the driver's column rule (``env.multiflow._column_kind``) reads
+    # this binding to tell it from a subclass's override.
+    on_interval = TwoPhaseController.on_interval
+
+    # -- columns -----------------------------------------------------------
+
+    def column_key(self) -> tuple:
+        return (type(self), id(self.policy), self.state_block.history,
+                self.mtp_s)
+
+    def state_rows(self) -> int:
+        return len(self.STATE) \
+            + (LOCAL_FEATURES + 1) * self.state_block.history
+
+    @classmethod
+    def _blocks(cls, state: np.ndarray):
+        """The frame stack and throughput history of a state column (or
+        block of columns)."""
+        lo = len(cls.STATE)
+        history = (len(state) - lo) // (LOCAL_FEATURES + 1)
+        hi = lo + LOCAL_FEATURES * history
+        return state[lo:hi], state[hi:]
+
+    def read_state(self) -> np.ndarray:
+        block = self.state_block
+        history = block.history
+        values = np.zeros(self.state_rows())
+        values[:len(self.STATE)] = (
+            self.cwnd, block.thr_max_pps, block.lat_min_s,
+            len(block._frames), self.alpha, self.use_pacing,
+            self.noise_std, self.slot)
+        stack, thr_history = self._blocks(values)
+        for frame_no, frame in enumerate(block._frames,
+                                         history - len(block._frames)):
+            stack[frame_no * LOCAL_FEATURES:
+                  (frame_no + 1) * LOCAL_FEATURES] = frame
+        thr_history[history - len(block.thr_history_pps):] = \
+            list(block.thr_history_pps)
+        return values
+
+    def write_state(self, values) -> None:
+        """Hand a state column back: the deques as the scalar leaves
+        them.  (The switches and the slot never change.)"""
+        values = np.asarray(values, dtype=float)
+        block = self.state_block
+        history = block.history
+        (self.cwnd, block.thr_max_pps, block.lat_min_s, depth, *_) = \
+            values[:len(self.STATE)].tolist()
+        stack, thr_history = self._blocks(values)
+        depth = int(depth)
+        block._frames.clear()
+        block._frames.extend(
+            frame.copy() for frame in
+            stack.reshape(history, LOCAL_FEATURES)[history - depth:])
+        block.thr_history_pps.clear()
+        block.thr_history_pps.extend(thr_history[history - depth:].tolist())
+        self._state = block.input_vector() if depth else None
+
+    @classmethod
+    def decide_columns(cls, state: np.ndarray, columns: MtpColumns,
+                       policy: TrainingPolicy
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`on_interval` of many agents around one stacked forward.
+
+        The state blocks fold as columns; then, per agent and from its
+        own stream in the scalar's order, the epsilon draw (when warm)
+        and the uniform action of an exploring agent.  The policy acts
+        once, through the row-exact ``act_batch``, on the other agents'
+        rows, each of which then draws its Gaussian noise (when
+        ``noise_std > 0``).  One clip, the Eq. 3 window and pacing
+        close the decision, which is recorded in ``policy``.
+        """
+        (cwnd, thr_max, lat_min, depth, alpha, use_pacing, noise_std,
+         slot) = state[:len(cls.STATE)]
+        stack, thr_history = cls._blocks(state)
+        LocalStateBlock.update_columns(columns, thr_max, lat_min, stack,
+                                       thr_history, depth)
+        slots = slot.astype(np.intp).tolist()
+        streams = list(map(policy.streams.__getitem__, slots))
+        action = np.empty(len(cwnd))
+        asking = []
+        warm = policy.warm
+        for j, stream in enumerate(streams):
+            if warm and stream.random() >= cls.EPSILON_UNIFORM:
+                asking.append(j)
+            else:
+                action[j] = stream.uniform(-0.999, 0.999)
+        if asking:
+            sel = slice(None) if len(asking) == len(cwnd) else asking
+            # The stacked forward needs rows laid out as act() sees them.
+            clean = policy.act_batch(np.ascontiguousarray(stack[:, sel].T))
+            noise = noise_std.tolist()
+            for j, a in zip(asking, clean.tolist()):
+                if noise[j] > 0:
+                    a = a + streams[j].normal(0.0, noise[j])
+                action[j] = a
+            # (An exploring row's uniform draw is inside the clip.)
+            np.clip(action, -0.999, 0.999, out=action)
+        cwnd[:] = apply_action_columns(cwnd, action, alpha)
+        policy.record(slots, stack.T, action)
+        pacing = np.where(use_pacing != 0,
+                          cwnd / np.maximum(columns.srtt_s, 1e-6), np.inf)
+        return cwnd, pacing
 
 
 @dataclass
@@ -147,15 +338,29 @@ class EpisodeStats:
         return self.reward_sum / self.reward_count if self.reward_count else 0.0
 
 
+#: The per-flow stats the observer keeps, the rows of its ``_latest``
+#: (the reward's and the global state's inputs).
+_LATEST = ("throughput_pps", "avg_rtt_s", "loss_pps", "pacing_pps",
+           "cwnd_pkts", "loss_rate")
+
+
 class Observer:
     """Gathers world observations and feeds the Learner (§3.2 Controller).
 
     An observer is the scenario driver's per-step hook (see
-    :meth:`__call__`).  ``transition_sink`` redirects assembled
-    transitions away from the learner: the rollout workers of
-    :mod:`repro.env.pool` capture them (with timestamps) for shipping back
-    to the parent process instead of writing a replay buffer they don't
-    own.
+    :meth:`__call__`).  It keeps, per flow, the latest published stats
+    and the throughput ring of Eq. 7 as arrays, the flows in first-seen
+    order, and each agent's pending ``(g, s, a)`` awaiting its successor.
+    An agent's ring holds what its state block holds: it restarts when
+    the agent is reset, and takes a published throughput only while the
+    agent has a state since that reset.  (Under the driver every
+    published flow has just decided on those stats; an out-of-band
+    caller that publishes a flow twice without a decision in between
+    gives its ring an entry the block does not have.)
+    ``transition_sink`` redirects assembled transitions away from the
+    learner: the rollout workers of :mod:`repro.env.pool` capture them
+    (with timestamps) for shipping back to the parent process instead of
+    writing a replay buffer they don't own.
     """
 
     def __init__(self, learner: Learner, link: LinkConfig,
@@ -172,90 +377,182 @@ class Observer:
         self.local_reward = local_reward
         self.do_updates = do_updates
         self.transition_sink = transition_sink
-        self._latest: dict[int, MtpStats] = {}
-        self._pending: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self.stats = EpisodeStats()
+        n = len(flows)
+        agents = [c for c in controllers if isinstance(c, TrainFlowController)]
+        tables = {id(c.agents): c.agents for c in agents}
+        if len(tables) > 1:
+            raise ConfigError("an episode's agents must share one "
+                              "TrainingPolicy (build_training_controllers)")
+        self._agents = next(iter(tables.values()), None)
+        self._is_agent = np.array(
+            [isinstance(c, TrainFlowController) for c in controllers],
+            dtype=bool)
+        self._slot = np.array([c.slot if isinstance(c, TrainFlowController)
+                               else -1 for c in controllers], dtype=np.intp)
+        self._start = np.array([f.start_s for f in flows], dtype=float)
+        self._end = np.array([f.end_s() for f in flows], dtype=float)
+        # The latest stats of every flow seen, in first-seen order.
+        self._seen = np.zeros(n, dtype=bool)
+        self._order = np.zeros(0, dtype=np.intp)
+        self._latest = np.zeros((len(_LATEST), n))
+        # Eq. 7's throughput history, oldest first, zero-padded above.
+        history = learner.cfg.history_length
+        self._ring = np.zeros((history, n))
+        self._ring_len = np.zeros(n, dtype=np.intp)
+        # Each agent's pending (g, s, a) and whether it has one.
+        local_dim = LOCAL_FEATURES * history
+        self._pending = np.zeros(n, dtype=bool)
+        self._pending_g = np.zeros((n, GLOBAL_FEATURES))
+        self._pending_s = np.zeros((n, local_dim))
+        self._pending_a = np.zeros(n)
 
     # ------------------------------------------------------------------
 
-    def _active_indices(self, now: float) -> list[int]:
-        """Active *agent* flows (cross-traffic competitors are part of the
-        environment, not of the cooperating agent population)."""
-        return [i for i in self._latest
-                if self.flows[i].start_s <= now < self.flows[i].end_s()
-                and isinstance(self.controllers[i], TrainFlowController)]
-
-    def _snapshots(self, indices: list[int]) -> list[FlowSnapshot]:
-        out = []
-        for i in indices:
-            s = self._latest[i]
-            block = self.controllers[i].state_block
-            out.append(FlowSnapshot(
-                throughput_pps=s.throughput_pps,
-                avg_thr_pps=block.avg_throughput_pps(),
-                thr_std_pps=block.throughput_std_pps(),
-                avg_rtt_s=s.avg_rtt_s,
-                loss_pps=s.loss_pps,
-                pacing_pps=s.pacing_pps,
-            ))
-        return out
-
-    def __call__(self, now: float, flows, stats: list[MtpStats]) -> None:
+    def __call__(self, now: float, flows, columns: MtpColumns | None
+                 ) -> None:
         """The driver's per-step hook: ``flows`` (running records with an
-        ``index``) decided on ``stats`` in this step's pass, possibly none.
+        ``index``) decided on ``columns`` in this step's pass, possibly
+        none (``columns`` is ``None`` then).
 
         Publishes the pass's stats, so every agent's transition sees the
         identical world snapshot — the paper's synchronous
         world-observation exchange — and the (global) reward and global
         state are computed once from it.  Then one transition per agent
-        that decided, in pass order, and the Learner's shot at an update
-        burst, which it gets on every step.
+        that decided, in pass order, as one block, and the Learner's
+        shot at an update burst, which it gets on every step.
         """
-        agents = []
-        for rf, s in zip(flows, stats):
-            self._latest[rf.index] = s
-            if isinstance(self.controllers[rf.index], TrainFlowController):
-                agents.append((rf.index, s))
-        active = self._active_indices(now) if agents else None
-        if active:
-            self._emit(now, agents, active)
+        if flows:
+            index = np.array([rf.index for rf in flows], dtype=np.intp)
+            self._publish(index, columns)
+            agent = self._is_agent[index]
+            if np.count_nonzero(agent):
+                active = self._active_indices(now)
+                if len(active):
+                    self._emit(now, index, agent, columns, active)
         if self.do_updates:
             losses = self.learner.maybe_update(now)
             if losses is not None:
                 self.stats.update_bursts += 1
                 self.stats.last_losses = losses
 
-    def _emit(self, now: float, agents: list[tuple[int, MtpStats]],
-              active: list[int]) -> None:
+    def _publish(self, index: np.ndarray, columns: MtpColumns) -> None:
+        """Take the pass's stats as the flows' latest, and their
+        throughputs into the rings (see the class docstring)."""
+        new = ~self._seen[index]
+        if np.count_nonzero(new):
+            self._seen[index] = True
+            self._order = np.concatenate([self._order, index[new]])
+        self._latest[:, index] = [getattr(columns, name)
+                                  for name in _LATEST]
+        ring = self._ring
+        thr = columns.throughput_pps
+        table = self._agents
+        if table is not None:
+            restarted = table.restarted
+            if restarted.any():
+                stale = self._is_agent & restarted[self._slot]
+                ring[:, stale] = 0.0
+                self._ring_len[stale] = 0
+                restarted[:] = False
+            has = table.has_state
+            if not has.all():
+                keep = ~self._is_agent[index] | has[self._slot[index]]
+                index, thr = index[keep], thr[keep]
+        ring[:-1, index] = ring[1:, index]
+        ring[-1, index] = thr
+        self._ring_len[index] = np.minimum(self._ring_len[index] + 1,
+                                           len(ring))
+
+    def _active_indices(self, now: float) -> np.ndarray:
+        """Active *agent* flows in first-seen order (cross-traffic
+        competitors are part of the environment, not of the cooperating
+        agent population)."""
+        order = self._order
+        keep = self._is_agent[order] & (self._start[order] <= now) \
+            & (now < self._end[order])
+        return order[keep]
+
+    def _throughput_moments(self, flows: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and std-dev of each flow's throughput ring: the
+        ``LocalStateBlock.avg_throughput_pps`` / ``throughput_std_pps``
+        of the same history (``np.mean`` / ``np.std``), bit for bit.
+
+        Below eight entries NumPy sums a vector front to back, which is
+        what a column sum down the ring does, and the ring's leading zero
+        padding adds exact zeros; a longer history takes NumPy's own
+        reductions per flow.  With one entry the deviation is exactly
+        zero, the block's ``0.0``; an empty ring (a reset agent that has
+        not decided since) has the block's ``0.0`` mean too.
+        """
+        ring = self._ring[:, flows]
+        count = self._ring_len[flows]
+        history = len(ring)
+        if history >= 8:
+            rows = [ring[history - c:, j] for j, c in
+                    enumerate(count.tolist())]
+            return (np.array([np.mean(r) if len(r) else 0.0
+                              for r in rows]),
+                    np.array([np.std(r) if len(r) >= 2 else 0.0
+                              for r in rows]))
+        count = np.maximum(count, 1)     # an empty ring is all zeros
+        mean = ring.sum(axis=0) / count
+        dev = ring - mean
+        dev[np.arange(history)[:, None] < history - count] = 0.0
+        dev *= dev
+        return mean, np.sqrt(dev.sum(axis=0) / count)
+
+    def _emit(self, now: float, index: np.ndarray, agent: np.ndarray,
+              columns: MtpColumns, active: np.ndarray) -> None:
         """One transition per agent of the pass (cross traffic is
         environment, not an agent, and emits none)."""
+        thr, rtt, loss_pps, pacing, cwnd, loss_rate = self._latest[:, active]
+        agents = index[agent]
         if self.local_reward is None:
-            reward = self.reward_block.compute(self._snapshots(active)).total
-        g_now = global_state_vector([self._latest[i] for i in active],
-                                    self.link)
-        for idx, stats in agents:
-            if self.local_reward is not None:
-                reward = self.local_reward(stats, self.link)
-            ctl = self.controllers[idx]
-            s_now, a_now = ctl.last_state, ctl.last_action
-            if s_now is None:
-                # The flow has not produced a state yet (e.g. a freshly
-                # reset controller observed out of band); a None here
-                # would poison a transition tuple, so skip it.
-                self._pending.pop(idx, None)
-                continue
-            if idx in self._pending:
-                g_prev, s_prev, a_prev = self._pending[idx]
-                if self.transition_sink is not None:
-                    self.transition_sink(now, g_prev, s_prev, a_prev, reward,
-                                         g_now, s_now)
-                else:
-                    self.learner.add_transition(g_prev, s_prev, a_prev,
-                                                reward, g_now, s_now)
-                self.stats.transitions += 1
-                self.stats.reward_sum += reward
-                self.stats.reward_count += 1
-            self._pending[idx] = (g_now, s_now, a_now)
+            avg_thr, thr_std = self._throughput_moments(active)
+            reward = self.reward_block.compute_columns(
+                thr, avg_thr, thr_std, rtt, loss_pps, pacing).total
+            rewards = np.full(len(agents), reward)
+        else:
+            rows = (columns if len(agents) == len(index)
+                    else columns.take(np.flatnonzero(agent))).rows()
+            rewards = np.array([self.local_reward(s, self.link)
+                                for s in rows], dtype=float)
+        g_now = global_state_columns(thr, rtt, cwnd, loss_rate, self.link)
+        table = self._agents
+        slots = self._slot[agents]
+        # An agent with no state yet (e.g. a controller reset out of
+        # band) has nothing to pair: its pending tuple is dropped.
+        has = table.has_state[slots]
+        pending = self._pending
+        pending[agents[~has]] = False
+        emit = has & pending[agents]
+        k = int(np.count_nonzero(emit))
+        if k:
+            rows = agents[emit]
+            g_prev, s_prev = self._pending_g[rows], self._pending_s[rows]
+            a_prev, r = self._pending_a[rows], rewards[emit]
+            s_now = table.states[slots[emit]]
+            if self.transition_sink is not None:
+                for j in range(k):
+                    self.transition_sink(now, g_prev[j], s_prev[j],
+                                         float(a_prev[j]), float(r[j]),
+                                         g_now, s_now[j])
+            else:
+                self.learner.add_transitions(
+                    g_prev, s_prev, a_prev, r,
+                    g_now[None, :].repeat(k, axis=0), s_now)
+            stats = self.stats
+            stats.transitions += k
+            stats.reward_count += k
+            for value in r.tolist():
+                stats.reward_sum += value
+        rows, slots = agents[has], slots[has]
+        pending[rows] = True
+        self._pending_g[rows] = g_now
+        self._pending_s[rows] = table.states[slots]
+        self._pending_a[rows] = table.actions[slots]
 
 
 def build_training_controllers(learner, scenario: ScenarioConfig,
@@ -264,20 +561,23 @@ def build_training_controllers(learner, scenario: ScenarioConfig,
                                episode: int = 0) -> list:
     """One controller per flow: agents for ``astraea``, cross traffic else.
 
-    ``learner`` only needs ``cfg.seed``, ``cfg.history_length``, ``warm``
-    and the act methods — a frozen policy snapshot
+    The agents share one :class:`TrainingPolicy`.  ``learner`` only
+    needs ``cfg.seed``, ``cfg.history_length``, ``warm`` and the act
+    methods — a frozen policy snapshot
     (:class:`repro.env.pool.FrozenPolicy`) works as well as the live
     :class:`~repro.core.learner.Learner`.
     """
     from ..cc import create as create_cc
 
+    agents = TrainingPolicy(learner)
     controllers = []
     for flow_index, (cfg_flow, cw) in enumerate(zip(scenario.flows,
                                                     initial_cwnds)):
         if cfg_flow.cc == "astraea":
             controllers.append(TrainFlowController(
                 learner, noise_std=noise_std, mtp_s=scenario.mtp_s,
-                initial_cwnd=cw, episode=episode, flow_index=flow_index))
+                initial_cwnd=cw, episode=episode, flow_index=flow_index,
+                agents=agents))
         else:
             controllers.append(create_cc(cfg_flow.cc, **cfg_flow.cc_kwargs))
     return controllers

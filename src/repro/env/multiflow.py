@@ -23,7 +23,6 @@ from ..cc import create
 from ..cc.base import (
     ColumnController,
     CongestionController,
-    Decision,
     TwoPhaseController,
     rows_where,
 )
@@ -216,35 +215,16 @@ def flow_controller(controllers: list[CongestionController | None] | None,
     return controller
 
 
-def _stacked_policy(controller: CongestionController):
-    """The forward the driver may stack for ``controller``.
-
-    Only a :class:`TwoPhaseController` qualifies, and only while its
-    ``on_interval`` is the one of the class that implements its
-    ``begin_interval`` — that class's composition of the two halves: a
-    subclass that overrides ``on_interval`` (a recording teacher, a test
-    double) must have its override run.  A ``None`` policy — the
-    reference backend, the serial training leg — keeps the per-object
-    call too.
-    """
-    if not isinstance(controller, TwoPhaseController):
-        return None
-    kind = type(controller)
-    owner = next(k for k in kind.__mro__ if "begin_interval" in vars(k))
-    return controller.policy if kind.on_interval is owner.on_interval \
-        else None
-
-
 def _column_kind(controller: CongestionController):
     """The class whose ``decide_columns`` may decide for ``controller``,
     or ``None``.
 
-    The rule of :func:`_stacked_policy`: the class that defines
-    ``decide_columns`` must also own the controller's ``on_interval``
-    (and not see ``interval_s`` overridden below it), so a subclass or
-    test double that overrides either keeps the per-object call.  A
-    two-phase controller without a policy (Astraea's reference backend)
-    has no forward to decide around and keeps it too.
+    The class that defines ``decide_columns`` must also own the
+    controller's ``on_interval`` (and not see ``interval_s`` overridden
+    below it), so a subclass or test double that overrides either keeps
+    the per-object call.  A two-phase controller without a policy
+    (Astraea's reference backend, the serial training leg) has no
+    forward to decide around and keeps it too.
     """
     if not isinstance(controller, ColumnController) or (
             isinstance(controller, TwoPhaseController)
@@ -264,8 +244,6 @@ class _RunningFlow:
     engine_id: int
     controller: CongestionController
     end_s: float
-    #: Decided once at flow start (see :func:`_stacked_policy`).
-    policy: object | None = None
     #: Position in ``ScenarioDriver._running`` and in the driver's
     #: per-flow vectors; renumbered on flow churn.
     pos: int = -1
@@ -407,7 +385,6 @@ class ScenarioDriver:
         fresh = [_RunningFlow(
             index=i, engine_id=fid, controller=controller,
             end_s=np.inf if self._windowed else self._logs[i].end_s,
-            policy=_stacked_policy(controller),
         ) for fid, (i, _cfg, controller) in zip(fids, due)]
         self._running += fresh
         self._renumber(np.arange(len(self._next_ctrl)), fresh, now)
@@ -534,33 +511,33 @@ class ScenarioDriver:
         then the ``on_step`` hook.
 
         The hook fires on every step, one with no due flow included, as
-        ``on_step(now, flows, stats)`` with the due flows in ``_running``
-        order and their stats.  A training observer gives the learner its
-        update burst there, and a burst must land at the same engine
-        instant whether or not a flow happened to decide at it.
+        ``on_step(now, flows, columns)`` with the due flows in
+        ``_running`` order and their stats as :class:`MtpColumns`
+        (``None`` when no flow is due).  A training observer gives the
+        learner its update burst there, and a burst must land at the
+        same engine instant whether or not a flow happened to decide at
+        it.
         """
         pos, columns = self.collect_due(now)
-        flows, stats = self._decide_and_apply(now, pos, columns) \
-            if len(pos) else ([], [])
+        if len(pos):
+            self._decide_and_apply(now, pos, columns)
         if self._on_step is not None:
-            self._on_step(now, flows, stats)
+            running = self._running
+            self._on_step(now, [running[p] for p in pos.tolist()], columns)
 
     def _decide_and_apply(self, now: float, pos: np.ndarray,
-                          columns: MtpColumns):
+                          columns: MtpColumns) -> None:
         """The decisions of the flows at ``_running`` positions ``pos``,
         one ``set_cwnds``, one log block and the next deadlines as a
-        column — the same code for one due flow or 400.  Returns the due
-        flows and their ``MtpStats`` when an ``on_step`` hook wants them
-        (else ``None, None``).
+        column — the same code for one due flow or 400.
 
         Column flows decide first: one ``decide_columns`` per column
         kind over its flows' state columns, with the kind's policy (an
         Astraea kind runs its bundle's one stacked forward in there).
-        The others take :meth:`_decide_objects`.  The controllers share
+        The others take their own ``on_interval``.  The controllers share
         no state, so the order of the two makes no difference, and each
         decision is bitwise the flow's ``on_interval``.  ``MtpStats``
-        rows are built only for the per-object flows, or for every due
-        flow when a hook is set.
+        rows are built only for the per-object flows.
 
         Applying is all-or-nothing and happens before the hook fires:
         windows never alter stats already collected, so setting them
@@ -593,17 +570,15 @@ class ScenarioDriver:
                         pacing = np.full(n, np.inf)
                     pacing[sel] = paced
 
-        flows = stats = None
-        if self._on_step is not None:
-            flows = [running[p] for p in pos.tolist()]
-            stats = columns.rows()
         obj = kind < 0
         if np.count_nonzero(obj):
             obj = np.flatnonzero(obj)
-            decisions = self._decide_objects(
-                [running[p] for p in pos[obj].tolist()],
-                [stats[j] for j in obj.tolist()] if stats is not None
-                else (columns if len(obj) == n else columns.take(obj)).rows())
+            decisions = [
+                running[p].controller.on_interval(stats)
+                for p, stats in zip(
+                    pos[obj].tolist(),
+                    (columns if len(obj) == n
+                     else columns.take(obj)).rows())]
             cwnds[obj] = [d.cwnd_pkts for d in decisions]
             if pacing is None:
                 pacing = np.full(n, np.inf)
@@ -623,40 +598,6 @@ class ScenarioDriver:
                 interval[j] = running[pos[j]].controller.interval_s(
                     columns.srtt_s[j].item())
         self._next_ctrl[every] = self._next_deadlines(now, interval, mtp)
-        return flows, stats
-
-    @staticmethod
-    def _decide_objects(flows: list[_RunningFlow],
-                        stats: list[MtpStats]) -> list[Decision]:
-        """The decisions of per-object flows, in order.
-
-        Two-phase: every flow with a stackable policy first does the
-        policy-free half of its decision, then each distinct policy runs
-        *one* row-exact forward over the stacked states of its flows,
-        then every decision is completed.  The policy is frozen for the
-        pass and row ``i`` of the stacked forward is bitwise ``act`` of
-        that row, so this equals calling ``on_interval`` flow by flow.
-        Every other flow takes exactly that per-object call.
-        """
-        decisions: list = [None] * len(flows)
-        # policy id -> (policy, slots in ``flows`` that need its forward)
-        stacks: dict[int, tuple[object, list[int]]] = {}
-        for slot, rf in enumerate(flows):
-            if rf.policy is None:
-                decisions[slot] = rf.controller.on_interval(stats[slot])
-                continue
-            begun = decisions[slot] = \
-                rf.controller.begin_interval(stats[slot])
-            if not isinstance(begun, Decision):
-                stacks.setdefault(id(rf.policy), (rf.policy, []))[1] \
-                    .append(slot)
-        for policy, slots in stacks.values():
-            actions = policy.act_batch(
-                np.stack([decisions[slot] for slot in slots]))
-            for slot, action in zip(slots, actions.tolist()):
-                decisions[slot] = flows[slot].controller.finish_interval(
-                    stats[slot], action)
-        return decisions
 
     def collect_due(self, now: float
                     ) -> tuple[np.ndarray, MtpColumns | None]:
@@ -778,10 +719,11 @@ def run_scenario(scenario: ScenarioConfig,
     ``controllers`` optionally injects pre-built controller instances
     (index-aligned with ``scenario.flows``); entries left ``None`` are
     created from the flow's registered scheme name.  ``on_step`` is an
-    optional callback ``(now, flows, stats)`` invoked after every
+    optional callback ``(now, flows, columns)`` invoked after every
     engine-advancing step with the flows that decided in it (running
     records with ``index`` and ``controller``, possibly none) and their
-    stats — the training loop uses it to harvest transitions.
+    stats as :class:`~repro.netsim.stats.MtpColumns` (``None`` when no
+    flow decided) — the training loop uses it to harvest transitions.
     """
     return build_driver(scenario, controllers=controllers,
                         on_step=on_step).run()

@@ -42,12 +42,17 @@ class Linear:
         self._x = x
         return x @ self.W + self.b
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, params: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate ``dW``/``db`` (unless ``params`` is False) and
+        return the input gradient (``None`` when ``input_grad`` is
+        False)."""
         if self._x is None:
             raise ModelError("backward called before forward")
-        self.dW += self._x.T @ grad_out
-        self.db += grad_out.sum(axis=0)
-        return grad_out @ self.W.T
+        if params:
+            self.dW += self._x.T @ grad_out
+            self.db += grad_out.sum(axis=0)
+        return grad_out @ self.W.T if input_grad else None
 
     def zero_grad(self) -> None:
         self.dW[:] = 0.0
@@ -158,21 +163,27 @@ class MLP:
             out = np.tanh(out)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, params: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Backprop ``dLoss/dOutput``; returns ``dLoss/dInput``.
 
         Parameter gradients accumulate into each layer's ``dW``/``db``.
+        ``params=False`` leaves them untouched (a pass that only wants
+        the input gradient); ``input_grad=False`` skips the first
+        layer's input gradient and returns ``None`` (a pass that only
+        wants the parameter gradients).  Neither changes what the other
+        computes, bit for bit.
         """
         if self._out is None:
             raise ModelError("backward called before forward")
         grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
         if self.output == "tanh":
             grad = grad * (1.0 - self._out ** 2)
-        grad = self.layers[-1].backward(grad)
-        for layer, pre in zip(reversed(self.layers[:-1]),
-                              reversed(self._hidden_pre)):
-            grad = grad * (pre > 0)
-            grad = layer.backward(grad)
+        layers = self.layers
+        for k in range(len(layers) - 1, -1, -1):
+            grad = layers[k].backward(grad, params, input_grad or k > 0)
+            if k:
+                grad = grad * (self._hidden_pre[k - 1] > 0)
         return grad
 
     def zero_grad(self) -> None:

@@ -34,25 +34,52 @@ class Adam:
         self.clip_norm = clip_norm
         self._m = [np.zeros_like(p) for p in params]
         self._v = [np.zeros_like(p) for p in params]
+        # Two scratch arrays per parameter: a step allocates nothing.
+        self._scratch = [(np.empty_like(p), np.empty_like(p))
+                         for p in params]
         self._t = 0
 
     def step(self) -> None:
-        """Apply one Adam update using the currently accumulated gradients."""
+        """Apply one Adam update using the currently accumulated gradients.
+
+        Per parameter, in place::
+
+            grad = g * scale
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad ** 2
+            p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+        every operation rounded as that formula rounds it (a product's
+        operands may swap: IEEE multiplication commutes exactly).
+        """
         self._t += 1
         scale = 1.0
         if self.clip_norm is not None:
-            norm = np.sqrt(sum(float(np.sum(g ** 2)) for g in self.grads))
+            total = 0.0
+            for g, (a, _b) in zip(self.grads, self._scratch):
+                total += float(np.sum(np.multiply(g, g, out=a)))
+            norm = np.sqrt(total)
             if norm > self.clip_norm:
                 scale = self.clip_norm / (norm + 1e-12)
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
-        for p, g, m, v in zip(self.params, self.grads, self._m, self._v):
-            grad = g * scale
+        for p, g, m, v, (a, b) in zip(self.params, self.grads, self._m,
+                                      self._v, self._scratch):
+            # g * 1.0 is g, bit for bit.
+            grad = g if scale == 1.0 else np.multiply(g, scale, out=b)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(grad, grad, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
     def get_state(self) -> dict:
         """Copies of the optimiser internals (moments, step count, LR).

@@ -108,8 +108,9 @@ class TD3Learner:
             -cfg.target_noise_clip, cfg.target_noise_clip)
         a2 = np.clip(a2 + noise, -1.0, 1.0)
 
-        q1_t = self.critic1_target.infer(self._critic_input(g2, s2, a2))
-        q2_t = self.critic2_target.infer(self._critic_input(g2, s2, a2))
+        x2 = self._critic_input(g2, s2, a2)
+        q1_t = self.critic1_target.infer(x2)
+        q2_t = self.critic2_target.infer(x2)
         target = r[:, None] + cfg.gamma * (1.0 - done[:, None]) * np.minimum(q1_t, q2_t)
 
         # Critic regression toward the TD target.
@@ -120,7 +121,8 @@ class TD3Learner:
             err = q - target
             critic_loss += float(np.mean(err ** 2))
             critic.zero_grad()
-            critic.backward(2.0 * err / batch_size)
+            # The critic input is data: its gradient has no reader.
+            critic.backward(2.0 * err / batch_size, input_grad=False)
         self.critic_opt.step()
 
         self._updates += 1
@@ -132,15 +134,14 @@ class TD3Learner:
             x_pi = self._critic_input(g, s, a_pi)
             q = self.critic1.forward(x_pi)
             actor_loss = -float(np.mean(q))
-            self.critic1.zero_grad()
-            grad_in = self.critic1.backward(-np.ones_like(q) / batch_size)
+            # Only the action's gradient is read here: critic1's parameter
+            # gradients and the actor's input gradient are not computed.
+            grad_in = self.critic1.backward(-np.ones_like(q) / batch_size,
+                                            params=False)
             grad_action = grad_in[:, -self.action_dim:]
             self.actor.zero_grad()
-            self.actor.backward(grad_action)
+            self.actor.backward(grad_action, input_grad=False)
             self.actor_opt.step()
-            # The critic's parameter grads from this pass are side effects;
-            # clear them so the next critic step starts clean.
-            self.critic1.zero_grad()
 
             self.actor_target.polyak_update_from(self.actor, cfg.tau)
             self.critic1_target.polyak_update_from(self.critic1, cfg.tau)

@@ -84,9 +84,18 @@ class TestEpisodeEquivalence:
             np.testing.assert_array_equal(
                 getattr(serial_learner.replay, name),
                 getattr(fast_learner.replay, name))
-        for p_s, p_b in zip(serial_learner.td3.actor.get_state(),
-                            fast_learner.td3.actor.get_state()):
-            np.testing.assert_array_equal(p_s, p_b)
+        serial_td3, fast_td3 = serial_learner.td3, fast_learner.td3
+        for net in serial_td3.NETS:
+            for p_s, p_b in zip(getattr(serial_td3, net).get_state(),
+                                getattr(fast_td3, net).get_state()):
+                np.testing.assert_array_equal(p_s, p_b)
+        for opt in ("actor_opt", "critic_opt"):
+            o_s = getattr(serial_td3, opt).get_state()
+            o_b = getattr(fast_td3, opt).get_state()
+            assert (o_s["t"], o_s["lr"]) == (o_b["t"], o_b["lr"])
+            for moment in ("m", "v"):
+                for m_s, m_b in zip(o_s[moment], o_b[moment]):
+                    np.testing.assert_array_equal(m_s, m_b)
 
 
 # Tiny but real train loop: 2 strides of 2 parallel envs.  Warmup is

@@ -51,6 +51,11 @@ def drive_per_flow(driver, seen=None):
     return driver.result()
 
 
+def hook_rows(columns):
+    """The per-flow ``MtpStats`` of an ``on_step`` hook's columns."""
+    return columns.rows() if columns is not None else []
+
+
 def run_per_flow(scenario, controllers=None, seen=None):
     return drive_per_flow(build_driver(scenario, controllers=controllers),
                           seen)
@@ -166,7 +171,7 @@ class TestBatchedPassEqualsPerFlow:
         slow_row = AstraeaController.STATE.index("_in_slow_start")
         drain_row = AstraeaController.STATE.index("_drain_left")
 
-        def observe(now, flows, _stats):
+        def observe(now, flows, _columns):
             # A column flow's object is stale until the driver writes its
             # state back, so classify from the driver's state columns.
             state = driver._state
@@ -210,8 +215,9 @@ class TestBatchedPassEqualsPerFlow:
         scenario = churn_scenario()
         batched, reference = [], []
         result = run_scenario(
-            scenario, on_step=lambda now, flows, stats: batched.extend(
-                (now, rf.index, s) for rf, s in zip(flows, stats)))
+            scenario, on_step=lambda now, flows, columns: batched.extend(
+                (now, rf.index, s)
+                for rf, s in zip(flows, hook_rows(columns))))
         run_per_flow(scenario, seen=reference)
         assert batched == reference
         assert len(batched) == sum(len(f.times) for f in result.flows)
@@ -233,8 +239,9 @@ class TestBatchedPassEqualsPerFlow:
         # decisions to after them, and change every training trajectory.
         calls = []
         driver = build_driver(
-            churn_scenario(), on_step=lambda now, flows, stats:
-            calls.append((now, [rf.index for rf in flows], stats)))
+            churn_scenario(), on_step=lambda now, flows, columns:
+            calls.append((now, [rf.index for rf in flows],
+                          hook_rows(columns))))
         steps = 0
         while True:
             before = driver.now
@@ -380,13 +387,13 @@ class TestColumnPass:
         assert counting.fired == len(batched.flows[5].times)
 
     def test_a_hooked_pass_sees_the_same_decisions(self):
-        """With an ``on_step`` hook every due flow gets its ``MtpStats``
-        row, column flows included; the ECN flows did see marks."""
+        """With an ``on_step`` hook every due flow's stats reach it,
+        column flows included; the ECN flows did see marks."""
         scenario = column_scenario()
         marks = defaultdict(float)
 
-        def hook(_now, flows, stats):
-            for rf, s in zip(flows, stats):
+        def hook(_now, flows, columns):
+            for rf, s in zip(flows, hook_rows(columns)):
                 marks[rf.index] = max(marks[rf.index], s.mark_rate)
 
         controllers = column_controllers(scenario)
@@ -471,8 +478,8 @@ class TestAstraeaColumnsOnEveryEngine:
         shadows = astraea_controllers()
         decided = [[] for _ in shadows]
 
-        def shadow(_now, flows, stats):
-            for rf, s in zip(flows, stats):
+        def shadow(_now, flows, columns):
+            for rf, s in zip(flows, hook_rows(columns)):
                 decided[rf.index].append(
                     shadows[rf.index].on_interval(s).cwnd_pkts)
 
@@ -528,7 +535,9 @@ class TestOverridesKeepThePerObjectCall:
         driver = build_driver(scenario)
         assert driver.step_block()
         assert all(rf.controller.backend == "reference"
-                   and rf.policy is None for rf in driver.running_flows)
+                   for rf in driver.running_flows)
+        # Per-object flows: no column kind, the plain on_interval call.
+        assert len(driver._kind) == 2 and (driver._kind == -1).all()
         while driver.step_block():
             pass
         assert driver.result().flows == run_per_flow(scenario).flows

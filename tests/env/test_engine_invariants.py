@@ -75,8 +75,8 @@ def run(request):
     collected: dict[int, np.ndarray] = {}
     checks = []
 
-    def on_step(now, flows, stats):
-        for rf, s in zip(flows, stats):
+    def on_step(now, flows, columns):
+        for rf, s in zip(flows, columns.rows() if columns else []):
             total = collected.setdefault(rf.engine_id, np.zeros(3))
             total += (s.sent_pkts, s.delivered_pkts, s.lost_pkts)
             checks.append((rf.index, total.copy(),

@@ -18,6 +18,7 @@ from repro.core.learner import Learner
 from repro.env.episode import Observer, TrainFlowController, \
     run_training_episode
 from repro.netsim import staggered_flows
+from repro.netsim.stats import MtpColumns
 
 SMALL = replace(TrainingConfig(), hidden_layers=(16, 16), batch_size=16,
                 warmup_transitions=50, update_steps=2)
@@ -166,7 +167,8 @@ def step(obs, now):
     flow 0 decided at ``now``."""
     from tests.cc.test_base import make_stats
 
-    obs(now, [SimpleNamespace(index=0)], [make_stats(time_s=now)])
+    obs(now, [SimpleNamespace(index=0)],
+        MtpColumns.of(now, [make_stats(time_s=now)]))
 
 
 class TestObserverGuards:
@@ -215,7 +217,7 @@ class TestObserverGuards:
     def test_a_pass_with_no_due_flow_still_runs_the_update_clock(self):
         learner = Learner(SMALL)
         _ctl, obs = self.observer(learner)
-        obs(SMALL.update_interval_s, [], [])
+        obs(SMALL.update_interval_s, [], None)
         assert obs.stats.update_bursts == 1
         assert obs.stats.transitions == 0
 

@@ -47,8 +47,10 @@ class TestLifecycle:
             flows=(FlowConfig(cc="cubic", start_s=0.0),),
             duration_s=3.0,
         )
-        run_scenario(scenario, on_step=lambda now, flows, stats: calls.extend(
-            (now, rf.index, s) for rf, s in zip(flows, stats)))
+        run_scenario(scenario, on_step=lambda now, flows, columns:
+                     calls.extend((now, rf.index, s) for rf, s in
+                                  zip(flows, columns.rows() if columns
+                                      else [])))
         assert len(calls) == len(run_scenario(scenario).flows[0].times)
         assert all(i == 0 and s.time_s == now for now, i, s in calls)
 

@@ -137,10 +137,13 @@ class TestPoolRobustness:
         pool = EnvironmentPool(learner, [scenario()], noise_std=0.1,
                                initial_cwnds=[[30.0, 30.0]])
 
-        def boom(self, stats):
+        def boom(*_args):
             raise SimulationError("controller blew up mid-episode")
 
+        # The per-object decision and the column pass the pool runs.
         monkeypatch.setattr(TrainFlowController, "begin_interval", boom)
+        monkeypatch.setattr(TrainFlowController, "decide_columns",
+                            classmethod(boom))
         with pytest.raises(SimulationError):
             pool.run()
         assert len(learner.replay) == 0

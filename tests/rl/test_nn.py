@@ -62,6 +62,67 @@ class TestGradients:
         assert np.all(net.layers[0].dW == 0)
 
 
+class TestBackwardTrims:
+    """``params=False`` / ``input_grad=False`` skip work, never change
+    what the rest of the pass computes."""
+
+    def backward(self, hidden, output, **kwargs):
+        rng = np.random.default_rng(4)
+        net = MLP(5, hidden, 2, output=output, seed=2)
+        for layer in net.layers:   # stale grads: accumulation shows too
+            layer.dW[:] = rng.normal(size=layer.dW.shape)
+            layer.db[:] = rng.normal(size=layer.db.shape)
+        net.forward(rng.normal(size=(7, 5)))
+        grad_in = net.backward(rng.normal(size=(7, 2)), **kwargs)
+        return grad_in, [g.copy() for g in net.gradients()]
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 6)])
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_params_false_leaves_grads_and_returns_the_same_input_grad(
+            self, hidden, output):
+        full_in, _ = self.backward(hidden, output)
+        stale = MLP(5, hidden, 2, output=output, seed=2)
+        trimmed_in, grads = self.backward(hidden, output, params=False)
+        np.testing.assert_array_equal(trimmed_in, full_in)
+        rng = np.random.default_rng(4)
+        for layer, dW, db in zip(stale.layers, grads[::2], grads[1::2]):
+            np.testing.assert_array_equal(
+                dW, rng.normal(size=layer.dW.shape))
+            np.testing.assert_array_equal(
+                db, rng.normal(size=layer.db.shape))
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 6)])
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_input_grad_false_yields_identical_param_grads(self, hidden,
+                                                           output):
+        _, full = self.backward(hidden, output)
+        trimmed_in, grads = self.backward(hidden, output, input_grad=False)
+        assert trimmed_in is None
+        for a, b in zip(full, grads):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestStorageOffset:
+    def test_forward_does_not_depend_on_alignment(self):
+        """The per-row forward reads the weights in the same order at any
+        offset: only its speed depends on the alignment."""
+        rng = np.random.default_rng(3)
+        net = MLP(40, (256, 128, 64), 1, output="tanh", seed=4)
+        x = rng.uniform(0.0, 3.0, (33, 40))
+        want = net.infer_rows(x)
+        for offset in (8, 16, 32, 48):
+            for layer in net.layers:
+                for name in ("W", "b"):
+                    a = getattr(layer, name)
+                    raw = np.empty(a.nbytes + 128, dtype=np.uint8)
+                    start = -raw.ctypes.data % 64 + offset
+                    moved = raw[start:start + a.nbytes].view(np.float64) \
+                        .reshape(a.shape)
+                    moved[...] = a
+                    setattr(layer, name, moved)
+            assert net.infer_rows(x).tobytes() == want.tobytes()
+
+
 class TestShapesAndErrors:
     def test_forward_shape(self):
         net = MLP(5, (7,), 3, seed=0)
