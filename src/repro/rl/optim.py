@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
+from .nn import aligned_zeros
 
 
 class Adam:
@@ -32,10 +33,11 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.clip_norm = clip_norm
-        self._m = [np.zeros_like(p) for p in params]
-        self._v = [np.zeros_like(p) for p in params]
+        # Moments and scratch on cache lines, like the parameters.
+        self._m = [aligned_zeros(p.shape) for p in params]
+        self._v = [aligned_zeros(p.shape) for p in params]
         # Two scratch arrays per parameter: a step allocates nothing.
-        self._scratch = [(np.empty_like(p), np.empty_like(p))
+        self._scratch = [(aligned_zeros(p.shape), aligned_zeros(p.shape))
                          for p in params]
         self._t = 0
 

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import TrainingConfig, replace
+from repro.core.policy import load_default_policy
+from repro.core.state import LOCAL_FEATURES
+from repro.env.pool import FrozenPolicy
 from repro.errors import ModelError
-from repro.rl.nn import MLP, Linear
+from repro.rl.nn import ALIGNMENT, MLP, Linear, aligned_zeros
+from repro.rl.td3 import TD3Learner
 
 
 def numeric_grad(f, param, eps=1e-6):
@@ -121,6 +126,85 @@ class TestStorageOffset:
                     moved[...] = a
                     setattr(layer, name, moved)
             assert net.infer_rows(x).tobytes() == want.tobytes()
+
+    def test_forward_does_not_depend_on_input_alignment(self):
+        """Input rows at any 8-byte offset from a cache line give the
+        same bits: the workspace output is aligned, the input is not."""
+        net = MLP(40, (256, 128, 64), 1, output="tanh", seed=4)
+        x = np.random.default_rng(5).uniform(0.0, 3.0, (33, 40))
+        want = net.infer_rows(x)
+        for offset in range(0, ALIGNMENT, 8):
+            raw = aligned_zeros(x.size + ALIGNMENT // 8)
+            moved = raw.view(np.uint8)[offset:offset + x.nbytes] \
+                .view(np.float64).reshape(x.shape)
+            moved[...] = x
+            assert moved.ctypes.data % ALIGNMENT == offset
+            assert net.infer_rows(moved).tobytes() == want.tobytes()
+            for i in (0, 17, 32):
+                assert net.infer_rows(moved[i]).tobytes() \
+                    == want[i:i + 1].tobytes()
+
+
+def _misaligned(arrays) -> list[int]:
+    """Start offsets (mod :data:`ALIGNMENT`) of the arrays that are off
+    a cache line."""
+    return [a.ctypes.data % ALIGNMENT for a in arrays
+            if a.ctypes.data % ALIGNMENT]
+
+
+def _net_arrays(net: MLP) -> list[np.ndarray]:
+    return [a for layer in net.layers
+            for a in (layer.W, layer.b, layer.dW, layer.db)]
+
+
+def _adam_arrays(opt) -> list[np.ndarray]:
+    return [*opt._m, *opt._v, *(a for pair in opt._scratch for a in pair)]
+
+
+class TestAlignedStorage:
+    """Every parameter, gradient and Adam array starts on a cache line,
+    however the net came to be."""
+
+    @pytest.mark.parametrize("shape", [1, 7, (3, 5), (4, 1, 9)])
+    def test_aligned_zeros(self, shape):
+        a = aligned_zeros(shape)
+        assert a.shape == ((shape,) if isinstance(shape, int) else shape)
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.ctypes.data % ALIGNMENT == 0
+        assert not a.any()
+
+    def test_construction_clone_and_set_state(self):
+        net = MLP(40, (256, 128, 64), 1, output="tanh", seed=4)
+        other = MLP(40, (256, 128, 64), 1, output="tanh", seed=5)
+        other.set_state(net.get_state())
+        for m in (net, net.clone(), other):
+            assert _misaligned(_net_arrays(m)) == []
+
+    def test_init_draw_is_unchanged(self):
+        """Aligned storage holds the very ``rng.normal`` draw."""
+        layer = Linear(5, 3, np.random.default_rng(2))
+        want = np.random.default_rng(2).normal(0.0, np.sqrt(2.0 / 5),
+                                               size=(5, 3))
+        assert layer.W.tobytes() == want.tobytes()
+
+    def test_td3_nets_and_adam_moments(self):
+        cfg = replace(TrainingConfig(), hidden_layers=(16, 16))
+        td3 = TD3Learner(8, 4, cfg=cfg, seed=1)
+        td3.load_state_dict(td3.state_dict())
+        for name in td3.NETS:
+            assert _misaligned(_net_arrays(getattr(td3, name))) == []
+        for opt in (td3.actor_opt, td3.critic_opt):
+            assert _misaligned(_adam_arrays(opt)) == []
+
+    def test_shipped_policy_and_frozen_policy(self):
+        bundle = load_default_policy()
+        assert bundle is not None
+        assert _misaligned(_net_arrays(bundle.actor)) == []
+        cfg = replace(TrainingConfig(), hidden_layers=(16, 16))
+        state = MLP(LOCAL_FEATURES * cfg.history_length, cfg.hidden_layers,
+                    1, output="tanh", seed=3).get_state()
+        frozen = FrozenPolicy(cfg, state, warm=True)
+        assert _misaligned(_net_arrays(frozen.actor)) == []
 
 
 class TestShapesAndErrors:
@@ -272,3 +356,33 @@ class TestInferRows:
         net = MLP(in_dim=4, hidden=(8,), out_dim=1, seed=0)
         with pytest.raises(ModelError):
             net.infer_rows(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_result_is_not_the_workspace(self, output):
+        """A later call (wider or narrower) leaves an earlier result be."""
+        net = MLP(in_dim=6, hidden=(16, 8), out_dim=2, output=output,
+                  seed=1)
+        rng = np.random.default_rng(2)
+        first = net.infer_rows(rng.normal(size=(5, 6)))
+        kept = first.copy()
+        for n in (5, 3, 40):
+            net.infer_rows(rng.normal(size=(n, 6)))
+            assert first.tobytes() == kept.tobytes()
+
+    def test_linear_output_is_owned(self):
+        net = MLP(in_dim=6, hidden=(16,), out_dim=2, seed=1)
+        out = net.infer_rows(np.ones((4, 6)))
+        assert out.flags.owndata and out.base is None
+        assert out.flags.c_contiguous and out.shape == (4, 2)
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_workspace_growth_stays_row_exact(self, output):
+        net = MLP(in_dim=40, hidden=(256, 128, 64), out_dim=1,
+                  output=output, seed=6)
+        rng = np.random.default_rng(7)
+        for n in (3, 500, 7):
+            x = rng.normal(size=(n, 40))
+            rows = net.infer_rows(x)
+            assert net._rows[0].shape[0] >= n
+            for i in range(n):
+                assert rows[i:i + 1].tobytes() == net.infer(x[i]).tobytes()
