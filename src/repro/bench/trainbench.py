@@ -6,10 +6,9 @@ modes over the same warm-learner episodes:
 
 * **serial**: the per-object path of the same driver pass (each agent's
   own ``on_interval``, one :meth:`~repro.core.learner.Learner.act` call
-  per flow, each pass's transitions written straight to replay);
+  per flow);
 * **batched**: the agents' column decision, one stacked forward per
-  controller pass, transition blocks buffered for one replay write per
-  update burst;
+  controller pass;
 * **batched+workers**: a frozen-policy :class:`~repro.env.pool.
   EnvironmentPool` stride shipping whole episodes through the process
   pool.
@@ -17,9 +16,11 @@ modes over the same warm-learner episodes:
 It also replays one pinned episode — cross traffic, update bursts,
 exploration — through both the serial and batched legs and embeds the
 bitwise verdict (replay memory, all six networks, both optimiser states,
-the episode statistics), so
-the artifact itself witnesses the equivalence contract the speedup rests
-on.  The result persists as ``benchmarks/results/BENCH_train.json``.
+the episode statistics), so the artifact itself witnesses the
+equivalence contract the speedup rests on.  Both legs buffer each
+pass's transition block and write replay once per update burst: they
+differ only in how the agents decide.  The result persists as
+``benchmarks/results/BENCH_train.json``.
 """
 
 from __future__ import annotations
@@ -346,9 +347,9 @@ BENCH = Bench(
                      default=2),
         Flag.small("CI smoke subset: 2 episodes of 3 s"),
         Flag("--check-only", action="store_true",
-             help="only run the pinned serial-vs-batched equivalence "
-                  "episode; non-zero exit on any divergence, no artifact "
-                  "written"),
+             help="only run the pinned equivalence episode (per-object "
+                  "vs column decisions); non-zero exit on any divergence, "
+                  "no artifact written"),
         Flag.OUT_DIR,
     ),
     run=_run,

@@ -69,40 +69,6 @@ class CongestionController(ABC):
         return 10.0
 
 
-class TwoPhaseController(CongestionController):
-    """A controller whose decision brackets one policy forward.
-
-    :meth:`begin_interval` does everything that needs no policy and
-    returns either a finished :class:`Decision` or the state the policy
-    must act on; :meth:`finish_interval` applies that state's action.
-    ``policy`` is the forward between the two halves: :meth:`act` runs
-    it for one state, and a subclass that is also a
-    :class:`ColumnController` runs its row-exact ``act_batch(states)``
-    once over every due flow in ``decide_columns``.  ``None`` leaves each
-    decision to the per-object :meth:`on_interval`.
-    """
-
-    policy = None
-
-    @abstractmethod
-    def begin_interval(self, stats: MtpStats):
-        """Observe ``stats``; a finished :class:`Decision` or a state."""
-
-    @abstractmethod
-    def finish_interval(self, stats: MtpStats, action: float) -> Decision:
-        """Apply the policy's ``action`` for the state just returned."""
-
-    def act(self, state) -> float:
-        """The per-object forward of :meth:`on_interval`."""
-        return self.policy.act(state)
-
-    def on_interval(self, stats: MtpStats) -> Decision:
-        state = self.begin_interval(stats)
-        if isinstance(state, Decision):
-            return state
-        return self.finish_interval(stats, self.act(state))
-
-
 class ColumnController(CongestionController):
     """A controller whose decision a driver may take for many flows at once.
 
@@ -121,7 +87,7 @@ class ColumnController(CongestionController):
     not (see :func:`py_pow`).  A driver loads a flow's state with
     :meth:`read_state` when the flow starts and hands it back with
     :meth:`write_state`; flows with equal :meth:`column_key` share one
-    call.
+    call, and a controller whose key is ``None`` decides per object.
     """
 
     STATE: tuple[str, ...] = ()
@@ -134,10 +100,11 @@ class ColumnController(CongestionController):
         """One interval of every flow in ``columns``: the new windows
         and pacing rates."""
 
-    def column_key(self) -> tuple:
+    def column_key(self) -> tuple | None:
         """Everything that sizes or drives the state: flows with equal
         keys decide in one :meth:`decide_columns` call.  The class and
-        the policy (by identity)."""
+        the policy (by identity); ``None`` keeps this controller on its
+        own :meth:`on_interval`."""
         return (type(self), id(self.policy))
 
     def state_rows(self) -> int:

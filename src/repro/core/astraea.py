@@ -21,24 +21,24 @@ from collections import deque
 
 import numpy as np
 
-from ..cc.base import ColumnController, Decision, TwoPhaseController, \
-    register, rows_where
+from ..cc.base import ColumnController, Decision, register, rows_where
 from ..config import ACTION_ALPHA, HISTORY_LENGTH, MTP_S
 from ..errors import ModelError
 from ..netsim.stats import MtpColumns, MtpStats
 from .action import apply_action, apply_action_columns, \
     pacing_from_cwnd
 from .policy import PolicyBundle, resolve_policy
-from .state import LOCAL_FEATURES, LocalStateBlock
+from .state import LocalStateBlock, column_rows
 
 
 @register("astraea")
-class AstraeaController(TwoPhaseController, ColumnController):
+class AstraeaController(ColumnController):
     """Astraea in inference mode: local state -> actor -> Eq. 3 window.
 
-    With a trained bundle it is also a column controller: a driver
-    decides every due flow of one bundle in one :meth:`decide_columns`
-    call, around one stacked forward.
+    :meth:`on_interval` is the definition.  With a trained bundle it is
+    also a column controller: a driver decides every due flow of one
+    bundle in one :meth:`decide_columns` call, around one stacked
+    forward.
     """
 
     SLOW_START_GROWTH = 1.5
@@ -53,15 +53,13 @@ class AstraeaController(TwoPhaseController, ColumnController):
     BLOAT_ACTION = -0.5
     RTT_WINDOW_S = 10.0
 
-    #: The scalar rows of the column state.  The frame stack (``8 *
-    #: history`` rows, oldest frame first), the throughput history
-    #: (``history`` rows) and the guard's RTT ring (``ring`` rows of
-    #: sample times, then ``ring`` of values) follow; ``frames`` counts
-    #: the real frames and ``ring_next`` is the ring's write slot.
+    #: The scalar rows of the column state.  The state block's column
+    #: (:meth:`LocalStateBlock.read_column`) and the guard's RTT ring
+    #: (``ring`` rows of sample times, then ``ring`` of values) follow;
+    #: ``ring_next`` is the ring's write slot.
     STATE = ("cwnd", "_in_slow_start", "_rtt_min", "_next_probe_s",
-             "_drain_left", "thr_max_pps", "lat_min_s", "frames",
-             "ring_next", "alpha", "use_pacing", "probe_rtt_enabled",
-             "guards_enabled")
+             "_drain_left", "ring_next", "alpha", "use_pacing",
+             "probe_rtt_enabled", "guards_enabled")
 
     def __init__(self, mtp_s: float = MTP_S,
                  policy: PolicyBundle | str | None = None,
@@ -213,17 +211,9 @@ class AstraeaController(TwoPhaseController, ColumnController):
         self.cwnd = apply_action(self.cwnd, action, self.alpha)
         return self._decision(stats)
 
-    def begin_interval(self, stats: MtpStats) -> Decision | np.ndarray:
-        """First half of a decision: everything that needs no policy.
-
-        Folds ``stats`` into the state block and returns either a
-        finished :class:`Decision` — the reference backend, a slow-start
-        step, a probe-drain interval — or the stacked local state the
-        policy must act on.  In the second case the caller owes one
-        :meth:`finish_interval` with that state's action; a driver may
-        compute the actions of every due flow in one stacked
-        :meth:`PolicyBundle.act_batch` call in between.
-        """
+    def on_interval(self, stats: MtpStats) -> Decision:
+        """Fold ``stats``; the reference backend, a slow-start step or a
+        probe drain decide alone, else the policy's guarded action."""
         if self._fallback is not None:
             decision = self._fallback.on_interval(stats)
             self.cwnd = decision.cwnd_pkts
@@ -234,25 +224,17 @@ class AstraeaController(TwoPhaseController, ColumnController):
             if decision is not None:
                 return decision
         action = self._probe_action(stats.time_s)
-        if action is not None:
-            return self._apply(action, stats)
-        return state
-
-    def finish_interval(self, stats: MtpStats, action: float) -> Decision:
-        """Second half: guard the policy's ``action`` for the state
-        :meth:`begin_interval` returned, then apply it."""
-        return self._apply(self._guarded(action, stats), stats)
-
-    # The base class's composition, bound in this class's own namespace:
-    # per-scheme instrumentation (the perf ledger's ``cc.on_interval``
-    # span) finds it here like every other scheme's, and the driver's
-    # column rule (``env.multiflow._column_kind``) reads this binding to
-    # tell the class's own composition from a subclass's override.
-    on_interval = TwoPhaseController.on_interval
+        if action is None:
+            action = self._guarded(self.policy.act(state), stats)
+        return self._apply(action, stats)
 
     # -- columns -----------------------------------------------------------
 
-    def column_key(self) -> tuple:
+    def column_key(self) -> tuple | None:
+        """``None`` for the reference backend: no forward to decide
+        around."""
+        if self.policy is None:
+            return None
         return (type(self), id(self.policy), self.state_block.history,
                 self.mtp_s)
 
@@ -262,23 +244,20 @@ class AstraeaController(TwoPhaseController, ColumnController):
         return math.ceil(self.RTT_WINDOW_S / self.mtp_s) + 2
 
     def state_rows(self) -> int:
-        return len(self.STATE) \
-            + (LOCAL_FEATURES + 1) * self.state_block.history \
+        return len(self.STATE) + column_rows(self.state_block.history) \
             + 2 * self._ring_size()
 
     @classmethod
     def _blocks(cls, state: np.ndarray, history: int):
-        """The frame stack, throughput history, ring times and ring
-        values of a state column (or block of columns)."""
+        """The state block's column, the ring times and the ring values
+        of a state column (or block of columns)."""
         lo = len(cls.STATE)
-        hi = lo + (LOCAL_FEATURES + 1) * history
+        hi = lo + column_rows(history)
         ring = (len(state) - hi) // 2
-        return (state[lo:hi - history], state[hi - history:hi],
-                state[hi:hi + ring], state[hi + ring:])
+        return state[lo:hi], state[hi:hi + ring], state[hi + ring:]
 
     def read_state(self) -> np.ndarray:
-        block = self.state_block
-        history, ring = block.history, self._ring_size()
+        ring = self._ring_size()
         samples = self._rtt_samples
         if len(samples) > ring:
             raise ModelError(f"{len(samples)} windowed RTT samples do not "
@@ -287,16 +266,10 @@ class AstraeaController(TwoPhaseController, ColumnController):
         values[:len(self.STATE)] = (
             self.cwnd, self._in_slow_start, self._rtt_min,
             np.nan if self._next_probe_s is None else self._next_probe_s,
-            self._drain_left, block.thr_max_pps, block.lat_min_s,
-            len(block._frames), len(samples) % ring, self.alpha,
+            self._drain_left, len(samples) % ring, self.alpha,
             self.use_pacing, self.probe_rtt_enabled, self.guards_enabled)
-        stack, thr_history, times, rtts = self._blocks(values, history)
-        for frame_no, frame in enumerate(block._frames,
-                                         history - len(block._frames)):
-            stack[frame_no * LOCAL_FEATURES:
-                  (frame_no + 1) * LOCAL_FEATURES] = frame
-        thr_history[history - len(block.thr_history_pps):] = \
-            list(block.thr_history_pps)
+        block, times, rtts = self._blocks(values, self.state_block.history)
+        block[:] = self.state_block.read_column()
         times[:] = -np.inf
         rtts[:] = np.inf
         for slot, (t, rtt) in enumerate(samples):
@@ -304,26 +277,17 @@ class AstraeaController(TwoPhaseController, ColumnController):
         return values
 
     def write_state(self, values) -> None:
-        """Hand a state column back: the deques as the scalar leaves
-        them, the RTT deque as the ring's in-window suffix minima."""
+        """Hand a state column back: the state block as the scalar
+        leaves it, the RTT deque as the ring's in-window suffix minima."""
         values = np.asarray(values, dtype=float)
-        block = self.state_block
-        history = block.history
         # The switches (alpha, pacing, probe, guards) never change.
-        (self.cwnd, slow, self._rtt_min, next_probe, drain,
-         block.thr_max_pps, block.lat_min_s, depth, ring_next, *_) = \
-            values[:len(self.STATE)].tolist()
+        (self.cwnd, slow, self._rtt_min, next_probe, drain, ring_next,
+         *_) = values[:len(self.STATE)].tolist()
         self._in_slow_start = bool(slow)
         self._next_probe_s = None if math.isnan(next_probe) else next_probe
         self._drain_left = int(drain)
-        stack, thr_history, times, rtts = self._blocks(values, history)
-        depth = int(depth)
-        block._frames.clear()
-        block._frames.extend(
-            frame.copy() for frame in
-            stack.reshape(history, LOCAL_FEATURES)[history - depth:])
-        block.thr_history_pps.clear()
-        block.thr_history_pps.extend(thr_history[history - depth:].tolist())
+        block, times, rtts = self._blocks(values, self.state_block.history)
+        self.state_block.write_column(block)
         # Oldest first; never-written slots (time -inf) lead.  The deque
         # keeps the newest sample and, going back, each sample below
         # every later one, inside the newest sample's window.
@@ -345,22 +309,20 @@ class AstraeaController(TwoPhaseController, ColumnController):
                        ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`on_interval` of many flows around one stacked forward.
 
-        Each branch of :meth:`begin_interval` / :meth:`finish_interval`
-        — a slow-start step or the handover, the probe's first call,
-        firing and draining, the policy's action through the guard's
-        idle, bloat or pass — is a row set taken from the state the
-        interval found, with every expression in the scalar's order.
+        Each branch of :meth:`on_interval` — a slow-start step or the
+        handover, the probe's first call, firing and draining, the
+        policy's action through the guard's idle, bloat or pass — is a
+        row set taken from the state the interval found, with every
+        expression in the scalar's order.
         The policy acts once, through the row-exact ``act_batch``, on
         the rows that need an action from it.  The guard's windowed
         minimum is a masked minimum over the RTT ring; a minimum is
         exact, so it is the monotonic deque's front.
         """
-        (cwnd, slow, rtt_min, next_probe, drain, thr_max, lat_min, depth,
-         ring_next, alpha, use_pacing, probe_rtt, guards) = \
-            state[:len(cls.STATE)]
-        stack, thr_history, times, rtts = cls._blocks(state, policy.history)
-        LocalStateBlock.update_columns(columns, thr_max, lat_min, stack,
-                                       thr_history, depth)
+        (cwnd, slow, rtt_min, next_probe, drain, ring_next, alpha,
+         use_pacing, probe_rtt, guards) = state[:len(cls.STATE)]
+        block, times, rtts = cls._blocks(state, policy.history)
+        stack = LocalStateBlock.update_columns(columns, block)
         now = columns.time_s
         every = slice(None)
         # Rows whose decision ends in an action: all but slow-start steps

@@ -135,7 +135,8 @@ def save_training_checkpoint(directory: str | Path, *, learner: Learner,
     ``keep_last`` rotates payload files: the manifest names the retained
     set (this checkpoint plus up to ``keep_last - 1`` predecessors, each
     with its own loop state and SHA-256) and any older payloads are
-    pruned from disk.
+    pruned from disk.  The learner's pending transitions are flushed
+    into replay first, so the checkpoint holds every row.
     """
     if keep_last < 1:
         raise CheckpointError(f"keep_last must be >= 1, got {keep_last}")
@@ -144,6 +145,7 @@ def save_training_checkpoint(directory: str | Path, *, learner: Learner,
     payload_name = f"state-ep{episode:06d}.npz"
     payload = directory / payload_name
 
+    learner.flush_transitions()
     arrays: dict[str, np.ndarray] = {}
     td3_state = learner.td3.state_dict()
     for net_name, params in td3_state["nets"].items():
@@ -284,6 +286,7 @@ def load_training_checkpoint(directory: str | Path, learner: Learner,
                 }
             learner.td3.load_state_dict(td3_state)
 
+            learner.flush_transitions()     # the restore replaces them too
             replay = learner.replay
             size = int(entry["replay"]["size"])
             if size > replay.capacity:

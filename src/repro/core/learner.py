@@ -124,8 +124,8 @@ class Learner:
         self._last_update_env_s = 0.0
         self.total_updates = 0
         self.total_transitions = 0
-        #: Pending transition blocks in deferred mode, and their rows.
-        self._deferred: list | None = None
+        #: Transition blocks not yet written to replay, and their rows.
+        self._pending: list = []
         self._pending_rows = 0
 
     # ------------------------------------------------------------------
@@ -165,23 +165,15 @@ class Learner:
     def add_transition(self, global_state, local_state, action: float,
                        reward: float, next_global, next_local,
                        done: bool = False) -> None:
-        """Store one (g, s, a, r, g', s') tuple in replay memory.
-
-        In deferred mode (:meth:`set_deferred`) the tuple is buffered in
-        arrival order, as a one-row block of :meth:`add_transitions`.
-        """
-        if self._deferred is not None:
-            self.add_transitions(
-                np.asarray(global_state, dtype=float)[None, :],
-                np.asarray(local_state, dtype=float)[None, :],
-                np.array([float(action)]), np.array([float(reward)]),
-                np.asarray(next_global, dtype=float)[None, :],
-                np.asarray(next_local, dtype=float)[None, :],
-                np.array([float(done)]))
-            return
-        self.replay.add(local_state, global_state, np.array([action]),
-                        reward, next_local, next_global, done)
-        self.total_transitions += 1
+        """Store one (g, s, a, r, g', s') tuple: a one-row block of
+        :meth:`add_transitions`."""
+        self.add_transitions(
+            np.asarray(global_state, dtype=float)[None, :],
+            np.asarray(local_state, dtype=float)[None, :],
+            np.array([float(action)]), np.array([float(reward)]),
+            np.asarray(next_global, dtype=float)[None, :],
+            np.asarray(next_local, dtype=float)[None, :],
+            np.array([float(done)]))
 
     def add_transitions(self, global_states, local_states, actions,
                         rewards, next_globals, next_locals,
@@ -190,40 +182,27 @@ class Learner:
         ``(k, global_dim)`` and ``(k, local_dim)`` states, ``(k,)``
         actions, rewards and (optional, default 0) done flags.
 
-        Equal to ``k`` :meth:`add_transition` calls in row order.  In
-        deferred mode the block is kept as given (the caller hands over
-        the arrays) until :meth:`flush_transitions` writes every pending
-        block into replay at once.
+        Equal to ``k`` :meth:`add_transition` calls in row order.  The
+        block is kept as given (the caller hands over the arrays) until
+        :meth:`flush_transitions` writes every pending block into replay
+        at once.
         """
         rewards = np.asarray(rewards, dtype=float)
         k = len(rewards)
         if done is None:
             done = np.zeros(k)
-        block = (local_states, global_states,
-                 np.asarray(actions, dtype=float).reshape(k, 1), rewards,
-                 next_locals, next_globals, done)
-        if self._deferred is not None:
-            self._deferred.append(block)
-            self._pending_rows += k
-        else:
-            self.replay.add_batch(*block)
+        self._pending.append((
+            local_states, global_states,
+            np.asarray(actions, dtype=float).reshape(k, 1), rewards,
+            next_locals, next_globals, done))
+        self._pending_rows += k
         self.total_transitions += k
 
-    def set_deferred(self, deferred: bool) -> None:
-        """Toggle deferred transition buffering (the batched-rollout mode).
-
-        Turning it off flushes anything still pending.
-        """
-        if deferred:
-            if self._deferred is None:
-                self._deferred = []
-        else:
-            self.flush_transitions()
-            self._deferred = None
-
     def flush_transitions(self) -> None:
-        """Write all buffered transition blocks to replay in one block."""
-        pending = self._deferred
+        """Write all pending transition blocks to replay in one block:
+        before an update burst samples it, at the end of an episode or a
+        pool stride, and before a checkpoint saves it."""
+        pending = self._pending
         if not pending:
             return
         if len(pending) == 1:
@@ -238,8 +217,8 @@ class Learner:
     def warm(self) -> bool:
         """Whether replay holds enough experience to start updating.
 
-        Buffered-but-unflushed transitions count: the serial path would
-        already have them in replay at the same point in the episode.
+        Pending transitions count: they are in replay before the next
+        burst samples it.
         """
         return len(self.replay) + self._pending_rows >= max(
             self.cfg.warmup_transitions, self.cfg.batch_size)

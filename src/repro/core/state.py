@@ -74,6 +74,18 @@ def local_feature_columns(columns: MtpColumns, thr_max_pps: np.ndarray,
     out.clip(0.0, _RATIO_CLIP, out=out)
 
 
+def column_rows(history: int) -> int:
+    """Rows of a :class:`LocalStateBlock` held as a state column."""
+    return 3 + (LOCAL_FEATURES + 1) * history
+
+
+def _column_parts(block: np.ndarray):
+    """``thr_max_pps``, ``lat_min_s``, depth, frame stack and throughput
+    history of a block column (or of a block of columns)."""
+    split = 3 + LOCAL_FEATURES * ((len(block) - 3) // (LOCAL_FEATURES + 1))
+    return block[0], block[1], block[2], block[3:split], block[split:]
+
+
 class LocalStateBlock:
     """Per-flow feature extractor with a ``w``-deep history stack.
 
@@ -110,17 +122,15 @@ class LocalStateBlock:
         return self.input_vector()
 
     @staticmethod
-    def update_columns(columns: MtpColumns, thr_max_pps: np.ndarray,
-                       lat_min_s: np.ndarray, frames: np.ndarray,
-                       thr_history_pps: np.ndarray,
-                       depth: np.ndarray) -> None:
+    def update_columns(columns: MtpColumns, block: np.ndarray) -> np.ndarray:
         """:meth:`update` of ``k`` blocks held as columns, in place.
 
-        ``frames`` is the ``(8 * history, k)`` stack, oldest frame first,
-        whose column is :meth:`input_vector` (zero rows where it pads);
-        ``thr_history_pps`` is ``(history, k)``, oldest first; ``depth``
-        counts the real frames.
+        ``block`` is their ``(column_rows(history), k)`` slice of a state
+        array in the layout of :meth:`read_column`.  Returns the frame
+        stack, whose column is :meth:`input_vector`.
         """
+        thr_max_pps, lat_min_s, depth, frames, thr_history_pps = \
+            _column_parts(block)
         np.maximum(thr_max_pps, columns.throughput_pps, out=thr_max_pps)
         np.minimum(lat_min_s, columns.min_rtt_s, out=lat_min_s)
         unset = (lat_min_s == np.inf) | (lat_min_s <= 0)
@@ -132,6 +142,37 @@ class LocalStateBlock:
         local_feature_columns(columns, thr_max_pps, lat_min_s,
                               frames[-LOCAL_FEATURES:])
         np.minimum(depth + 1.0, len(thr_history_pps), out=depth)
+        return frames
+
+    def read_column(self) -> np.ndarray:
+        """This block as a state column: ``thr_max_pps``, ``lat_min_s``
+        and the depth (the real frames), then the frame stack (``8 *
+        history`` rows, oldest frame first) and the throughput history
+        (``history`` rows, oldest first), both zero-padded in front."""
+        history, depth = self.history, len(self._frames)
+        column = np.zeros(column_rows(history))
+        column[:3] = self.thr_max_pps, self.lat_min_s, depth
+        if depth:
+            *_, frames, thr_history = _column_parts(column)
+            frames[LOCAL_FEATURES * (history - depth):] = \
+                np.concatenate(self._frames)
+            thr_history[history - depth:] = self.thr_history_pps
+        return column
+
+    def write_column(self, column) -> None:
+        """Take a column back (as :meth:`read_column` wrote it or
+        :meth:`update_columns` advanced it): the deques as :meth:`update`
+        leaves them."""
+        thr_max, lat_min, depth, frames, thr_history = \
+            _column_parts(np.asarray(column, dtype=float))
+        self.thr_max_pps, self.lat_min_s = float(thr_max), float(lat_min)
+        history, depth = self.history, int(depth)
+        self._frames.clear()
+        self._frames.extend(
+            frame.copy() for frame in
+            frames.reshape(history, LOCAL_FEATURES)[history - depth:])
+        self.thr_history_pps.clear()
+        self.thr_history_pps.extend(thr_history[history - depth:].tolist())
 
     def input_vector(self) -> np.ndarray:
         """Current stacked history, zero-padded on the left if young."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cc.base import ColumnController, Decision, TwoPhaseController
+from ..cc.base import ColumnController, Decision
 from ..config import (
     ACTION_ALPHA,
     FlowConfig,
@@ -41,7 +41,7 @@ from ..core.action import apply_action, apply_action_columns, \
 from ..core.learner import Learner
 from ..core.reward import RewardBlock
 from ..core.state import GLOBAL_FEATURES, LOCAL_FEATURES, LocalStateBlock, \
-    global_state_columns
+    column_rows, global_state_columns
 from ..errors import ConfigError, ModelError
 from ..netsim.stats import MtpColumns, MtpStats
 from .multiflow import build_driver
@@ -98,7 +98,7 @@ class TrainingPolicy:
         self.has_state[slots] = True
 
 
-class TrainFlowController(TwoPhaseController, ColumnController):
+class TrainFlowController(ColumnController):
     """Astraea agent in training mode: shared policy plus exploration.
 
     The initial window is randomised per flow so early training covers the
@@ -112,26 +112,19 @@ class TrainFlowController(TwoPhaseController, ColumnController):
     episode's randomness is independent of *how* actions were computed
     (one flow at a time or one column pass).
 
-    The per-object decision is two-phase
-    (:class:`~repro.cc.base.TwoPhaseController`): :meth:`begin_interval`
-    folds the new stats into the local state block and either finishes an
-    exploratory decision or returns the state the policy should act on;
-    :meth:`finish_interval` perturbs and applies the policy action.  It is
-    also a column kind: with ``policy`` set (the episode's
-    :class:`TrainingPolicy`) a driver decides every due agent in one
-    :meth:`decide_columns` call around one stacked forward; with
-    ``policy`` set to ``None`` every decision runs the per-object
-    ``on_interval``, the reference.
+    :meth:`on_interval` is the definition.  It is also a column kind:
+    with ``policy`` set (the episode's :class:`TrainingPolicy`) a driver
+    decides every due agent in one :meth:`decide_columns` call around
+    one stacked forward; with ``policy`` set to ``None`` every decision
+    runs the per-object :meth:`on_interval`, the reference.
     """
 
     EPSILON_UNIFORM = 0.10
 
-    #: The scalar rows of the column state; the frame stack (``8 *
-    #: history`` rows, oldest frame first) and the throughput history
-    #: (``history`` rows) follow, ``frames`` counting the real frames.
-    #: The last state and action live in the :class:`TrainingPolicy`.
-    STATE = ("cwnd", "thr_max_pps", "lat_min_s", "frames", "alpha",
-             "use_pacing", "noise_std", "slot")
+    #: The scalar rows of the column state; the state block's column
+    #: (:meth:`LocalStateBlock.read_column`) follows.  The last state
+    #: and action live in the :class:`TrainingPolicy`.
+    STATE = ("cwnd", "alpha", "use_pacing", "noise_std", "slot")
 
     def __init__(self, learner: Learner, noise_std: float = 0.1,
                  alpha: float = ACTION_ALPHA, mtp_s: float = 0.030,
@@ -183,98 +176,48 @@ class TrainFlowController(TwoPhaseController, ColumnController):
         self.agents.has_state[self.slot] = False
         self.agents.restarted[self.slot] = True
         self.agents.actions[self.slot] = 0.0
-        self._state: np.ndarray | None = None
 
-    def begin_interval(self, stats: MtpStats) -> Decision | np.ndarray:
-        """First half of a decision: observe, and choose *how* to act.
-
-        Returns the finished :class:`Decision` when this interval explores
-        with a uniform random action (not warm yet, or the epsilon draw
-        fired), otherwise the local state the shared policy must act on.
-        """
-        state = self._state = self.state_block.update(stats)
-        if not self.learner.warm \
-                or self._rng.random() < self.EPSILON_UNIFORM:
-            return self._apply(stats,
-                               float(self._rng.uniform(-0.999, 0.999)))
-        return state
-
-    def finish_interval(self, stats: MtpStats, action: float) -> Decision:
-        """Second half: perturb the clean policy ``action`` for the state
-        :meth:`begin_interval` returned (Gaussian noise from this
-        controller's stream) and apply it."""
-        if self.noise_std > 0:
-            action = action + float(self._rng.normal(0.0, self.noise_std))
-        return self._apply(stats, float(np.clip(action, -0.999, 0.999)))
-
-    def act(self, state: np.ndarray) -> float:
-        return self.learner.act(state)
-
-    def _apply(self, stats: MtpStats, action: float) -> Decision:
+    def on_interval(self, stats: MtpStats) -> Decision:
+        """Fold ``stats``; explore with a uniform random action (not warm
+        yet, or the epsilon draw fired), else perturb the policy's action
+        with Gaussian noise — every draw from this controller's stream."""
+        state = self.state_block.update(stats)
+        rng = self._rng
+        if not self.learner.warm or rng.random() < self.EPSILON_UNIFORM:
+            action = float(rng.uniform(-0.999, 0.999))
+        else:
+            action = self.learner.act(state)
+            if self.noise_std > 0:
+                action = action + float(rng.normal(0.0, self.noise_std))
+            action = float(np.clip(action, -0.999, 0.999))
         self.cwnd = apply_action(self.cwnd, action, self.alpha)
-        self.agents.record(self.slot, self._state, action)
+        self.agents.record(self.slot, state, action)
         pacing = pacing_from_cwnd(self.cwnd, max(stats.srtt_s, 1e-6)) \
             if self.use_pacing else None
         return Decision(cwnd_pkts=self.cwnd, pacing_pps=pacing)
 
-    # The base class's composition, bound in this class's own namespace:
-    # the driver's column rule (``env.multiflow._column_kind``) reads
-    # this binding to tell it from a subclass's override.
-    on_interval = TwoPhaseController.on_interval
-
     # -- columns -----------------------------------------------------------
 
-    def column_key(self) -> tuple:
+    def column_key(self) -> tuple | None:
+        """``None`` without a policy: the per-object reference leg."""
+        if self.policy is None:
+            return None
         return (type(self), id(self.policy), self.state_block.history,
                 self.mtp_s)
 
     def state_rows(self) -> int:
-        return len(self.STATE) \
-            + (LOCAL_FEATURES + 1) * self.state_block.history
-
-    @classmethod
-    def _blocks(cls, state: np.ndarray):
-        """The frame stack and throughput history of a state column (or
-        block of columns)."""
-        lo = len(cls.STATE)
-        history = (len(state) - lo) // (LOCAL_FEATURES + 1)
-        hi = lo + LOCAL_FEATURES * history
-        return state[lo:hi], state[hi:]
+        return len(self.STATE) + column_rows(self.state_block.history)
 
     def read_state(self) -> np.ndarray:
-        block = self.state_block
-        history = block.history
-        values = np.zeros(self.state_rows())
-        values[:len(self.STATE)] = (
-            self.cwnd, block.thr_max_pps, block.lat_min_s,
-            len(block._frames), self.alpha, self.use_pacing,
-            self.noise_std, self.slot)
-        stack, thr_history = self._blocks(values)
-        for frame_no, frame in enumerate(block._frames,
-                                         history - len(block._frames)):
-            stack[frame_no * LOCAL_FEATURES:
-                  (frame_no + 1) * LOCAL_FEATURES] = frame
-        thr_history[history - len(block.thr_history_pps):] = \
-            list(block.thr_history_pps)
-        return values
+        return np.concatenate([
+            (self.cwnd, self.alpha, self.use_pacing, self.noise_std,
+             self.slot), self.state_block.read_column()])
 
     def write_state(self, values) -> None:
-        """Hand a state column back: the deques as the scalar leaves
-        them.  (The switches and the slot never change.)"""
-        values = np.asarray(values, dtype=float)
-        block = self.state_block
-        history = block.history
-        (self.cwnd, block.thr_max_pps, block.lat_min_s, depth, *_) = \
-            values[:len(self.STATE)].tolist()
-        stack, thr_history = self._blocks(values)
-        depth = int(depth)
-        block._frames.clear()
-        block._frames.extend(
-            frame.copy() for frame in
-            stack.reshape(history, LOCAL_FEATURES)[history - depth:])
-        block.thr_history_pps.clear()
-        block.thr_history_pps.extend(thr_history[history - depth:].tolist())
-        self._state = block.input_vector() if depth else None
+        """Hand a state column back.  (The switches and the slot never
+        change.)"""
+        self.cwnd = float(values[0])
+        self.state_block.write_column(values[len(self.STATE):])
 
     @classmethod
     def decide_columns(cls, state: np.ndarray, columns: MtpColumns,
@@ -290,11 +233,9 @@ class TrainFlowController(TwoPhaseController, ColumnController):
         ``noise_std > 0``).  One clip, the Eq. 3 window and pacing
         close the decision, which is recorded in ``policy``.
         """
-        (cwnd, thr_max, lat_min, depth, alpha, use_pacing, noise_std,
-         slot) = state[:len(cls.STATE)]
-        stack, thr_history = cls._blocks(state)
-        LocalStateBlock.update_columns(columns, thr_max, lat_min, stack,
-                                       thr_history, depth)
+        cwnd, alpha, use_pacing, noise_std, slot = state[:len(cls.STATE)]
+        stack = LocalStateBlock.update_columns(columns,
+                                               state[len(cls.STATE):])
         slots = slot.astype(np.intp).tolist()
         streams = list(map(policy.streams.__getitem__, slots))
         action = np.empty(len(cwnd))
@@ -605,12 +546,13 @@ def run_training_episode(learner: Learner, scenario: ScenarioConfig,
     learner seed and the flow index), which keeps runs reproducible — and
     checkpoint resume bit-exact — regardless of process history.
 
-    ``batched`` selects the fast path: all policy actions of a pass in
-    one stacked forward and transitions buffered for block writes into
-    replay.  ``batched=False`` runs the per-object path of the same pass
-    (one ``on_interval`` per agent) with direct replay writes; both
-    produce bitwise-identical episodes (the contract ``repro bench
-    train`` verifies).
+    ``batched`` selects the column decision: all agents of a pass
+    decide in one call around one stacked forward.  ``batched=False``
+    runs the per-object path of the same pass (one ``on_interval`` per
+    agent); both produce bitwise-identical episodes (the contract
+    ``repro bench train`` verifies).  Either way the learner buffers the
+    pass's transition blocks and writes them into replay at the next
+    update burst, and at the end of the episode (on error too).
 
     ``transition_sink`` forwards transitions to a callable instead of the
     learner's replay buffer (the rollout-worker capture path).
@@ -628,13 +570,9 @@ def run_training_episode(learner: Learner, scenario: ScenarioConfig,
     driver = build_driver(scenario, controllers=controllers,
                           on_step=observer, align_intervals=True)
     learner.reset_update_clock()
-    defer = batched and hasattr(learner, "set_deferred")
-    if defer:
-        learner.set_deferred(True)
     try:
         while driver.step_block():
             pass
     finally:
-        if defer:
-            learner.set_deferred(False)
+        learner.flush_transitions()
     return observer.stats

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cc import create
-from ..cc.base import (
-    ColumnController,
-    CongestionController,
-    TwoPhaseController,
-    rows_where,
-)
+from ..cc.base import ColumnController, CongestionController, rows_where
 from ..config import FlowConfig, ScenarioConfig
 from ..errors import ConfigError, SimulationError
 from ..netsim import FluidNetwork, PacketNetwork
@@ -219,16 +214,14 @@ def _column_kind(controller: CongestionController):
     """The class whose ``decide_columns`` may decide for ``controller``,
     or ``None``.
 
-    The class that defines ``decide_columns`` must also own the
-    controller's ``on_interval`` (and not see ``interval_s`` overridden
-    below it), so a subclass or test double that overrides either keeps
-    the per-object call.  A two-phase controller without a policy
-    (Astraea's reference backend, the serial training leg) has no
-    forward to decide around and keeps it too.
+    The controller's ``column_key`` must not be ``None`` (a learned
+    controller without a policy says so), and the class that defines
+    ``decide_columns`` must also own its ``on_interval`` (and not see
+    ``interval_s`` overridden below it), so a subclass or test double
+    that overrides either keeps the per-object call.
     """
-    if not isinstance(controller, ColumnController) or (
-            isinstance(controller, TwoPhaseController)
-            and controller.policy is None):
+    if not isinstance(controller, ColumnController) \
+            or controller.column_key() is None:
         return None
     kind = type(controller)
     owner = next(k for k in kind.__mro__ if "decide_columns" in vars(k))

@@ -35,10 +35,10 @@ class FrozenPolicy:
 
     Duck-types the slice of :class:`~repro.core.learner.Learner` that
     :class:`~repro.env.episode.TrainFlowController` and the episode
-    runner touch: ``cfg``, ``warm``, the act methods and the update-clock
-    reset.  It never owns replay memory or critics — transitions leave
-    the worker through the observer's ``transition_sink`` and updates
-    happen only in the parent.
+    runner touch: ``cfg``, ``warm``, the act methods, the update-clock
+    reset and the replay flush.  It never owns replay memory or critics
+    — transitions leave the worker through the observer's
+    ``transition_sink`` and updates happen only in the parent.
     """
 
     def __init__(self, cfg: TrainingConfig, actor_state: list[np.ndarray],
@@ -66,6 +66,9 @@ class FrozenPolicy:
 
     def reset_update_clock(self) -> None:
         """No-op: the parent owns the update schedule."""
+
+    def flush_transitions(self) -> None:
+        """No-op: transitions leave through the observer's sink."""
 
 
 def _rollout_task(payload) -> dict:
@@ -172,17 +175,14 @@ class EnvironmentPool:
 
         self.learner.reset_update_clock()
         clocks = np.zeros(len(results))
-        self.learner.set_deferred(True)
-        try:
-            for t, k, _, trans in merged:
-                _, g_prev, s_prev, a_prev, reward, g_now, s_now = trans
-                self.learner.add_transition(g_prev, s_prev, a_prev, reward,
-                                            g_now, s_now)
-                clocks[k] = t
-                losses = self.learner.maybe_update(float(np.mean(clocks)))
-                if losses is not None:
-                    combined.update_bursts += 1
-                    combined.last_losses = losses
-        finally:
-            self.learner.set_deferred(False)
+        for t, k, _, trans in merged:
+            _, g_prev, s_prev, a_prev, reward, g_now, s_now = trans
+            self.learner.add_transition(g_prev, s_prev, a_prev, reward,
+                                        g_now, s_now)
+            clocks[k] = t
+            losses = self.learner.maybe_update(float(np.mean(clocks)))
+            if losses is not None:
+                combined.update_bursts += 1
+                combined.last_losses = losses
+        self.learner.flush_transitions()
         return combined

@@ -267,7 +267,20 @@ class MLP:
 
     def clone(self) -> "MLP":
         """An independent copy with identical parameters."""
+        rebuild, args = self.__reduce__()
+        return rebuild(*args)
+
+    def __reduce__(self):
+        """Pickle the shape and the parameters only: the copy is built
+        through the constructor, into aligned storage, with zero
+        gradients and no caches or :meth:`infer_rows` workspace."""
         hidden = tuple(layer.W.shape[1] for layer in self.layers[:-1])
-        copy = MLP(self.in_dim, hidden, self.out_dim, output=self.output)
-        copy.set_state(self.get_state())
-        return copy
+        return _rebuild, (self.in_dim, hidden, self.out_dim, self.output,
+                          self.get_state())
+
+
+def _rebuild(in_dim: int, hidden: tuple[int, ...], out_dim: int,
+             output: str, state: list[np.ndarray]) -> MLP:
+    net = MLP(in_dim, hidden, out_dim, output=output)
+    net.set_state(state)
+    return net

@@ -3,10 +3,10 @@
 A driver decides for every due Astraea flow of one bundle with one
 ``decide_columns`` call over state columns, around one stacked forward.
 The contract is bitwise: the window, the pacing rate and every state
-row must equal, on ``float.hex``, what ``begin_interval`` / ``act`` /
-``finish_interval`` leave on a controller object that started from the
-same state and saw the same stats; the RTT ring, written back, must be
-the scalar's monotonic deque, so the whole object pickles equal.
+row must equal, on ``float.hex``, what ``on_interval`` leaves on a
+controller object that started from the same state and saw the same
+stats; the RTT ring, written back, must be the scalar's monotonic
+deque, so the whole object pickles equal.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc.base import Decision
 from repro.core.astraea import AstraeaController
 from repro.core.policy import PolicyBundle, new_actor
-from repro.core.state import LOCAL_FEATURES
+from repro.core.state import LOCAL_FEATURES, column_rows
 from repro.errors import ModelError
 from repro.netsim.stats import MtpColumns, MtpStats
 
@@ -31,13 +30,12 @@ HISTORY = POLICY.history
 MTP_S = 0.03
 WINDOW_S = AstraeaController.RTT_WINDOW_S
 #: Rows compared on ``float.hex``: all but the ring's write slot, plus
-#: the frame stack and throughput history.  The ring itself is compared
-#: through ``write_state``.
+#: the state block's column.  The ring itself is compared through
+#: ``write_state``.
 HEX_ROWS = [j for j, name in enumerate(AstraeaController.STATE)
             if name != "ring_next"] + list(range(
                 len(AstraeaController.STATE),
-                len(AstraeaController.STATE)
-                + (LOCAL_FEATURES + 1) * HISTORY))
+                len(AstraeaController.STATE) + column_rows(HISTORY)))
 
 
 def make_controller(flow: dict) -> AstraeaController:
@@ -69,18 +67,10 @@ def hexed(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def scalar_decision(ctl: AstraeaController, stats: MtpStats) -> Decision:
-    """The per-object two-phase loop of the driver."""
-    begun = ctl.begin_interval(stats)
-    if isinstance(begun, Decision):
-        return begun
-    return ctl.finish_interval(stats, POLICY.act(begun))
-
-
 def check_bitwise(now: float, flows: list[dict], rows: list[dict]):
     stats = [make_stats(now, row) for row in rows]
     scalar = [make_controller(flow) for flow in flows]
-    want = [scalar_decision(c, s) for c, s in zip(scalar, stats)]
+    want = [c.on_interval(s) for c, s in zip(scalar, stats)]
 
     columns = [make_controller(flow) for flow in flows]
     state = np.array([c.read_state() for c in columns]).T.copy()
@@ -296,6 +286,9 @@ def test_columns_equal_the_scalar_loop(data):
 class NanPolicy:
     history = HISTORY
 
+    def act(self, state):
+        return float("nan")
+
     def act_batch(self, states):
         return np.full(len(states), np.nan)
 
@@ -307,11 +300,10 @@ def test_a_nan_policy_output_raises_in_both_paths():
     flow.update(_in_slow_start=False, _drain_left=0, _next_probe_s=now + 1.0)
     stats = make_stats(now, random_row(rng, flow))
     scalar = make_controller(flow)
-    state = scalar.begin_interval(stats)
-    assert not isinstance(state, Decision)
+    scalar.policy = NanPolicy()
     with pytest.raises(ModelError, match=r"action must lie in \[-1, 1\], "
                                          r"got nan"):
-        scalar.finish_interval(stats, float("nan"))
+        scalar.on_interval(stats)
     columns = make_controller(flow)
     with pytest.raises(ModelError, match=r"action must lie in \[-1, 1\], "
                                          r"got nan"):
@@ -355,7 +347,7 @@ def test_the_ring_holds_a_full_window_of_decisions():
         row = random_row(rng, flow)
         row["min_rtt_s"] = 0.01 + 0.01 * math.sin(step / 40.0)
         stats = make_stats(now, row)
-        want = scalar_decision(scalar, stats)
+        want = scalar.on_interval(stats)
         cwnd, _ = AstraeaController.decide_columns(
             state, MtpColumns.of(now, [stats]), POLICY)
         assert cwnd[0].hex() == want.cwnd_pkts.hex()

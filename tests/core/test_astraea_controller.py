@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +76,30 @@ class TestController:
             db = b.on_interval(stats)
             assert da.cwnd_pkts == pytest.approx(db.cwnd_pkts)
 
+    def test_slow_start_and_probe_drain_need_no_policy(self):
+        ctl = make_controller(slow_start=True)
+        ctl.policy = counting = CountingPolicy(ctl.policy)
+        ctl.on_interval(make_stats(time_s=0.03, delivered_pkts=30.0))
+        assert counting.calls == 0               # slow-start ramp
+        ctl = make_controller(slow_start=False)
+        ctl.policy = counting = CountingPolicy(ctl.policy)
+        calls = []
+        for t in (0.03, 5.03, 5.06, 5.09, 5.12):
+            ctl.on_interval(make_stats(time_s=t))
+            calls.append(counting.calls)
+        # The policy, three probe-drain intervals, the policy again.
+        assert calls == [1, 1, 1, 1, 2]
+
+
+class CountingPolicy:
+    def __init__(self, policy):
+        self.policy = policy
+        self.calls = 0
+
+    def act(self, state):
+        self.calls += 1
+        return self.policy.act(state)
+
 
 class TestShippedBundle:
     def test_default_policy_drives_fairly(self):
@@ -99,36 +122,6 @@ class TestShippedBundle:
         result = run_scenario(scenario)
         assert result.mean_jain() > 0.85
         assert result.utilization() > 0.8
-
-
-class TestTwoPhaseDecision:
-    def test_begin_finishes_slow_start_and_probe_drain_alone(self):
-        from repro.cc.base import Decision
-
-        ctl = make_controller(slow_start=True)
-        first = ctl.begin_interval(make_stats(time_s=0.03,
-                                              delivered_pkts=30.0))
-        assert isinstance(first, Decision)       # slow-start ramp
-        ctl = make_controller(slow_start=False)
-        kinds = [type(ctl.begin_interval(make_stats(time_s=t)))
-                 for t in (0.03, 5.03, 5.06, 5.09, 5.12)]
-        # Policy state, three probe-drain intervals, policy state again.
-        assert kinds == [np.ndarray, Decision, Decision, Decision,
-                         np.ndarray]
-
-    def test_on_interval_composes_the_two_phases(self):
-        whole = make_controller()
-        split = make_controller()
-        for i in range(250):
-            stats = make_stats(time_s=(i + 1) * 0.03,
-                               avg_rtt_s=0.03 + 0.0005 * (i % 40),
-                               min_rtt_s=0.03)
-            want = whole.on_interval(stats)
-            got = split.begin_interval(stats)
-            if isinstance(got, np.ndarray):
-                action = float(split.policy.act_batch(got[None, :])[0])
-                got = split.finish_interval(stats, action)
-            assert got == want
 
 
 class TestWindowedRttMin:

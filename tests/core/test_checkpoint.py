@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig, replace
+from repro.core.checkpoint import load_training_checkpoint, \
+    save_training_checkpoint
 from repro.core.learner import Learner
+from repro.core.train import TrainingHistory
 from repro.errors import ModelError
 
 SMALL = replace(TrainingConfig(), hidden_layers=(8, 8), batch_size=8,
@@ -71,3 +74,34 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ModelError):
             Learner(SMALL).load_checkpoint(tmp_path / "nope.npz")
+
+    def test_training_checkpoint_persists_pending_rows(self, tmp_path):
+        """Rows still pending in the learner land in the checkpoint's
+        replay, and a resumed learner holds them all (and none of its
+        own rows from before the restore)."""
+        a = trained_learner(seed=4)
+        rng = np.random.default_rng(4)
+        for _ in range(7):
+            a.add_transition(rng.normal(size=a.global_dim),
+                             rng.normal(size=a.local_dim), 0.3, 0.02,
+                             rng.normal(size=a.global_dim),
+                             rng.normal(size=a.local_dim))
+        assert len(a.replay) == 40
+        save_training_checkpoint(
+            tmp_path, learner=a, rng=np.random.default_rng(0), episode=1,
+            noise=0.1, history_dict=TrainingHistory().__dict__.copy(),
+            best_state=a.td3.actor.get_state())
+        b = trained_learner(seed=5)
+        b.add_transition(rng.normal(size=b.global_dim),
+                         rng.normal(size=b.local_dim), 0.1, 0.0,
+                         rng.normal(size=b.global_dim),
+                         rng.normal(size=b.local_dim))
+        load_training_checkpoint(tmp_path, b, np.random.default_rng(0))
+        b.flush_transitions()           # nothing from before the restore
+        assert len(b.replay) == len(a.replay) == 47
+        assert b.replay._cursor == a.replay._cursor
+        assert b.total_transitions == a.total_transitions == 47
+        for name in ("_local", "_global", "_action", "_reward",
+                     "_next_local", "_next_global", "_done"):
+            assert getattr(b.replay, name).tobytes() == \
+                getattr(a.replay, name).tobytes(), name

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import TrainingConfig, replace
 from repro.core.learner import Learner
+from repro.rl.replay import ReplayBuffer
 from repro.errors import (
     ModelError,
     TrainingDivergedError,
@@ -126,25 +127,61 @@ class TestBatchedAct:
         assert learner.guard.rollbacks == SMALL.rollback_budget
 
 
+def transition_rows(learner, n, seed):
+    """``n`` transitions as row arrays: g, s, a, r, g', s', done."""
+    rng = np.random.default_rng(seed)
+    g, g2 = (rng.normal(size=(n, learner.global_dim)) for _ in range(2))
+    s, s2 = (rng.normal(size=(n, learner.local_dim)) for _ in range(2))
+    return g, s, rng.normal(size=n), rng.normal(size=n), g2, s2, \
+        (rng.random(n) < 0.1).astype(float)
+
+
 class TestDeferredTransitions:
+    """The learner buffers transition blocks until
+    :meth:`~Learner.flush_transitions` writes them into replay."""
+
+    def test_rows_stay_pending_until_flushed(self):
+        learner = Learner(SMALL)
+        fill(learner, 19)
+        assert len(learner.replay) == 0
+        assert not learner.warm
+        assert learner.total_transitions == 19
+        fill(learner, 1)
+        assert learner.warm                       # pending rows count
+        assert len(learner.replay) == 0
+        learner.flush_transitions()
+        assert len(learner.replay) == learner.total_transitions == 20
+        assert learner.warm
+        learner.flush_transitions()               # nothing pending
+        assert len(learner.replay) == 20
+
     def test_deferred_flush_matches_direct_adds_bitwise(self):
-        direct, deferred = Learner(SMALL), Learner(SMALL)
-        fill(direct, 30)
-        deferred.set_deferred(True)
-        fill(deferred, 30)
-        assert len(deferred.replay) == 0          # buffered, not written
-        assert deferred.warm == direct.warm       # pending rows count
-        assert deferred.total_transitions == direct.total_transitions
-        deferred.set_deferred(False)              # flushes
-        assert len(deferred.replay) == len(direct.replay)
-        assert deferred.replay._cursor == direct.replay._cursor
-        for name in REPLAY_ARRAYS:
-            np.testing.assert_array_equal(getattr(deferred.replay, name),
-                                          getattr(direct.replay, name))
+        """Flushes of mixed blocks, one wrapping past capacity and one
+        longer than it, against row-by-row ``ReplayBuffer.add``."""
+        learner = Learner(replace(SMALL, replay_capacity=25))
+        reference = ReplayBuffer(25, learner.local_dim, learner.global_dim,
+                                 action_dim=1)
+        for flush, sizes in enumerate([(1, 9, 5), (20,), (4, 30)]):
+            for block, n in enumerate(sizes):
+                rows = transition_rows(learner, n, seed=[flush, block])
+                g, s, a, r, g2, s2, done = rows
+                if n == 1:
+                    learner.add_transition(g[0], s[0], a[0], r[0], g2[0],
+                                           s2[0], bool(done[0]))
+                else:
+                    learner.add_transitions(*rows)
+                for i in range(n):
+                    reference.add(s[i], g[i], a[i:i + 1], r[i], s2[i],
+                                  g2[i], bool(done[i]))
+            learner.flush_transitions()
+            assert len(learner.replay) == len(reference)
+            assert learner.replay._cursor == reference._cursor
+            for name in REPLAY_ARRAYS:
+                assert getattr(learner.replay, name).tobytes() == \
+                    getattr(reference, name).tobytes(), name
 
     def test_update_burst_flushes_pending_first(self):
         learner = Learner(SMALL)
-        learner.set_deferred(True)
         fill(learner, 30)
         assert learner.warm and len(learner.replay) == 0
         learner.update_burst()

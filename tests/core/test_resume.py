@@ -30,6 +30,12 @@ def run_full(tmp_path=None):
                          checkpoint_dir=tmp_path)
 
 
+def newest_checkpoint(directory) -> dict:
+    """The newest entry of a checkpoint directory's manifest."""
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    return manifest["checkpoints"][0]
+
+
 class TestKillResume:
     def test_kill_after_checkpoint_then_resume_is_bit_identical(
             self, tmp_path, monkeypatch):
@@ -65,6 +71,51 @@ class TestKillResume:
         for a, b in zip(bundle_res.actor.get_state(),
                         bundle_full.actor.get_state()):
             np.testing.assert_array_equal(a, b)
+
+    def test_pool_kill_after_checkpoint_then_resume_is_bit_identical(
+            self, tmp_path, monkeypatch):
+        """``parallel_envs=2``: die in the second stride, after the first
+        stride's checkpoint.  Warm-up falls inside the first stride and
+        bursts fire every simulated second, so a transition the
+        checkpoint missed would change what the resumed bursts sample."""
+        from repro.env.pool import EnvironmentPool
+
+        cfg = replace(FAST, parallel_envs=2, update_interval_s=1.0)
+        bundle_full, history_full = train_astraea(
+            cfg, eval_every=100, checkpoint_dir=tmp_path / "full")
+
+        ckpt = tmp_path / "ckpt"
+        real = EnvironmentPool.run
+        calls = {"n": 0}
+
+        def dying(pool):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise KeyboardInterrupt("simulated kill -9")
+            return real(pool)
+
+        monkeypatch.setattr(EnvironmentPool, "run", dying)
+        with pytest.raises(KeyboardInterrupt):
+            train_astraea(cfg, eval_every=100, checkpoint_dir=ckpt)
+        monkeypatch.setattr(EnvironmentPool, "run", real)
+        first = newest_checkpoint(ckpt)
+        assert first["episode"] == 2
+        assert first["replay"]["size"] >= cfg.warmup_transitions
+
+        bundle_res, history_res = train_astraea(cfg, eval_every=100,
+                                                resume_from=ckpt)
+        np.testing.assert_array_equal(history_res.episode_rewards,
+                                      history_full.episode_rewards)
+        for a, b in zip(bundle_res.actor.get_state(),
+                        bundle_full.actor.get_state()):
+            np.testing.assert_array_equal(a, b)
+        final = newest_checkpoint(ckpt)
+        full = newest_checkpoint(tmp_path / "full")
+        assert final["episode"] == full["episode"] == cfg.episodes
+        assert final["replay"] == full["replay"]
+        assert final["replay"]["size"] > first["replay"]["size"]
+        assert final["td3_updates"] == full["td3_updates"] \
+            > first["td3_updates"]
 
     def test_resume_prefix_matches_checkpointed_history(self, tmp_path):
         ckpt = tmp_path / "ckpt"

@@ -12,11 +12,12 @@ from repro.core.state import (
     GLOBAL_FEATURES,
     LOCAL_FEATURES,
     LocalStateBlock,
+    column_rows,
     global_state_vector,
     local_feature_vector,
 )
 from repro.errors import ModelError
-from repro.netsim.stats import MtpStats
+from repro.netsim.stats import MtpColumns, MtpStats
 from tests.cc.test_base import make_stats
 
 
@@ -102,6 +103,71 @@ class TestLocalStateBlock:
         block.reset()
         assert block.avg_throughput_pps() == 0.0
         assert np.all(block.input_vector() == 0.0)
+
+
+def hexed(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def random_stats(rng, time_s: float) -> MtpStats:
+    avg = float(rng.uniform(0.005, 0.3))
+    return make_stats(time_s=time_s,
+                      throughput_pps=float(rng.uniform(0.0, 2e4)),
+                      avg_rtt_s=avg, min_rtt_s=avg * rng.uniform(0.5, 1.0),
+                      cwnd_pkts=float(rng.uniform(2.0, 600.0)),
+                      pkts_in_flight=float(rng.uniform(0.0, 600.0)),
+                      srtt_s=float(rng.uniform(0.005, 0.3)))
+
+
+class TestStateColumn:
+    """A block packed into a state column (``read_column``) and unpacked
+    (``write_column``) is the same block, at every depth."""
+
+    @pytest.mark.parametrize("history", [5, 9])
+    def test_pack_unpack_pack_is_bitwise_at_every_depth(self, history):
+        rng = np.random.default_rng(history)
+        block = LocalStateBlock(history=history)
+        copy = LocalStateBlock(history=history)
+        depths = []
+        for step in range(history + 3):
+            if step:
+                block.update(random_stats(rng, 0.03 * step))
+            column = block.read_column()
+            assert column.shape == (column_rows(history),)
+            copy.write_column(column)
+            assert hexed(copy.read_column()) == hexed(column)
+            assert hexed(copy.input_vector()) == hexed(block.input_vector())
+            assert hexed(copy.thr_history_pps) == \
+                hexed(block.thr_history_pps)
+            assert (copy.thr_max_pps, copy.lat_min_s) == \
+                (block.thr_max_pps, block.lat_min_s)
+            depths.append(int(column[2]))
+        assert depths == [*range(history + 1), history, history]
+        block.reset()
+        column = block.read_column()
+        copy.write_column(column)
+        assert hexed(copy.read_column()) == hexed(column)
+        assert copy.input_vector().tolist() == [0.0] * block.input_dim
+        assert not copy.thr_history_pps and copy.lat_min_s == np.inf
+
+    @pytest.mark.parametrize("history", [5, 9])
+    def test_update_columns_is_update_on_a_packed_block(self, history):
+        """``k`` blocks at depths 0 to ``history`` advance as columns
+        exactly as each advances by ``update``."""
+        rng = np.random.default_rng([history, 1])
+        blocks = [LocalStateBlock(history=history)
+                  for _ in range(history + 1)]
+        for depth, block in enumerate(blocks):
+            for step in range(depth):
+                block.update(random_stats(rng, 0.03 * (step + 1)))
+        state = np.array([b.read_column() for b in blocks]).T.copy()
+        now = 0.03 * (history + 1)
+        stats = [random_stats(rng, now) for _ in blocks]
+        stack = LocalStateBlock.update_columns(MtpColumns.of(now, stats),
+                                               state)
+        for j, (block, s) in enumerate(zip(blocks, stats)):
+            assert hexed(stack[:, j]) == hexed(block.update(s))
+            assert hexed(state[:, j]) == hexed(block.read_column())
 
 
 class TestGlobalState:

@@ -499,8 +499,8 @@ class TestAstraeaColumnsOnEveryEngine:
 class TestOverridesKeepThePerObjectCall:
     def test_on_interval_override_fires_once_per_decision(self):
         """A subclass that overrides ``on_interval`` is never routed
-        through ``begin_interval`` / ``finish_interval`` behind its back
-        (the state-collecting teachers of ``core.distill`` rely on it)."""
+        through ``decide_columns`` behind its back (the state-collecting
+        teachers of ``core.distill`` rely on it)."""
 
         class Counting(AstraeaController):
             def __init__(self):

@@ -196,6 +196,7 @@ class TestObserverGuards:
         ctl.on_interval(make_stats(time_s=1.06))
         step(obs, 1.06)
         assert obs.stats.transitions == 1
+        learner.flush_transitions()
         assert len(learner.replay) == 1
 
     def test_reset_mid_episode_drops_stale_pending_pair(self):

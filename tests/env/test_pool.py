@@ -141,7 +141,7 @@ class TestPoolRobustness:
             raise SimulationError("controller blew up mid-episode")
 
         # The per-object decision and the column pass the pool runs.
-        monkeypatch.setattr(TrainFlowController, "begin_interval", boom)
+        monkeypatch.setattr(TrainFlowController, "on_interval", boom)
         monkeypatch.setattr(TrainFlowController, "decide_columns",
                             classmethod(boom))
         with pytest.raises(SimulationError):

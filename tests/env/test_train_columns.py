@@ -2,7 +2,7 @@
 
 ``TrainFlowController.decide_columns`` decides every due agent of an
 episode in one call around one stacked forward; the per-object
-``begin_interval`` / ``act`` / ``finish_interval`` stays the definition.
+``on_interval`` stays the definition.
 The contract is bitwise on ``float.hex``: the window, the pacing rate,
 every state row, the last state and action recorded for the observer,
 and each exploration stream's position afterwards.
@@ -22,7 +22,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc.base import Decision
 from repro.config import (
     FlowConfig,
     LinkConfig,
@@ -70,19 +69,11 @@ def make_agents(flows: list[dict], warm: bool):
     return agents, controllers
 
 
-def scalar_decision(ctl: TrainFlowController, stats: MtpStats) -> Decision:
-    """The per-object two-phase loop of the serial leg."""
-    begun = ctl.begin_interval(stats)
-    if isinstance(begun, Decision):
-        return begun
-    return ctl.finish_interval(stats, ctl.act(begun))
-
-
 def check_bitwise(now: float, flows: list[dict], rows: list[dict],
                   warm: bool) -> None:
     stats = [MtpStats(time_s=now, **row) for row in rows]
     _, scalar = make_agents(flows, warm)
-    want = [scalar_decision(c, s) for c, s in zip(scalar, stats)]
+    want = [c.on_interval(s) for c, s in zip(scalar, stats)]
 
     table, columns = make_agents(flows, warm)
     state = np.array([c.read_state() for c in columns]).T.copy()

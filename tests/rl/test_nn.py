@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,28 @@ class TestAlignedStorage:
                     1, output="tanh", seed=3).get_state()
         frozen = FrozenPolicy(cfg, state, warm=True)
         assert _misaligned(_net_arrays(frozen.actor)) == []
+
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_pickle_round_trip_is_aligned_and_bare(self, output):
+        """A pickled net carries its shape and parameters only: it
+        unpickles into aligned storage, without the ``infer_rows``
+        workspace or the backprop caches, and infers bit-equally."""
+        net = MLP(40, (256, 128, 64), 1, output=output, seed=4)
+        fresh = len(pickle.dumps(net))
+        x = np.random.default_rng(1).normal(size=(400, 40))
+        want = net.infer_rows(x)
+        net.forward(x[:192])
+        net.backward(np.ones((192, 1)))
+        blob = pickle.dumps(net)
+        assert len(blob) == fresh
+        copy = pickle.loads(blob)
+        assert _misaligned(_net_arrays(copy)) == []
+        assert copy._rows == [] and copy._out is None
+        assert not any(g.any() for g in copy.gradients())
+        assert [p.tobytes() for p in copy.parameters()] == \
+            [p.tobytes() for p in net.parameters()]
+        assert copy.infer_rows(x).tobytes() == want.tobytes()
 
 
 class TestShapesAndErrors:
