@@ -63,6 +63,7 @@ from .stats import (
     MtpColumns,
     SampleStore,
     TickSample,
+    contiguous_run,
 )
 from .traces import CapacityTrace, ConstantTrace
 
@@ -353,8 +354,9 @@ class FluidNetwork:
         """
         check_decisions(cwnd_pkts, pacing_pps,
                         lambda k: self.flow_ids[slots[k]])
-        self._cwnd[slots] = np.clip(cwnd_pkts, MIN_CWND_PKTS, 1e9)
-        self._pacing[slots] = np.inf if pacing_pps is None else pacing_pps
+        at = contiguous_run(slots)
+        self._cwnd[at] = np.clip(cwnd_pkts, MIN_CWND_PKTS, 1e9)
+        self._pacing[at] = np.inf if pacing_pps is None else pacing_pps
 
     def _slot_of(self, fid: int) -> int:
         try:
@@ -380,12 +382,14 @@ class FluidNetwork:
         """Drain every sample observable at ``now`` for the flows at
         ``slots`` into one :class:`MtpStats` column block — cwnd, pacing
         (the last sending rate) and packets in flight as the per-flow
-        accessors report them."""
-        cwnd = self._cwnd[slots]
-        rate = self._last_rate[slots]
+        accessors report them.  The columns are copies, never views of
+        the engine's vectors."""
+        at = contiguous_run(slots)
+        cwnd = self._cwnd[at].copy()
+        rate = self._last_rate[at].copy()
         return self._samples.collect(
-            slots, now, cwnd, rate,
-            np.minimum(rate * self._last_rtt[slots], cwnd))
+            at, now, cwnd, rate,
+            np.minimum(rate * self._last_rtt[at], cwnd))
 
     def cwnd(self, fid: int) -> float:
         """Current congestion window of a flow in packets."""

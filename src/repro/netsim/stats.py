@@ -114,6 +114,23 @@ class MtpStats:
  COL_SENT, COL_DLV, COL_LOST, COL_MARK) = range(8)
 N_SAMPLE_COLS = 8
 _INITIAL_CAPACITY = 64
+#: The smoothed-RTT gain (the kernel's ``srtt`` EWMA, 1/8) of every
+#: collector: ``srtt += SRTT_GAIN * (rtt - srtt)`` per RTT sample.
+SRTT_GAIN = 0.125
+
+
+def contiguous_run(slots):
+    """``slots`` as a basic slice when it is a contiguous ascending run
+    (indexing by it gives views, not gathers), else ``slots`` itself; a
+    slice passes through."""
+    if isinstance(slots, slice) or not len(slots):
+        return slots
+    first = int(slots[0])
+    run = np.arange(first, first + len(slots), dtype=slots.dtype)
+    # Equal bytes is equal integers, and one memcmp is the cheapest test.
+    if slots.tobytes() != run.tobytes():
+        return slots
+    return slice(first, first + len(slots))
 
 
 class FlowMonitor:
@@ -134,7 +151,8 @@ class FlowMonitor:
     lets the common monotone case use a binary search.
     """
 
-    SRTT_GAIN = 0.125
+    #: The module's :data:`SRTT_GAIN`, kept for callers of the class.
+    SRTT_GAIN = SRTT_GAIN
 
     def __init__(self, base_rtt_s: float):
         self._buf = np.empty((_INITIAL_CAPACITY, N_SAMPLE_COLS))
@@ -235,7 +253,7 @@ class FlowMonitor:
 
     def observe_rtt(self, rtt_s: float) -> None:
         """Fold an RTT measurement into the smoothed estimate."""
-        self._srtt += self.SRTT_GAIN * (rtt_s - self._srtt)
+        self._srtt += SRTT_GAIN * (rtt_s - self._srtt)
 
     def _drain_count(self, now: float) -> int:
         """Length of the observable prefix at ``now``."""
@@ -266,7 +284,7 @@ class FlowMonitor:
             # order-dependent and the sums must match the original
             # one-sample-at-a-time accumulation bit for bit.
             srtt = self._srtt
-            gain = self.SRTT_GAIN
+            gain = SRTT_GAIN
             for dt_, rtt_, sent_, dlv_, lost_, mark_ in \
                     self._buf[start:start + k, COL_DT:].tolist():
                 sent += sent_
@@ -339,7 +357,7 @@ class IntervalWindow:
         self._rtt_sum += rtt_s * weight
         self._rtt_weight += weight
         self._rtt_min = min(self._rtt_min, rtt_s)
-        self.srtt_s += FlowMonitor.SRTT_GAIN * (rtt_s - self.srtt_s)
+        self.srtt_s += SRTT_GAIN * (rtt_s - self.srtt_s)
 
     def close(self, now: float, pkts_in_flight: float, cwnd_pkts: float,
               pacing_pps: float | None) -> MtpStats:
@@ -478,6 +496,7 @@ class SampleStore:
         self.start = np.zeros(0, dtype=np.intp)
         self.srtt = np.zeros(0)
         self.last_collect = np.zeros(0)
+        self._scratch = np.empty(0)
 
     @property
     def capacity(self) -> int:
@@ -541,47 +560,90 @@ class SampleStore:
     def commit(self, k: int) -> None:
         self._end += k
 
-    def collect(self, slots: np.ndarray, now: float, cwnd_pkts: np.ndarray,
+    def _window(self, rows: int, k: int) -> np.ndarray:
+        """A ``(rows, 6, k)`` scratch view; the buffer behind it grows
+        geometrically and is reused by every later collect."""
+        size = rows * (N_SAMPLE_COLS - COL_DT) * k
+        if size > len(self._scratch):
+            self._scratch = np.empty(max(size, 2 * len(self._scratch)))
+        return self._scratch[:size].reshape(rows, N_SAMPLE_COLS - COL_DT, k)
+
+    def collect(self, slots, now: float, cwnd_pkts: np.ndarray,
                 pacing_pps: np.ndarray,
                 pkts_in_flight: np.ndarray) -> MtpColumns:
-        """:meth:`FlowMonitor.collect` for the flows at ``slots`` (distinct)
-        in one pass; the last three arguments are per-slot columns."""
-        start = self.start[slots]
+        """:meth:`FlowMonitor.collect` for the flows at ``slots`` (distinct
+        positions, or a slice) in one pass; the last three arguments are
+        per-slot columns.
+
+        A contiguous ascending run of slots reads the ring and the
+        per-flow vectors through a basic slice, any other set through
+        one gather.  The observable window is copied into a reused
+        ``(rows, 6, k)`` buffer, and cells outside their flow's prefix
+        are set to ``+0.0`` — selected, never multiplied by a mask: ring
+        cells below a flow's start may hold garbage, NaN included.  Then
+        one loop over the window's rows folds the six sums and the srtt
+        EWMA in sample order.  No returned column aliases the buffer,
+        the ring or the store's state."""
+        at = contiguous_run(slots)
+        start = self.start[at]
+        k = len(start)
         end = self._end
         lo = int(start.min(initial=end))
+        # Window rows below ``head`` lie below some flow's start.
+        head = int(start.max(initial=lo)) - lo
+        ring = self._buf[lo:end, :, at]
         # Observable prefix per flow: stop at its first live sample with
         # ``avail_at > now``, even if later ones are observable.
         rows = np.arange(lo, end)[:, None]
-        live = rows >= start
-        blocked = live & (self._buf[lo:end, COL_AVAIL][:, slots] > now)
+        blocked = ring[:, COL_AVAIL] > now
+        if head:
+            blocked[:head] &= rows[:head] >= start
         stop = np.where(blocked, rows, end).min(axis=0, initial=end)
         hi = int(stop.max(initial=lo))
-        inside = live[:hi - lo] & (rows[:hi - lo] < stop)
-        # acc[1:] = (dt, rtt, sent, delivered, lost, marked) per sample,
-        # +0.0 outside each flow's prefix.  Sums are accumulated down the
-        # sample axis from a zero first row: strictly sequential per
-        # lane like the row fold (np.sum is free to re-associate).
-        acc = np.zeros((hi - lo + 1, N_SAMPLE_COLS - COL_DT, len(slots)))
-        np.copyto(acc[1:], self._buf[lo:hi, COL_DT:][:, :, slots],
-                  where=inside[:, None, :])
-        rtt = acc[1:, 1].copy()
-        acc[1:, 1] *= acc[1:, 0]
+        # Window rows from ``tail`` on lie at or past some flow's stop;
+        # every row in between is inside every flow's prefix.
+        tail = max(int(stop.min(initial=hi)) - lo, head)
+        # (dt, rtt, sent, delivered, lost, marked) per sample.  A cell
+        # outside its flow's prefix (all are in the rows below ``head``
+        # or from ``tail`` on) becomes +0.0 with gain 0: selected, never
+        # multiplied by a mask, as ring cells below a flow's start may
+        # hold anything, NaN included.
+        window = self._window(hi - lo, k)
+        np.copyto(window, ring[:hi - lo, COL_DT:])
+        rtt = window[:, 1]
+        if head == 0 and tail == hi - lo:
+            rtt_min = rtt.min(axis=0, initial=np.inf)
+            gains = [SRTT_GAIN] * (hi - lo)
+        else:
+            rows = rows[:hi - lo]
+            inside = rows >= start
+            inside &= rows < stop
+            for part in (slice(0, head), slice(tail, hi - lo)):
+                np.copyto(window[part], 0.0,
+                          where=np.logical_not(inside[part, None, :]))
+            rtt_min = np.minimum.reduce(rtt, axis=0, initial=np.inf,
+                                        where=inside)
+            gains = np.where(inside, SRTT_GAIN, 0.0)
+        # One fold down the sample axis with flows as lanes, strictly
+        # sequential per lane like the row fold (np.sum is free to
+        # re-associate): ``rtt`` becomes ``rtt * dt`` once the srtt
+        # EWMA has read it, and a cell outside its flow's prefix changes
+        # nothing.
         weight, rtt_weighted, sent, delivered, lost, marked = \
-            np.add.accumulate(acc, axis=0)[-1]
-        rtt_min = np.where(inside, rtt, np.inf).min(axis=0, initial=np.inf)
-        # The srtt EWMA is order-dependent: loop over the sample index
-        # with flows as lanes (gain 0 leaves a lane untouched).
-        srtt = self.srtt[slots]
-        step = np.empty_like(srtt)
-        for rtt_r, gain_r in zip(
-                rtt, np.where(inside, FlowMonitor.SRTT_GAIN, 0.0)):
-            np.subtract(rtt_r, srtt, out=step)
-            step *= gain_r
-            srtt += step
-        self.start[slots] = stop
-        self.srtt[slots] = srtt
-        duration = np.maximum(now - self.last_collect[slots], 1e-9)
-        self.last_collect[slots] = now
+            tot = np.zeros((N_SAMPLE_COLS - COL_DT, k))
+        srtt = self.srtt[at].copy()
+        step = np.empty(k)
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+        for row, dt, rtt_r, gain in zip(window, window[:, 0], rtt, gains):
+            subtract(rtt_r, srtt, step)
+            multiply(step, gain, step)
+            add(srtt, step, srtt)
+            multiply(rtt_r, dt, rtt_r)
+            add(tot, row, tot)
+        self.start[at] = stop
+        self.srtt[at] = srtt
+        duration = np.maximum(now - self.last_collect[at], 1e-9)
+        self.last_collect[at] = now
         if len(self._buf) > _INITIAL_CAPACITY:
             lo = int(self.start.min(initial=end))
             if len(self._buf) >= 4 * max(end - lo, 1):
@@ -591,7 +653,7 @@ class SampleStore:
         seen = weight > 0
         avg_rtt = srtt.copy()
         np.divide(rtt_weighted, weight, out=avg_rtt, where=seen)
-        throughput = np.zeros(len(slots))
+        throughput = np.zeros(k)
         np.divide(delivered, weight, out=throughput, where=seen)
         rtt_min = np.where(seen, rtt_min, srtt)
         return MtpColumns(

@@ -173,6 +173,17 @@ class TD3Learner:
             "updates": self._updates,
         }
 
+    def __reduce__(self):
+        """Pickle (and deep-copy) through the constructor and
+        :meth:`state_dict`, plus the target-noise stream: the copy's
+        optimisers then bind the copy's own parameter arrays.  Copying
+        the attributes would leave each ``Adam`` stepping private
+        copies of the parameters, since every ``MLP`` pickles by value.
+        """
+        return _rebuild, (self.local_dim, self.global_dim, self.action_dim,
+                          self.cfg, self.use_global, self.state_dict(),
+                          self._rng.bit_generator.state)
+
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output in place."""
         for name in self.NETS:
@@ -195,3 +206,12 @@ class TD3Learner:
             raise ModelError("LR scale factor must be positive")
         self.actor_opt.lr *= factor
         self.critic_opt.lr *= factor
+
+
+def _rebuild(local_dim: int, global_dim: int, action_dim: int,
+             cfg: TrainingConfig, use_global: bool, state: dict,
+             rng_state: dict) -> TD3Learner:
+    learner = TD3Learner(local_dim, global_dim, action_dim, cfg, use_global)
+    learner.load_state_dict(state)
+    learner._rng.bit_generator.state = rng_state
+    return learner

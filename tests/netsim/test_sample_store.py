@@ -10,7 +10,8 @@ rollout and the pinned fleet digests with it.
 
 from __future__ import annotations
 
-from dataclasses import astuple
+import tracemalloc
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from repro.netsim.stats import (
     COL_AVAIL,
     COL_DT,
     COL_RTT,
+    COL_SENT,
     COL_TIME,
     FlowMonitor,
+    MtpColumns,
     SampleStore,
     TickSample,
+    contiguous_run,
 )
 
 TICK = 0.002
@@ -197,6 +201,114 @@ class TestColumnarCollectEqualsRowFold:
             twin.collect([0, 1, 2], twin.now - 0.02)
             assert twin.store.capacity == _INITIAL_CAPACITY
         twin.check_pending()
+
+
+def frozen(cols: MtpColumns) -> dict:
+    return {f.name: np.array(getattr(cols, f.name), copy=True).tobytes()
+            for f in fields(cols)}
+
+
+class TestCollectShapes:
+    """The slot sets and windows the fold must handle exactly as the
+    row fold: a contiguous run is read through views, any other set
+    through one gather, and a window may start or end at different rows
+    for different flows."""
+
+    RTTS = [0.004, 0.02, 0.03, 0.12, 0.03, 0.05, 0.4, 0.02]
+
+    @pytest.mark.parametrize("slots", [
+        list(range(8)), [2, 3, 4, 5], list(range(7, -1, -1)), [6, 1, 4]],
+        ids=["all", "middle-run", "reversed", "scattered"])
+    def test_slot_sets(self, slots):
+        twin = Twin()
+        twin.add(self.RTTS)
+        rng = np.random.default_rng(7)
+        twin.push(15, rng)
+        twin.collect([1, 5], twin.now)  # stagger the consumed offsets
+        for lag in (0.01, 0.0, 0.3, 0.0):
+            twin.push(15, rng)
+            twin.collect(slots, twin.now - lag)
+        twin.check_pending()
+
+    def test_contiguous_run(self):
+        assert contiguous_run(np.arange(3, 9)) == slice(3, 9)
+        assert contiguous_run(np.array([5])) == slice(5, 6)
+        assert contiguous_run(slice(2, 4)) == slice(2, 4)
+        for slots in ([], [1, 0], [0, 2, 1, 3], [0, 2], [4, 5, 7]):
+            slots = np.array(slots, dtype=np.intp)
+            assert contiguous_run(slots) is slots
+
+    def test_long_window_is_summed_in_sample_order(self):
+        """A window of 40 rows: NumPy's pairwise sum regroups from 8
+        elements on, and would read a different last bit here."""
+        twin = Twin()
+        twin.add([0.03])
+        twin.push(40, np.random.default_rng(11))
+        sent = twin.store.pending(0)[:, COL_SENT]
+        assert float(np.sum(sent)) != sum(sent.tolist())
+        twin.collect([0], twin.now + 1.0)
+        twin.check_pending()
+
+    @pytest.mark.parametrize("junk", [np.nan, np.inf, -np.inf])
+    def test_late_flow_garbage_below_its_start_is_never_read(self, junk):
+        twin = Twin()
+        twin.add([0.03, 0.12])
+        rng = np.random.default_rng(5)
+        twin.push(20, rng)
+        twin.add([0.02])  # starts at row 20, below it the ring is junk
+        store = twin.store
+        store._buf[:store._end, :, 2] = junk
+        twin.collect([0, 1, 2], twin.now)
+        twin.push(12, rng)
+        twin.collect([2, 0], twin.now - 0.01)
+        twin.collect([0, 1, 2], twin.now + 1.0)
+        twin.check_pending()
+
+    def test_columns_own_their_memory(self):
+        twin = Twin()
+        twin.add(self.RTTS)
+        rng = np.random.default_rng(9)
+        twin.push(20, rng)
+        slots = np.arange(8)
+        cols = twin.store.collect(slots, twin.now, np.ones(8), np.ones(8),
+                                  np.ones(8))
+        before = frozen(cols)
+        twin.push(20, rng)
+        twin.store.collect(slots, twin.now, np.zeros(8), np.zeros(8),
+                           np.zeros(8))
+        assert frozen(cols) == before
+
+    def test_network_columns_own_their_memory(self):
+        net, fids = make_net(5)
+        net.advance_block(TICK, 30)
+        cols = net.collect_stats(net.slots(fids), net.now)
+        before = frozen(cols)
+        net.set_cwnds(net.slots(fids), [50.0] * 5, [1e4] * 5)
+        net.advance_block(TICK, 30)
+        net.collect_stats(net.slots(fids), net.now)
+        assert frozen(cols) == before
+
+
+def test_first_collect_peak_memory_per_flow():
+    """The fold's scratch is the ``(rows, 6, k)`` window and little
+    else: at most 2000 traced bytes per flow on a 30-row first collect
+    (8 B x 6 columns x 30 rows is 1440 of them)."""
+    n, rows = 20_000, 30
+    store = SampleStore()
+    store.reindex(np.arange(0, dtype=np.intp), np.full(n, 0.03))
+    blk = store.reserve(rows)
+    blk[:] = 1.0
+    blk[:, COL_AVAIL] = np.arange(rows)[:, None] * TICK
+    store.commit(rows)
+    ones = np.ones(n)
+    tracemalloc.start()
+    try:
+        store.collect(np.arange(n), rows * TICK, ones, ones, ones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (store.start == rows).all()
+    assert peak / n <= 2000, peak / n
 
 
 def make_net(n: int) -> tuple[FluidNetwork, list[int]]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -103,3 +106,46 @@ class TestActorWarmup:
         # Past the warmup the actor starts moving.
         out = learner.update(buf.sample(32))
         assert not np.isnan(out["actor_loss"])
+
+
+class TestPickle:
+    """A copied learner trains its own nets, exactly as the original."""
+
+    @pytest.fixture
+    def trained(self):
+        cfg = replace(SMALL, policy_delay=1)
+        learner = TD3Learner(3, 2, cfg=cfg, seed=5)
+        buf = bandit_buffer(0.2, n=300)
+        for _ in range(3):
+            learner.update(buf.sample(32))
+        learner.scale_learning_rates(0.5)
+        return learner, buf.sample(32)
+
+    @staticmethod
+    def arrays(learner) -> list[bytes]:
+        out = [p.tobytes() for name in TD3Learner.NETS
+               for p in getattr(learner, name).parameters()]
+        for opt in (learner.actor_opt, learner.critic_opt):
+            state = opt.get_state()
+            out += [a.tobytes() for a in state["m"] + state["v"]]
+            out += [repr((state["t"], state["lr"])).encode()]
+        return out
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copy_binds_and_steps_bit_equal(self, trained, how):
+        learner, batch = trained
+        twin = pickle.loads(pickle.dumps(learner)) if how == "pickle" \
+            else copy.deepcopy(learner)
+        nets = (twin.actor, twin.critic1, twin.critic2)
+        for opt, bound in ((twin.actor_opt, nets[:1]),
+                           (twin.critic_opt, nets[1:])):
+            params = [p for net in bound for p in net.parameters()]
+            grads = [g for net in bound for g in net.gradients()]
+            assert len(opt.params) == len(params)
+            assert all(a is b for a, b in zip(opt.params, params))
+            assert all(a is b for a, b in zip(opt.grads, grads))
+        assert self.arrays(twin) == self.arrays(learner)
+        before = self.arrays(twin)
+        assert learner.update(batch) == twin.update(batch)
+        assert self.arrays(twin) == self.arrays(learner)
+        assert self.arrays(twin) != before
