@@ -117,7 +117,9 @@ class PolicyBundle:
         Row-exact (:meth:`~repro.rl.nn.MLP.infer_rows`): element ``i``
         is bitwise the action :meth:`act` returns for row ``i`` alone,
         so a driver may stack every due flow of a pass into one call
-        without perturbing the rollout.
+        without perturbing the rollout.  Byte-identical rows (flows
+        starved at the same clip ceiling) are forwarded once per call
+        and share that row's action.
         """
         out = self.actor.infer_rows(local_states)
         return np.clip(out[:, 0], -0.999, 0.999)

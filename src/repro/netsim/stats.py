@@ -497,6 +497,7 @@ class SampleStore:
         self.srtt = np.zeros(0)
         self.last_collect = np.zeros(0)
         self._scratch = np.empty(0)
+        self._blocked = np.empty(0, dtype=bool)
 
     @property
     def capacity(self) -> int:
@@ -568,6 +569,18 @@ class SampleStore:
             self._scratch = np.empty(max(size, 2 * len(self._scratch)))
         return self._scratch[:size].reshape(rows, N_SAMPLE_COLS - COL_DT, k)
 
+    def _stop_search(self, rows: int, k: int) -> np.ndarray:
+        """A ``(rows + 1, k)`` bool scratch view whose last row is all
+        True: ``argmax`` down it finds each column's first True row, or
+        ``rows`` for a column with none.  Grown like :meth:`_window`."""
+        size = (rows + 1) * k
+        if size > len(self._blocked):
+            self._blocked = np.empty(max(size, 2 * len(self._blocked)),
+                                     dtype=bool)
+        block = self._blocked[:size].reshape(rows + 1, k)
+        block[rows] = True
+        return block
+
     def collect(self, slots, now: float, cwnd_pkts: np.ndarray,
                 pacing_pps: np.ndarray,
                 pkts_in_flight: np.ndarray) -> MtpColumns:
@@ -595,10 +608,12 @@ class SampleStore:
         # Observable prefix per flow: stop at its first live sample with
         # ``avail_at > now``, even if later ones are observable.
         rows = np.arange(lo, end)[:, None]
-        blocked = ring[:, COL_AVAIL] > now
+        blocked = self._stop_search(end - lo, k)
+        np.greater(ring[:, COL_AVAIL], now, out=blocked[:end - lo])
         if head:
             blocked[:head] &= rows[:head] >= start
-        stop = np.where(blocked, rows, end).min(axis=0, initial=end)
+        stop = blocked.argmax(axis=0)
+        stop += lo
         hi = int(stop.max(initial=lo))
         # Window rows from ``tail`` on lie at or past some flow's stop;
         # every row in between is inside every flow's prefix.

@@ -108,6 +108,11 @@ class MLP:
         self._out: np.ndarray | None = None
         #: :meth:`infer_rows`' per-layer ``(cap, 1, width)`` outputs.
         self._rows: list[np.ndarray] = []
+        #: :meth:`_distinct_rows`' key weights: a fixed draw, unequal
+        #: per input dimension so that rows which permute each other's
+        #: entries rarely share a key (the key only groups; a byte
+        #: check decides).
+        self._probe = np.random.default_rng(0).uniform(0.5, 1.5, in_dim)
 
     # ------------------------------------------------------------------
 
@@ -171,12 +176,14 @@ class MLP:
         fleet decision pass); a pinned rollout must never stack its
         rows into one gemm.
 
-        Each layer writes into a resident aligned workspace (grown
-        geometrically, never shrunk), then adds the bias and applies
-        the ReLU in place: the same ufuncs on the same operands as
-        :meth:`infer`, without an allocation per layer.  The returned
-        array is always a fresh one.  Not reentrant: two threads must
-        not call it on one net at once.
+        Each distinct row is forwarded once and its output copied to
+        every row that repeats it: identical bytes take the identical
+        BLAS calls, so this changes no bit.  Rows are grouped by a
+        probe key (:meth:`_distinct_rows`), and a grouping is used only
+        if it reproduces ``x`` byte for byte; otherwise every row is
+        forwarded.  The result is always a fresh, owned, C-contiguous
+        array.  Not reentrant: two threads must not call it on one net
+        at once.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -184,10 +191,53 @@ class MLP:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ModelError(
                 f"expected input dim {self.in_dim}, got {x.shape[-1]}")
+        distinct, inverse = self._distinct_rows(x)
+        if distinct is None:
+            return self._forward_rows(x)
+        return self._forward_rows(distinct)[inverse]
+
+    def _distinct_rows(self, x: np.ndarray
+                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(distinct, inverse)``, ``distinct`` free of repeated rows
+        and ``distinct[inverse]`` byte-equal to ``x``, or ``(None,
+        None)`` when every row is distinct or no such grouping is found.
+
+        Rows are sorted (stably) by one float key each, ``x @ probe``,
+        and a run of equal keys is taken for one row.  The key is never
+        trusted: ``-0.0`` and ``0.0``, or two rows whose keys collide,
+        share a key but not their bytes, and the byte check then sends
+        the whole call down the every-row path.  A NaN key equals
+        nothing, so such a row is a group of its own.
+        """
+        keys = x @ self._probe
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        new = keys[1:] != keys[:-1]
+        if new.all():
+            return None, None
+        head = np.ones(len(keys), dtype=bool)  # sorted row starts a group
+        head[1:] = new
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = head.cumsum() - 1
+        distinct = x[order[head]]
+        if not np.array_equal(distinct[inverse].view(np.uint64),
+                              x.view(np.uint64)):
+            return None, None
+        return distinct, inverse
+
+    def _forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`infer_rows`' kernel on a validated ``(n, in_dim)``
+        block: one ``1 x K`` BLAS call per row and layer.
+
+        Each layer writes into a resident aligned workspace (as wide
+        as the widest block so far, never shrunk), then adds the bias
+        and applies the ReLU in place: the same ufuncs on the same
+        operands as :meth:`infer`, without an allocation per layer.
+        The returned array is always a fresh one.
+        """
         n = x.shape[0]
         if not self._rows or n > self._rows[0].shape[0]:
-            cap = max(n, 2 * self._rows[0].shape[0] if self._rows else 0)
-            self._rows = [aligned_zeros((cap, 1, layer.W.shape[1]))
+            self._rows = [aligned_zeros((n, 1, layer.W.shape[1]))
                           for layer in self.layers]
         h = x[:, None, :]
         last = len(self.layers) - 1

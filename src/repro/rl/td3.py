@@ -69,9 +69,10 @@ class TD3Learner:
         (:meth:`~repro.rl.nn.MLP.infer_rows`), so acting on a stacked
         batch of states is bitwise identical to acting on each state
         alone — the contract the serial-vs-batched rollout equivalence
-        rests on.  The exploration noise stream (``self._rng``) is
-        likewise batch-shape-invariant: drawing ``(k, 1)`` normals
-        consumes the stream exactly as ``k`` sequential ``(1, 1)`` draws.
+        rests on — and a state repeated in the batch is forwarded once.
+        The exploration noise stream (``self._rng``) is likewise
+        batch-shape-invariant: drawing ``(k, 1)`` normals consumes the
+        stream exactly as ``k`` sequential ``(1, 1)`` draws.
         """
         action = self.actor.infer_rows(local_state)
         if noise_std > 0:

@@ -13,6 +13,7 @@ from repro.core.policy import (
     load_default_policy,
     new_actor,
 )
+from repro.core.state import LOCAL_FEATURES
 from repro.errors import ModelError
 
 
@@ -64,6 +65,43 @@ class TestStackedForwardIsRowExact:
             for i in range(n):
                 assert np.array_equal(rows[i:i + 1], actor.infer(x[i]))
                 assert actions[i] == bundle.act(x[i])
+
+
+def starved_frame() -> np.ndarray:
+    """One MTP frame of a 400-flow fleet's starved flow (a share of
+    ≈ 0.26 Mbps): relative cwnd, loss and pacing sit at the clip
+    ceiling 6.0 and the latency ratio reads 3.0."""
+    frame = np.array([0.9945, 0.0013, 3.0, 0.05, 6.0, 6.0, 1.0, 6.0])
+    assert len(frame) == LOCAL_FEATURES
+    return frame
+
+
+class TestRepeatedColumns:
+    """``decide_columns`` hands ``act_batch`` the transpose of a
+    ``(in_dim, flows)`` state block in which many flows' columns are
+    byte-identical; every action must still be ``act``'s for that row
+    alone."""
+
+    def test_shipped_bundle(self, monkeypatch):
+        bundle = load_default_policy("astraea")
+        actor = bundle.actor
+        frames = actor.in_dim // LOCAL_FEATURES
+        rng = np.random.default_rng(13)
+        starved = np.tile(starved_frame(), frames)
+        columns = [starved] * 30 + list(
+            rng.uniform(0.0, 6.0, size=(12, actor.in_dim)))
+        columns += columns[30:36]
+        stack = np.array(columns).T[:, rng.permutation(len(columns))]
+        x = np.ascontiguousarray(stack.T)
+        seen = []
+        forward = actor._forward_rows
+        monkeypatch.setattr(actor, "_forward_rows",
+                            lambda rows: seen.append(len(rows))
+                            or forward(rows))
+        actions = bundle.act_batch(x)
+        assert seen == [13]
+        assert [a.hex() for a in actions.tolist()] == \
+            [bundle.act(row).hex() for row in x]
 
 
 class TestDefaults:

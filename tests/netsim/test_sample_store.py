@@ -289,6 +289,80 @@ class TestCollectShapes:
         assert frozen(cols) == before
 
 
+def stop_by_minima(store: SampleStore, slots, now: float) -> np.ndarray:
+    """Each flow's new offset as ``collect`` once computed it: the column
+    minima of an int64 block holding a blocked cell's row, else ``end``."""
+    start = store.start[slots]
+    end = store._end
+    lo = int(start.min(initial=end))
+    head = int(start.max(initial=lo)) - lo
+    rows = np.arange(lo, end)[:, None]
+    blocked = store._buf[lo:end, COL_AVAIL][:, slots] > now
+    if head:
+        blocked[:head] &= rows[:head] >= start
+    return np.where(blocked, rows, end).min(axis=0, initial=end)
+
+
+class TestStopSearch:
+    """The sentinel ``argmax`` that finds where each flow's observable
+    prefix stops, against the column-minima expression it replaced."""
+
+    def store(self, avail: np.ndarray, start) -> SampleStore:
+        store = SampleStore()
+        store.reindex(np.arange(0, dtype=np.intp), np.full(avail.shape[1],
+                                                           0.03))
+        blk = store.reserve(len(avail))
+        blk[:] = 1.0
+        blk[:, COL_AVAIL] = avail
+        store.commit(len(avail))
+        store.start[:] = start
+        return store
+
+    def check(self, store: SampleStore, slots, now: float) -> np.ndarray:
+        want = stop_by_minima(store, slots, now)
+        k = len(want)
+        store.collect(slots, now, np.ones(k), np.ones(k), np.ones(k))
+        got = store.start[slots]
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        return got
+
+    def test_staggered_starts_and_stops(self):
+        avail = np.zeros((10, 6))
+        avail[7, 0] = 1.0  # blocked from row 7
+        avail[2, 1] = 1.0  # blocked below its start: ignored
+        avail[4, 2] = 1.0  # blocked at its start
+        avail[[5, 8], 3] = 1.0  # the first blocked row counts
+        avail[:, 4] = np.nan  # NaN never blocks
+        # Flow 5 has no blocked row: it stops at ``end``.
+        stop = self.check(self.store(avail, [0, 3, 4, 1, 6, 2]),
+                          np.arange(6), 0.5)
+        assert stop.tolist() == [7, 10, 4, 5, 10, 10]
+
+    @pytest.mark.parametrize("slots", [[4, 0, 2], [1, 2, 3]])
+    def test_slot_subsets(self, slots):
+        avail = np.random.default_rng(3).uniform(0.0, 1.0, (12, 5))
+        self.check(self.store(avail, [0, 5, 2, 9, 4]),
+                   np.array(slots, dtype=np.intp), 0.7)
+
+    def test_empty_window(self):
+        store = self.store(np.zeros((4, 3)), [4, 4, 4])
+        assert self.check(store, np.arange(3), 0.5).tolist() == [4, 4, 4]
+        assert len(self.check(store, np.arange(0, dtype=np.intp),
+                              0.5)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_blocks(self, data):
+        rows = data.draw(st.integers(0, 20))
+        k = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        avail = rng.uniform(0.0, 1.0, (rows, k))
+        start = data.draw(st.lists(st.integers(0, rows), min_size=k,
+                                   max_size=k))
+        self.check(self.store(avail, start), np.arange(k),
+                   data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])))
+
+
 def test_first_collect_peak_memory_per_flow():
     """The fold's scratch is the ``(rows, 6, k)`` window and little
     else: at most 2000 traced bytes per flow on a 30-row first collect

@@ -410,3 +410,125 @@ class TestInferRows:
             assert net._rows[0].shape[0] >= n
             for i in range(n):
                 assert rows[i:i + 1].tobytes() == net.infer(x[i]).tobytes()
+
+
+#: Entries a fleet state or a corrupt one can hold: the clip ceiling,
+#: the latency ratio a starved flow reads, both zeros, NaN and ±inf.
+_SPECIAL = (0.0, -0.0, 6.0, 3.0, 1.0, np.nan, np.inf, -np.inf)
+
+
+def _entries():
+    return st.sampled_from(_SPECIAL) | st.floats(-8.0, 8.0)
+
+
+class TestDistinctRows:
+    """``infer_rows`` forwards each distinct row once and copies its
+    output to the rows that repeat it; no row may change by a bit."""
+
+    DIM = 6
+
+    def net(self, output: str = "tanh") -> MLP:
+        return MLP(in_dim=self.DIM, hidden=(16, 8), out_dim=2,
+                   output=output, seed=5)
+
+    @staticmethod
+    def assert_row_exact(net: MLP, x: np.ndarray, out: np.ndarray) -> None:
+        assert out.shape == (len(x), net.out_dim)
+        for i in range(len(x)):
+            assert out[i:i + 1].tobytes() == net.infer(x[i]).tobytes(), i
+
+    # ``inf - inf`` inside a forward warns; the bits are what count.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_repeated_rows_are_row_exact(self, data):
+        pool = data.draw(st.lists(
+            st.lists(_entries(), min_size=self.DIM, max_size=self.DIM),
+            min_size=1, max_size=5))
+        # A twin of the first row that differs only in a zero's sign.
+        pool[0][0] = 0.0
+        pool.append([-0.0] + pool[0][1:])
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=1, max_size=40))
+        x = np.array([pool[i] for i in data.draw(st.permutations(picks))])
+        net = self.net(data.draw(st.sampled_from(["linear", "tanh"])))
+        self.assert_row_exact(net, x, net.infer_rows(x))
+
+    def test_signed_zero_twins_are_not_merged(self):
+        net = self.net()
+        x = np.zeros((4, self.DIM))
+        x[1::2, 3] = -0.0
+        assert net._distinct_rows(x) == (None, None)
+        self.assert_row_exact(net, x, net.infer_rows(x))
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_key_collision_falls_back_to_every_row(self, output):
+        """Two byte-distinct rows share a key once the probe ignores the
+        column they differ in; the byte check must catch it."""
+        net = self.net(output)
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(2, self.DIM))
+        b[1:] = a[1:]
+        x = np.array([a, b, a, b, a])
+        assert (net._probe @ a) != (net._probe @ b)
+        distinct, inverse = net._distinct_rows(x)
+        assert len(distinct) == 2
+        assert distinct[inverse].tobytes() == x.tobytes()
+        net._probe = net._probe.copy()
+        net._probe[0] = 0.0
+        assert (net._probe @ a) == (net._probe @ b)
+        assert net._distinct_rows(x) == (None, None)
+        self.assert_row_exact(net, x, net.infer_rows(x))
+
+    def test_forward_sees_the_distinct_rows_only(self, monkeypatch):
+        net = self.net()
+        pool = np.random.default_rng(9).normal(size=(7, self.DIM))
+        x = pool[np.random.default_rng(10).integers(0, 7, 400)]
+        x[:7] = pool
+        seen = []
+        forward = net._forward_rows
+        monkeypatch.setattr(net, "_forward_rows",
+                            lambda rows: seen.append(len(rows))
+                            or forward(rows))
+        out = net.infer_rows(x)
+        assert seen == [7]
+        assert net._rows[0].shape[0] == 7
+        self.assert_row_exact(net, x, out)
+        net.infer_rows(pool[:3])
+        assert seen == [7, 3] and net._rows[0].shape[0] == 7
+        # Grown to the wider block exactly, not doubled: the distinct
+        # count moves from call to call, and a doubled workspace would
+        # hold rows no call forwards.
+        net.infer_rows(np.concatenate([pool, pool[:2] + 1.0, pool]))
+        assert seen == [7, 3, 9] and net._rows[0].shape[0] == 9
+
+    def test_public_entry_is_called_once_per_call(self, monkeypatch):
+        """A wrapper on the class attribute (as the perf ledger installs
+        one) counts the rows asked for, once per call."""
+        calls = []
+        original = MLP.__dict__["infer_rows"]
+
+        def counting(self, x):
+            calls.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(MLP, "infer_rows", counting)
+        net = self.net()
+        x = np.repeat(np.random.default_rng(11).normal(size=(3, self.DIM)),
+                      4, axis=0)
+        net.infer_rows(x)
+        net.infer_rows(x[:5])
+        assert calls == [12, 5]
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_duplicated_result_is_owned_and_unaliased(self, output):
+        net = self.net(output)
+        x = np.tile(np.random.default_rng(12).normal(size=self.DIM), (5, 1))
+        out = net.infer_rows(x)
+        assert out.flags.owndata and out.base is None
+        assert out.flags.c_contiguous and out.shape == (5, 2)
+        kept = out.copy()
+        out[0] = 7.0
+        assert out[1:].tobytes() == kept[1:].tobytes()
+        net.infer_rows(x)
+        assert out[1:].tobytes() == kept[1:].tobytes()
