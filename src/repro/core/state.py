@@ -214,23 +214,36 @@ def global_state_columns(thr_pps: np.ndarray, avg_rtt_s: np.ndarray,
     """:func:`global_state_vector` from the active flows' latest
     throughput, latency, window and loss-rate columns (one entry per
     flow, in the flows' order: the sums are order-dependent)."""
-    c_pps = mbps_to_pps(link.bandwidth_mbps)
-    bdp = max(c_pps * link.rtt_s, 1e-6)
     n = len(thr_pps)
     if not n:
         thr_pps = avg_rtt_s = cwnd_pkts = loss_rate = np.zeros(1)
+    return global_state_from_reductions(
+        thr_pps.sum(), thr_pps.min(), thr_pps.max(), avg_rtt_s.mean(),
+        cwnd_pkts.min(), cwnd_pkts.max(), cwnd_pkts.mean(),
+        loss_rate.mean(), n, link)
+
+
+def global_state_from_reductions(thr_sum, thr_min, thr_max, avg_rtt_s,
+                                 cwnd_min, cwnd_max, cwnd_mean,
+                                 loss_rate_mean, n: int,
+                                 link: LinkConfig) -> np.ndarray:
+    """:func:`global_state_columns` from the reductions of its columns
+    (each a 1-D reduction of one column, a mean its sum over ``n``),
+    for a caller that has them already."""
+    c_pps = mbps_to_pps(link.bandwidth_mbps)
+    bdp = max(c_pps * link.rtt_s, 1e-6)
     vec = np.array([
-        thr_pps.sum() / c_pps,                                # ovr_thr
-        thr_pps.min() / c_pps,                                # min_thr
-        thr_pps.max() / c_pps,                                # max_thr
-        min(avg_rtt_s.mean() / link.rtt_s, _RATIO_CLIP),      # avg_lat
-        cwnd_pkts.min() / bdp,                                # min_cwnd
-        cwnd_pkts.max() / bdp,                                # max_cwnd
-        cwnd_pkts.mean() / bdp,                               # avg_cwnd
-        loss_rate.mean(),                                     # loss_ratio
+        thr_sum / c_pps,                                      # ovr_thr
+        thr_min / c_pps,                                      # min_thr
+        thr_max / c_pps,                                      # max_thr
+        min(avg_rtt_s / link.rtt_s, _RATIO_CLIP),             # avg_lat
+        cwnd_min / bdp,                                       # min_cwnd
+        cwnd_max / bdp,                                       # max_cwnd
+        cwnd_mean / bdp,                                      # avg_cwnd
+        loss_rate_mean,                                       # loss_ratio
         n / _NUM_FLOW_SCALE,                                  # num_flow
         link.one_way_delay_s / (_LAT_SCALE_S / 2.0),          # d0
         link.buffer_size_packets / bdp / _BUFFER_BDP_SCALE,   # buf
         link.bandwidth_mbps / _THR_MAX_SCALE_MBPS,            # c
     ])
-    return np.clip(vec, 0.0, _RATIO_CLIP)
+    return np.clip(vec, 0.0, _RATIO_CLIP, out=vec)

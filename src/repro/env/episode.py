@@ -24,6 +24,7 @@ either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +42,10 @@ from ..core.action import apply_action, apply_action_columns, \
 from ..core.learner import Learner
 from ..core.reward import RewardBlock
 from ..core.state import GLOBAL_FEATURES, LOCAL_FEATURES, LocalStateBlock, \
-    column_rows, global_state_columns
+    column_rows, global_state_from_reductions
 from ..errors import ConfigError, ModelError
-from ..netsim.stats import MtpColumns, MtpStats
+from ..netsim.stats import MtpColumns, MtpStats, contiguous_run
+from ..units import mbps_to_pps
 from .multiflow import build_driver
 
 
@@ -72,6 +74,9 @@ class TrainingPolicy:
         #: Per slot: whether the agent was reset since the observer last
         #: looked (its state block, and so its Eq. 7 history, restarted).
         self.restarted = np.zeros(0, dtype=bool)
+        #: :meth:`TrainFlowController.decide_columns`' scratch (the
+        #: actions, the forward's input rows), one row per agent.
+        self._actions = self._rows = np.zeros(0)
 
     def add_agent(self, stream: np.random.Generator) -> int:
         """Register an agent's exploration stream; returns its slot."""
@@ -90,9 +95,19 @@ class TrainingPolicy:
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         return self.learner.act_batch(states)
 
+    def scratch(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``k`` rows of the decision scratch: an action vector and the
+        ``(k, local_dim)`` forward input.  Sized to the agent count on
+        first use (the agents join before the episode runs)."""
+        if len(self._actions) < k:
+            n = max(k, len(self.streams))
+            self._actions = np.zeros(n)
+            self._rows = np.zeros((n, self.states.shape[1]))
+        return self._actions[:k], self._rows[:k]
+
     def record(self, slots, states: np.ndarray, actions) -> None:
-        """The decisions of the agents at ``slots``: the states acted on
-        and the actions applied."""
+        """The decisions of the agents at ``slots`` (an index array, or
+        a slice): the states acted on and the actions applied."""
         self.states[slots] = states
         self.actions[slots] = actions
         self.has_state[slots] = True
@@ -236,9 +251,10 @@ class TrainFlowController(ColumnController):
         cwnd, alpha, use_pacing, noise_std, slot = state[:len(cls.STATE)]
         stack = LocalStateBlock.update_columns(columns,
                                                state[len(cls.STATE):])
-        slots = slot.astype(np.intp).tolist()
-        streams = list(map(policy.streams.__getitem__, slots))
-        action = np.empty(len(cwnd))
+        slots = slot.astype(np.intp)
+        streams = list(map(policy.streams.__getitem__, slots.tolist()))
+        k = len(cwnd)
+        action, rows = policy.scratch(k)
         asking = []
         warm = policy.warm
         for j, stream in enumerate(streams):
@@ -247,21 +263,25 @@ class TrainFlowController(ColumnController):
             else:
                 action[j] = stream.uniform(-0.999, 0.999)
         if asking:
-            sel = slice(None) if len(asking) == len(cwnd) else asking
             # The stacked forward needs rows laid out as act() sees them.
-            clean = policy.act_batch(np.ascontiguousarray(stack[:, sel].T))
+            if len(asking) == k:
+                np.copyto(rows, stack.T)
+            else:
+                rows = np.ascontiguousarray(stack[:, asking].T)
+            clean = policy.act_batch(rows)
             noise = noise_std.tolist()
             for j, a in zip(asking, clean.tolist()):
                 if noise[j] > 0:
                     a = a + streams[j].normal(0.0, noise[j])
                 action[j] = a
             # (An exploring row's uniform draw is inside the clip.)
-            np.clip(action, -0.999, 0.999, out=action)
+            action.clip(-0.999, 0.999, out=action)
         cwnd[:] = apply_action_columns(cwnd, action, alpha)
-        policy.record(slots, stack.T, action)
-        pacing = np.where(use_pacing != 0,
-                          cwnd / np.maximum(columns.srtt_s, 1e-6), np.inf)
-        return cwnd, pacing
+        policy.record(contiguous_run(slots), stack.T, action)
+        floor = np.maximum(columns.srtt_s, 1e-6)
+        if use_pacing.all():
+            return cwnd, np.divide(cwnd, floor, out=floor)
+        return cwnd, np.where(use_pacing != 0, cwnd / floor, np.inf)
 
 
 @dataclass
@@ -335,12 +355,16 @@ class Observer:
         self._end = np.array([f.end_s() for f in flows], dtype=float)
         # The latest stats of every flow seen, in first-seen order.
         self._seen = np.zeros(n, dtype=bool)
+        self._unseen = n
         self._order = np.zeros(0, dtype=np.intp)
         self._latest = np.zeros((len(_LATEST), n))
         # Eq. 7's throughput history, oldest first, zero-padded above.
         history = learner.cfg.history_length
         self._ring = np.zeros((history, n))
         self._ring_len = np.zeros(n, dtype=np.intp)
+        # The reward's scratch: per flow the loss ratio, the fairness
+        # share and the coefficient of variation.
+        self._terms = np.zeros((3, n))
         # Each agent's pending (g, s, a) and whether it has one.
         local_dim = LOCAL_FEATURES * history
         self._pending = np.zeros(n, dtype=bool)
@@ -380,12 +404,15 @@ class Observer:
     def _publish(self, index: np.ndarray, columns: MtpColumns) -> None:
         """Take the pass's stats as the flows' latest, and their
         throughputs into the rings (see the class docstring)."""
-        new = ~self._seen[index]
-        if np.count_nonzero(new):
-            self._seen[index] = True
-            self._order = np.concatenate([self._order, index[new]])
-        self._latest[:, index] = [getattr(columns, name)
-                                  for name in _LATEST]
+        if self._unseen:
+            new = ~self._seen[index]
+            fresh = int(np.count_nonzero(new))
+            if fresh:
+                self._seen[index] = True
+                self._order = np.concatenate([self._order, index[new]])
+                self._unseen -= fresh
+        at = contiguous_run(index)
+        self._latest[:, at] = [getattr(columns, name) for name in _LATEST]
         ring = self._ring
         thr = columns.throughput_pps
         table = self._agents
@@ -400,10 +427,10 @@ class Observer:
             if not has.all():
                 keep = ~self._is_agent[index] | has[self._slot[index]]
                 index, thr = index[keep], thr[keep]
-        ring[:-1, index] = ring[1:, index]
-        ring[-1, index] = thr
-        self._ring_len[index] = np.minimum(self._ring_len[index] + 1,
-                                           len(ring))
+                at = contiguous_run(index)
+        ring[:-1, at] = ring[1:, at]
+        ring[-1, at] = thr
+        self._ring_len[at] = np.minimum(self._ring_len[at] + 1, len(ring))
 
     def _active_indices(self, now: float) -> np.ndarray:
         """Active *agent* flows in first-seen order (cross-traffic
@@ -414,7 +441,7 @@ class Observer:
             & (now < self._end[order])
         return order[keep]
 
-    def _throughput_moments(self, flows: np.ndarray
+    def _throughput_moments(self, flows
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Mean and std-dev of each flow's throughput ring: the
         ``LocalStateBlock.avg_throughput_pps`` / ``throughput_std_pps``
@@ -425,7 +452,9 @@ class Observer:
         padding adds exact zeros; a longer history takes NumPy's own
         reductions per flow.  With one entry the deviation is exactly
         zero, the block's ``0.0``; an empty ring (a reset agent that has
-        not decided since) has the block's ``0.0`` mean too.
+        not decided since) has the block's ``0.0`` mean too.  With every
+        ring full there is no padding to mask.  ``flows`` indexes the
+        flows (a slice for a contiguous run).
         """
         ring = self._ring[:, flows]
         count = self._ring_len[flows]
@@ -437,43 +466,119 @@ class Observer:
                               for r in rows]),
                     np.array([np.std(r) if len(r) >= 2 else 0.0
                               for r in rows]))
-        count = np.maximum(count, 1)     # an empty ring is all zeros
+        full = np.minimum.reduce(count) == history
+        if not full:
+            count = np.maximum(count, 1)     # an empty ring is all zeros
         mean = ring.sum(axis=0) / count
         dev = ring - mean
-        dev[np.arange(history)[:, None] < history - count] = 0.0
+        if not full:
+            dev[np.arange(history)[:, None] < history - count] = 0.0
         dev *= dev
         return mean, np.sqrt(dev.sum(axis=0) / count)
+
+    def _state_and_reward(self, active: np.ndarray
+                          ) -> tuple[np.ndarray, float | None]:
+        """The global state of the ``active`` flows and, unless the
+        reward is local, their shared reward: what
+        :func:`~repro.core.state.global_state_columns` and
+        ``RewardBlock.compute_columns(...).total`` give on the same
+        rows, bit for bit, with fewer NumPy calls.
+
+        Every statistic is one 1-D reduction of one row of the latest
+        block, shared where the two need the same one; a mean is that
+        sum over the count, as ``np.mean`` takes it.  (Not a 2-D
+        ``sum(axis=1)`` over the block: when the rows are strided — a
+        transposed or column-major block — NumPy adds across them one
+        column at a time, while a 1-D sum of eight or more entries runs
+        eight pairwise accumulators, and at 8 flows the two differ in
+        the last ulp on most passes.)  A ratio whose denominator is
+        above its floor on every flow is the plain quotient, which is
+        what the floor and the ``np.where`` give then.
+        """
+        at = contiguous_run(active)
+        thr, rtt, loss_pps, pacing, cwnd, loss_rate = self._latest[:, at]
+        m = len(active)
+        ratio, share, cv = self._terms[:, :m]
+        add, low = np.add.reduce, np.minimum.reduce
+        thr_sum, thr_min = add(thr), low(thr)
+        avg_rtt = add(rtt) / m
+        g = global_state_from_reductions(
+            thr_sum, thr_min, np.maximum.reduce(thr), avg_rtt, low(cwnd),
+            np.maximum.reduce(cwnd), add(cwnd) / m, add(loss_rate) / m, m,
+            self.link)
+        if self.local_reward is not None:
+            return g, None
+
+        # RewardBlock.compute_columns, term by term (Eqs. 4-8).
+        cfg = self.reward_block.config
+        c = mbps_to_pps(self.link.bandwidth_mbps)
+        if c <= 0:
+            raise ModelError("link capacity must be positive")
+        r_thr = min(float(thr_sum / c), 1.5)
+        if thr_min > 1e-9:
+            ratio = np.divide(loss_pps, thr, out=ratio)
+        else:
+            ratio = np.where(thr > 1e-9, loss_pps / np.maximum(thr, 1e-9),
+                             np.where(loss_pps > 0, 1.0, 0.0))
+        r_loss = float(add(np.minimum(ratio, 1.0, out=ratio)) / m)
+        base = self.link.rtt_s
+        tolerance = (1.0 + cfg.beta) * base
+        avg_lat = float(avg_rtt)
+        r_lat = 0.0
+        if avg_lat > tolerance:
+            r_lat = min(((avg_lat - tolerance) / base)
+                        * float(add(pacing)) / c, 4.0)
+        # fairness_term and stability_term of the ring moments.
+        avg_thr, thr_std = self._throughput_moments(at)
+        total = add(avg_thr)
+        r_fair = 0.0
+        if total > 0 and math.isfinite(total):
+            np.divide(avg_thr, total, out=share)
+            share -= 1.0 / m
+            share *= share
+            r_fair = math.sqrt(add(share) / m)
+        if low(avg_thr) > 1e-9:
+            cv = np.divide(thr_std, avg_thr, out=cv)
+        else:
+            cv = np.where(avg_thr > 1e-9,
+                          thr_std / np.maximum(avg_thr, 1e-9), 0.0)
+        r_stab = float(add(np.minimum(cv, 4.0, out=cv)) / m)
+        total = (cfg.c_thr * r_thr
+                 - cfg.c_lat * r_lat
+                 - cfg.c_loss * r_loss
+                 - cfg.c_fair * r_fair
+                 - cfg.c_stab * r_stab)
+        # np.clip's value on every float, NaN and signed zeros included.
+        return g, min(max(total, -cfg.bound), cfg.bound)
 
     def _emit(self, now: float, index: np.ndarray, agent: np.ndarray,
               columns: MtpColumns, active: np.ndarray) -> None:
         """One transition per agent of the pass (cross traffic is
         environment, not an agent, and emits none)."""
-        thr, rtt, loss_pps, pacing, cwnd, loss_rate = self._latest[:, active]
         agents = index[agent]
-        if self.local_reward is None:
-            avg_thr, thr_std = self._throughput_moments(active)
-            reward = self.reward_block.compute_columns(
-                thr, avg_thr, thr_std, rtt, loss_pps, pacing).total
+        g_now, reward = self._state_and_reward(active)
+        if reward is not None:
             rewards = np.full(len(agents), reward)
         else:
             rows = (columns if len(agents) == len(index)
                     else columns.take(np.flatnonzero(agent))).rows()
             rewards = np.array([self.local_reward(s, self.link)
                                 for s in rows], dtype=float)
-        g_now = global_state_columns(thr, rtt, cwnd, loss_rate, self.link)
         table = self._agents
         slots = self._slot[agents]
         # An agent with no state yet (e.g. a controller reset out of
         # band) has nothing to pair: its pending tuple is dropped.
         has = table.has_state[slots]
         pending = self._pending
-        pending[agents[~has]] = False
-        emit = has & pending[agents]
+        if not has.all():
+            pending[agents[~has]] = False
+            agents, slots, rewards = agents[has], slots[has], rewards[has]
+        emit = pending[agents]
         k = int(np.count_nonzero(emit))
         if k:
-            rows = agents[emit]
+            rows, r = agents[emit], rewards[emit]
             g_prev, s_prev = self._pending_g[rows], self._pending_s[rows]
-            a_prev, r = self._pending_a[rows], rewards[emit]
+            a_prev = self._pending_a[rows]
             s_now = table.states[slots[emit]]
             if self.transition_sink is not None:
                 for j in range(k):
@@ -489,11 +594,10 @@ class Observer:
             stats.reward_count += k
             for value in r.tolist():
                 stats.reward_sum += value
-        rows, slots = agents[has], slots[has]
-        pending[rows] = True
-        self._pending_g[rows] = g_now
-        self._pending_s[rows] = table.states[slots]
-        self._pending_a[rows] = table.actions[slots]
+        pending[agents] = True
+        self._pending_g[agents] = g_now
+        self._pending_s[agents] = table.states[slots]
+        self._pending_a[agents] = table.actions[slots]
 
 
 def build_training_controllers(learner, scenario: ScenarioConfig,

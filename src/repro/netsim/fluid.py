@@ -38,7 +38,7 @@ There is one kernel per topology: a single-link specialisation and a
 general multi-link kernel, which also drains the queues of an idle
 network.  The original per-tick physics is the test oracle
 (``tests/oracles/fluid_reference.py``); the differential suite pins the
-kernels to it at per-tick per-flow deltas <= 1e-9.
+kernels to it bit for bit (ECN-marked counts to the last ulp).
 """
 
 from __future__ import annotations
@@ -547,31 +547,34 @@ class FluidNetwork:
     def _advance_single(self, dt: float, n_ticks: int) -> None:
         """Block kernel specialised for the dominant single-link case.
 
-        Queue state lives in Python scalars and per-flow state in the
-        persistent SoA vectors; each tick costs a handful of ufunc calls
-        on length-``n`` arrays and two qdisc method calls, nothing else.
+        Two phases (docs/architecture.md §7).  The tick loop runs only
+        the queue recursion — per tick the rtt row, the rate row, one
+        sum and the scalar queue update, with the fault and qdisc
+        queries in their per-tick order — and records each tick's
+        scalars.  :meth:`_single_columns` then writes the block's
+        per-flow columns as ``(ticks, n)`` array operations.
         """
         link = self._links[0]
         qdisc = link.qdisc
         base_rtt = self._base_rtt
         cwnd = self._cwnd
         pacing = self._pacing
-        n = len(self._flows)
         have_faults = self._faults is not None
         traced = bool(self._traced_idx)
         static0 = float(self._static_cap[0]) if not traced else 0.0
         rloss = link.config.random_loss
         buffer_pkts = link.buffer_pkts
 
-        times = np.empty(n_ticks)
         blk = self._new_sample_block(n_ticks)
-        rate = np.empty(n)
-        goodput = np.empty(n)
-        share = np.empty(n)
-        have_share = link.last_share is not None and \
-            link.last_share.size == n
-        if have_share:
-            np.copyto(share, link.last_share)
+        rtts = blk[:, COL_RTT]
+        rates = np.empty((n_ticks, len(self._flows)))
+        # Per tick: (start time, total arrival, departure, overflow drop,
+        # mark fraction); with faults, the wire-loss probability and the
+        # spurious-loss fraction; the ticks with an early drop.
+        ticks = []
+        wire, spurious, early_at, early_frac = [], [], [], []
+        # ``ndarray.sum`` without its Python wrapper: the same reduction.
+        add_reduce = np.add.reduce
 
         q = link.queue_pkts
         arr_acc = dlv_acc = drop_acc = 0.0
@@ -579,9 +582,11 @@ class FluidNetwork:
         for k in range(n_ticks):
             if have_faults:
                 fm, fl, fs, fd = self._fault_terms(t)
+                wire.append(min(rloss + fl, 0.99))
+                spurious.append(fs)
             else:
                 fm = 1.0
-                fl = fs = fd = 0.0
+                fd = 0.0
             nominal = link.capacity_pps(t) if traced else static0
             cap = nominal * fm
             if cap > 0:
@@ -589,23 +594,23 @@ class FluidNetwork:
             else:
                 qd = q / nominal if nominal > 0 else 0.0
 
-            row = blk[k]
-            rtt_row = row[COL_RTT]
+            rtt_row = rtts[k]
             np.add(base_rtt, qd, out=rtt_row)
             if fd:
                 rtt_row += fd
+            rate = rates[k]
             np.divide(cwnd, rtt_row, out=rate)
             np.minimum(rate, pacing, out=rate)
-            np.multiply(rate, dt, out=row[COL_SENT])
 
-            arrival = rate
             early = qdisc.drop_fraction(q, qd, t, dt)
             if early > 0:
                 early_drop = rate * early
-                row[COL_LOST] += early_drop * dt
-                drop_acc += float(early_drop.sum()) * dt
-                arrival = rate - early_drop
-            total_arrival = float(arrival.sum())
+                drop_acc += float(add_reduce(early_drop)) * dt
+                total_arrival = float(add_reduce(rate - early_drop))
+                early_at.append(k)
+                early_frac.append(early)
+            else:
+                total_arrival = float(add_reduce(rate))
             arr_acc += total_arrival * dt
             q_tentative = q + (total_arrival - cap) * dt
             if q_tentative > buffer_pkts:
@@ -615,36 +620,11 @@ class FluidNetwork:
                 dropped = 0.0
                 q_new = q_tentative if q_tentative > 0.0 else 0.0
             delivered_pkts = q + total_arrival * dt - dropped - q_new
-            departure = delivered_pkts / dt
             q = q_new
             dlv_acc += delivered_pkts
             drop_acc += dropped
-
-            if total_arrival > 0:
-                np.divide(arrival, total_arrival, out=share)
-                have_share = True
-            if have_share:
-                np.multiply(share, departure, out=goodput)
-                mark = qdisc.mark_fraction(q, qd, t, dt)
-                if mark > 0:
-                    row[COL_MARK] += goodput * (mark * dt)
-                p = min(rloss + fl, 0.99)
-                if dropped > 0.0 or p > 0 or fs > 0:
-                    drop_rate = share * (dropped / dt)
-                    if p > 0:
-                        rand_loss = goodput * p
-                        goodput -= rand_loss
-                        drop_rate = drop_rate + rand_loss
-                    if fs > 0:
-                        drop_rate = drop_rate + goodput * fs
-                    row[COL_LOST] += drop_rate * dt
-            else:
-                # Nothing has ever arrived at this link: fluid (if any)
-                # is unattributable, matching the reference zero share.
-                goodput[:] = 0.0
-                mark = qdisc.mark_fraction(q, qd, t, dt)
-            np.multiply(goodput, dt, out=row[COL_DLV])
-            times[k] = t
+            ticks.append((t, total_arrival, delivered_pkts / dt, dropped,
+                          qdisc.mark_fraction(q, qd, t, dt)))
             t = t + dt
 
         self.now = t
@@ -652,8 +632,96 @@ class FluidNetwork:
         link.total_arrived_pkts += arr_acc
         link.total_delivered_pkts += dlv_acc
         link.total_dropped_pkts += drop_acc
-        link.last_share = share if have_share else None
-        self._flush_block(dt, times, blk, rate, goodput)
+        if not have_faults:
+            wire = [min(rloss, 0.99)] * n_ticks if rloss > 0 else None
+            spurious = None
+        times, *scalars = np.array(ticks).T
+        goodput = self._single_columns(dt, blk, rates, *scalars, wire,
+                                       spurious, early_at, early_frac)
+        self._flush_block(dt, times, blk, rates[-1], goodput[-1])
+
+    def _single_columns(self, dt: float, blk: np.ndarray, rates: np.ndarray,
+                        total: np.ndarray, departure: np.ndarray,
+                        overflow: np.ndarray, mark: np.ndarray, wire,
+                        spurious, early_at, early_frac) -> np.ndarray:
+        """The per-flow phase of :meth:`_advance_single`: from the rate
+        rows and the per-tick scalars (``wire`` / ``spurious`` are
+        ``None`` when zero on every tick), write the sent, lost, marked
+        and delivered columns into ``blk`` and the link's carried share,
+        and return the goodput rows.
+
+        Per element these are the ufuncs a per-tick loop applies to the
+        same operands — a broadcast ``(ticks, 1)`` column in place of a
+        tick's scalar, a subset of rows in place of the ticks a branch
+        takes — so every sample is bit for bit what ticking gives.  The
+        only reductions, the arrival sums, stayed in the tick loop.
+
+        Row ``k + 1`` of ``shares`` is tick ``k``'s arrival share.  A
+        tick with no arrivals carries the share of the latest tick that
+        had some, or (row 0) the link's share from an earlier block.
+        Before any share exists row 0 is zeros, the per-tick physics'
+        zero share: those ticks have no arrivals, so their departure is
+        a drain (``>= 0``), and every flow gets exactly ``0.0`` of it.
+        """
+        link = self._links[0]
+        m, n = rates.shape
+        lost = blk[:, COL_LOST]
+        np.multiply(rates, dt, out=blk[:, COL_SENT])
+        arrival = rates
+        if early_at:
+            at = np.array(early_at)
+            early_drop = rates[at] * np.array(early_frac)[:, None]
+            lost[at] += early_drop * dt
+            arrival = rates.copy()
+            arrival[at] = rates[at] - early_drop
+
+        shares = np.empty((m + 1, n))
+        have_share = link.last_share is not None and \
+            link.last_share.size == n
+        shares[0] = link.last_share if have_share else 0.0
+        sending = total > 0
+        if sending.all():
+            np.divide(arrival, total[:, None], out=shares[1:])
+            have_share = True
+        else:
+            np.divide(arrival, total[:, None], out=shares[1:],
+                      where=sending[:, None])
+            src = np.where(sending, np.arange(1, m + 1), 0)
+            np.maximum.accumulate(src, out=src)
+            shares[1:] = shares[src]
+            have_share = have_share or bool(src[-1])
+        link.last_share = shares[-1].copy() if have_share else None
+        goodput = shares[1:] * departure[:, None]
+
+        if mark.any():      # (fractions in [0, 1])
+            at = np.flatnonzero(mark > 0)
+            blk[at, COL_MARK] += goodput[at] * (mark[at] * dt)[:, None]
+
+        # Overflow drops, wire loss (which comes out of the goodput) and
+        # spurious loss.
+        lossy = overflow > 0
+        if wire is not None:
+            wire = np.array(wire)
+            lossy |= wire > 0
+        if spurious is not None:
+            spurious = np.array(spurious)
+            lossy |= spurious > 0
+        rows = np.flatnonzero(lossy) if lossy.any() else ()
+        if len(rows):
+            drop_rate = shares[rows + 1] * (overflow[rows] / dt)[:, None]
+            if wire is not None:
+                hit = wire[rows] > 0
+                at = rows[hit]
+                rand_loss = goodput[at] * wire[at][:, None]
+                goodput[at] -= rand_loss
+                drop_rate[hit] += rand_loss
+            if spurious is not None:
+                hit = spurious[rows] > 0
+                drop_rate[hit] += goodput[rows[hit]] * \
+                    spurious[rows[hit]][:, None]
+            lost[rows] += drop_rate * dt
+        np.multiply(goodput, dt, out=blk[:, COL_DLV])
+        return goodput
 
     def _advance_multi(self, dt: float, n_ticks: int) -> None:
         """Block kernel for multi-link topologies and idle networks.

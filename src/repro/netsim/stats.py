@@ -594,9 +594,10 @@ class SampleStore:
         ``(rows, 6, k)`` buffer, and cells outside their flow's prefix
         are set to ``+0.0`` — selected, never multiplied by a mask: ring
         cells below a flow's start may hold garbage, NaN included.  Then
-        one loop over the window's rows folds the six sums and the srtt
-        EWMA in sample order.  No returned column aliases the buffer,
-        the ring or the store's state."""
+        one loop over the window's rows runs the srtt EWMA in sample
+        order, and one reduction down the sample axis takes the six
+        sums, as sequential per flow as the row fold.  No returned
+        column aliases the buffer, the ring or the store's state."""
         at = contiguous_run(slots)
         start = self.start[at]
         k = len(start)
@@ -639,22 +640,24 @@ class SampleStore:
             rtt_min = np.minimum.reduce(rtt, axis=0, initial=np.inf,
                                         where=inside)
             gains = np.where(inside, SRTT_GAIN, 0.0)
-        # One fold down the sample axis with flows as lanes, strictly
-        # sequential per lane like the row fold (np.sum is free to
-        # re-associate): ``rtt`` becomes ``rtt * dt`` once the srtt
-        # EWMA has read it, and a cell outside its flow's prefix changes
+        # The srtt EWMA, one row at a time with flows as lanes; then
+        # ``rtt`` becomes ``rtt * dt`` and the six sums are one
+        # reduction down the sample axis.  That axis is the outermost of
+        # the C-ordered window, so NumPy adds whole rows into the sums
+        # in sample order, from 0.0 — strictly sequential per lane like
+        # the row fold (a sum along a lane's own contiguous axis would
+        # be pairwise).  A cell outside its flow's prefix changes
         # nothing.
-        weight, rtt_weighted, sent, delivered, lost, marked = \
-            tot = np.zeros((N_SAMPLE_COLS - COL_DT, k))
         srtt = self.srtt[at].copy()
         step = np.empty(k)
         add, multiply, subtract = np.add, np.multiply, np.subtract
-        for row, dt, rtt_r, gain in zip(window, window[:, 0], rtt, gains):
+        for rtt_r, gain in zip(rtt, gains):
             subtract(rtt_r, srtt, step)
             multiply(step, gain, step)
             add(srtt, step, srtt)
-            multiply(rtt_r, dt, rtt_r)
-            add(tot, row, tot)
+        multiply(rtt, window[:, 0], out=rtt)
+        weight, rtt_weighted, sent, delivered, lost, marked = \
+            np.add.reduce(window, axis=0, initial=0.0)
         self.start[at] = stop
         self.srtt[at] = srtt
         duration = np.maximum(now - self.last_collect[at], 1e-9)

@@ -58,29 +58,36 @@ class Linear:
         self.db = aligned_zeros(out_dim)
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``x W + b`` into ``out``: the product, then the bias added in
+        place (the ufuncs of ``x @ W + b``)."""
         self._x = x
-        return x @ self.W + self.b
+        np.matmul(x, self.W, out=out)
+        out += self.b
+        return out
 
     def backward(self, grad_out: np.ndarray, params: bool = True,
-                 input_grad: bool = True) -> np.ndarray | None:
+                 input_grad: bool = True, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray | None:
         """Accumulate ``dW``/``db`` (unless ``params`` is False) and
         return the input gradient (``None`` when ``input_grad`` is
-        False)."""
+        False), into ``out`` if given, else a fresh array.  ``scratch``
+        (``W.size`` floats or more; needed with ``params``) holds the
+        ``dW`` product, then the ``db`` sum, before each is added."""
         if self._x is None:
             raise ModelError("backward called before forward")
         if params:
-            self.dW += self._x.T @ grad_out
-            self.db += grad_out.sum(axis=0)
-        return grad_out @ self.W.T if input_grad else None
+            self.dW += np.matmul(self._x.T, grad_out, out=scratch[
+                :self.W.size].reshape(self.W.shape))
+            self.db += np.add.reduce(grad_out, axis=0,
+                                     out=scratch[:self.b.size])
+        if not input_grad:
+            return None
+        return np.matmul(grad_out, self.W.T, out=out)
 
     def zero_grad(self) -> None:
         self.dW[:] = 0.0
         self.db[:] = 0.0
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 class MLP:
@@ -104,8 +111,16 @@ class MLP:
         self.output = output
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self._hidden_pre: list[np.ndarray] = []
         self._out: np.ndarray | None = None
+        #: :meth:`forward`'s grow-only aligned workspace: per layer its
+        #: ``(cap, width)`` output (the pre-activation, ReLU'd in place),
+        #: which :meth:`backward` then overwrites with the gradient at
+        #: that activation.
+        self._acts: list[np.ndarray] = []
+        #: A flat aligned scratch (:meth:`_scratch`): in turn the ``dW``
+        #: product, the ``db`` sum and the ReLU mask of each layer, or
+        #: the product of a Polyak update that reads this net.
+        self._product: np.ndarray | None = None
         #: :meth:`infer_rows`' per-layer ``(cap, 1, width)`` outputs.
         self._rows: list[np.ndarray] = []
         #: :meth:`_distinct_rows`' key weights: a fixed draw, unequal
@@ -117,22 +132,37 @@ class MLP:
     # ------------------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass; caches activations for a subsequent backward."""
+        """Forward pass; keeps the activations for a subsequent backward.
+
+        Each layer writes into the net's workspace and takes its ReLU
+        in place: the ufuncs of :meth:`infer` on the same operands,
+        without an allocation per layer, so the output is bitwise
+        :meth:`infer`'s.  It is a fresh array, never a view of the
+        workspace.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
             raise ModelError(
                 f"expected input dim {self.in_dim}, got {x.shape[1]}")
-        self._hidden_pre = []
+        n = len(x)
+        if not self._acts or n > len(self._acts[0]):
+            # Grow-only: a smaller batch uses the first n rows, which
+            # are C-contiguous and start on a cache line.
+            self._acts = [aligned_zeros((n, layer.W.shape[1]))
+                          for layer in self.layers]
         h = x
-        for layer in self.layers[:-1]:
-            pre = layer.forward(h)
-            self._hidden_pre.append(pre)
-            h = _relu(pre)
-        out = self.layers[-1].forward(h)
-        if self.output == "tanh":
-            out = np.tanh(out)
-        self._out = out
-        return out
+        for layer, act in zip(self.layers[:-1], self._acts):
+            h = layer.forward(h, out=act[:n])
+            np.maximum(h, 0.0, out=h)
+        out = self.layers[-1].forward(h, out=self._acts[-1][:n])
+        self._out = np.tanh(out) if self.output == "tanh" else out.copy()
+        return self._out
+
+    def _scratch(self, size: int) -> np.ndarray:
+        """The flat scratch, grown to at least ``size`` floats."""
+        if self._product is None or len(self._product) < size:
+            self._product = aligned_zeros(size)
+        return self._product
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -140,12 +170,11 @@ class MLP:
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Inference-only forward: no activation caching, no grad support.
 
-        Numerically identical to :meth:`forward` but touches none of the
-        backprop caches, so it is safe to interleave with a training
-        forward/backward pair and is measurably cheaper on the hot serving
-        and action-selection paths.  Accepts a single state vector or a
-        batch; always returns a 2-D ``(batch, out_dim)`` array like
-        :meth:`forward`.
+        Numerically identical to :meth:`forward` but touches neither its
+        workspace nor the backprop state, so it is safe to interleave
+        with a training forward/backward pair, and reentrant (the serving
+        paths use it).  Accepts a single state vector or a batch; always
+        returns a 2-D ``(batch, out_dim)`` array like :meth:`forward`.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -261,18 +290,39 @@ class MLP:
         layer's input gradient and returns ``None`` (a pass that only
         wants the parameter gradients).  Neither changes what the other
         computes, bit for bit.
+
+        A backward consumes its forward: each hidden layer's gradient
+        overwrites that layer's activations in the workspace once its
+        ``dW`` product and its ReLU mask (``activation > 0``, which is
+        ``pre-activation > 0``, as ``1.0`` / ``0.0`` in the scratch)
+        have read them, and the mask multiplies the gradient in place.
+        A second backward needs a new forward.  The returned input
+        gradient is a fresh array.
         """
         if self._out is None:
             raise ModelError("backward called before forward")
         grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
         if self.output == "tanh":
             grad = grad * (1.0 - self._out ** 2)
-        layers = self.layers
-        for k in range(len(layers) - 1, -1, -1):
-            grad = layers[k].backward(grad, params, input_grad or k > 0)
-            if k:
-                grad = grad * (self._hidden_pre[k - 1] > 0)
-        return grad
+        n = len(grad)
+        if n != len(self._out):
+            raise ModelError(f"gradient has {n} rows, the forward had "
+                             f"{len(self._out)}")
+        self._out = None
+        layers, acts = self.layers, self._acts
+        scratch = self._scratch(max(
+            max(layer.W.size for layer in layers),
+            len(acts[0]) * max(layer.W.shape[0] for layer in layers)))
+        for k in range(len(layers) - 1, 0, -1):
+            width = layers[k].W.shape[0]
+            below = acts[k - 1][:n]
+            mask = scratch[:n * width].reshape(n, width)
+            if params:
+                layers[k].backward(grad, input_grad=False, scratch=scratch)
+            np.greater(below, 0.0, out=mask)
+            grad = layers[k].backward(grad, params=False, out=below)
+            grad *= mask
+        return layers[0].backward(grad, params, input_grad, scratch=scratch)
 
     def zero_grad(self) -> None:
         for layer in self.layers:
@@ -311,9 +361,15 @@ class MLP:
 
     def polyak_update_from(self, source: "MLP", tau: float) -> None:
         """Soft target update: ``p_target <- tau p_source + (1-tau) p_target``."""
-        for pt, ps in zip(self.parameters(), source.parameters()):
+        # The product goes into the source net's scratch, which holds
+        # nothing between its backward passes (a target net never
+        # takes one, and needs no scratch of its own).
+        sources = source.parameters()
+        scratch = source._scratch(max(p.size for p in sources))
+        for pt, ps in zip(self.parameters(), sources):
             pt *= 1.0 - tau
-            pt += tau * ps
+            pt += np.multiply(ps, tau, out=scratch[:ps.size].reshape(
+                ps.shape))
 
     def clone(self) -> "MLP":
         """An independent copy with identical parameters."""
@@ -323,7 +379,7 @@ class MLP:
     def __reduce__(self):
         """Pickle the shape and the parameters only: the copy is built
         through the constructor, into aligned storage, with zero
-        gradients and no caches or :meth:`infer_rows` workspace."""
+        gradients and no caches or workspaces."""
         hidden = tuple(layer.W.shape[1] for layer in self.layers[:-1])
         return _rebuild, (self.in_dim, hidden, self.out_dim, self.output,
                           self.get_state())

@@ -65,16 +65,20 @@ class Adam:
                 scale = self.clip_norm / (norm + 1e-12)
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
+        # Unscaled, each ``a`` still holds the norm's ``g * g``.
+        squared = self.clip_norm is not None and scale == 1.0
         for p, g, m, v, (a, b) in zip(self.params, self.grads, self._m,
                                       self._v, self._scratch):
             # g * 1.0 is g, bit for bit.
             grad = g if scale == 1.0 else np.multiply(g, scale, out=b)
+            # (v before m: the two moments share no operand.)
+            if not squared:
+                np.multiply(grad, grad, out=a)
+            a *= 1.0 - self.beta2
+            v *= self.beta2
+            v += a
             m *= self.beta1
             m += np.multiply(grad, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(grad, grad, out=a)
-            a *= 1.0 - self.beta2
-            v += a
             np.divide(m, bc1, out=a)
             a *= self.lr
             np.divide(v, bc2, out=b)

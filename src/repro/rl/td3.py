@@ -100,18 +100,18 @@ class TD3Learner:
         done = batch["done"]
         batch_size = s.shape[0]
 
-        # Target action with smoothing noise (TD3).
-        # Target networks never take a backward pass: inference-only
-        # forwards skip the activation caches entirely.
-        a2 = self.actor_target.infer(s2)
+        # Target action with smoothing noise (TD3).  The targets never
+        # take a backward pass, but their forwards still run in their
+        # workspace: bitwise ``infer``, without its fresh arrays.
+        a2 = self.actor_target.forward(s2)
         noise = np.clip(
             self._rng.normal(0.0, cfg.target_noise, size=a2.shape),
             -cfg.target_noise_clip, cfg.target_noise_clip)
         a2 = np.clip(a2 + noise, -1.0, 1.0)
 
         x2 = self._critic_input(g2, s2, a2)
-        q1_t = self.critic1_target.infer(x2)
-        q2_t = self.critic2_target.infer(x2)
+        q1_t = self.critic1_target.forward(x2)
+        q2_t = self.critic2_target.forward(x2)
         target = r[:, None] + cfg.gamma * (1.0 - done[:, None]) * np.minimum(q1_t, q2_t)
 
         # Critic regression toward the TD target.

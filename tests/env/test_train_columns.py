@@ -31,7 +31,7 @@ from repro.config import (
 from repro.core.learner import Learner
 from repro.core.reward import FlowSnapshot, RewardBlock
 from repro.core.state import LOCAL_FEATURES, LocalStateBlock, \
-    global_state_vector
+    global_state_columns, global_state_vector
 from repro.env.episode import Observer, TrainFlowController, \
     TrainingPolicy
 from repro.env.pool import FrozenPolicy
@@ -271,6 +271,74 @@ def test_observer_columns_equal_the_snapshot_reward_and_state():
     for n in (1, 2, 8):
         for seed in range(4):
             observed_passes(n, HISTORY, seed)
+
+
+def test_observer_reductions_equal_the_column_definitions():
+    """The observer's reward and global state, one 1-D reduction per
+    row of its latest block, against ``RewardBlock.compute_columns``
+    and ``global_state_columns`` on the same columns, on ``float.hex``:
+    every active count from 1 to 20 (8, where NumPy's sum turns
+    pairwise, and 9 among them), with passes whose every row has zero
+    throughput.
+
+    Why per row: a 2-D ``sum(axis=1)`` over the block is not always
+    bit-equal to each row's 1-D ``.sum()``.  On a block whose summed
+    entries are strided (column-major, or flows-major and transposed),
+    NumPy adds them one at a time, while a 1-D sum of eight or more
+    entries runs eight pairwise accumulators: over the 1995 8-flow
+    passes of one ``train_batched`` repetition, a column-major copy of
+    the block summed differently in the last ulp on 1142.
+    """
+    for n in range(1, 21):
+        rng = np.random.default_rng([n, 38])
+        learner = FrozenPolicy(CFG, ACTOR_STATE, True)
+        agents = TrainingPolicy(learner)
+        controllers = [TrainFlowController(learner, agents=agents,
+                                           flow_index=i) for i in range(n)]
+        sunk = []
+        observer = Observer(
+            learner, LINK, tuple(FlowConfig() for _ in range(n)),
+            controllers, do_updates=False,
+            transition_sink=lambda *t: sunk.append(t))
+        reference = Reference(HISTORY)
+        block = RewardBlock(LINK)
+        local_dim = LOCAL_FEATURES * HISTORY
+        checked = starved = 0
+        for step in range(1, 25):
+            now = step * 0.03
+            due = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
+            if step % 6 == 0:       # every flow due, none delivering
+                due = rng.permutation(n).tolist()
+            rows = [random_row(rng) for _ in due]
+            if step % 6 == 0:
+                for row in rows:
+                    row["throughput_pps"] = 0.0
+            rows = [MtpStats(time_s=now, **row) for row in rows]
+            agents.record([controllers[i].slot for i in due],
+                          rng.uniform(0.0, 6.0, (len(due), local_dim)),
+                          rng.uniform(-1.0, 1.0, len(due)))
+            reference.publish(due, rows)
+            sunk.clear()
+            observer(now, [SimpleNamespace(index=i) for i in due],
+                     MtpColumns.of(now, rows))
+            latest = [reference.latest[i] for i in reference.latest]
+            moments = [reference.blocks[i] for i in reference.latest]
+            thr = np.array([s.throughput_pps for s in latest])
+            rtt = np.array([s.avg_rtt_s for s in latest])
+            reward = block.compute_columns(
+                thr, np.array([b.avg_throughput_pps() for b in moments]),
+                np.array([b.throughput_std_pps() for b in moments]), rtt,
+                np.array([s.loss_pps for s in latest]),
+                np.array([s.pacing_pps for s in latest])).total
+            g_now = global_state_columns(
+                thr, rtt, np.array([s.cwnd_pkts for s in latest]),
+                np.array([s.loss_rate for s in latest]), LINK)
+            for _now, _g, _s, _a, r, g, _s2 in sunk:
+                assert r.hex() == reward.hex(), (n, step)
+                assert hexed(g) == hexed(g_now), (n, step)
+            checked += bool(sunk)
+            starved += bool(sunk) and not thr.any()
+        assert checked and starved
 
 
 def test_a_long_history_takes_numpys_own_moments():

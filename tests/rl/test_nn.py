@@ -532,3 +532,148 @@ class TestDistinctRows:
         assert out[1:].tobytes() == kept[1:].tobytes()
         net.infer_rows(x)
         assert out[1:].tobytes() == kept[1:].tobytes()
+
+
+class _Allocating:
+    """The allocating transcription of ``MLP.forward`` / ``backward``:
+    ``x @ W + b`` and ``np.maximum(pre, 0.0)`` per layer, the mask
+    ``pre > 0``, a fresh array for every product; gradients accumulate
+    into its own ``dW`` / ``db`` copies."""
+
+    def __init__(self, net: MLP):
+        self.net = net
+        self.grads = [(np.zeros_like(layer.W), np.zeros_like(layer.b))
+                      for layer in net.layers]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self.inputs, self.pres = [], []
+        h = x
+        for layer in self.net.layers[:-1]:
+            self.inputs.append(h)
+            pre = h @ layer.W + layer.b
+            self.pres.append(pre)
+            h = np.maximum(pre, 0.0)
+        self.inputs.append(h)
+        out = h @ self.net.layers[-1].W + self.net.layers[-1].b
+        self.out = np.tanh(out) if self.net.output == "tanh" else out
+        return self.out
+
+    def backward(self, grad, params=True, input_grad=True):
+        if self.net.output == "tanh":
+            grad = grad * (1.0 - self.out ** 2)
+        for k in range(len(self.net.layers) - 1, -1, -1):
+            layer, (dW, db) = self.net.layers[k], self.grads[k]
+            if params:
+                dW += self.inputs[k].T @ grad
+                db += grad.sum(axis=0)
+            if k == 0:
+                return grad @ layer.W.T if input_grad else None
+            grad = (grad @ layer.W.T) * (self.pres[k - 1] > 0)
+
+
+def _workspace_arrays(net: MLP) -> list[np.ndarray]:
+    return [*net._acts,
+            *([] if net._product is None else [net._product])]
+
+
+class TestTrainingWorkspace:
+    """``forward`` / ``backward`` run in a grow-only aligned workspace,
+    bit for bit the allocating path, with owned results."""
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_growing_and_shrinking_batches(self, output):
+        net = MLP(40, (256, 128, 64), 1, output=output, seed=8)
+        ref = _Allocating(net.clone())
+        rng = np.random.default_rng(9)
+        for n in (192, 16, 192, 7):
+            x = rng.normal(size=(n, 40))
+            grad = rng.normal(size=(n, 1))
+            out, want = net.forward(x), ref.forward(x)
+            assert out.tobytes() == want.tobytes()
+            got_in = net.backward(grad)
+            assert got_in.tobytes() == ref.backward(grad).tobytes()
+            for layer, (dW, db) in zip(net.layers, ref.grads):
+                assert layer.dW.tobytes() == dW.tobytes()
+                assert layer.db.tobytes() == db.tobytes()
+            # The workspace only grows, and stays on cache lines.
+            assert len(net._acts[0]) == 192
+            assert _misaligned(_workspace_arrays(net)) == []
+
+    def test_actor_step_sequence(self):
+        """As in the TD3 actor step: the actor's forward, the critic's
+        forward on its action (the critic's workspace already used by
+        the critic step), the critic's input-only backward, the actor's
+        parameter-only backward."""
+        actor = MLP(40, (256, 128, 64), 1, output="tanh", seed=1)
+        critic = MLP(53, (256, 128, 64), 1, seed=2)
+        ref_actor, ref_critic = _Allocating(actor.clone()), \
+            _Allocating(critic.clone())
+        rng = np.random.default_rng(3)
+        s, g = rng.normal(size=(192, 40)), rng.normal(size=(192, 12))
+        critic.forward(rng.normal(size=(192, 53)))
+        critic.backward(rng.normal(size=(192, 1)), input_grad=False)
+        legs = []
+        for nets in ((actor, critic), (ref_actor, ref_critic)):
+            a_pi = nets[0].forward(s)
+            q = nets[1].forward(np.concatenate([g, s, a_pi], axis=1))
+            grad_in = nets[1].backward(-np.ones_like(q) / 192, params=False)
+            assert nets[0].backward(grad_in[:, -1:], input_grad=False) \
+                is None
+            legs.append([a.tobytes() for a in (a_pi, q, grad_in)])
+        assert legs[0] == legs[1]
+        for layer, (dW, db) in zip(actor.layers, ref_actor.grads):
+            assert layer.dW.tobytes() == dW.tobytes()
+            assert layer.db.tobytes() == db.tobytes()
+
+    def test_backward_consumes_its_forward(self):
+        net = MLP(6, (16, 8), 2, seed=3)
+        x = np.ones((4, 6))
+        net.forward(x)
+        net.backward(np.ones((4, 2)))
+        with pytest.raises(ModelError):
+            net.backward(np.ones((4, 2)))
+        net.forward(x)
+        with pytest.raises(ModelError):
+            net.backward(np.ones((3, 2)))    # not the forward's batch
+
+    def test_second_forward_replaces_the_first(self):
+        net = MLP(6, (16, 8), 2, output="tanh", seed=4)
+        ref = _Allocating(net.clone())
+        rng = np.random.default_rng(5)
+        first = net.forward(rng.normal(size=(9, 6)))
+        kept = first.copy()
+        x, grad = rng.normal(size=(9, 6)), rng.normal(size=(9, 2))
+        net.forward(x)
+        ref.forward(x)
+        assert net.backward(grad).tobytes() == ref.backward(grad).tobytes()
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("output", ["linear", "tanh"])
+    def test_results_are_owned(self, output):
+        net = MLP(6, (16, 8), 2, output=output, seed=6)
+        rng = np.random.default_rng(7)
+        out = net.forward(rng.normal(size=(5, 6)))
+        grad_in = net.backward(rng.normal(size=(5, 2)))
+        for result in (out, grad_in):
+            assert result.flags.owndata and result.base is None
+            assert not any(np.shares_memory(result, w)
+                           for w in _workspace_arrays(net))
+
+    def test_polyak_is_the_allocating_update(self):
+        target, source = MLP(6, (16,), 2, seed=0), MLP(6, (16,), 2, seed=1)
+        want = [pt * (1.0 - 0.005) + 0.005 * ps for pt, ps in
+                zip(target.parameters(), source.parameters())]
+        # (``pt *= 1 - tau; pt += tau * ps`` rounds as this does.)
+        target.polyak_update_from(source, 0.005)
+        assert [p.tobytes() for p in target.parameters()] == \
+            [w.tobytes() for w in want]
+
+    def test_pickle_size_is_unchanged(self):
+        net = MLP(40, (256, 128, 64), 1, output="tanh", seed=4)
+        fresh = len(pickle.dumps(net))
+        net.forward(np.ones((192, 40)))
+        net.backward(np.ones((192, 1)))
+        net.polyak_update_from(net.clone(), 0.5)
+        assert len(pickle.dumps(net)) == fresh
+        copy = pickle.loads(pickle.dumps(net))
+        assert _workspace_arrays(copy) == []
