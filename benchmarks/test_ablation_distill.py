@@ -59,7 +59,7 @@ def test_ablation_policy_distillation(benchmark):
         for name, bundle in (("teacher", teacher), ("student", student)):
             t0 = time.process_time()
             for _ in range(5):
-                bundle.actor.forward(batch)
+                bundle.actor.infer(batch)
             cost[name] = time.process_time() - t0
         return report, rows, cost
 

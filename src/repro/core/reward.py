@@ -22,6 +22,7 @@ bounded to ``(-0.1, 0.1)`` per MTP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,13 +66,7 @@ def fairness_term(avg_throughputs) -> float:
     x = np.asarray(avg_throughputs, dtype=float)
     if x.size == 0:
         raise ModelError("fairness term needs at least one flow")
-    total = x.sum()
-    if total <= 0 or not np.isfinite(total):
-        return 0.0
-    # Work on normalised shares: numerically identical to Eq. 6 but immune
-    # to overflow/underflow of total**2 at extreme magnitudes.
-    shares = x / total
-    return float(np.sqrt(np.sum((shares - 1.0 / x.size) ** 2) / x.size))
+    return _fairness(x, np.add.reduce(x), np.empty_like(x))
 
 
 def stability_term(avg_throughputs, thr_stds) -> float:
@@ -82,8 +77,32 @@ def stability_term(avg_throughputs, thr_stds) -> float:
         raise ModelError("stability term needs at least one flow")
     if avg.shape != std.shape:
         raise ModelError("avg/std arrays must align")
-    cv = np.where(avg > 1e-9, std / np.maximum(avg, 1e-9), 0.0)
-    return float(np.mean(np.minimum(cv, 4.0)))
+    return _stability(avg, std, np.empty_like(avg))
+
+
+def _fairness(x: np.ndarray, total, share: np.ndarray) -> float:
+    """R_fair of the 1-D ``x`` whose sum is ``total``, with ``share``
+    (``x``'s length) as scratch.  It works on normalised shares:
+    numerically Eq. 6, but immune to overflow/underflow of
+    ``total**2`` at extreme magnitudes."""
+    if not (total > 0 and math.isfinite(total)):
+        return 0.0
+    np.divide(x, total, out=share)
+    share -= 1.0 / len(x)
+    share *= share
+    return math.sqrt(np.add.reduce(share) / len(x))
+
+
+def _stability(avg: np.ndarray, std: np.ndarray, cv: np.ndarray) -> float:
+    """R_stab of the 1-D ``avg`` and ``std``, with ``cv`` (their
+    length) as scratch.  The ratio is ``std / max(avg, 1e-9)`` where
+    ``avg`` is above the floor and 0 elsewhere; when every flow is
+    above it, that is the plain quotient."""
+    if np.minimum.reduce(avg) > 1e-9:
+        np.divide(std, avg, out=cv)
+    else:
+        cv = np.where(avg > 1e-9, std / np.maximum(avg, 1e-9), 0.0)
+    return float(np.add.reduce(np.minimum(cv, 4.0, out=cv)) / len(avg))
 
 
 class RewardBlock:
@@ -112,42 +131,73 @@ class RewardBlock:
         """:meth:`compute` from columns of the :class:`FlowSnapshot`
         fields, one entry per active flow (in the flows' order: the sums
         are order-dependent)."""
-        if not len(thr):
+        m = len(thr)
+        if not m:
             raise ModelError("reward needs at least one active flow")
+        return self.terms_from_reductions(
+            np.add.reduce(thr), np.minimum.reduce(thr),
+            np.add.reduce(lat) / m, thr, avg_thr, thr_std, loss, pacing,
+            capacity_pps)
+
+    def terms_from_reductions(self, thr_sum, thr_min, avg_lat,
+                              thr: np.ndarray, avg_thr: np.ndarray,
+                              thr_std: np.ndarray, loss: np.ndarray,
+                              pacing: np.ndarray,
+                              capacity_pps: float | None = None,
+                              scratch: np.ndarray | None = None
+                              ) -> RewardTerms:
+        """:meth:`compute_columns` for a caller that has the sum and the
+        minimum of ``thr`` and the mean latency already (each a 1-D
+        reduction of its column, the mean its sum over the count, as
+        ``np.mean`` takes it).  The columns must be 1-D.  ``scratch``,
+        a ``(3, n)`` float array, holds the per-flow loss ratio,
+        fairness share and coefficient of variation (allocated when
+        ``None``)."""
         cfg = self.config
         c = capacity_pps if capacity_pps is not None else \
             mbps_to_pps(self.link.bandwidth_mbps)
         if c <= 0:
             raise ModelError("link capacity must be positive")
+        m = len(thr)
+        if scratch is None:
+            scratch = np.empty((3, m))
+        ratio, share, cv = scratch
 
-        r_thr = min(float(thr.sum() / c), 1.5)
+        r_thr = min(float(thr_sum / c), 1.5)
 
-        loss_ratio = np.where(thr > 1e-9,
-                              loss / np.maximum(thr, 1e-9),
-                              np.where(loss > 0, 1.0, 0.0))
-        r_loss = float(np.mean(np.minimum(loss_ratio, 1.0)))
+        # Loss over max(throughput, 1e-9), or 1 for loss at zero
+        # throughput; the plain quotient when every flow is above it.
+        if thr_min > 1e-9:
+            ratio = np.divide(loss, thr, out=ratio)
+        else:
+            ratio = np.where(thr > 1e-9, loss / np.maximum(thr, 1e-9),
+                             np.where(loss > 0, 1.0, 0.0))
+        r_loss = float(np.add.reduce(np.minimum(ratio, 1.0, out=ratio)) / m)
 
         base = self.link.rtt_s
         tolerance = (1.0 + cfg.beta) * base
-        avg_lat = float(lat.mean())
+        avg_lat = float(avg_lat)
         if avg_lat > tolerance:
             # "Total increased latency of all sending packets", made
             # dimensionless: inflation (in base-RTT units) times the
             # aggregate pacing rate relative to capacity.
-            r_lat = ((avg_lat - tolerance) / base) * float(pacing.sum()) / c
+            r_lat = ((avg_lat - tolerance) / base) \
+                * float(np.add.reduce(pacing)) / c
             r_lat = min(r_lat, 4.0)
         else:
             r_lat = 0.0
 
-        r_fair = fairness_term(avg_thr)
-        r_stab = stability_term(avg_thr, thr_std)
+        r_fair = _fairness(avg_thr, np.add.reduce(avg_thr), share)
+        r_stab = _stability(avg_thr, thr_std, cv)
 
         total = (cfg.c_thr * r_thr
                  - cfg.c_lat * r_lat
                  - cfg.c_loss * r_loss
                  - cfg.c_fair * r_fair
                  - cfg.c_stab * r_stab)
-        total = float(np.clip(total, -cfg.bound, cfg.bound))
+        # np.clip's value on every float, NaN and signed zeros included
+        # (the bound is not zero).
+        total = min(max(total, -cfg.bound), cfg.bound)
         return RewardTerms(
             throughput=r_thr,
             latency=r_lat,

@@ -24,7 +24,6 @@ either way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ from ..core.state import GLOBAL_FEATURES, LOCAL_FEATURES, LocalStateBlock, \
     column_rows, global_state_from_reductions
 from ..errors import ConfigError, ModelError
 from ..netsim.stats import MtpColumns, MtpStats, contiguous_run
-from ..units import mbps_to_pps
 from .multiflow import build_driver
 
 
@@ -486,19 +484,19 @@ class Observer:
 
         Every statistic is one 1-D reduction of one row of the latest
         block, shared where the two need the same one; a mean is that
-        sum over the count, as ``np.mean`` takes it.  (Not a 2-D
+        sum over the count, as ``np.mean`` takes it.  The formulas are
+        the ones the column definitions call:
+        :func:`~repro.core.state.global_state_from_reductions` and
+        ``RewardBlock.terms_from_reductions``.  (Not a 2-D
         ``sum(axis=1)`` over the block: when the rows are strided — a
         transposed or column-major block — NumPy adds across them one
         column at a time, while a 1-D sum of eight or more entries runs
         eight pairwise accumulators, and at 8 flows the two differ in
-        the last ulp on most passes.)  A ratio whose denominator is
-        above its floor on every flow is the plain quotient, which is
-        what the floor and the ``np.where`` give then.
+        the last ulp on most passes.)
         """
         at = contiguous_run(active)
         thr, rtt, loss_pps, pacing, cwnd, loss_rate = self._latest[:, at]
         m = len(active)
-        ratio, share, cv = self._terms[:, :m]
         add, low = np.add.reduce, np.minimum.reduce
         thr_sum, thr_min = add(thr), low(thr)
         avg_rtt = add(rtt) / m
@@ -509,47 +507,10 @@ class Observer:
         if self.local_reward is not None:
             return g, None
 
-        # RewardBlock.compute_columns, term by term (Eqs. 4-8).
-        cfg = self.reward_block.config
-        c = mbps_to_pps(self.link.bandwidth_mbps)
-        if c <= 0:
-            raise ModelError("link capacity must be positive")
-        r_thr = min(float(thr_sum / c), 1.5)
-        if thr_min > 1e-9:
-            ratio = np.divide(loss_pps, thr, out=ratio)
-        else:
-            ratio = np.where(thr > 1e-9, loss_pps / np.maximum(thr, 1e-9),
-                             np.where(loss_pps > 0, 1.0, 0.0))
-        r_loss = float(add(np.minimum(ratio, 1.0, out=ratio)) / m)
-        base = self.link.rtt_s
-        tolerance = (1.0 + cfg.beta) * base
-        avg_lat = float(avg_rtt)
-        r_lat = 0.0
-        if avg_lat > tolerance:
-            r_lat = min(((avg_lat - tolerance) / base)
-                        * float(add(pacing)) / c, 4.0)
-        # fairness_term and stability_term of the ring moments.
         avg_thr, thr_std = self._throughput_moments(at)
-        total = add(avg_thr)
-        r_fair = 0.0
-        if total > 0 and math.isfinite(total):
-            np.divide(avg_thr, total, out=share)
-            share -= 1.0 / m
-            share *= share
-            r_fair = math.sqrt(add(share) / m)
-        if low(avg_thr) > 1e-9:
-            cv = np.divide(thr_std, avg_thr, out=cv)
-        else:
-            cv = np.where(avg_thr > 1e-9,
-                          thr_std / np.maximum(avg_thr, 1e-9), 0.0)
-        r_stab = float(add(np.minimum(cv, 4.0, out=cv)) / m)
-        total = (cfg.c_thr * r_thr
-                 - cfg.c_lat * r_lat
-                 - cfg.c_loss * r_loss
-                 - cfg.c_fair * r_fair
-                 - cfg.c_stab * r_stab)
-        # np.clip's value on every float, NaN and signed zeros included.
-        return g, min(max(total, -cfg.bound), cfg.bound)
+        return g, self.reward_block.terms_from_reductions(
+            thr_sum, thr_min, avg_rtt, thr, avg_thr, thr_std, loss_pps,
+            pacing, scratch=self._terms[:, :m]).total
 
     def _emit(self, now: float, index: np.ndarray, agent: np.ndarray,
               columns: MtpColumns, active: np.ndarray) -> None:

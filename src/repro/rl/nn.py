@@ -58,11 +58,13 @@ class Linear:
         self.db = aligned_zeros(out_dim)
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``x W + b`` into ``out``: the product, then the bias added in
-        place (the ufuncs of ``x @ W + b``)."""
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+        """``x W + b``, into ``out`` if given, else a fresh array: the
+        product, then the bias added in place (the ufuncs of
+        ``x @ W + b``)."""
         self._x = x
-        np.matmul(x, self.W, out=out)
+        out = np.matmul(x, self.W, out=out)
         out += self.b
         return out
 
@@ -72,15 +74,18 @@ class Linear:
         """Accumulate ``dW``/``db`` (unless ``params`` is False) and
         return the input gradient (``None`` when ``input_grad`` is
         False), into ``out`` if given, else a fresh array.  ``scratch``
-        (``W.size`` floats or more; needed with ``params``) holds the
-        ``dW`` product, then the ``db`` sum, before each is added."""
+        (``W.size`` floats or more), if given, holds the ``dW`` product,
+        then the ``db`` sum, before each is added; without it they are
+        fresh arrays, with the same bits."""
         if self._x is None:
             raise ModelError("backward called before forward")
         if params:
-            self.dW += np.matmul(self._x.T, grad_out, out=scratch[
-                :self.W.size].reshape(self.W.shape))
-            self.db += np.add.reduce(grad_out, axis=0,
-                                     out=scratch[:self.b.size])
+            dw = db = None
+            if scratch is not None:
+                dw = scratch[:self.W.size].reshape(self.W.shape)
+                db = scratch[:self.b.size]
+            self.dW += np.matmul(self._x.T, grad_out, out=dw)
+            self.db += np.add.reduce(grad_out, axis=0, out=db)
         if not input_grad:
             return None
         return np.matmul(grad_out, self.W.T, out=out)
@@ -139,6 +144,11 @@ class MLP:
         without an allocation per layer, so the output is bitwise
         :meth:`infer`'s.  It is a fresh array, never a view of the
         workspace.
+
+        The workspace grows to the largest batch forwarded so far and
+        stays with the net (``batch x sum of widths`` floats): it is
+        for training batches.  A one-off pass over a large batch
+        belongs to :meth:`infer`, which keeps nothing.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:

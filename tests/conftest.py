@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
 from repro.env import run_scenario
 from repro.netsim import staggered_flows
+
+_TESTS = Path(__file__).parent
+
+#: Suites that must not lean on a silent divide-by-zero, overflow or
+#: invalid value: the engine's block kernel masks its no-arrival
+#: divisions, and the observer's reductions and the TD3 workspaces
+#: compute what the per-tick and allocating paths compute.  Any
+#: RuntimeWarning fails a test in them (a test's own ``filterwarnings``
+#: mark still wins).
+STRICT_NUMERICS = tuple(_TESTS / part for part in (
+    "netsim", "env", "fleet", "rl", "core/test_learner_golden.py"))
+
+
+def pytest_collection_modifyitems(config, items):
+    strict = pytest.mark.filterwarnings("error::RuntimeWarning")
+    for item in items:
+        if any(item.path.is_relative_to(p) for p in STRICT_NUMERICS):
+            # Prepended, so that the test's own marks apply after it.
+            item.add_marker(strict, append=False)
 
 
 @pytest.fixture(scope="session")

@@ -147,3 +147,71 @@ class TestRewardBlock:
         snaps = [snap(t, rtt=rtt, loss_pps=loss) for t in thr]
         terms = block.compute(snaps)
         assert -0.1 <= terms.total <= 0.1
+
+
+def reference_terms(block: RewardBlock, thr, avg_thr, thr_std, lat, loss,
+                    pacing) -> tuple[float, ...]:
+    """Eqs. 4-8 written out with the floors as ``np.where`` over every
+    flow, ``np.mean`` and ``np.clip``: the definition that
+    ``terms_from_reductions`` computes with fewer NumPy calls."""
+    cfg, c = block.config, mbps_to_pps(block.link.bandwidth_mbps)
+    r_thr = min(float(thr.sum() / c), 1.5)
+    ratio = np.where(thr > 1e-9, loss / np.maximum(thr, 1e-9),
+                     np.where(loss > 0, 1.0, 0.0))
+    r_loss = float(np.mean(np.minimum(ratio, 1.0)))
+    base = block.link.rtt_s
+    tolerance = (1.0 + cfg.beta) * base
+    avg_lat = float(lat.mean())
+    r_lat = 0.0
+    if avg_lat > tolerance:
+        r_lat = min(((avg_lat - tolerance) / base) * float(pacing.sum()) / c,
+                    4.0)
+    total = avg_thr.sum()
+    r_fair = 0.0
+    if total > 0 and np.isfinite(total):
+        shares = avg_thr / total
+        r_fair = float(np.sqrt(np.sum((shares - 1.0 / len(avg_thr)) ** 2)
+                               / len(avg_thr)))
+    cv = np.where(avg_thr > 1e-9, thr_std / np.maximum(avg_thr, 1e-9), 0.0)
+    r_stab = float(np.mean(np.minimum(cv, 4.0)))
+    total = (cfg.c_thr * r_thr - cfg.c_lat * r_lat - cfg.c_loss * r_loss
+             - cfg.c_fair * r_fair - cfg.c_stab * r_stab)
+    return (r_thr, r_lat, r_loss, r_fair, r_stab,
+            float(np.clip(total, -cfg.bound, cfg.bound)))
+
+
+def test_reductions_equal_the_written_out_definition():
+    """``compute_columns`` (and through it the training observer, which
+    calls ``terms_from_reductions`` on its own reductions) against the
+    written-out Eqs. 4-8 on ``float.hex``, every term: 1 to 20 flows,
+    with flows that delivered nothing, averages at zero and latency
+    above the tolerance.  The plain quotient it takes when every
+    denominator is above its floor must be what the floors give."""
+    block = RewardBlock(LINK)
+    rng = np.random.default_rng(38)
+    scratch = np.full((3, 32), np.nan)
+    for n in range(1, 21):
+        for trial in range(40):
+            thr = rng.uniform(0.0, 2e4, n)
+            avg_thr = rng.uniform(0.0, 2e4, n)
+            if trial % 4 == 1:
+                thr[rng.random(n) < 0.5] = 0.0
+                avg_thr[rng.random(n) < 0.5] = 0.0
+            elif trial % 4 == 2:
+                thr[:] = avg_thr[:] = 0.0
+            columns = (thr, avg_thr, rng.uniform(0.0, 3e3, n),
+                       rng.uniform(0.02, 0.09, n),
+                       np.where(rng.random(n) < 0.5, 0.0,
+                                rng.uniform(0.0, 50.0, n)),
+                       rng.uniform(0.0, 2e4, n))
+            want = [x.hex() for x in reference_terms(block, *columns)]
+            got = block.compute_columns(*columns)
+            assert [float(x).hex() for x in (
+                got.throughput, got.latency, got.loss, got.fairness,
+                got.stability, got.total)] == want, (n, trial)
+            thr, avg_thr, thr_std, lat, loss, pacing = columns
+            resident = block.terms_from_reductions(
+                np.add.reduce(thr), np.minimum.reduce(thr),
+                np.add.reduce(lat) / n, thr, avg_thr, thr_std, loss, pacing,
+                scratch=scratch[:, :n])
+            assert resident == got, (n, trial)

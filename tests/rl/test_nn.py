@@ -677,3 +677,36 @@ class TestTrainingWorkspace:
         assert len(pickle.dumps(net)) == fresh
         copy = pickle.loads(pickle.dumps(net))
         assert _workspace_arrays(copy) == []
+
+
+class TestLinearDirect:
+    """A ``Linear`` driven on its own, with its defaults: fresh arrays,
+    the bits of the workspace path that ``MLP`` takes."""
+
+    def test_default_forward_and_backward_allocate(self):
+        rng = np.random.default_rng(11)
+        layer = Linear(5, 3, np.random.default_rng(0))
+        x, grad = rng.normal(size=(4, 5)), rng.normal(size=(4, 3))
+        y = layer.forward(x)
+        assert y.tobytes() == (x @ layer.W + layer.b).tobytes()
+        grad_in = layer.backward(grad)
+        assert grad_in.tobytes() == (grad @ layer.W.T).tobytes()
+        assert layer.dW.tobytes() == (x.T @ grad).tobytes()
+        assert layer.db.tobytes() == grad.sum(axis=0).tobytes()
+
+    def test_scratch_and_out_change_no_bit(self):
+        rng = np.random.default_rng(12)
+        x, grad = rng.normal(size=(6, 5)), rng.normal(size=(6, 3))
+        fresh, resident = (Linear(5, 3, np.random.default_rng(0))
+                           for _ in range(2))
+        y = fresh.forward(x)
+        out = aligned_zeros((6, 3))
+        assert resident.forward(x, out=out) is out
+        assert out.tobytes() == y.tobytes()
+        grad_in = fresh.backward(grad)
+        into = aligned_zeros((6, 5))
+        assert resident.backward(grad, out=into,
+                                 scratch=aligned_zeros(15)) is into
+        assert into.tobytes() == grad_in.tobytes()
+        assert resident.dW.tobytes() == fresh.dW.tobytes()
+        assert resident.db.tobytes() == fresh.db.tobytes()
