@@ -27,6 +27,7 @@ those windows into the same :class:`MtpColumns`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -427,9 +428,15 @@ class MtpColumns:
         """The column of :attr:`MtpStats.throughput_mbps`."""
         return pps_to_mbps(self.throughput_pps)
 
-    @property
+    @cached_property
     def loss_rate(self) -> np.ndarray:
-        """The column of :attr:`MtpStats.loss_rate`."""
+        """The column of :attr:`MtpStats.loss_rate`.
+
+        Computed once per object: a pass reads it from the controller,
+        the observer and the log block, and nothing writes
+        ``sent_pkts`` / ``lost_pkts`` after :meth:`SampleStore.collect`
+        built them.  Readers must not write into the column.
+        """
         sent = self.sent_pkts
         rate = np.zeros(len(sent))
         np.divide(self.lost_pkts, sent, out=rate, where=sent > 0)

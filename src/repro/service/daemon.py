@@ -17,12 +17,14 @@ flows can actually connect to:
 * **Batching** — the daemon serves a window, not a request.  Each
   accepted socket is one callback-driven :class:`asyncio.Protocol`:
   ``data_received`` stamps the read once, slices every complete frame
-  out of the connection's buffer and queues its ``act`` requests in the
-  service — no task, future or lock per request.  Once per batching
-  window a flush task serves the whole queue with a single batched
-  forward pass and answers it with one ``transport.write`` per
-  connection.  Per-request deadlines ride the service's ``deadline_s``
-  path, counted from the time the request's bytes were read.
+  out of it and appends each ``act`` request to the service's open
+  window as one row, unchecked — no task, future, lock or dict entry
+  per request.  Once per batching window a flush task has the service
+  check and serve the whole window with array operations and a single
+  batched forward pass, and answers it with one ``transport.write``
+  per connection.  Per-request deadlines ride the service's
+  ``deadline_s`` path, counted from the time the request's bytes were
+  read.
 * **Backpressure** — when a client stops reading its replies and its
   socket fills, the daemon stops *reading* that connection, so what one
   client can queue is bounded and the others are served as before.
@@ -207,29 +209,33 @@ class _ServerConnection(asyncio.Protocol):
         # from when its bytes arrived, decode queue included.
         now = daemon._loop.time()
         buf = self._inbuf
-        buf += data
-        replies: list[bytes] = []
-        unframed = False
-        pos, size = 0, len(buf)
-        with memoryview(buf) as view:
-            while size - pos >= _HEADER.size:
-                try:
-                    end = pos + _HEADER.size + _frame_length(view, pos)
-                except ProtocolError as exc:
-                    daemon.counters["protocol_errors"] += 1
-                    replies.append(encode_frame(_error_body(exc)))
-                    unframed = True
-                    break
-                if end > size:
-                    break
-                reply = daemon._on_frame(
-                    self, bytes(view[pos + _HEADER.size:end]), now)
-                if reply is not None:
-                    replies.append(reply)
-                pos = end
-        del buf[:pos]
-        self.send(replies)
-        if unframed:
+        if buf:
+            buf += data
+            data = buf
+        bodies = []
+        rejected: bytes | None = None
+        pos, size = 0, len(data)
+        while size - pos >= _HEADER.size:
+            try:
+                end = pos + _HEADER.size + _frame_length(data, pos)
+            except ProtocolError as exc:
+                daemon.counters["protocol_errors"] += 1
+                rejected = encode_frame(_error_body(exc))
+                break
+            if end > size:
+                break
+            bodies.append(data[pos + _HEADER.size:end])
+            pos = end
+        if data is buf:
+            del buf[:pos]
+        elif pos < size:
+            buf += data[pos:]
+        replies = daemon._on_read(self, bodies, now) if bodies else []
+        if rejected is not None:
+            replies.append(rejected)
+        if replies:
+            self.send(replies)
+        if rejected is not None:
             # Rejected, then closed: what follows cannot be framed.
             buf.clear()
             self._transport.close()
@@ -270,10 +276,9 @@ class InferenceDaemon:
         }
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        # internal request id -> (connection, client's id, read time)
-        self._pending: dict[int, tuple[_ServerConnection, object, float]] \
-            = {}
-        self._next_rid = 0
+        #: Rows admitted so far: a row's number keys its answer in the
+        #: window and names it in the service's messages.
+        self._admitted = 0
         self._connections: set[_ServerConnection] = set()
         self._kick = asyncio.Event()
         self._idle = asyncio.Event()
@@ -337,37 +342,46 @@ class InferenceDaemon:
             # Let one whole batching window of requests accumulate.
             await asyncio.sleep(self.service.batch_window_s)
             self._flush_once()
-            if not self._pending:
+            if not self.service.window:
                 self._kick.clear()
 
     def _flush_once(self) -> None:
-        if not self._pending:
+        """Serve the open window and answer it, one write per
+        connection; the replies of a connection keep arrival order."""
+        service = self.service
+        rows = service.window
+        if not rows:
             return
         now = self._loop.time()
         try:
-            results = self.service.flush(now_s=now)
+            # Rows are keyed by their unique number: one answer per row,
+            # in row order.
+            answers = service.flush(now_s=now).values()
         except DeadlineExceededError as exc:
-            # The fixed flush semantics: healthy requests were served
-            # and ride along on the exception; the overdue ones (action
-            # None below) are answered with the typed error instead of
-            # vanishing.
-            results = {**exc.served, **dict.fromkeys(exc.missed)}
-        pop = self._pending.pop
+            # The healthy rows were served and ride along on the
+            # exception; an overdue one (answer None) is answered with
+            # the typed error instead of vanishing.
+            answers = [exc.served.get(row[0]) for row in rows]
         latencies: list[float] = []
         replies: dict[_ServerConnection, list[bytes]] = {}
         try:
-            for rid, action in results.items():
-                conn, request_id, t0 = pop(rid)
-                latencies.append(now - t0)
+            for (_, t, _, conn, request_id), answer in zip(rows, answers):
                 try:
-                    if action is not None:
-                        frame = _ok_frame(action, request_id)
-                    else:
+                    if type(answer) is float:
+                        latencies.append(now - t)
+                        frame = _ok_frame(answer, request_id)
+                    elif answer is None:
+                        latencies.append(now - t)
                         frame = encode_frame(_error_body(
                             DeadlineExceededError(
                                 f"request aged past the "
-                                f"{self.service.deadline_s}s deadline"),
+                                f"{service.deadline_s}s deadline"),
                             request_id))
+                    else:
+                        # Refused: answered, but not served, so the
+                        # latency histogram does not count it.
+                        frame = encode_frame(_error_body(answer,
+                                                         request_id))
                 except ProtocolError as exc:
                     frame = self._unsendable(exc)
                 replies.setdefault(conn, []).append(frame)
@@ -377,30 +391,75 @@ class InferenceDaemon:
             self.latency.record_many(latencies)
             for conn, frames in replies.items():
                 conn.send(frames)
-            if not self._pending:
+            if not service.window:
                 self._idle.set()
 
     # -- request handling ---------------------------------------------
 
-    def _on_frame(self, conn: _ServerConnection, raw: bytes,
-                  now: float) -> bytes | None:
-        """Serve one frame read at ``now``: the reply frame, or ``None``
-        for an ``act`` request queued for the window."""
+    def _on_read(self, conn: _ServerConnection, bodies: list[bytes],
+                 now: float) -> list[bytes]:
+        """Serve the frame bodies of one read, all stamped ``now``;
+        returns the replies that can be sent at once.
+
+        An ``act`` with a state list of the right length joins the open
+        window as one row, ``(number, now, state, conn, id)``; what it
+        holds is checked when the window is served.  Rows are counted
+        (frames, requests, admission room) once per read, and before any
+        other frame, which is served on its own by :meth:`_on_frame`.
+        """
+        window = self.service.window
+        in_dim = self.service.policy.actor.in_dim
+        room = 0 if self._draining else self.max_inflight - len(window)
+        number = self._admitted
+        replies: list[bytes] = []
+        for raw in bodies:
+            try:
+                body = decode_body(raw)
+            except ProtocolError as exc:
+                body = exc
+            else:
+                if body.get("op") == "act":
+                    state = body.get("state")
+                    if type(state) is list and len(state) == in_dim \
+                            and room:
+                        window.append(
+                            (number, now, state, conn, body.get("id")))
+                        number += 1
+                        room -= 1
+                        continue
+            self._count_rows(number)
+            replies.append(self._on_frame(body))
+            number = self._admitted
+            room = 0 if self._draining \
+                else self.max_inflight - len(window)
+        self._count_rows(number)
+        return replies
+
+    def _count_rows(self, number: int) -> None:
+        """Account the rows appended since the last count; ``number`` is
+        the next row number."""
+        rows = number - self._admitted
+        if rows:
+            self._admitted = number
+            self.counters["frames"] += rows
+            self.service.accounting.requests += rows
+            self._idle.clear()
+            self._kick.set()
+
+    def _on_frame(self, body: dict | ProtocolError) -> bytes:
+        """The reply to one frame the window did not take: a decode
+        error, a verb, or an ``act`` to refuse."""
         self.counters["frames"] += 1
-        try:
-            body = decode_body(raw)
-        except ProtocolError as exc:
+        if isinstance(body, ProtocolError):
             # Bad JSON inside a well-framed message: typed reject,
             # connection stays usable.
             self.counters["protocol_errors"] += 1
-            return encode_frame(_error_body(exc))
+            return encode_frame(_error_body(body))
         op = body.get("op")
         request_id = body.get("id")
         if op == "act":
-            response = self._submit(conn, request_id, body.get("state"),
-                                    now)
-            if response is None:
-                return None
+            response = _error_body(self._refusal(body.get("state")),
+                                   request_id)
         elif op == "stats":
             response = {"id": request_id, "ok": True, **self.stats()}
         elif op == "ping":
@@ -414,6 +473,27 @@ class InferenceDaemon:
         except ProtocolError as exc:
             return self._unsendable(exc)
 
+    def _refusal(self, state) -> Exception:
+        """Why an ``act`` the window did not take is refused: no state
+        list, a drain, a full window, or (checked by the service, as a
+        row would be) a state of the wrong length."""
+        if type(state) is not list:
+            self.counters["protocol_errors"] += 1
+            return ProtocolError("'act' needs a 'state' list")
+        if self._draining:
+            self.counters["drain_rejected"] += 1
+            return AdmissionRejectedError("daemon is draining")
+        if len(self.service.window) >= self.max_inflight:
+            self.counters["admission_rejected"] += 1
+            return AdmissionRejectedError(
+                f"in-flight ceiling of {self.max_inflight} requests "
+                f"reached")
+        # Admitted and then refused: it takes a row number all the same.
+        number = self._admitted
+        self._admitted += 1
+        _, refused, _ = self.service.check_states((state,), (number,))
+        return refused[0]
+
     def _unsendable(self, exc: ProtocolError) -> bytes:
         """The reject for a reply over the frame limit.  The request's id
         is echoed and re-encodes longer than it arrived (``\\uXXXX``
@@ -422,41 +502,12 @@ class InferenceDaemon:
         self.counters["protocol_errors"] += 1
         return encode_frame(_error_body(exc))
 
-    def _submit(self, conn: _ServerConnection, request_id, state,
-                now: float) -> dict | None:
-        """Admit one ``act`` request into the window, or return the
-        reject to answer it with."""
-        if not isinstance(state, list):
-            self.counters["protocol_errors"] += 1
-            return _error_body(ProtocolError(
-                "'act' needs a 'state' list"), request_id)
-        if self._draining:
-            self.counters["drain_rejected"] += 1
-            return _error_body(AdmissionRejectedError(
-                "daemon is draining"), request_id)
-        if len(self._pending) >= self.max_inflight:
-            self.counters["admission_rejected"] += 1
-            return _error_body(AdmissionRejectedError(
-                f"in-flight ceiling of {self.max_inflight} requests "
-                f"reached"), request_id)
-        rid = self._next_rid
-        self._next_rid += 1
-        try:
-            self.service.submit(rid, np.asarray(state, dtype=float),
-                                arrival_s=now)
-        except (ServiceError, ValueError, TypeError) as exc:
-            return _error_body(exc, request_id)
-        self._pending[rid] = (conn, request_id, now)
-        self._idle.clear()
-        self._kick.set()
-        return None
-
     # -- observability ------------------------------------------------
 
     def stats(self) -> dict:
         """The STATS verb payload: counters, quantiles, text metrics."""
         extra = {f"daemon_{k}": v for k, v in self.counters.items()}
-        extra["daemon_inflight"] = len(self._pending)
+        extra["daemon_inflight"] = len(self.service.window)
         extra["daemon_uptime_s"] = time.time() - self._started_at
         return {
             "op": "stats",
@@ -856,7 +907,7 @@ async def _serve_async(daemon: InferenceDaemon, host: str, port: int,
     await daemon.wait_shutdown()
     if announce is not None:
         announce(f"DRAINING shard={daemon.shard_index} "
-                 f"inflight={len(daemon._pending)}")
+                 f"inflight={len(daemon.service.window)}")
     await daemon.drain()
     daemon.close_connections()
     if announce is not None:

@@ -77,6 +77,25 @@ def default_service_policy(scheme: str = "astraea") -> PolicyBundle:
     return bundle
 
 
+def state_vector(state, in_dim: int) -> np.ndarray:
+    """One request's state as a float vector of ``in_dim`` entries.
+
+    A wrong shape, or an integer too large for a float, raises
+    :class:`~repro.errors.InvalidStateError`; an entry that is not a
+    number raises the conversion's own ``ValueError`` / ``TypeError``.
+    """
+    try:
+        vector = np.asarray(state, dtype=float)
+    except OverflowError as exc:
+        raise InvalidStateError(
+            f"state entry too large for a float ({exc})") from None
+    if vector.shape != (in_dim,):
+        raise InvalidStateError(
+            f"state must be a vector of dim {in_dim}, "
+            f"got shape {vector.shape}")
+    return vector
+
+
 #: Batch sizes retained for inspection (most recent first to fall out).
 #: Aggregates (count/sum/max) are streaming and cover the full history;
 #: only the materialised ``batch_sizes`` view is bounded — a long-lived
@@ -169,21 +188,28 @@ class ServiceAccounting:
 class BatchedInferenceService:
     """Shared-actor service with a fixed batching window.
 
-    ``submit`` enqueues a request stamped with its (simulated) arrival
-    time; ``flush`` runs one batched forward per elapsed batching window
-    and returns ``{request_id: action}``.  ``serve_trace`` drives a whole
-    request timeline through the service, which is what the overhead
-    benchmark uses.
+    The open batching window is :attr:`window`, one row per request in
+    arrival order; ``flush`` serves the whole window with one batched
+    forward and returns ``{request_id: action}``.  ``submit`` is the
+    in-process way in: it validates a state and appends its row.  The
+    serving daemon appends its rows itself and leaves every check to
+    ``flush``, which stacks, validates and serves the window in array
+    operations and goes row by row only for the rows that need it.
+    ``serve_trace`` drives a whole request timeline through the service,
+    which is what the overhead benchmark uses.
 
     Hardening (the service is long-lived; one bad client must not take
     it down):
 
-    * Submitted states are validated for shape and finiteness.  A wrong
-      shape always raises :class:`~repro.errors.InvalidStateError`; a
-      right-shaped state with NaN/inf entries raises too — unless a
-      ``fallback`` is configured, in which case the request is answered
-      by the analytic policy instead of the actor.
-    * ``deadline_s`` bounds how long a request may sit in the queue
+    * States are validated for shape, convertibility and finiteness by
+      one routine, :meth:`check_states`.  A wrong shape, or an entry too
+      large for a float, always refuses the request with
+      :class:`~repro.errors.InvalidStateError`; a right-shaped state
+      with NaN/inf entries is refused too — unless a ``fallback`` is
+      configured, in which case the request is answered by the analytic
+      policy instead of the actor.  ``submit`` raises the refusal; in a
+      window it becomes that row's answer.
+    * ``deadline_s`` bounds how long a request may sit in the window
       (simulated arrival time vs. flush time).  Overdue requests go to
       the fallback when one is configured, else raise
       :class:`~repro.errors.DeadlineExceededError`.
@@ -213,8 +239,13 @@ class BatchedInferenceService:
         self.batch_window_s = batch_window_s
         self.deadline_s = deadline_s
         self.accounting = ServiceAccounting()
-        # (request_id, state, arrival_s, use_fallback)
-        self._queue: list[tuple[int, np.ndarray, float | None, bool]] = []
+        #: The open window: ``(request_id, arrival_s, state, ...)`` rows in
+        #: arrival order, each counted in ``accounting.requests`` when it
+        #: is appended.  ``state`` is anything ``np.asarray(state,
+        #: dtype=float)`` reads; ``arrival_s`` may be ``None`` (no
+        #: deadline applies).  Fields past the third ride along untouched
+        #: — the daemon keeps the reply's connection and id there.
+        self.window: list[tuple] = []
 
     @classmethod
     def from_default(cls, scheme: str = "astraea",
@@ -228,42 +259,75 @@ class BatchedInferenceService:
                    batch_window_s=batch_window_s, deadline_s=deadline_s,
                    fallback=fallback)
 
+    def check_states(self, states, request_ids,
+                     ) -> tuple[np.ndarray, dict[int, Exception],
+                                np.ndarray]:
+        """Validate and stack states: the service's one validation routine.
+
+        Returns ``(X, refused, finite)``.  ``X`` is the states as an
+        ``(n, in_dim)`` float array — one ``np.array`` over them all, and
+        a conversion row by row only when that raises or has the wrong
+        shape; a refused row reads zeros.  ``refused`` maps a row's
+        position to the error that answers it: ``InvalidStateError`` for
+        a wrong shape, an integer too large for a float, or (with no
+        fallback configured) a non-finite entry — each counted in
+        ``accounting.rejected`` — and the conversion's own ``ValueError``
+        / ``TypeError`` for an entry that is not a number.  ``finite``
+        marks the rows without NaN/inf entries; the fallback answers the
+        others.  ``request_ids[i]`` names row ``i`` in messages.
+        """
+        in_dim = self.policy.actor.in_dim
+        n = len(states)
+        try:
+            X = np.array(states, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            X = None
+        refused: dict[int, Exception] = {}
+        if X is None or X.shape != (n, in_dim):
+            X = np.zeros((n, in_dim))
+            for i, state in enumerate(states):
+                try:
+                    X[i] = state_vector(state, in_dim)
+                except (InvalidStateError, ValueError, TypeError) as exc:
+                    refused[i] = exc
+        finite = np.logical_and.reduce(np.isfinite(X), axis=1)
+        if self._fallback is None and np.count_nonzero(finite) < n:
+            for i in np.flatnonzero(~finite).tolist():
+                refused[i] = InvalidStateError(
+                    f"state for request {request_ids[i]} contains "
+                    f"non-finite entries and the service has no fallback")
+        if refused:
+            self.accounting.rejected += sum(
+                isinstance(exc, InvalidStateError)
+                for exc in refused.values())
+        return X, refused, finite
+
     def submit(self, request_id: int, state: np.ndarray,
                arrival_s: float | None = None) -> None:
-        """Enqueue one request; validates the state before it is accepted.
+        """Validate one request and append it to the window; a refused
+        state raises its error (see :meth:`check_states`).
 
         ``arrival_s`` is the request's (simulated) arrival time; it only
         matters when the service has a ``deadline_s``.
         """
-        state = np.asarray(state, dtype=float)
-        if state.ndim != 1 or state.shape[0] != self.policy.actor.in_dim:
-            self.accounting.rejected += 1
-            raise InvalidStateError(
-                f"state must be a vector of dim {self.policy.actor.in_dim}, "
-                f"got shape {state.shape}")
-        use_fallback = False
-        if not np.isfinite(state).all():
-            if self._fallback is None:
-                self.accounting.rejected += 1
-                raise InvalidStateError(
-                    f"state for request {request_id} contains non-finite "
-                    f"entries and the service has no fallback")
-            use_fallback = True
-        self._queue.append((request_id, state, arrival_s, use_fallback))
+        X, refused, _ = self.check_states((state,), (request_id,))
+        if refused:
+            raise refused[0]
+        self.window.append((request_id, arrival_s, X[0]))
         self.accounting.requests += 1
 
-    def _deadline_missed(self, arrival_s: float | None,
-                         now_s: float | None) -> bool:
-        return (self.deadline_s is not None and arrival_s is not None
-                and now_s is not None
-                and now_s - arrival_s > self.deadline_s)
+    def flush(self, now_s: float | None = None) -> dict:
+        """Serve the window: ``{request_id: answer}`` in arrival order.
 
-    def flush(self, now_s: float | None = None) -> dict[int, float]:
-        """Serve everything queued in the current window.
-
-        One batched forward pass covers the healthy requests; requests
-        flagged for fallback — non-finite state at submit, or older than
-        ``deadline_s`` relative to ``now_s`` — are answered analytically.
+        The window's states are stacked and checked at once
+        (:meth:`check_states`), one mask finds the rows older than
+        ``deadline_s`` relative to ``now_s``, and one batched forward, in
+        arrival order, covers the healthy rows.  Rows flagged for the
+        fallback — non-finite state, overdue, or a non-finite actor
+        output — are answered analytically, one by one.  A refused row is
+        answered with its error instance and leaves
+        ``accounting.requests``; ``submit`` refuses before a row gets
+        here, so only rows appended directly can be.
 
         With no fallback configured an overdue request cannot be
         answered, but it must not take the rest of the window down with
@@ -272,64 +336,78 @@ class BatchedInferenceService:
         carrying the ``served`` answers and the ``missed`` request ids —
         no request ever silently vanishes.
         """
-        if not self._queue:
+        rows = self.window
+        if not rows:
             return {}
-        queue, self._queue = self._queue, []
-        out: dict[int, float] = {}
-        healthy_ids: list[int] = []
-        healthy: list[np.ndarray] = []
-        unservable: list[tuple[int, float]] = []
-        for rid, state, arrival_s, use_fallback in queue:
-            missed = self._deadline_missed(arrival_s, now_s)
-            if missed:
-                self.accounting.deadline_misses += 1
-                if self._fallback is None:
-                    self.accounting.mark_degraded()
-                    unservable.append((rid, now_s - arrival_s))
-                    continue
-            if use_fallback or missed:
-                out[rid] = float(self._fallback(state))
-                self.accounting.fallbacks += 1
-                self.accounting.mark_degraded()
-            else:
-                healthy_ids.append(rid)
-                healthy.append(state)
-        if healthy:
-            states = np.array(healthy)
+        self.window = []
+        columns = zip(*rows)
+        request_ids, arrivals, states = next(columns), next(columns), \
+            next(columns)
+        n = len(rows)
+        acc = self.accounting
+        X, refused, finite = self.check_states(states, request_ids)
+        usable = np.ones(n, dtype=bool)
+        if refused:
+            usable[list(refused)] = False
+            acc.requests -= len(refused)
+        late = np.zeros(n, dtype=bool)
+        if self.deadline_s is not None and now_s is not None:
+            # ``None`` reads NaN, which is never overdue.
+            late = usable & (now_s - np.array(arrivals, dtype=float)
+                             > self.deadline_s)
+        n_late = int(np.count_nonzero(late))
+        if n_late:
+            acc.deadline_misses += n_late
+            acc.mark_degraded()
+        healthy = usable & finite & ~late
+        to_fallback = usable & ~healthy if self._fallback is not None \
+            else np.zeros(n, dtype=bool)
+        answers = np.zeros(n)
+        n_healthy = int(np.count_nonzero(healthy))
+        if n_healthy:
+            at = None if n_healthy == n else np.flatnonzero(healthy)
             t0 = time.process_time()
             with np.errstate(over="ignore", invalid="ignore"):
-                actions = self.policy.actor.infer(states)[:, 0]
-            self.accounting.cpu_time_s += time.process_time() - t0
-            self.accounting.forward_passes += 1
-            self.accounting.record_batch(len(healthy))
-            if np.isfinite(actions).all():
-                out.update(zip(healthy_ids,
-                               np.clip(actions, -0.999, 0.999).tolist()))
-            else:
+                actions = self.policy.actor.infer(
+                    X if at is None else X[at])[:, 0]
+            acc.cpu_time_s += time.process_time() - t0
+            acc.forward_passes += 1
+            acc.record_batch(n_healthy)
+            answers[healthy] = np.clip(actions, -0.999, 0.999)
+            overflow = ~np.isfinite(actions)
+            if overflow.any():
                 # A finite but extreme state can still overflow the
-                # actor's matmuls into inf/NaN, which np.clip would pass
+                # actor's matmuls into inf/NaN, which np.clip passes
                 # through — so degrade those rows individually.
-                for rid, state, a in zip(healthy_ids, healthy, actions):
-                    if np.isfinite(a):
-                        out[rid] = float(np.clip(a, -0.999, 0.999))
-                        continue
-                    self.accounting.mark_degraded()
-                    if self._fallback is not None:
-                        self.accounting.fallbacks += 1
-                        out[rid] = float(self._fallback(state))
-                    else:
-                        self.accounting.neutral_answers += 1
-                        out[rid] = 0.0
-        if unservable:
-            ages = ", ".join(f"{rid} ({age:.4f}s)"
-                             for rid, age in unservable)
-            raise DeadlineExceededError(
-                f"{len(unservable)} request(s) aged past the "
-                f"{self.deadline_s}s deadline with no fallback "
-                f"configured: {ages}; the other {len(out)} request(s) "
-                f"of the window were served (see .served)",
-                missed=[rid for rid, _ in unservable], served=out)
-        return out
+                overflowed = np.flatnonzero(overflow) if at is None \
+                    else at[overflow]
+                acc.mark_degraded()
+                answers[overflowed] = 0.0
+                if self._fallback is None:
+                    acc.neutral_answers += len(overflowed)
+                else:
+                    to_fallback[overflowed] = True
+        if to_fallback.any():
+            acc.mark_degraded()
+            for i in np.flatnonzero(to_fallback).tolist():
+                answers[i] = float(self._fallback(X[i]))
+                acc.fallbacks += 1
+        values = answers.tolist()
+        for i, exc in refused.items():
+            values[i] = exc
+        if not n_late or self._fallback is not None:
+            return dict(zip(request_ids, values))
+        missed = np.flatnonzero(late).tolist()
+        out = {rid: v for rid, v, m in zip(request_ids, values, late)
+               if not m}
+        ages = ", ".join(f"{request_ids[i]} ({now_s - arrivals[i]:.4f}s)"
+                         for i in missed)
+        raise DeadlineExceededError(
+            f"{n_late} request(s) aged past the "
+            f"{self.deadline_s}s deadline with no fallback "
+            f"configured: {ages}; the other {len(out)} request(s) "
+            f"of the window were served (see .served)",
+            missed=[request_ids[i] for i in missed], served=out)
 
     def serve_trace(self, arrivals: list[tuple[float, int, np.ndarray]],
                     ) -> dict[int, list[float]]:
@@ -382,12 +460,11 @@ class PerFlowServers:
     def serve(self, flow_id: int, state: np.ndarray) -> float:
         if not 0 <= flow_id < len(self._actors):
             raise ServiceError(f"unknown flow {flow_id}")
-        state = np.asarray(state, dtype=float)
-        if state.ndim != 1 or state.shape[0] != self._actors[flow_id].in_dim:
+        try:
+            state = state_vector(state, self._actors[flow_id].in_dim)
+        except InvalidStateError:
             self.accounting.rejected += 1
-            raise InvalidStateError(
-                f"state must be a vector of dim "
-                f"{self._actors[flow_id].in_dim}, got shape {state.shape}")
+            raise
         if not np.isfinite(state).all():
             self.accounting.rejected += 1
             raise InvalidStateError(

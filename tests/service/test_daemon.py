@@ -25,6 +25,7 @@ from repro.service import (
     BatchedInferenceService,
     InferenceDaemon,
     ServiceClient,
+    analytic_fallback_action,
     decode_body,
     encode_frame,
     read_frame,
@@ -308,6 +309,43 @@ class TestProtocolHardening:
         assert stats["counters"]["daemon_inflight"] == 0
         assert stats["latency"]["count"] == 4
 
+    def test_integer_too_large_for_a_float_is_one_rows_reject(
+            self, bundle):
+        """JSON reads a 401-digit integer that no float can hold.  That
+        row is refused with a typed ``InvalidStateError``; the ``act``
+        read with it is served and the connection stays open."""
+        zeros = [0.0] * bundle.actor.in_dim
+
+        async def scenario():
+            async with daemon_and_client(bundle) as (daemon, client):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", daemon.port)
+                writer.write(
+                    encode_frame({"op": "act", "id": 1,
+                                  "state": [10**400] + zeros[1:]})
+                    + encode_frame({"op": "act", "id": 2, "state": zeros}))
+                await writer.drain()
+                replies = [await read_frame(reader) for _ in range(2)]
+                writer.write(encode_frame({"op": "ping", "id": 3}))
+                await writer.drain()
+                pong = await read_frame(reader)
+                writer.close()
+                await writer.wait_closed()
+                action = await client.act(0, zeros, timeout=5)
+                return replies, pong, action, daemon.stats()["counters"]
+
+        replies, pong, action, counters = run(scenario())
+        assert None not in replies and pong is not None, \
+            "the daemon dropped the connection"
+        reject, served = (decode_body(r) for r in replies)
+        assert reject == {
+            "id": 1, "ok": False, "error": "InvalidStateError",
+            "message": "state entry too large for a float (int too large "
+                       "to convert to float)"}
+        assert served == {"ok": True, "action": action, "id": 2}
+        assert decode_body(pong) == {"id": 3, "ok": True, "op": "ping"}
+        assert (counters["rejected"], counters["requests"]) == (1, 2)
+
     def test_unknown_op_and_missing_state_rejected(self, bundle):
         async def scenario():
             async with daemon_and_client(bundle) as (daemon, _):
@@ -378,62 +416,248 @@ class FakeTransport:
         return out
 
 
-def deliver(bundle, chunks):
+class Clock:
+    """The daemon's clock, set by hand: every read of one delivery and
+    the flush happen at chosen instants."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def time(self):
+        return self.t
+
+
+#: ``deliver``'s service deadline, its read instants and its flush.
+DEADLINE, READ_AT, FLUSH_AT = 0.5, 0.9, 1.0
+OTHER_STATE = [0.5] * 40
+
+
+def deliver(bundle, chunks, fallback=None, overdue_other=False):
     """Feed ``chunks`` to one connection of a fresh daemon as successive
     reads, serve one window, and return what that connection and an
-    untouched second connection were sent."""
+    untouched second connection were sent.  The second connection's
+    one ``act`` is read first; with ``overdue_other`` it is read long
+    enough before the flush to miss the deadline."""
 
     async def scenario():
-        daemon = make_daemon(bundle)
+        daemon = make_daemon(bundle, deadline_s=DEADLINE, fallback=fallback)
         await daemon.start("127.0.0.1", 0)
+        daemon._loop = clock = Clock()
         transports = FakeTransport(), FakeTransport()
         conns = [_ServerConnection(daemon) for _ in transports]
         for conn, transport in zip(conns, transports):
             conn.connection_made(transport)
+        clock.t = 0.0 if overdue_other else READ_AT
         conns[1].data_received(encode_frame(
-            {"op": "act", "id": "other",
-             "state": [0.5] * bundle.actor.in_dim}))
+            {"op": "act", "id": "other", "state": OTHER_STATE}))
+        clock.t = READ_AT
         for chunk in chunks:
             if transports[0].closed:
                 break           # a closed transport reads no more
             conns[0].data_received(chunk)
+        clock.t = FLUSH_AT
         daemon._flush_once()
         for conn in conns:
             conn.connection_lost(None)
         await daemon.drain()
+        counters = {**daemon.counters,
+                    **daemon.service.accounting.counters()}
+        del counters["cpu_time_s"]
         return (transports[0].replies(), transports[0].closed,
-                transports[1].replies(), dict(daemon.counters))
+                transports[1].replies(), counters)
 
     return run(scenario())
 
 
+#: An id whose reply outgrows the frame cap: 3 bytes in, 6 out.
+HUGE_ID = "\u20ac" * 180_000
+
+
 def _frames(in_dim):
-    state = st.lists(st.floats(-5.0, 5.0), min_size=in_dim,
-                     max_size=in_dim)
+    """Frames as ``(bytes, kind, id, state)``: every kind of row the
+    window sorts at the flush, and the frames answered at read time."""
     request_id = st.one_of(st.integers(0, 10**7), st.text(max_size=5))
-    raw = st.sampled_from([b"{not json!", b"[1,2,3]", b"\xff\xfe",
-                           b'{"op":"explode","id":4}',
-                           b'{"op":"act","id":5}',
-                           b'{"op":"act","id":6,"state":[1.0,2.0]}'])
+    finite = st.lists(st.floats(-5.0, 5.0), min_size=in_dim,
+                      max_size=in_dim)
+
+    def poison(state, at, value):
+        state = list(state)
+        state[at % in_dim] = value
+        return state
+
+    state = st.one_of(
+        finite, finite,
+        st.builds(poison, finite, st.integers(0, in_dim - 1),
+                  st.sampled_from([float("nan"), float("inf"),
+                                   float("-inf")])),
+        st.builds(poison, finite, st.integers(0, in_dim - 1),
+                  st.sampled_from(["x", None, True, 10**400, [1.0],
+                                   {"a": 1}])),
+        st.sampled_from([[1.0, 2.0], [0.0] * (in_dim + 1)]))
+
+    def act(i, s):
+        return (encode_frame({"op": "act", "id": i, "state": s}),
+                "act", i, s)
+
+    def raw(body):
+        return (struct.pack(">I", len(body)) + body, "raw", None, body)
+
+    def huge(op):
+        body = {"op": op, "id": HUGE_ID}
+        if op == "act":
+            body["state"] = [0.0] * in_dim
+        data = json.dumps(body, ensure_ascii=False).encode("utf-8")
+        return (struct.pack(">I", len(data)) + data, op, HUGE_ID,
+                body.get("state"))
+
     return st.one_of(
-        st.builds(lambda i, s: encode_frame(
-            {"op": "act", "id": i, "state": s}), request_id, state),
-        st.builds(lambda i: encode_frame({"op": "ping", "id": i}),
-                  request_id),
-        raw.map(lambda body: struct.pack(">I", len(body)) + body))
+        st.builds(act, request_id, state),
+        st.builds(lambda i: (encode_frame({"op": "ping", "id": i}),
+                             "ping", i, None), request_id),
+        st.sampled_from([b"{not json!", b"[1,2,3]", b"\xff\xfe",
+                         b'{"op":"explode","id":4}',
+                         b'{"op":"act","id":5}']).map(raw),
+        st.sampled_from(["act", "ping"]).map(huge))
+
+
+def _reply(body):
+    """What the daemon sends for ``body``: the reply, or the reject of
+    one over the frame cap."""
+    try:
+        return decode_body(encode_frame(body)[4:])
+    except ProtocolError as exc:
+        return {"id": None, "ok": False, "error": "ProtocolError",
+                "message": str(exc)}
+
+
+def _error(exc, request_id):
+    name = type(exc).__name__
+    if name not in ("InvalidStateError", "DeadlineExceededError",
+                    "AdmissionRejectedError", "ProtocolError"):
+        name = "ServiceError"
+    return _reply({"id": request_id, "ok": False, "error": name,
+                   "message": str(exc)})
+
+
+def expected_replies(bundle, specs, fallback, overdue_other):
+    """Each frame's reply, written out request by request as the
+    per-request daemon answered it, placed where the window daemon
+    writes it: replies decided at read time in frame order, then the
+    window's in arrival order.  ``actor.infer`` runs once over the
+    window's healthy rows, stacked in arrival order.  Returns the
+    replies of both connections and the expected counters."""
+    in_dim = bundle.actor.in_dim
+    immediate, rows = [], []
+    counts = dict(rejected=0, fallbacks=0, deadline_misses=0,
+                  protocol_errors=0)
+    # (id, number, state or error, overdue)
+    rows.append(("other", 0, OTHER_STATE, overdue_other))
+    number = 1
+    for _, kind, request_id, state in specs:
+        if kind == "raw":
+            try:
+                body = decode_body(state)
+            except ProtocolError as exc:
+                counts["protocol_errors"] += 1
+                immediate.append(_error(exc, None))
+                continue
+            if body.get("op") == "act":
+                counts["protocol_errors"] += 1
+                immediate.append(_error(ProtocolError(
+                    "'act' needs a 'state' list"), body["id"]))
+            else:
+                counts["protocol_errors"] += 1
+                immediate.append(_error(ProtocolError(
+                    f"unknown op {body['op']!r}"), body["id"]))
+            continue
+        if kind == "ping":
+            reply = _reply({"id": request_id, "ok": True, "op": "ping"})
+            counts["protocol_errors"] += reply["ok"] is False
+            immediate.append(reply)
+            continue
+        this, number = number, number + 1
+        try:
+            vector = np.asarray(state, dtype=float)
+        except OverflowError:
+            counts["rejected"] += 1
+            rows.append((request_id, this, InvalidStateError(
+                "state entry too large for a float (int too large to "
+                "convert to float)"), False))
+            continue
+        except (ValueError, TypeError) as exc:
+            rows.append((request_id, this, exc, False))
+            continue
+        if vector.shape != (in_dim,):
+            counts["rejected"] += 1
+            immediate.append(_error(InvalidStateError(
+                f"state must be a vector of dim {in_dim}, got shape "
+                f"{vector.shape}"), request_id))
+            continue
+        if not np.isfinite(vector).all() and fallback is None:
+            counts["rejected"] += 1
+            rows.append((request_id, this, InvalidStateError(
+                f"state for request {this} contains non-finite entries "
+                f"and the service has no fallback"), False))
+            continue
+        rows.append((request_id, this, state, False))
+
+    def healthy(row):
+        _, _, state, overdue = row
+        return not isinstance(state, Exception) and not overdue \
+            and np.isfinite(np.asarray(state, dtype=float)).all()
+
+    stack = [row[2] for row in rows if healthy(row)]
+    actions = iter([])
+    if stack:
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw_actions = bundle.actor.infer(
+                np.array(stack, dtype=float))[:, 0]
+        assert np.isfinite(raw_actions).all()
+        actions = iter(np.clip(raw_actions, -0.999, 0.999).tolist())
+    window = []
+    for row in rows:
+        request_id, _, state, overdue = row
+        counts["deadline_misses"] += overdue
+        if isinstance(state, Exception):
+            window.append(_error(state, request_id))
+        elif healthy(row):
+            window.append(_reply({"ok": True, "action": next(actions),
+                                  "id": request_id}))
+        elif fallback is None:
+            window.append(_error(DeadlineExceededError(
+                f"request aged past the {DEADLINE}s deadline"),
+                request_id))
+        else:
+            counts["fallbacks"] += 1
+            window.append(_reply({
+                "ok": True,
+                "action": analytic_fallback_action(
+                    np.asarray(state, dtype=float)),
+                "id": request_id}))
+    counts["protocol_errors"] += sum(r["ok"] is False and r["id"] is None
+                                     and "exceeds" in r["message"]
+                                     for r in window)
+    counts["requests"] = sum(not isinstance(row[2], Exception)
+                             for row in rows)
+    return immediate, window[1:], window[:1], counts
 
 
 class TestConnectionParser:
     """``data_received`` slices frames out of whatever the socket hands
-    it; the replies must not depend on where the reads were cut."""
+    it; the replies must not depend on where the reads were cut, and
+    each must be the one the per-request daemon gave the same frame."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_replies_independent_of_read_boundaries(self, bundle, data):
-        frames = data.draw(st.lists(_frames(bundle.actor.in_dim),
-                                    min_size=1, max_size=8))
+        specs = data.draw(st.lists(_frames(bundle.actor.in_dim),
+                                   min_size=1, max_size=8))
+        frames = [spec[0] for spec in specs]
+        fallback = data.draw(st.sampled_from([None, "analytic"]))
+        overdue_other = data.draw(st.booleans())
         bad_prefix = data.draw(st.sampled_from([None, 0, (1 << 20) + 1,
                                                 1 << 31]))
+        at = len(frames)
         if bad_prefix is not None:
             at = data.draw(st.integers(0, len(frames)))
             frames.insert(at, struct.pack(">I", bad_prefix) + b"tail")
@@ -443,21 +667,42 @@ class TestConnectionParser:
         chunks = [stream[a:b] for a, b in
                   zip([0] + cuts, cuts + [len(stream)]) if a < b]
 
-        whole = deliver(bundle, frames)
-        assert deliver(bundle, chunks) == whole
-        assert deliver(bundle, [stream]) == whole
+        whole = deliver(bundle, frames, fallback, overdue_other)
+        assert deliver(bundle, chunks, fallback, overdue_other) == whole
+        assert deliver(bundle, [stream], fallback, overdue_other) == whole
         replies, closed, other, counters = whole
+        immediate, window, other_expected, counts = expected_replies(
+            bundle, specs[:at], fallback, overdue_other)
+        assert other == other_expected
         # A bad length prefix: typed reject last, then that connection
-        # (and only that one) is closed.
+        # (and only that one) is closed, so its window replies are
+        # dropped; its rows are served and counted all the same.
         assert closed == (bad_prefix is not None)
         if closed:
             assert replies[-1]["error"] == "ProtocolError"
             assert "frame length" in replies[-1]["message"]
-            assert len(replies) <= at + 1
+            assert replies[:-1] == immediate
+            counts["protocol_errors"] += 1
         else:
-            assert len(replies) == len(frames)
-            assert counters["frames"] == len(frames) + 1
-        assert [r["id"] for r in other] == ["other"] and other[0]["ok"]
+            assert replies == immediate + window
+        counts["frames"] = at + 1
+        assert {key: counters[key] for key in counts} == counts
+
+    def test_a_refused_act_keeps_its_request_number(self, bundle):
+        """The per-request daemon numbered every admitted ``act``, one it
+        refused at once included, and the non-finite reject names that
+        number; the window numbers its rows the same way."""
+        nan = [float("nan")] * bundle.actor.in_dim
+        states = [[1.0, 2.0], nan, [0.0] * bundle.actor.in_dim, nan]
+        specs = [(encode_frame({"op": "act", "id": i, "state": state}),
+                  "act", i, state) for i, state in enumerate(states)]
+        replies, _, _, _ = deliver(bundle, [spec[0] for spec in specs])
+        immediate, window, _, _ = expected_replies(bundle, specs, None,
+                                                   False)
+        assert replies == immediate + window
+        assert [r["message"] for r in window if not r["ok"]] == [
+            f"state for request {n} contains non-finite entries and the "
+            f"service has no fallback" for n in (2, 4)]
 
     def test_one_write_per_read_and_per_window(self, bundle):
         """Replies leave in one ``transport.write`` per read (immediate
@@ -477,7 +722,7 @@ class TestConnectionParser:
             after_read = transport.writes
             # One read, one stamp: the deadline and the histogram count
             # every request of it from the same instant.
-            arrivals = {entry[2] for entry in daemon.service._queue}
+            arrivals = {row[1] for row in daemon.service.window}
             daemon._flush_once()
             after_window = transport.writes
             conn.connection_lost(None)

@@ -207,6 +207,19 @@ class TestHardening:
         with pytest.raises(ServiceError):
             BatchedInferenceService(bundle, fallback="magic")
 
+    def test_integer_too_large_for_a_float_is_typed(self, bundle):
+        """``np.asarray`` raises ``OverflowError`` for it; both backends
+        refuse the request with the typed error instead."""
+        state = [10**400] + [0.0] * (bundle.actor.in_dim - 1)
+        svc = BatchedInferenceService(bundle, fallback="analytic")
+        with pytest.raises(InvalidStateError, match="too large"):
+            svc.submit(0, state)
+        servers = PerFlowServers(bundle, n_flows=1)
+        with pytest.raises(InvalidStateError, match="too large"):
+            servers.serve(0, state)
+        for acc in (svc.accounting, servers.accounting):
+            assert (acc.rejected, acc.requests) == (1, 0)
+
     def test_per_flow_rejects_nonfinite_and_wrong_shape(self, bundle):
         servers = PerFlowServers(bundle, n_flows=1)
         state = np.zeros(bundle.actor.in_dim)
@@ -520,3 +533,94 @@ class TestServeTraceWindowBoundaries:
         assert svc.accounting.deadline_misses == 2
         assert svc.accounting.fallbacks == 2
         assert all(np.isfinite(v) for acts in out.values() for v in acts)
+
+
+class TestWindowBody:
+    """``flush`` over rows appended straight to the window, as the daemon
+    appends them: every kind of row the window sorts, against the
+    per-request rules written out row by row."""
+
+    NOW, DEADLINE = 0.100, 0.010
+
+    def rows(self, bundle):
+        dim = bundle.actor.in_dim
+        rng = np.random.default_rng(3)
+        good = [rng.normal(size=dim).tolist() for _ in range(4)]
+        nan_row = list(good[0])
+        nan_row[3] = float("nan")
+        return [
+            (0, 0.0995, good[0]),                    # healthy
+            (1, 0.0, good[1]),                       # overdue
+            (2, 0.0995, nan_row),                    # non-finite
+            (3, 0.0995, ["x"] + good[0][1:]),        # not a number
+            (4, 0.0995, [10**400] + good[0][1:]),    # too large
+            (5, 0.0995, [1.0, 2.0]),                 # wrong length
+            (6, None, good[2]),                      # never overdue
+            (7, 0.0995, good[3], "rides", "along"),  # extra fields
+            (8, 0.0995, [1e308] * dim),              # overflows the actor
+        ]
+
+    @pytest.mark.parametrize("deadline_s", [None, DEADLINE])
+    @pytest.mark.parametrize("fallback", [None, "analytic"])
+    def test_rows_sorted_at_the_flush(self, bundle, deadline_s, fallback):
+        rows = self.rows(bundle)
+        svc = BatchedInferenceService(bundle, deadline_s=deadline_s,
+                                      fallback=fallback)
+        svc.window.extend(rows)
+        svc.accounting.requests += len(rows)   # counted on append
+        try:
+            out, missed = svc.flush(now_s=self.NOW), []
+        except DeadlineExceededError as exc:
+            out, missed = exc.served, exc.missed
+        assert svc.window == []
+
+        # The per-request rules, one row at a time.
+        overdue = {1} if deadline_s is not None else set()
+        refused = {3: "ValueError", 4: "InvalidStateError",
+                   5: "InvalidStateError"}
+        if fallback is None:
+            refused[2] = "InvalidStateError"
+        degraded = ({2} - set(refused)) | overdue
+        healthy = [r for r in range(len(rows))
+                   if r not in refused and r not in degraded]
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = bundle.actor.infer(
+                np.array([rows[r][2] for r in healthy], dtype=float))[:, 0]
+        expected = {}
+        for r in range(len(rows)):
+            if r in refused:
+                expected[r] = refused[r]
+            elif r in degraded:
+                if fallback is not None:
+                    expected[r] = analytic_fallback_action(
+                        np.asarray(rows[r][2], dtype=float))
+            else:
+                a = raw[healthy.index(r)]
+                if np.isfinite(a):
+                    expected[r] = float(np.clip(a, -0.999, 0.999))
+                elif fallback is not None:
+                    expected[r] = analytic_fallback_action(
+                        np.asarray(rows[r][2], dtype=float))
+                else:
+                    expected[r] = 0.0
+
+        def shown(v):
+            return type(v).__name__ if isinstance(v, Exception) \
+                else v.hex()
+
+        assert list(out) == list(expected)   # arrival order
+        assert [shown(v) for v in out.values()] == \
+            [v if isinstance(v, str) else v.hex()
+             for v in expected.values()]
+        if fallback is None:
+            assert "request 2 contains non-finite" in str(out[2])
+        assert missed == (sorted(overdue) if fallback is None else [])
+        acc = svc.accounting
+        assert acc.requests == len(rows) - len(refused)
+        assert acc.rejected == len(refused) - 1      # not the ValueError
+        assert acc.deadline_misses == len(overdue)
+        assert acc.fallbacks == (0 if fallback is None
+                                 else len(degraded) + 1)
+        assert acc.neutral_answers == (1 if fallback is None else 0)
+        assert acc.degraded
+        assert (acc.forward_passes, acc.batch_sizes) == (1, [len(healthy)])
