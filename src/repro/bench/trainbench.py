@@ -50,9 +50,6 @@ NOISE_STD = 0.15
 #: The equivalence contract is bitwise — zero tolerance.
 EQUIVALENCE_TOL = 0.0
 
-_REPLAY_ARRAYS = ("_local", "_global", "_action", "_reward",
-                  "_next_local", "_next_global", "_done")
-
 
 def _timing_config() -> TrainingConfig:
     """Paper-sized networks, warm fast, updates parked out of the way.
@@ -180,12 +177,11 @@ def _bits(a) -> np.ndarray:
 
 def _learner_arrays(learner: Learner) -> dict[str, np.ndarray]:
     """Everything a training step reads or writes, by name: the replay
-    memory, its cursor and size, all six networks and both Adam
-    states."""
+    memory's seven fields, its cursor and size, all six networks and
+    both Adam states."""
     replay, td3 = learner.replay, learner.td3
-    out = {f"replay.{name}": getattr(replay, name)
-           for name in _REPLAY_ARRAYS}
-    out["replay.cursor_size"] = np.array([replay._cursor, len(replay)])
+    out = {f"replay.{name}": a for name, a in replay.columns().items()}
+    out["replay.cursor_size"] = np.array([replay.cursor, len(replay)])
     for net in td3.NETS:
         for i, p in enumerate(getattr(td3, net).get_state()):
             out[f"{net}.{i}"] = p

@@ -43,17 +43,15 @@ from pathlib import Path
 import numpy as np
 
 from ..config import TrainingConfig
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ModelError
 from ..persist import sha256_file, write_json
 from .learner import Learner
 
-CHECKPOINT_FORMAT = 2
-#: Formats this module can still resume from (1 = single-payload).
-READABLE_FORMATS = (1, 2)
+CHECKPOINT_FORMAT = 3
+#: Formats this module can still resume from (1 = single-payload; 1 and
+#: 2 store the replay's seven fields in full, 3 its linked layout).
+READABLE_FORMATS = (1, 2, 3)
 MANIFEST_NAME = "checkpoint.json"
-
-_REPLAY_ARRAYS = ("_local", "_global", "_action", "_reward",
-                  "_next_local", "_next_global", "_done")
 
 
 def config_fingerprint(cfg: TrainingConfig) -> str:
@@ -158,9 +156,8 @@ def save_training_checkpoint(directory: str | Path, *, learner: Learner,
         for i, v in enumerate(opt["v"]):
             arrays[f"{opt_key}__v__{i}"] = v
     replay = learner.replay
-    size = len(replay)
-    for name in _REPLAY_ARRAYS:
-        arrays[f"replay{name}"] = getattr(replay, name)[:size]
+    for name, a in replay.state_arrays().items():
+        arrays[f"replay_{name}"] = a
     for i, p in enumerate(best_state):
         arrays[f"best__{i}"] = p
 
@@ -180,7 +177,7 @@ def save_training_checkpoint(directory: str | Path, *, learner: Learner,
             key: {"t": td3_state[key]["t"], "lr": td3_state[key]["lr"]}
             for key in ("actor_opt", "critic_opt")
         },
-        "replay": {"size": size, "cursor": replay._cursor},
+        "replay": {"size": len(replay), "cursor": replay.cursor},
         "learner": {"total_updates": learner.total_updates,
                     "total_transitions": learner.total_transitions},
         "rng": {
@@ -288,19 +285,15 @@ def load_training_checkpoint(directory: str | Path, learner: Learner,
 
             learner.flush_transitions()     # the restore replaces them too
             replay = learner.replay
-            size = int(entry["replay"]["size"])
-            if size > replay.capacity:
+            try:
+                replay.load_arrays(
+                    {k[len("replay_"):]: data[k] for k in data.files
+                     if k.startswith("replay_")},
+                    int(entry["replay"]["cursor"]))
+            except ModelError as exc:
                 raise CheckpointError(
-                    "checkpoint replay buffer exceeds configured capacity")
-            for name in _REPLAY_ARRAYS:
-                stored = data[f"replay{name}"]
-                if stored.shape[1:] != getattr(replay, name).shape[1:]:
-                    raise CheckpointError(
-                        f"checkpoint replay array {name} has incompatible "
-                        "width for this learner")
-                getattr(replay, name)[:size] = stored
-            replay._size = size
-            replay._cursor = int(entry["replay"]["cursor"])
+                    f"checkpoint replay does not fit this learner: {exc}"
+                ) from exc
 
             n_best = sum(1 for k in data.files if k.startswith("best__"))
             best_state = [data[f"best__{i}"] for i in range(n_best)]

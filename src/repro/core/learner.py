@@ -33,12 +33,13 @@ class DivergenceGuard:
     """Rolls the TD3 networks back when an update burst goes non-finite.
 
     State machine (docs/architecture.md §Runtime resilience): after every
-    healthy burst the guard snapshots all six networks plus both Adam
-    states; when a burst produces a non-finite critic loss, non-finite
-    parameters, or a non-finite probe action, it restores the snapshot and
-    decays both learning rates by ``lr_decay``.  ``budget`` *consecutive*
-    rollbacks without an intervening healthy burst raise
-    :class:`TrainingDivergedError`; any healthy burst resets the count.
+    healthy burst the guard copies all six networks plus both Adam states
+    into its snapshot's arrays; when a burst produces a non-finite critic
+    loss, non-finite parameters, or a non-finite probe action, it
+    restores the snapshot and decays both learning rates by
+    ``lr_decay``.  ``budget`` *consecutive* rollbacks without an
+    intervening healthy burst raise :class:`TrainingDivergedError`; any
+    healthy burst resets the count.
 
     The actor loss is deliberately not checked: TD3's delayed policy
     updates report ``actor_loss = nan`` on non-actor steps as a sentinel,
@@ -63,7 +64,7 @@ class DivergenceGuard:
     def refresh(self) -> None:
         """Re-snapshot after an external restore (checkpoint load)."""
         self.consecutive = 0
-        self._snapshot = self.td3.state_dict()
+        self.td3.state_dict(out=self._snapshot)
 
     def healthy(self, losses: dict[str, float] | None = None) -> bool:
         """Whether the learner state (and last losses) are all finite."""
@@ -79,7 +80,7 @@ class DivergenceGuard:
         """Check one finished update burst; returns True if rolled back."""
         if self.healthy(losses):
             self.consecutive = 0
-            self._snapshot = self.td3.state_dict()
+            self.td3.state_dict(out=self._snapshot)
             return False
         self.rollback("non-finite losses/parameters after update burst")
         return True
@@ -285,15 +286,12 @@ class Learner:
 
     # ------------------------------------------------------------------
 
-    _CHECKPOINT_NETS = ("actor", "critic1", "critic2", "actor_target",
-                        "critic1_target", "critic2_target")
-
     def save_checkpoint(self, path: str | Path) -> Path:
         """Persist actor, critics and targets to one ``.npz`` file."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         arrays = {}
-        for net_name in self._CHECKPOINT_NETS:
+        for net_name in self.td3.NETS:
             net = getattr(self.td3, net_name)
             for i, p in enumerate(net.get_state()):
                 arrays[f"{net_name}__{i}"] = p
@@ -321,7 +319,7 @@ class Learner:
             if meta["use_global"] != self.use_global:
                 raise ModelError(
                     "checkpoint critic topology (use_global) mismatch")
-            for net_name in self._CHECKPOINT_NETS:
+            for net_name in self.td3.NETS:
                 net = getattr(self.td3, net_name)
                 n = len(net.get_state())
                 state = [data[f"{net_name}__{i}"] for i in range(n)]

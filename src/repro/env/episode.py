@@ -633,7 +633,8 @@ def run_training_episode(learner: Learner, scenario: ScenarioConfig,
                         local_reward=local_reward, do_updates=do_updates,
                         transition_sink=transition_sink)
     driver = build_driver(scenario, controllers=controllers,
-                          on_step=observer, align_intervals=True)
+                          on_step=observer, align_intervals=True,
+                          log=False)
     learner.reset_update_clock()
     try:
         while driver.step_block():

@@ -275,7 +275,8 @@ class ScenarioDriver:
 
     def __init__(self, engine, scenario_flows, flow_spec, duration_s: float,
                  controllers, bottleneck_mbps: float, base_rtt_s: float,
-                 on_step=None, align_intervals: bool = False):
+                 on_step=None, align_intervals: bool = False,
+                 log: bool = True):
         if controllers is not None:
             first: dict[int, int] = {}
             for i, controller in enumerate(controllers):
@@ -298,8 +299,9 @@ class ScenarioDriver:
                               end_s=min(f.end_s(), duration_s))
                       for f in scenario_flows]
         #: One block of columns per pass — flow indices, then the
-        #: ``_LOG_SERIES`` — flushed into ``_logs`` by :meth:`result`.
-        self._log_blocks: list[tuple] = []
+        #: ``_LOG_SERIES`` — flushed into ``_logs`` by :meth:`result`;
+        #: ``None`` for a driver whose caller never reads the logs.
+        self._log_blocks: list[tuple] | None = [] if log else None
         # A windowed engine gets every flow at once, with its window.
         self._windowed = engine.windowed
         self._start_at = [0.0 if self._windowed else f.start_s
@@ -521,8 +523,9 @@ class ScenarioDriver:
     def _decide_and_apply(self, now: float, pos: np.ndarray,
                           columns: MtpColumns) -> None:
         """The decisions of the flows at ``_running`` positions ``pos``,
-        one ``set_cwnds``, one log block and the next deadlines as a
-        column — the same code for one due flow or 400.
+        one ``set_cwnds``, one log block (if the driver keeps logs) and
+        the next deadlines as a column — the same code for one due flow
+        or 400.
 
         Column flows decide first: one ``decide_columns`` per column
         kind over its flows' state columns, with the kind's policy (an
@@ -579,10 +582,11 @@ class ScenarioDriver:
                            for d in decisions]
 
         self._engine.set_cwnds(self._slots[every], cwnds, pacing)
-        self._log_blocks.append((
-            self._index[every], np.full(n, now), columns.throughput_mbps,
-            columns.avg_rtt_s, columns.loss_rate, cwnds,
-            cwnds / np.maximum(columns.srtt_s, 1e-6) / mbps_to_pps(1.0)))
+        if self._log_blocks is not None:
+            self._log_blocks.append((
+                self._index[every], np.full(n, now), columns.throughput_mbps,
+                columns.avg_rtt_s, columns.loss_rate, cwnds,
+                cwnds / np.maximum(columns.srtt_s, 1e-6) / mbps_to_pps(1.0)))
         interval = mtp = self._mtp[every]
         per_rtt = self._per_rtt[every]
         if np.count_nonzero(per_rtt):
@@ -677,10 +681,12 @@ class ScenarioDriver:
 def build_driver(scenario: ScenarioConfig,
                  controllers: list[CongestionController | None] | None = None,
                  on_step=None, align_intervals: bool = False,
-                 engine=None) -> ScenarioDriver:
+                 engine=None, log: bool = True) -> ScenarioDriver:
     """Create a steppable driver for a single-bottleneck scenario.
 
     ``engine`` defaults to a :class:`FluidNetwork` for the scenario.
+    ``log=False`` keeps no per-pass logs (for callers that never read
+    :meth:`ScenarioDriver.result`, whose flow series then stay empty).
     """
     if engine is None:
         traces = None
@@ -701,6 +707,7 @@ def build_driver(scenario: ScenarioConfig,
         base_rtt_s=scenario.link.rtt_s,
         on_step=on_step,
         align_intervals=align_intervals,
+        log=log,
     )
 
 

@@ -83,7 +83,7 @@ def _run_shard_inner(spec: FleetSpec, index: int, started: float) -> dict:
                               seed=spec.seed,
                               n_flows=spec.flows_per_shard,
                               shard_index=index)
-    driver = build_driver(scenario)
+    driver = build_driver(scenario, log=False)
     duration = scenario.duration_s
     boundaries = [duration * (e + 1) / spec.epochs for e in range(spec.epochs)]
     engine = driver.engine

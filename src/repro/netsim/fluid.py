@@ -38,7 +38,7 @@ There is one kernel per topology: a single-link specialisation and a
 general multi-link kernel, which also drains the queues of an idle
 network.  The original per-tick physics is the test oracle
 (``tests/oracles/fluid_reference.py``); the differential suite pins the
-kernels to it bit for bit (ECN-marked counts to the last ulp).
+kernels to it bit for bit.
 """
 
 from __future__ import annotations
@@ -830,7 +830,7 @@ class FluidNetwork:
                 drop_rate = share * (dropped_pkts / dt)
                 mark = link.qdisc.mark_fraction(q_new, qdelay[li], t, dt)
                 if mark > 0:
-                    marked_row[idx] += out * mark * dt
+                    marked_row[idx] += out * (mark * dt)
                 p = min(link.config.random_loss + fl, 0.99)
                 if p > 0:
                     rand_loss = out * p

@@ -354,9 +354,15 @@ class MLP:
             out.extend((layer.dW, layer.db))
         return out
 
-    def get_state(self) -> list[np.ndarray]:
-        """Copies of all parameters (for targets and serialisation)."""
-        return [p.copy() for p in self.parameters()]
+    def get_state(self, out: list[np.ndarray] | None = None
+                  ) -> list[np.ndarray]:
+        """Copies of all parameters (for targets and serialisation),
+        written into ``out`` (an earlier result) when given."""
+        params = self.parameters()
+        out = out or [np.empty_like(p) for p in params]
+        for dst, p in zip(out, params, strict=True):
+            np.copyto(dst, p)
+        return out
 
     def set_state(self, state: list[np.ndarray]) -> None:
         """Load parameters from :meth:`get_state` output."""

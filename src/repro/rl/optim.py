@@ -87,20 +87,22 @@ class Adam:
             a /= b
             p -= a
 
-    def get_state(self) -> dict:
-        """Copies of the optimiser internals (moments, step count, LR).
+    def get_state(self, out: dict | None = None) -> dict:
+        """Copies of the optimiser internals (moments, step count, LR),
+        written into ``out`` (an earlier result) when given.
 
         Divergence rollbacks and training checkpoints must restore the
         moments along with the parameters: a poisoned first moment would
         re-inject the divergence on the very next step, and a reset step
         count would silently re-warm the bias correction.
         """
-        return {
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
-            "t": self._t,
-            "lr": self.lr,
-        }
+        out = out or {"m": [np.empty_like(m) for m in self._m],
+                      "v": [np.empty_like(v) for v in self._v]}
+        for dst, src in zip(out["m"] + out["v"], self._m + self._v,
+                            strict=True):
+            np.copyto(dst, src)
+        out["t"], out["lr"] = self._t, self.lr
+        return out
 
     def set_state(self, state: dict) -> None:
         """Restore :meth:`get_state` output in place."""

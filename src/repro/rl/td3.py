@@ -164,15 +164,19 @@ class TD3Learner:
     NETS = ("actor", "critic1", "critic2", "actor_target",
             "critic1_target", "critic2_target")
 
-    def state_dict(self) -> dict:
-        """Copies of every network and both optimiser states."""
-        return {
-            "nets": {name: getattr(self, name).get_state()
-                     for name in self.NETS},
-            "actor_opt": self.actor_opt.get_state(),
-            "critic_opt": self.critic_opt.get_state(),
-            "updates": self._updates,
-        }
+    def state_dict(self, out: dict | None = None) -> dict:
+        """Copies of every network and both optimiser states, written
+        into ``out`` (an earlier result) when given: no second set of
+        arrays while the first is alive."""
+        out = out or {"nets": dict.fromkeys(self.NETS),
+                      "actor_opt": None, "critic_opt": None}
+        for name in self.NETS:
+            out["nets"][name] = getattr(self, name).get_state(
+                out["nets"][name])
+        for key in ("actor_opt", "critic_opt"):
+            out[key] = getattr(self, key).get_state(out[key])
+        out["updates"] = self._updates
+        return out
 
     def __reduce__(self):
         """Pickle (and deep-copy) through the constructor and

@@ -40,7 +40,7 @@ def test_a_nan_poisoned_replay_row_fails_the_gate():
     fast.replay._local[3, 0] = np.nan
     verdict = compare_legs(ref, EpisodeStats(), fast, EpisodeStats())
     assert not verdict["passed"]
-    assert verdict["mismatched"] == ["replay._local"]
+    assert verdict["mismatched"] == ["replay.local"]
     assert verdict["max_delta"] == math.inf
 
 

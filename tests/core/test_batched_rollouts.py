@@ -24,9 +24,6 @@ from repro.core.learner import Learner
 from repro.core.train import train_astraea
 from repro.env.episode import run_training_episode
 
-REPLAY_ARRAYS = ("_local", "_global", "_action", "_reward",
-                 "_next_local", "_next_global", "_done")
-
 SMALL = replace(TrainingConfig(), hidden_layers=(16, 16), batch_size=16,
                 warmup_transitions=40, update_steps=2,
                 update_interval_s=2.0, seed=3)
@@ -79,11 +76,10 @@ class TestEpisodeEquivalence:
         assert serial_stats.update_bursts >= 1   # bursts actually fired
         assert serial_stats.reward_sum == fast_stats.reward_sum
         assert len(serial_learner.replay) == len(fast_learner.replay)
-        assert serial_learner.replay._cursor == fast_learner.replay._cursor
-        for name in REPLAY_ARRAYS:
-            np.testing.assert_array_equal(
-                getattr(serial_learner.replay, name),
-                getattr(fast_learner.replay, name))
+        assert serial_learner.replay.cursor == fast_learner.replay.cursor
+        fast = fast_learner.replay.columns()
+        for name, column in serial_learner.replay.columns().items():
+            np.testing.assert_array_equal(column, fast[name])
         serial_td3, fast_td3 = serial_learner.td3, fast_learner.td3
         for net in serial_td3.NETS:
             for p_s, p_b in zip(getattr(serial_td3, net).get_state(),

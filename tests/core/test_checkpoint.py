@@ -99,9 +99,8 @@ class TestCheckpoint:
         load_training_checkpoint(tmp_path, b, np.random.default_rng(0))
         b.flush_transitions()           # nothing from before the restore
         assert len(b.replay) == len(a.replay) == 47
-        assert b.replay._cursor == a.replay._cursor
+        assert b.replay.cursor == a.replay.cursor
         assert b.total_transitions == a.total_transitions == 47
-        for name in ("_local", "_global", "_action", "_reward",
-                     "_next_local", "_next_global", "_done"):
-            assert getattr(b.replay, name).tobytes() == \
-                getattr(a.replay, name).tobytes(), name
+        restored = b.replay.columns()
+        for name, column in a.replay.columns().items():
+            assert restored[name].tobytes() == column.tobytes(), name

@@ -7,12 +7,12 @@ import pytest
 
 from repro.config import TrainingConfig, replace
 from repro.core.learner import Learner
-from repro.rl.replay import ReplayBuffer
 from repro.errors import (
     ModelError,
     TrainingDivergedError,
     TrainingInstabilityWarning,
 )
+from tests.oracles.replay_reference import ReferenceReplay
 
 SMALL = replace(TrainingConfig(), hidden_layers=(16, 16), batch_size=16,
                 warmup_transitions=20, update_steps=3,
@@ -91,10 +91,6 @@ class TestLearner:
         assert np.allclose(bundle.actor.get_state()[0], before)
 
 
-REPLAY_ARRAYS = ("_local", "_global", "_action", "_reward",
-                 "_next_local", "_next_global", "_done")
-
-
 class TestBatchedAct:
     def test_act_batch_matches_sequential_act_bitwise(self):
         batched, serial = Learner(SMALL), Learner(SMALL)
@@ -157,9 +153,10 @@ class TestDeferredTransitions:
 
     def test_deferred_flush_matches_direct_adds_bitwise(self):
         """Flushes of mixed blocks, one wrapping past capacity and one
-        longer than it, against row-by-row ``ReplayBuffer.add``."""
+        longer than it, against row-by-row adds to the reference
+        buffer."""
         learner = Learner(replace(SMALL, replay_capacity=25))
-        reference = ReplayBuffer(25, learner.local_dim, learner.global_dim,
+        reference = ReferenceReplay(25, learner.local_dim, learner.global_dim,
                                  action_dim=1)
         for flush, sizes in enumerate([(1, 9, 5), (20,), (4, 30)]):
             for block, n in enumerate(sizes):
@@ -175,10 +172,10 @@ class TestDeferredTransitions:
                                   g2[i], bool(done[i]))
             learner.flush_transitions()
             assert len(learner.replay) == len(reference)
-            assert learner.replay._cursor == reference._cursor
-            for name in REPLAY_ARRAYS:
-                assert getattr(learner.replay, name).tobytes() == \
-                    getattr(reference, name).tobytes(), name
+            assert learner.replay.cursor == reference._cursor
+            stored = learner.replay.columns()
+            for name, column in reference.columns().items():
+                assert stored[name].tobytes() == column.tobytes(), name
 
     def test_update_burst_flushes_pending_first(self):
         learner = Learner(SMALL)

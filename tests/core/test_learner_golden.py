@@ -4,7 +4,8 @@ Each case runs two training episodes (0 and 1) on one small learner whose
 warm-up falls inside the first episode and whose update bursts fire every
 second, once on the per-object serial leg and once on the batched leg,
 and hashes the learner after each episode: the six TD3 networks, the
-seven replay arrays, the replay cursor and size, and the
+replay's seven fields over its whole capacity (the rows not yet written
+as zeros), the replay cursor and size, and the
 ``EpisodeStats`` (floats as ``float.hex``).  The sink case acts through
 a warm :class:`~repro.env.pool.FrozenPolicy` without updates, as a pool
 worker does, and hashes the sunk transition tuples too.
@@ -37,8 +38,6 @@ from repro.env.episode import run_training_episode
 from repro.env.pool import FrozenPolicy
 from repro.netsim.faults import Blackout, DelaySpike, FaultSchedule
 
-REPLAY_ARRAYS = ("_local", "_global", "_action", "_reward",
-                 "_next_local", "_next_global", "_done")
 NETS = ("actor", "critic1", "critic2", "actor_target",
         "critic1_target", "critic2_target")
 
@@ -119,10 +118,12 @@ def learner_digest(case: str, batched: bool) -> str:
         for name in NETS:
             for p in getattr(learner.td3, name).get_state():
                 h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        for name in REPLAY_ARRAYS:
-            h.update(np.ascontiguousarray(getattr(learner.replay, name),
-                                          dtype="<f8").tobytes())
-        h.update(repr((learner.replay._cursor, len(learner.replay),
+        replay = learner.replay
+        unwritten = replay.capacity - len(replay)
+        for column in replay.columns().values():
+            h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
+            h.update(bytes(8 * unwritten * int(np.prod(column.shape[1:]))))
+        h.update(repr((replay.cursor, len(replay),
                        stats.transitions, stats.reward_count,
                        stats.update_bursts, _hex(stats.reward_sum),
                        sorted((k, _hex(v))

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.env.episode as episode_mod
-from repro.config import TrainingConfig, replace
+from repro.config import (
+    FlowConfig,
+    LinkConfig,
+    ScenarioConfig,
+    TrainingConfig,
+    replace,
+)
 from repro.core.checkpoint import (
     MANIFEST_NAME,
     load_training_checkpoint,
@@ -16,6 +24,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.learner import Learner
 from repro.core.train import TrainingHistory, train_astraea
+from repro.env.episode import run_training_episode
 from repro.errors import CheckpointError
 
 # Small but real: episodes get warm, so updates, evals and best-policy
@@ -23,6 +32,16 @@ from repro.errors import CheckpointError
 FAST = replace(TrainingConfig(), episodes=4, episode_duration_s=4.0,
                hidden_layers=(8, 8), batch_size=16, warmup_transitions=60,
                update_steps=1, checkpoint_every=2, seed=7)
+
+#: A checkpoint directory in format 2, written by the seven-array replay
+#: layout: a run under ``FORMAT2`` killed in its second episode, after
+#: the episode-1 checkpoint (64-row replay, wrapped: cursor 33).
+FORMAT2_FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_format2"
+FORMAT2 = replace(TrainingConfig(), episodes=2, episode_duration_s=2.0,
+                  history_length=2, hidden_layers=(4, 4), batch_size=8,
+                  warmup_transitions=30, update_steps=1,
+                  update_interval_s=0.5, checkpoint_every=1,
+                  replay_capacity=64, seed=11)
 
 
 def run_full(tmp_path=None):
@@ -309,3 +328,70 @@ class TestIntegrity:
         assert learner.td3._rng.random() == learner2.td3._rng.random()
         assert learner.td3.actor_opt.lr == learner2.td3.actor_opt.lr
         assert learner.td3.actor_opt._t == learner2.td3.actor_opt._t
+
+
+class TestReplayLayout:
+    def test_format3_stores_linked_rows_and_round_trips(self, tmp_path):
+        """A training episode's rows link to their successors: the
+        payload keeps explicit next states only for each agent's last
+        row, and a restored learner samples byte-equal batches."""
+        learner = Learner(FAST)
+        scenario = ScenarioConfig(
+            link=LinkConfig(bandwidth_mbps=60.0, rtt_ms=30.0),
+            flows=tuple(FlowConfig(cc="astraea", start_s=0.2 * i)
+                        for i in range(3)),
+            duration_s=3.0, seed=5)
+        run_training_episode(learner, scenario, noise_std=0.15,
+                             initial_cwnds=[12.0, 16.0, 20.0])
+        save_training_checkpoint(
+            tmp_path, learner=learner, rng=np.random.default_rng(0),
+            episode=1, noise=0.1,
+            history_dict=TrainingHistory().__dict__.copy(),
+            best_state=learner.td3.actor.get_state())
+        assert newest_checkpoint(tmp_path)["replay"]["size"] == \
+            len(learner.replay)
+        assert json.loads((tmp_path / MANIFEST_NAME).read_text())[
+            "format"] == 3
+        with np.load(next(tmp_path.glob("state-ep*.npz"))) as data:
+            assert len(data["replay_local"]) == len(learner.replay) > 100
+            assert len(data["replay_next_local"]) == 3
+
+        restored = Learner(FAST)
+        load_training_checkpoint(tmp_path, restored,
+                                 np.random.default_rng(0))
+        columns = restored.replay.columns()
+        for name, column in learner.replay.columns().items():
+            assert columns[name].tobytes() == column.tobytes(), name
+        a, b = learner.replay.sample(32), restored.replay.sample(32)
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), name
+
+    def test_format2_fixture_resumes_bit_exact(self, tmp_path):
+        """The seven stored fields come back as the logical columns, and
+        the resumed run finishes as an uninterrupted one does."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(FORMAT2_FIXTURE, ckpt)
+        manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
+        assert manifest["format"] == 2
+
+        learner = Learner(FORMAT2)
+        load_training_checkpoint(ckpt, learner, np.random.default_rng(0))
+        assert learner.replay.cursor == 33
+        with np.load(ckpt / manifest["payload"]) as data:
+            for name, column in learner.replay.columns().items():
+                assert column.tobytes() == \
+                    data[f"replay_{name}"].tobytes(), name
+        assert np.count_nonzero(learner.replay.state_arrays()[
+            "next_row"] < 0) < len(learner.replay) // 4
+
+        bundle_full, history_full = train_astraea(FORMAT2, eval_every=100)
+        bundle_res, history_res = train_astraea(FORMAT2, eval_every=100,
+                                                resume_from=ckpt)
+        assert [r.hex() for r in history_res.episode_rewards] == \
+            [r.hex() for r in history_full.episode_rewards]
+        for a, b in zip(bundle_res.actor.get_state(),
+                        bundle_full.actor.get_state()):
+            assert a.tobytes() == b.tobytes()
+        assert json.loads((ckpt / MANIFEST_NAME).read_text())[
+            "format"] == 3
+

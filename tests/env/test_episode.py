@@ -146,10 +146,10 @@ class TestDeterminism:
         b = run_once()
         n = len(a.replay)
         assert n == len(b.replay) > 0
-        np.testing.assert_array_equal(a.replay._local[:n],
-                                      b.replay._local[:n])
-        np.testing.assert_array_equal(a.replay._action[:n],
-                                      b.replay._action[:n])
+        np.testing.assert_array_equal(a.replay.columns()["local"],
+                                      b.replay.columns()["local"])
+        np.testing.assert_array_equal(a.replay.columns()["action"],
+                                      b.replay.columns()["action"])
         for x, y in zip(a.td3.actor.parameters(), b.td3.actor.parameters()):
             np.testing.assert_array_equal(x, y)
 

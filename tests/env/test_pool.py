@@ -19,9 +19,6 @@ SMALL = replace(TrainingConfig(), hidden_layers=(16, 16), batch_size=16,
                 warmup_transitions=50, update_steps=2,
                 update_interval_s=2.0)
 
-REPLAY_ARRAYS = ("_local", "_global", "_action", "_reward",
-                 "_next_local", "_next_global", "_done")
-
 
 def scenario(bw=100.0, duration=6.0):
     return ScenarioConfig(
@@ -183,10 +180,10 @@ class TestWorkerEquivalence:
         assert serial_stats.reward_sum == pooled_stats.reward_sum
         assert serial_stats.update_bursts == pooled_stats.update_bursts
         assert len(serial_learner.replay) == len(pooled_learner.replay)
-        assert serial_learner.replay._cursor == pooled_learner.replay._cursor
-        for name in REPLAY_ARRAYS:
-            assert np.array_equal(getattr(serial_learner.replay, name),
-                                  getattr(pooled_learner.replay, name))
+        assert serial_learner.replay.cursor == pooled_learner.replay.cursor
+        pooled = pooled_learner.replay.columns()
+        for name, column in serial_learner.replay.columns().items():
+            assert np.array_equal(column, pooled[name])
         for p_s, p_w in zip(serial_learner.td3.actor.get_state(),
                             pooled_learner.td3.actor.get_state()):
             assert np.array_equal(p_s, p_w)

@@ -55,34 +55,19 @@ def drain_all(net: FluidNetwork) -> dict:
     return out
 
 
-def hexed_samples(net: FluidNetwork, fid: int,
-                  marks: bool = True) -> list[tuple[str, ...]]:
-    """A flow's pending samples on ``float.hex``; ``marks=False`` drops
-    the last field, the ECN-marked count."""
-    fields = slice(None) if marks else slice(-1)
-    return [tuple(float(v).hex() for v in astuple(sample)[fields])
+def hexed_samples(net: FluidNetwork, fid: int) -> list[tuple[str, ...]]:
+    """A flow's pending samples on ``float.hex``."""
+    return [tuple(float(v).hex() for v in astuple(sample))
             for sample in net.pending_samples(fid)]
 
 
-def assert_networks_equal(ref: FluidNetwork, fast: FluidNetwork,
-                          marks_tol: float | None = None) -> None:
+def assert_networks_equal(ref: FluidNetwork, fast: FluidNetwork) -> None:
     """Every field of every pending sample of every flow, the clock and
-    every link's queue, bit for bit.
-
-    ``marks_tol`` compares the ECN-marked column to that absolute
-    tolerance instead: the kernels mark ``goodput * (mark * dt)``, the
-    oracle ``out * mark * dt``, which can differ in the last ulp."""
+    every link's queue, bit for bit."""
     assert ref.now.hex() == fast.now.hex()
     assert ref.flow_ids == fast.flow_ids
-    exact = marks_tol is None
     for fid in ref.flow_ids:
-        assert hexed_samples(ref, fid, exact) == \
-            hexed_samples(fast, fid, exact), fid
-        if not exact:
-            assert [s.marked_pkts for s in ref.pending_samples(fid)] == \
-                pytest.approx([s.marked_pkts
-                               for s in fast.pending_samples(fid)],
-                              rel=0.0, abs=marks_tol)
+        assert hexed_samples(ref, fid) == hexed_samples(fast, fid), fid
     for a, b in zip(ref._links, fast._links, strict=True):
         assert a.queue_pkts.hex() == b.queue_pkts.hex(), a.config.name
 
@@ -187,6 +172,29 @@ class TestDifferentialGolden:
 
         ref, fast = run_pair(build, script)
         assert_networks_equal(ref, fast)
+
+    def test_multi_link_ecn_marks(self):
+        """The multi-link kernel marks as the oracle does, bit for bit."""
+        def build(engine):
+            red = {"min_th_pkts": 2.0, "max_th_pkts": 40.0, "max_p": 0.5,
+                   "ewma": 0.5, "ecn": True}
+            links = [
+                LinkConfig(name="a", bandwidth_mbps=30.0, rtt_ms=20.0,
+                           buffer_bdp=0.5, qdisc="red", qdisc_kwargs=red),
+                LinkConfig(name="b", bandwidth_mbps=20.0, rtt_ms=20.0,
+                           buffer_bdp=0.5, qdisc="red", qdisc_kwargs=red),
+            ]
+            net = engine(links)
+            return net, [net.add_flow(0.02, path=["a", "b"], cwnd_pkts=90.0),
+                         net.add_flow(0.03, path=["b"], cwnd_pkts=70.0)]
+
+        def script(net, fids, per_tick):
+            advance(net, 300, per_tick)
+
+        ref, fast = run_pair(build, script)
+        assert_networks_equal(ref, fast)
+        assert any(s.marked_pkts > 0 for fid in fast.flow_ids
+                   for s in fast.pending_samples(fid))
 
     def test_flow_churn_mid_run(self):
         def build(engine):
@@ -431,8 +439,7 @@ class TestCarryPaths:
             advance(net, 250, per_tick)
 
         ref, fast = run_pair(build, script)
-        # ECN marks alone keep a tolerance (see assert_networks_equal).
-        assert_networks_equal(ref, fast, marks_tol=1e-9 if ecn else None)
+        assert_networks_equal(ref, fast)
         rows = [s for fid in fast.flow_ids
                 for s in fast.pending_samples(fid)]
         assert any(s.lost_pkts > 0 for s in rows)

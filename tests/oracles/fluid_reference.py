@@ -146,7 +146,7 @@ class ReferenceFluid(FluidNetwork):
             mark = link.qdisc.mark_fraction(link.queue_pkts, qdelay[li],
                                             t, dt)
             if mark > 0:
-                marked[idx] += out * mark * dt
+                marked[idx] += out * (mark * dt)
             # Stochastic (non-congestion) loss happens on the wire after the
             # queue; it removes goodput but does not occupy the buffer.
             # Fault-injected loss bursts add to the configured rate.

@@ -87,10 +87,6 @@ class TestReplayBuffer:
         assert len(buf) == 0  # rejected rows never land
 
 
-ARRAYS = ("_local", "_global", "_action", "_reward",
-          "_next_local", "_next_global", "_done")
-
-
 def batch_of(n, rng):
     return (rng.normal(size=(n, 3)), rng.normal(size=(n, 2)),
             rng.normal(size=(n, 1)), rng.normal(size=n),
@@ -115,10 +111,9 @@ class TestAddBatch:
                        rows[4][i], rows[5][i], bool(rows[6][i]))
         batched.add_batch(*rows)
         assert len(serial) == len(batched)
-        assert serial._cursor == batched._cursor
-        for name in ARRAYS:
-            np.testing.assert_array_equal(getattr(serial, name),
-                                          getattr(batched, name))
+        assert serial.cursor == batched.cursor
+        for name, column in serial.columns().items():
+            np.testing.assert_array_equal(column, batched.columns()[name])
 
     def test_empty_batch_is_noop(self):
         buf = make()
