@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Offline training example: produce the pretrained Astraea policy bundle.
+"""Offline training example: train an Astraea (or Aurora) policy bundle.
 
-This is the script that generated ``src/repro/models/astraea_pretrained.npz``
-(and the Aurora baseline bundle).  It reproduces the paper's offline
-training procedure (§3.4, Appendix A): randomised Table 3 environments,
-shared-policy multi-agent experience collection, TD3-style updates on the
-Table 4 cadence, periodic greedy evaluation, best-policy selection.
+The shipped bundles in ``src/repro/models`` did not come from this
+script: they are distilled from the analytic policies by
+``repro.core.distill.REGEN_RECIPES`` (see that directory's README).
+This script reproduces the paper's offline training procedure (§3.4,
+Appendix A): randomised Table 3 environments, shared-policy multi-agent
+experience collection, TD3-style updates on the Table 4 cadence,
+periodic greedy evaluation, best-policy selection.
 
 Usage::
 

@@ -4,9 +4,9 @@
 scenario driver, observer, action selection and replay writes — in three
 modes over the same warm-learner episodes:
 
-* **serial**: the per-object path of the same driver pass (each agent's
-  own ``on_interval``, one :meth:`~repro.core.learner.Learner.act` call
-  per flow);
+* **serial**: the driver's per-object reference step (each flow's own
+  ``on_interval``, one one-row
+  :meth:`~repro.core.learner.Learner.act_batch` call per agent);
 * **batched**: the agents' column decision, one stacked forward per
   controller pass;
 * **batched+workers**: a frozen-policy :class:`~repro.env.pool.

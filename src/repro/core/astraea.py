@@ -1,10 +1,13 @@
-"""The Astraea congestion controller (deployment-phase agent).
+"""The Astraea congestion controller: the agent of §3.3.
 
-Each flow loads one RL agent with the trained policy and performs pure
-local inference: per MTP the state block folds the newest packet
-statistics, the actor maps the stacked local state to an action, and the
-action block turns it into the next congestion window with pacing
+Each flow runs one RL agent on a shared policy and performs pure local
+inference: per MTP the state block folds the newest packet statistics,
+the actor maps the stacked local state to an action, and the action
+block turns it into the next congestion window with pacing
 ``cwnd / sRTT``.  No global information is used at deployment (§3.1).
+Training runs the same agent with slow start, probe drain and guards off
+and the episode's :class:`~repro.env.episode.TrainingPolicy`, which adds
+exploration around the learner's actor.
 
 If no trained bundle is supplied and none shipped is usable — absent,
 corrupt, or schema-invalid, per the fallback chain of
@@ -33,12 +36,14 @@ from .state import LocalStateBlock, column_rows
 
 @register("astraea")
 class AstraeaController(ColumnController):
-    """Astraea in inference mode: local state -> actor -> Eq. 3 window.
+    """Astraea: local state -> policy -> Eq. 3 window.
 
-    :meth:`on_interval` is the definition.  With a trained bundle it is
-    also a column controller: a driver decides every due flow of one
-    bundle in one :meth:`decide_columns` call, around one stacked
-    forward.
+    :meth:`on_interval` is the definition.  With a policy (a trained
+    bundle, or a training episode's exploring policy) it is also a
+    column controller: a driver decides every due flow of one policy in
+    one :meth:`decide_columns` call, around one stacked forward.
+    ``initial_cwnd`` is the window a connection starts from (training
+    randomises it per flow), and ``slot`` the agent's in its policy.
     """
 
     SLOW_START_GROWTH = 1.5
@@ -56,10 +61,11 @@ class AstraeaController(ColumnController):
     #: The scalar rows of the column state.  The state block's column
     #: (:meth:`LocalStateBlock.read_column`) and the guard's RTT ring
     #: (``ring`` rows of sample times, then ``ring`` of values) follow;
-    #: ``ring_next`` is the ring's write slot.
+    #: ``ring_next`` is the ring's write slot; ``slot`` is the agent's
+    #: in its policy, which the policy's ``act`` and ``act_batch`` take.
     STATE = ("cwnd", "_in_slow_start", "_rtt_min", "_next_probe_s",
              "_drain_left", "ring_next", "alpha", "use_pacing",
-             "probe_rtt_enabled", "guards_enabled")
+             "probe_rtt_enabled", "guards_enabled", "slot")
 
     def __init__(self, mtp_s: float = MTP_S,
                  policy: PolicyBundle | str | None = None,
@@ -68,8 +74,12 @@ class AstraeaController(ColumnController):
                  use_pacing: bool = True,
                  slow_start: bool = True,
                  probe_rtt: bool = True,
-                 guards: bool = True):
+                 guards: bool = True,
+                 initial_cwnd: float = 10.0,
+                 slot: int = 0):
         super().__init__(mtp_s)
+        self._initial_cwnd = max(initial_cwnd, 2.0)
+        self.slot = slot
         self.slow_start_enabled = slow_start
         self.probe_rtt_enabled = probe_rtt
         self.guards_enabled = guards
@@ -100,6 +110,10 @@ class AstraeaController(ColumnController):
         """``"model"`` when a trained bundle drives decisions."""
         return "model" if self.policy is not None else "reference"
 
+    @property
+    def initial_cwnd(self) -> float:
+        return self._initial_cwnd
+
     def reset(self) -> None:
         self.state_block.reset()
         self.cwnd = self.initial_cwnd
@@ -110,6 +124,8 @@ class AstraeaController(ColumnController):
         self._drain_left = 0
         if self._fallback is not None:
             self._fallback.reset()
+        else:
+            self.policy.restart(self.slot)
 
     def _windowed_rtt_min(self, now: float, sample: float) -> float:
         """Sliding-window minimum RTT for the deployment guards.
@@ -225,7 +241,8 @@ class AstraeaController(ColumnController):
                 return decision
         action = self._probe_action(stats.time_s)
         if action is None:
-            action = self._guarded(self.policy.act(state), stats)
+            action = self._guarded(self.policy.act(state, self.slot),
+                                   stats)
         return self._apply(action, stats)
 
     # -- columns -----------------------------------------------------------
@@ -267,7 +284,8 @@ class AstraeaController(ColumnController):
             self.cwnd, self._in_slow_start, self._rtt_min,
             np.nan if self._next_probe_s is None else self._next_probe_s,
             self._drain_left, len(samples) % ring, self.alpha,
-            self.use_pacing, self.probe_rtt_enabled, self.guards_enabled)
+            self.use_pacing, self.probe_rtt_enabled, self.guards_enabled,
+            self.slot)
         block, times, rtts = self._blocks(values, self.state_block.history)
         block[:] = self.state_block.read_column()
         times[:] = -np.inf
@@ -280,7 +298,8 @@ class AstraeaController(ColumnController):
         """Hand a state column back: the state block as the scalar
         leaves it, the RTT deque as the ring's in-window suffix minima."""
         values = np.asarray(values, dtype=float)
-        # The switches (alpha, pacing, probe, guards) never change.
+        # The switches (alpha, pacing, probe, guards) and the slot never
+        # change.
         (self.cwnd, slow, self._rtt_min, next_probe, drain, ring_next,
          *_) = values[:len(self.STATE)].tolist()
         self._in_slow_start = bool(slow)
@@ -315,12 +334,12 @@ class AstraeaController(ColumnController):
         row set taken from the state the interval found, with every
         expression in the scalar's order.
         The policy acts once, through the row-exact ``act_batch``, on
-        the rows that need an action from it.  The guard's windowed
-        minimum is a masked minimum over the RTT ring; a minimum is
-        exact, so it is the monotonic deque's front.
+        the rows that need an action from it, given their slots.  The
+        guard's windowed minimum is a masked minimum over the RTT ring;
+        a minimum is exact, so it is the monotonic deque's front.
         """
         (cwnd, slow, rtt_min, next_probe, drain, ring_next, alpha,
-         use_pacing, probe_rtt, guards) = state[:len(cls.STATE)]
+         use_pacing, probe_rtt, guards, slot) = state[:len(cls.STATE)]
         block, times, rtts = cls._blocks(state, policy.history)
         stack = LocalStateBlock.update_columns(columns, block)
         now = columns.time_s
@@ -369,7 +388,7 @@ class AstraeaController(ColumnController):
         if sel is not None:
             # The stacked forward needs rows laid out as act() sees them.
             action[sel] = policy.act_batch(
-                np.ascontiguousarray(stack[:, sel].T))
+                np.ascontiguousarray(stack[:, sel].T), slot[sel])
             guarded = guards != 0
             sel = rows_where(guarded if asking is every
                              else guarded & asking)

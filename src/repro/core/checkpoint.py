@@ -8,7 +8,7 @@ history, and the exact states of every random stream the loop consumes
 (the scenario-sampling generator, the replay sampler, and the TD3
 exploration/target-noise generator).  Together with the deterministic
 per-``(seed, episode, flow)`` exploration streams of
-:class:`~repro.env.episode.TrainFlowController`, restoring all of this
+:class:`~repro.env.episode.TrainingPolicy`, restoring all of this
 makes a resumed run produce bit-identical ``episode_rewards`` to an
 uninterrupted one.
 

@@ -107,11 +107,12 @@ class PolicyBundle:
     scheme: str = "astraea"
     metadata: dict | None = None
 
-    def act(self, local_state: np.ndarray) -> float:
+    def act(self, local_state: np.ndarray, slot: int = 0) -> float:
         """Greedy action in (-1, 1) for a single stacked local state."""
         return float(self.act_batch(local_state)[0])
 
-    def act_batch(self, local_states: np.ndarray) -> np.ndarray:
+    def act_batch(self, local_states: np.ndarray,
+                  slots=None) -> np.ndarray:
         """Greedy actions for ``(n, in_dim)`` stacked states, one per row.
 
         Row-exact (:meth:`~repro.rl.nn.MLP.infer_rows`): element ``i``
@@ -119,10 +120,15 @@ class PolicyBundle:
         so a driver may stack every due flow of a pass into one call
         without perturbing the rollout.  Byte-identical rows (flows
         starved at the same clip ceiling) are forwarded once per call
-        and share that row's action.
+        and share that row's action.  The deciding agents' ``slots`` (and
+        :meth:`act`'s ``slot``) serve a policy with per-agent state, the
+        training policy's exploration; a bundle has none.
         """
         out = self.actor.infer_rows(local_states)
         return np.clip(out[:, 0], -0.999, 0.999)
+
+    def restart(self, slot: int) -> None:
+        """The agent at ``slot`` starts a new connection."""
 
     # ------------------------------------------------------------------
 

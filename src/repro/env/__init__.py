@@ -4,7 +4,7 @@ from .engines import ALL_ENGINES, ENGINES, run_engine_scenario
 from .episode import (
     EpisodeStats,
     Observer,
-    TrainFlowController,
+    TrainingPolicy,
     run_training_episode,
 )
 from .multiflow import (
@@ -29,7 +29,7 @@ __all__ = [
     "ENGINES",
     "ALL_ENGINES",
     "run_topology",
-    "TrainFlowController",
+    "TrainingPolicy",
     "Observer",
     "EpisodeStats",
     "run_training_episode",

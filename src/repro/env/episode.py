@@ -1,7 +1,9 @@
 """Training-episode machinery: the Controller of §3.2 in code.
 
-During training each flow is driven by a :class:`TrainFlowController`
-executing the shared policy with exploration noise.  The
+During training each agent flow is an
+:class:`~repro.core.astraea.AstraeaController` with slow start, probe
+drain and guards off, whose policy is the episode's
+:class:`TrainingPolicy`: the shared actor plus exploration.  The
 :class:`Observer` gathers the latest per-flow statistics (the paper's
 world-observation exchange), compiles the Table 2 global state, evaluates
 the global reward, assembles ``(g, s, a, r, g', s')`` transitions, and
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cc.base import ColumnController, Decision
 from ..config import (
     ACTION_ALPHA,
     FlowConfig,
@@ -36,72 +37,99 @@ from ..config import (
     RewardConfig,
     ScenarioConfig,
 )
-from ..core.action import apply_action, apply_action_columns, \
-    pacing_from_cwnd
+from ..core.astraea import AstraeaController
 from ..core.learner import Learner
 from ..core.reward import RewardBlock
-from ..core.state import GLOBAL_FEATURES, LOCAL_FEATURES, LocalStateBlock, \
-    column_rows, global_state_from_reductions
-from ..errors import ConfigError, ModelError
-from ..netsim.stats import MtpColumns, MtpStats, contiguous_run
+from ..core.state import GLOBAL_FEATURES, LOCAL_FEATURES, \
+    global_state_from_reductions
+from ..errors import ConfigError
+from ..netsim.stats import MtpColumns, contiguous_run
 from .multiflow import build_driver
 
 
 class TrainingPolicy:
-    """The shared policy of one training episode's agents.
+    """The shared policy of one training episode's agents: the
+    learner's actor plus exploration.
 
     Holds the learner (or a :class:`~repro.env.pool.FrozenPolicy`) —
-    :meth:`act_batch` delegates to it, so the learner's ``act_batch``
-    stays the one forward per pass — and, per agent slot,
-    what cannot live in a float column: the agent's exploration stream,
-    and the last ``(state, action)`` the agent applied, which the
-    :class:`Observer` pairs into transitions.  A
-    :class:`TrainFlowController`'s state column carries its slot.
-    :func:`build_training_controllers` builds one per episode.
+    :meth:`act_batch` forwards through its ``act_batch``, so that stays
+    the one forward per pass — and, per agent slot, what cannot live in
+    a float column: the agent's exploration stream, and the last
+    ``(state, action)`` it decided, which the :class:`Observer` pairs
+    into transitions.  :func:`build_training_controllers` builds one per
+    episode, sized to its agents.
+
+    Exploration combines three mechanisms: uniform random actions until
+    the replay buffer is warm, an epsilon of uniform actions afterwards
+    (Gaussian noise added after the tanh cannot escape a saturated
+    actor), and the Gaussian perturbation itself.  Every draw comes from
+    the deciding agent's own stream, so the episode's randomness is
+    independent of *how* actions were computed (one agent at a time or
+    one column pass).
     """
 
-    def __init__(self, learner):
+    EPSILON_UNIFORM = 0.10
+    #: The Eq. 3 coefficient the agents apply (a bundle's ``alpha``).
+    alpha = ACTION_ALPHA
+
+    def __init__(self, learner, noise_std: float,
+                 streams: list[np.random.Generator]):
         self.learner = learner
-        local_dim = LOCAL_FEATURES * learner.cfg.history_length
-        self.streams: list[np.random.Generator] = []
+        self.history = learner.cfg.history_length
+        self.noise_std = noise_std
+        self.streams = streams
+        n = len(streams)
         #: Per slot: the state the agent's last decision acted on, that
         #: decision's action, and whether there is one since its reset.
-        self.states = np.zeros((0, local_dim))
-        self.actions = np.zeros(0)
-        self.has_state = np.zeros(0, dtype=bool)
+        self.states = np.zeros((n, LOCAL_FEATURES * self.history))
+        self.actions = np.zeros(n)
+        self.has_state = np.zeros(n, dtype=bool)
         #: Per slot: whether the agent was reset since the observer last
         #: looked (its state block, and so its Eq. 7 history, restarted).
-        self.restarted = np.zeros(0, dtype=bool)
-        #: :meth:`TrainFlowController.decide_columns`' scratch (the
-        #: actions, the forward's input rows), one row per agent.
-        self._actions = self._rows = np.zeros(0)
+        self.restarted = np.ones(n, dtype=bool)
 
-    def add_agent(self, stream: np.random.Generator) -> int:
-        """Register an agent's exploration stream; returns its slot."""
-        self.streams.append(stream)
-        self.states = np.concatenate(
-            [self.states, np.zeros((1, self.states.shape[1]))])
-        self.actions = np.append(self.actions, 0.0)
-        self.has_state = np.append(self.has_state, False)
-        self.restarted = np.append(self.restarted, True)
-        return len(self.streams) - 1
+    def restart(self, slot: int) -> None:
+        """The agent at ``slot`` was reset: it has no state to pair."""
+        self.has_state[slot] = False
+        self.restarted[slot] = True
 
-    @property
-    def warm(self) -> bool:
-        return self.learner.warm
+    def act(self, state: np.ndarray, slot: int) -> float:
+        """:meth:`act_batch` of one agent."""
+        return float(self.act_batch(state[None, :], [slot])[0])
 
-    def act_batch(self, states: np.ndarray) -> np.ndarray:
-        return self.learner.act_batch(states)
+    def act_batch(self, rows: np.ndarray, slots) -> np.ndarray:
+        """The actions of the agents at ``slots`` deciding on the
+        stacked states ``rows``, recorded in the slot table.
 
-    def scratch(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``k`` rows of the decision scratch: an action vector and the
-        ``(k, local_dim)`` forward input.  Sized to the agent count on
-        first use (the agents join before the episode runs)."""
-        if len(self._actions) < k:
-            n = max(k, len(self.streams))
-            self._actions = np.zeros(n)
-            self._rows = np.zeros((n, self.states.shape[1]))
-        return self._actions[:k], self._rows[:k]
+        Per agent, in order and from its own stream: the epsilon draw
+        (once the learner is warm) and the uniform action of an
+        exploring agent.  The learner acts once, through its row-exact
+        ``act_batch``, on the other agents' rows only, each of which
+        then draws its Gaussian noise (when ``noise_std > 0``); one clip
+        closes the decision.
+        """
+        slots = np.asarray(slots, dtype=np.intp)
+        streams = list(map(self.streams.__getitem__, slots.tolist()))
+        action = np.empty(len(streams))
+        greedy = []
+        warm = self.learner.warm
+        for j, stream in enumerate(streams):
+            if warm and stream.random() >= self.EPSILON_UNIFORM:
+                greedy.append(j)
+            else:
+                action[j] = stream.uniform(-0.999, 0.999)
+        if greedy:
+            clean = self.learner.act_batch(
+                rows if len(greedy) == len(rows) else rows[greedy])
+            noise = self.noise_std
+            for j, a in zip(greedy, clean.tolist()):
+                if noise > 0:
+                    a = a + streams[j].normal(0.0, noise)
+                action[j] = a
+            # (An exploring row's uniform draw is inside the clip.)
+            action.clip(-0.999, 0.999, out=action)
+        self.record(contiguous_run(slots), rows, action)
+        return action
 
     def record(self, slots, states: np.ndarray, actions) -> None:
         """The decisions of the agents at ``slots`` (an index array, or
@@ -109,177 +137,6 @@ class TrainingPolicy:
         self.states[slots] = states
         self.actions[slots] = actions
         self.has_state[slots] = True
-
-
-class TrainFlowController(ColumnController):
-    """Astraea agent in training mode: shared policy plus exploration.
-
-    The initial window is randomised per flow so early training covers the
-    state space even while exploration noise is too small to move the
-    multiplicative window far within one episode.  Exploration combines
-    three mechanisms: uniform random actions until the replay buffer is
-    warm, an epsilon of uniform actions afterwards (Gaussian noise added
-    after the tanh cannot escape a saturated actor), and the Gaussian
-    perturbation itself.  Every random draw — epsilon, uniform action and
-    the Gaussian noise — comes from this controller's own stream, so the
-    episode's randomness is independent of *how* actions were computed
-    (one flow at a time or one column pass).
-
-    :meth:`on_interval` is the definition.  It is also a column kind:
-    with ``policy`` set (the episode's :class:`TrainingPolicy`) a driver
-    decides every due agent in one :meth:`decide_columns` call around
-    one stacked forward; with ``policy`` set to ``None`` every decision
-    runs the per-object :meth:`on_interval`, the reference.
-    """
-
-    EPSILON_UNIFORM = 0.10
-
-    #: The scalar rows of the column state; the state block's column
-    #: (:meth:`LocalStateBlock.read_column`) follows.  The last state
-    #: and action live in the :class:`TrainingPolicy`.
-    STATE = ("cwnd", "alpha", "use_pacing", "noise_std", "slot")
-
-    def __init__(self, learner: Learner, noise_std: float = 0.1,
-                 alpha: float = ACTION_ALPHA, mtp_s: float = 0.030,
-                 initial_cwnd: float = 10.0, use_pacing: bool = True,
-                 episode: int = 0, flow_index: int = 0,
-                 agents: TrainingPolicy | None = None):
-        super().__init__(mtp_s)
-        if not 0 < alpha < 1:
-            # apply_action's check, at construction.
-            raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
-        self.learner = learner
-        self.agents = agents if agents is not None \
-            else TrainingPolicy(learner)
-        self.policy = self.agents
-        self.noise_std = noise_std
-        self.alpha = alpha
-        self.use_pacing = use_pacing
-        self._initial_cwnd = max(initial_cwnd, 2.0)
-        self.state_block = LocalStateBlock(history=learner.cfg.history_length)
-        # The exploration stream is a pure function of (learner seed,
-        # episode, flow index) — NOT of how many controllers this process
-        # ever built.  A class-level counter here once made two same-seed
-        # runs in one process diverge, and would have broken bit-exact
-        # checkpoint resume.
-        self._rng = np.random.default_rng(
-            [learner.cfg.seed, episode, flow_index])
-        self.slot = self.agents.add_agent(self._rng)
-        self.reset()
-
-    @property
-    def initial_cwnd(self) -> float:
-        return self._initial_cwnd
-
-    @property
-    def last_state(self) -> np.ndarray | None:
-        """The state the last decision acted on (``None`` before the
-        first decision since :meth:`reset`)."""
-        agents = self.agents
-        return agents.states[self.slot].copy() \
-            if agents.has_state[self.slot] else None
-
-    @property
-    def last_action(self) -> float:
-        return float(self.agents.actions[self.slot])
-
-    def reset(self) -> None:
-        self.state_block.reset()
-        self.cwnd = self._initial_cwnd
-        self.agents.has_state[self.slot] = False
-        self.agents.restarted[self.slot] = True
-        self.agents.actions[self.slot] = 0.0
-
-    def on_interval(self, stats: MtpStats) -> Decision:
-        """Fold ``stats``; explore with a uniform random action (not warm
-        yet, or the epsilon draw fired), else perturb the policy's action
-        with Gaussian noise — every draw from this controller's stream."""
-        state = self.state_block.update(stats)
-        rng = self._rng
-        if not self.learner.warm or rng.random() < self.EPSILON_UNIFORM:
-            action = float(rng.uniform(-0.999, 0.999))
-        else:
-            action = self.learner.act(state)
-            if self.noise_std > 0:
-                action = action + float(rng.normal(0.0, self.noise_std))
-            action = float(np.clip(action, -0.999, 0.999))
-        self.cwnd = apply_action(self.cwnd, action, self.alpha)
-        self.agents.record(self.slot, state, action)
-        pacing = pacing_from_cwnd(self.cwnd, max(stats.srtt_s, 1e-6)) \
-            if self.use_pacing else None
-        return Decision(cwnd_pkts=self.cwnd, pacing_pps=pacing)
-
-    # -- columns -----------------------------------------------------------
-
-    def column_key(self) -> tuple | None:
-        """``None`` without a policy: the per-object reference leg."""
-        if self.policy is None:
-            return None
-        return (type(self), id(self.policy), self.state_block.history,
-                self.mtp_s)
-
-    def state_rows(self) -> int:
-        return len(self.STATE) + column_rows(self.state_block.history)
-
-    def read_state(self) -> np.ndarray:
-        return np.concatenate([
-            (self.cwnd, self.alpha, self.use_pacing, self.noise_std,
-             self.slot), self.state_block.read_column()])
-
-    def write_state(self, values) -> None:
-        """Hand a state column back.  (The switches and the slot never
-        change.)"""
-        self.cwnd = float(values[0])
-        self.state_block.write_column(values[len(self.STATE):])
-
-    @classmethod
-    def decide_columns(cls, state: np.ndarray, columns: MtpColumns,
-                       policy: TrainingPolicy
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`on_interval` of many agents around one stacked forward.
-
-        The state blocks fold as columns; then, per agent and from its
-        own stream in the scalar's order, the epsilon draw (when warm)
-        and the uniform action of an exploring agent.  The policy acts
-        once, through the row-exact ``act_batch``, on the other agents'
-        rows, each of which then draws its Gaussian noise (when
-        ``noise_std > 0``).  One clip, the Eq. 3 window and pacing
-        close the decision, which is recorded in ``policy``.
-        """
-        cwnd, alpha, use_pacing, noise_std, slot = state[:len(cls.STATE)]
-        stack = LocalStateBlock.update_columns(columns,
-                                               state[len(cls.STATE):])
-        slots = slot.astype(np.intp)
-        streams = list(map(policy.streams.__getitem__, slots.tolist()))
-        k = len(cwnd)
-        action, rows = policy.scratch(k)
-        asking = []
-        warm = policy.warm
-        for j, stream in enumerate(streams):
-            if warm and stream.random() >= cls.EPSILON_UNIFORM:
-                asking.append(j)
-            else:
-                action[j] = stream.uniform(-0.999, 0.999)
-        if asking:
-            # The stacked forward needs rows laid out as act() sees them.
-            if len(asking) == k:
-                np.copyto(rows, stack.T)
-            else:
-                rows = np.ascontiguousarray(stack[:, asking].T)
-            clean = policy.act_batch(rows)
-            noise = noise_std.tolist()
-            for j, a in zip(asking, clean.tolist()):
-                if noise[j] > 0:
-                    a = a + streams[j].normal(0.0, noise[j])
-                action[j] = a
-            # (An exploring row's uniform draw is inside the clip.)
-            action.clip(-0.999, 0.999, out=action)
-        cwnd[:] = apply_action_columns(cwnd, action, alpha)
-        policy.record(contiguous_run(slots), stack.T, action)
-        floor = np.maximum(columns.srtt_s, 1e-6)
-        if use_pacing.all():
-            return cwnd, np.divide(cwnd, floor, out=floor)
-        return cwnd, np.where(use_pacing != 0, cwnd / floor, np.inf)
 
 
 @dataclass
@@ -324,7 +181,7 @@ class Observer:
 
     def __init__(self, learner: Learner, link: LinkConfig,
                  flows: tuple[FlowConfig, ...],
-                 controllers: list[TrainFlowController],
+                 controllers: list,
                  reward_config: RewardConfig | None = None,
                  local_reward=None, do_updates: bool = True,
                  transition_sink=None):
@@ -338,17 +195,20 @@ class Observer:
         self.transition_sink = transition_sink
         self.stats = EpisodeStats()
         n = len(flows)
-        agents = [c for c in controllers if isinstance(c, TrainFlowController)]
-        tables = {id(c.agents): c.agents for c in agents}
+        # An agent is a controller whose policy is a TrainingPolicy.
+        policies = [getattr(c, "policy", None) for c in controllers]
+        tables = {id(p): p for p in policies
+                  if isinstance(p, TrainingPolicy)}
         if len(tables) > 1:
             raise ConfigError("an episode's agents must share one "
                               "TrainingPolicy (build_training_controllers)")
         self._agents = next(iter(tables.values()), None)
         self._is_agent = np.array(
-            [isinstance(c, TrainFlowController) for c in controllers],
+            [p is not None and p is self._agents for p in policies],
             dtype=bool)
-        self._slot = np.array([c.slot if isinstance(c, TrainFlowController)
-                               else -1 for c in controllers], dtype=np.intp)
+        self._slot = np.array([c.slot if agent else -1 for c, agent
+                               in zip(controllers, self._is_agent)],
+                              dtype=np.intp)
         self._start = np.array([f.start_s for f in flows], dtype=float)
         self._end = np.array([f.end_s() for f in flows], dtype=float)
         # The latest stats of every flow seen, in first-seen order.
@@ -567,26 +427,35 @@ def build_training_controllers(learner, scenario: ScenarioConfig,
                                episode: int = 0) -> list:
     """One controller per flow: agents for ``astraea``, cross traffic else.
 
-    The agents share one :class:`TrainingPolicy`.  ``learner`` only
-    needs ``cfg.seed``, ``cfg.history_length``, ``warm`` and the act
-    methods — a frozen policy snapshot
+    An agent is an :class:`~repro.core.astraea.AstraeaController` that
+    starts at its flow's (randomised) initial window, with slow start,
+    probe drain and guards off; the agents share one
+    :class:`TrainingPolicy`.  The initial window is randomised so early
+    training covers the state space even while exploration noise is too
+    small to move the multiplicative window far within one episode.
+    ``learner`` only needs ``cfg.seed``, ``cfg.history_length``,
+    ``warm`` and ``act_batch`` — a frozen policy snapshot
     (:class:`repro.env.pool.FrozenPolicy`) works as well as the live
     :class:`~repro.core.learner.Learner`.
     """
     from ..cc import create as create_cc
 
-    agents = TrainingPolicy(learner)
-    controllers = []
-    for flow_index, (cfg_flow, cw) in enumerate(zip(scenario.flows,
-                                                    initial_cwnds)):
-        if cfg_flow.cc == "astraea":
-            controllers.append(TrainFlowController(
-                learner, noise_std=noise_std, mtp_s=scenario.mtp_s,
-                initial_cwnd=cw, episode=episode, flow_index=flow_index,
-                agents=agents))
-        else:
-            controllers.append(create_cc(cfg_flow.cc, **cfg_flow.cc_kwargs))
-    return controllers
+    flows = list(zip(scenario.flows, initial_cwnds))
+    agents = [i for i, (f, _) in enumerate(flows) if f.cc == "astraea"]
+    # An exploration stream is a pure function of (learner seed,
+    # episode, flow index) — NOT of how many controllers this process
+    # ever built.  A class-level counter here once made two same-seed
+    # runs in one process diverge, and would have broken bit-exact
+    # checkpoint resume.
+    policy = TrainingPolicy(learner, noise_std, [
+        np.random.default_rng([learner.cfg.seed, episode, i])
+        for i in agents])
+    slots = {i: slot for slot, i in enumerate(agents)}
+    return [AstraeaController(
+        mtp_s=scenario.mtp_s, policy=policy, slow_start=False,
+        probe_rtt=False, guards=False, initial_cwnd=cw, slot=slots[i])
+        if i in slots else create_cc(f.cc, **f.cc_kwargs)
+        for i, (f, cw) in enumerate(flows)]
 
 
 def run_training_episode(learner: Learner, scenario: ScenarioConfig,
@@ -613,9 +482,11 @@ def run_training_episode(learner: Learner, scenario: ScenarioConfig,
 
     ``batched`` selects the column decision: all agents of a pass
     decide in one call around one stacked forward.  ``batched=False``
-    runs the per-object path of the same pass (one ``on_interval`` per
-    agent); both produce bitwise-identical episodes (the contract
-    ``repro bench train`` verifies).  Either way the learner buffers the
+    runs the driver's per-object reference step instead (one
+    ``on_interval`` per flow, see
+    :meth:`~repro.env.multiflow.ScenarioDriver.step_collect`); both
+    produce bitwise-identical episodes (the contract ``repro bench
+    train`` verifies).  Either way the learner buffers the
     pass's transition blocks and writes them into replay at the next
     update burst, and at the end of the episode (on error too).
 
@@ -624,10 +495,6 @@ def run_training_episode(learner: Learner, scenario: ScenarioConfig,
     """
     controllers = build_training_controllers(learner, scenario, noise_std,
                                              initial_cwnds, episode=episode)
-    if not batched:
-        for ctl in controllers:
-            if isinstance(ctl, TrainFlowController):
-                ctl.policy = None
     observer = Observer(learner, scenario.link, scenario.flows,
                         controllers, reward_config=reward_config,
                         local_reward=local_reward, do_updates=do_updates,
@@ -637,8 +504,17 @@ def run_training_episode(learner: Learner, scenario: ScenarioConfig,
                           log=False)
     learner.reset_update_clock()
     try:
-        while driver.step_block():
-            pass
+        if batched:
+            while driver.step_block():
+                pass
+        else:
+            while (due := driver.step_collect()) is not None:
+                for rf, stats in due:
+                    driver.finish_flow(rf, stats,
+                                       rf.controller.on_interval(stats))
+                now = driver.now
+                observer(now, [rf for rf, _ in due], MtpColumns.of(
+                    now, [s for _, s in due]) if due else None)
     finally:
         learner.flush_transitions()
     return observer.stats

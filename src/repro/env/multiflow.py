@@ -632,15 +632,16 @@ class ScenarioDriver:
 
     def finish_flow(self, rf: _RunningFlow, stats, decision) -> None:
         """Apply one controller decision collected by :meth:`step_collect`:
-        set the window, log the interval and schedule the flow's next
-        deadline.  With :meth:`step_collect` this is the one-flow-at-a-time
-        reference the batched pass is tested against; it fires no hook.
-        The caller decided with the object, so a column flow's state
-        columns are reloaded from it."""
+        set the window, log the interval (if the driver keeps logs) and
+        schedule the flow's next deadline.  With :meth:`step_collect`
+        this is the one-flow-at-a-time reference the batched pass is
+        tested against; it fires no hook.  The caller decided with the
+        object, so a column flow's state columns are reloaded from it."""
         self._engine.set_cwnd(rf.engine_id, decision.cwnd_pkts,
                               decision.pacing_pps)
         now = self._engine.now
-        self._logs[rf.index].record(now, stats, decision.cwnd_pkts)
+        if self._log_blocks is not None:
+            self._logs[rf.index].record(now, stats, decision.cwnd_pkts)
         self._next_ctrl[rf.pos] = self._next_deadlines(
             now, rf.controller.interval_s(stats.srtt_s), rf.controller.mtp_s)
         if self._kind[rf.pos] >= 0:

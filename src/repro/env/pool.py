@@ -34,9 +34,9 @@ class FrozenPolicy:
     """Read-only actor snapshot that stands in for the Learner in workers.
 
     Duck-types the slice of :class:`~repro.core.learner.Learner` that
-    :class:`~repro.env.episode.TrainFlowController` and the episode
-    runner touch: ``cfg``, ``warm``, the act methods, the update-clock
-    reset and the replay flush.  It never owns replay memory or critics
+    :class:`~repro.env.episode.TrainingPolicy` and the episode runner
+    touch: ``cfg``, ``warm``, ``act_batch``, the update-clock reset and
+    the replay flush.  It never owns replay memory or critics
     — transitions leave the worker through the observer's
     ``transition_sink`` and updates happen only in the parent.
     """
@@ -52,7 +52,7 @@ class FrozenPolicy:
     def act_batch(self, local_states: np.ndarray,
                   noise_std: float = 0.0) -> np.ndarray:
         """Greedy actions via the row-consistent kernel (no noise: the
-        exploration Gaussian lives on the controllers' own streams)."""
+        exploration Gaussian lives on the agents' own streams)."""
         actions = self.actor.infer_rows(local_states)[:, 0]
         if not np.isfinite(actions).all():
             # A worker cannot roll anything back; surface the bad actor
@@ -60,9 +60,6 @@ class FrozenPolicy:
             raise SimulationError("frozen policy produced a non-finite "
                                   "action")
         return np.clip(actions, -0.999, 0.999)
-
-    def act(self, local_state: np.ndarray, noise_std: float = 0.0) -> float:
-        return float(self.act_batch(local_state[None, :])[0])
 
     def reset_update_clock(self) -> None:
         """No-op: the parent owns the update schedule."""

@@ -286,10 +286,10 @@ def test_columns_equal_the_scalar_loop(data):
 class NanPolicy:
     history = HISTORY
 
-    def act(self, state):
+    def act(self, state, slot):
         return float("nan")
 
-    def act_batch(self, states):
+    def act_batch(self, states, slots):
         return np.full(len(states), np.nan)
 
 

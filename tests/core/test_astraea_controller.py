@@ -96,9 +96,9 @@ class CountingPolicy:
         self.policy = policy
         self.calls = 0
 
-    def act(self, state):
+    def act(self, state, slot):
         self.calls += 1
-        return self.policy.act(state)
+        return self.policy.act(state, slot)
 
 
 class TestShippedBundle:

@@ -386,6 +386,23 @@ class TestColumnPass:
         counting = batched_ctl[5]
         assert counting.fired == len(batched.flows[5].times)
 
+    def test_a_driver_without_logs_keeps_none_on_either_path(self):
+        """``log=False`` (a training episode's driver) keeps no log rows
+        from the column pass or from the per-object reference step, and
+        leaves the controllers as a logging run does."""
+        scenario = column_scenario()
+        column_ctl, reference_ctl, logged_ctl = (
+            column_controllers(scenario) for _ in range(3))
+        run_scenario(scenario, logged_ctl)
+        column = build_driver(scenario, controllers=column_ctl,
+                              log=False).run()
+        reference = drive_per_flow(
+            build_driver(scenario, controllers=reference_ctl, log=False))
+        for result in (column, reference):
+            assert not any(log.times for log in result.flows)
+        assert pickled(column_ctl) == pickled(reference_ctl) \
+            == pickled(logged_ctl)
+
     def test_a_hooked_pass_sees_the_same_decisions(self):
         """With an ``on_step`` hook every due flow's stats reach it,
         column flows included; the ECN flows did see marks."""

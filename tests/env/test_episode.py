@@ -15,7 +15,7 @@ from repro.config import (
     replace,
 )
 from repro.core.learner import Learner
-from repro.env.episode import Observer, TrainFlowController, \
+from repro.env.episode import Observer, build_training_controllers, \
     run_training_episode
 from repro.netsim import staggered_flows
 from repro.netsim.stats import MtpColumns
@@ -34,10 +34,17 @@ def episode_scenario(n=2, duration=6.0):
     )
 
 
+def agent(learner, noise_std=0.1, initial_cwnd=10.0):
+    """A training agent, built as an episode builds flow 0's."""
+    ctl, = build_training_controllers(learner, episode_scenario(n=1),
+                                      noise_std, [initial_cwnd])
+    return ctl
+
+
 class TestTrainController:
     def test_respects_alpha_bound(self):
         learner = Learner(SMALL)
-        ctl = TrainFlowController(learner, noise_std=1.0, initial_cwnd=50.0)
+        ctl = agent(learner, noise_std=1.0, initial_cwnd=50.0)
         from tests.cc.test_base import make_stats
 
         prev = ctl.cwnd
@@ -48,18 +55,18 @@ class TestTrainController:
 
     def test_randomised_initial_cwnd(self):
         learner = Learner(SMALL)
-        ctl = TrainFlowController(learner, initial_cwnd=77.0)
+        ctl = agent(learner, initial_cwnd=77.0)
         assert ctl.initial_cwnd == 77.0
         assert ctl.cwnd == 77.0
 
     def test_records_state_action(self):
         learner = Learner(SMALL)
-        ctl = TrainFlowController(learner)
+        ctl = agent(learner)
         from tests.cc.test_base import make_stats
 
         ctl.on_interval(make_stats())
-        assert ctl.last_state is not None
-        assert -1.0 <= ctl.last_action <= 1.0
+        assert ctl.policy.has_state[ctl.slot]
+        assert -1.0 <= ctl.policy.actions[ctl.slot] <= 1.0
 
 
 class TestEpisode:
@@ -155,11 +162,11 @@ class TestDeterminism:
 
     def test_distinct_episode_and_flow_ids_decorrelate_exploration(self):
         learner = Learner(SMALL)
-        base = TrainFlowController(learner, episode=0, flow_index=0)
-        other_ep = TrainFlowController(learner, episode=1, flow_index=0)
-        other_flow = TrainFlowController(learner, episode=0, flow_index=1)
-        draws = {c._rng.random() for c in (base, other_ep, other_flow)}
-        assert len(draws) == 3
+        draws = {c.policy.streams[c.slot].random() for episode in (0, 1)
+                 for c in build_training_controllers(
+                     learner, episode_scenario(), 0.1, [30.0, 30.0],
+                     episode=episode)}
+        assert len(draws) == 4
 
 
 def step(obs, now):
@@ -173,20 +180,20 @@ def step(obs, now):
 
 class TestObserverGuards:
     def observer(self, learner):
-        ctl = TrainFlowController(learner, initial_cwnd=30.0)
+        ctl = agent(learner, initial_cwnd=30.0)
         flows = (FlowConfig(cc="astraea", duration_s=100.0),)
         return ctl, Observer(learner, LINK, flows, [ctl])
 
     def test_skips_controller_that_has_no_state_yet(self):
-        """A controller observed before its first on_interval has
-        ``last_state is None``; the Observer must skip it rather than
-        poison a transition tuple."""
+        """A controller observed before its first on_interval has no
+        state in its policy's slot table; the Observer must skip it
+        rather than poison a transition tuple."""
         from tests.cc.test_base import make_stats
 
         learner = Learner(SMALL)
         ctl, obs = self.observer(learner)
 
-        step(obs, 1.0)  # last_state is None
+        step(obs, 1.0)  # no state yet
         assert obs.stats.transitions == 0
         assert len(learner.replay) == 0
 
@@ -207,7 +214,7 @@ class TestObserverGuards:
 
         ctl.on_interval(make_stats(time_s=1.0))
         step(obs, 1.0)       # seeds pending
-        ctl.reset()          # last_state -> None
+        ctl.reset()          # the slot has no state
         step(obs, 1.03)      # must drop pending
         assert obs.stats.transitions == 0
 

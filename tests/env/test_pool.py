@@ -127,7 +127,7 @@ class TestPoolRobustness:
         """The pool must not swallow failures — train_astraea's quarantine
         layer is responsible for containment, and it can only react if the
         error surfaces.  Nothing from a failed stride may reach replay."""
-        from repro.env.episode import TrainFlowController
+        from repro.core.astraea import AstraeaController
         from repro.errors import SimulationError
 
         learner = Learner(SMALL)
@@ -138,8 +138,8 @@ class TestPoolRobustness:
             raise SimulationError("controller blew up mid-episode")
 
         # The per-object decision and the column pass the pool runs.
-        monkeypatch.setattr(TrainFlowController, "on_interval", boom)
-        monkeypatch.setattr(TrainFlowController, "decide_columns",
+        monkeypatch.setattr(AstraeaController, "on_interval", boom)
+        monkeypatch.setattr(AstraeaController, "decide_columns",
                             classmethod(boom))
         with pytest.raises(SimulationError):
             pool.run()
@@ -156,7 +156,7 @@ class TestPoolRobustness:
                 learner, scenario(), noise_std=0.1,
                 initial_cwnds=[30.0, 30.0], episode=episode)
         ]
-        draws = [c._rng.random() for c in ctls]
+        draws = [c.policy.streams[c.slot].random() for c in ctls]
         assert len(set(draws)) == len(draws)
 
 

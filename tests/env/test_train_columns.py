@@ -1,11 +1,14 @@
 """The columnar training pass against the per-object loop it stands for.
 
-``TrainFlowController.decide_columns`` decides every due agent of an
-episode in one call around one stacked forward; the per-object
-``on_interval`` stays the definition.
+A training agent is an ``AstraeaController`` whose policy is the
+episode's ``TrainingPolicy``: ``decide_columns`` decides every due agent
+of an episode in one call around one stacked forward, and the
+per-object ``on_interval`` stays the definition.
 The contract is bitwise on ``float.hex``: the window, the pacing rate,
-every state row, the last state and action recorded for the observer,
-and each exploration stream's position afterwards.
+every state row, the states and actions recorded for the observer, and
+each exploration stream's position afterwards.  Training builds the
+agent with slow start, probe drain and guards off; an episode with them
+on is held to the same contract.
 
 The observer's column reductions (Eq. 4-8 reward, Table 2 global state,
 the Eq. 7 moments of the throughput ring) are checked the same way
@@ -25,15 +28,18 @@ from hypothesis import strategies as st
 from repro.config import (
     FlowConfig,
     LinkConfig,
+    ScenarioConfig,
     TrainingConfig,
     replace,
 )
+from repro.core.astraea import AstraeaController
 from repro.core.learner import Learner
 from repro.core.reward import FlowSnapshot, RewardBlock
 from repro.core.state import LOCAL_FEATURES, LocalStateBlock, \
     global_state_columns, global_state_vector
-from repro.env.episode import Observer, TrainFlowController, \
-    TrainingPolicy
+from repro.env import episode
+from repro.env.episode import Observer, TrainingPolicy, \
+    build_training_controllers, run_training_episode
 from repro.env.pool import FrozenPolicy
 from repro.netsim.stats import MtpColumns, MtpStats
 
@@ -47,37 +53,49 @@ def hexed(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def training_agents(learner, n: int) -> tuple[TrainingPolicy, list]:
+    """``n`` agents and their shared policy, built as an episode builds
+    them."""
+    scenario = ScenarioConfig(link=LINK, flows=(FlowConfig(),) * n,
+                              duration_s=1.0)
+    controllers = build_training_controllers(learner, scenario, 0.1,
+                                             [10.0] * n)
+    return controllers[0].policy, controllers
+
+
 # -- decisions --------------------------------------------------------------
 
-def make_agents(flows: list[dict], warm: bool):
+def make_agents(flows: list[dict], warm: bool, noise_std: float):
     """One episode's controllers in the states ``flows`` describe."""
-    agents = TrainingPolicy(FrozenPolicy(CFG, ACTOR_STATE, warm=warm))
+    table = TrainingPolicy(
+        FrozenPolicy(CFG, ACTOR_STATE, warm=warm), noise_std,
+        [np.random.default_rng([CFG.seed, 2, i]) for i in range(len(flows))])
     controllers = []
     for i, flow in enumerate(flows):
-        ctl = TrainFlowController(
-            agents.learner, noise_std=flow["noise_std"], alpha=flow["alpha"],
-            use_pacing=flow["use_pacing"], initial_cwnd=10.0, episode=2,
-            flow_index=i, agents=agents)
+        ctl = AstraeaController(
+            mtp_s=0.030, policy=table, alpha=flow["alpha"],
+            use_pacing=flow["use_pacing"], slow_start=False,
+            probe_rtt=False, guards=False, slot=i)
         ctl.cwnd = flow["cwnd"]
         block = ctl.state_block
         block.thr_max_pps = flow["thr_max_pps"]
         block.lat_min_s = flow["lat_min_s"]
         block._frames.extend(np.array(f, dtype=float) for f in flow["frames"])
         block.thr_history_pps.extend(flow["thr_history"])
-        ctl._rng.random(flow["skip"])      # somewhere along its stream
+        table.streams[i].random(flow["skip"])   # somewhere along its stream
         controllers.append(ctl)
-    return agents, controllers
+    return table, controllers
 
 
 def check_bitwise(now: float, flows: list[dict], rows: list[dict],
-                  warm: bool) -> None:
+                  warm: bool, noise_std: float) -> None:
     stats = [MtpStats(time_s=now, **row) for row in rows]
-    _, scalar = make_agents(flows, warm)
+    want_table, scalar = make_agents(flows, warm, noise_std)
     want = [c.on_interval(s) for c, s in zip(scalar, stats)]
 
-    table, columns = make_agents(flows, warm)
+    table, columns = make_agents(flows, warm, noise_std)
     state = np.array([c.read_state() for c in columns]).T.copy()
-    cwnd, pacing = TrainFlowController.decide_columns(
+    cwnd, pacing = AstraeaController.decide_columns(
         state, MtpColumns.of(now, stats), table)
 
     assert hexed(cwnd) == hexed(d.cwnd_pkts for d in want)
@@ -86,10 +104,12 @@ def check_bitwise(now: float, flows: list[dict], rows: list[dict],
     want_state = np.array([c.read_state() for c in scalar]).T
     for j, (got, expected) in enumerate(zip(state, want_state)):
         assert hexed(got) == hexed(expected), j
+    assert hexed(table.states.ravel()) == hexed(want_table.states.ravel())
+    assert hexed(table.actions) == hexed(want_table.actions)
+    assert table.has_state.all() and want_table.has_state.all()
+    for got, expected in zip(table.streams, want_table.streams):
+        assert got.bit_generator.state == expected.bit_generator.state
     for c, values, expected in zip(columns, state.T, scalar):
-        assert c._rng.bit_generator.state == expected._rng.bit_generator.state
-        assert hexed(c.last_state) == hexed(expected.last_state)
-        assert c.last_action.hex() == expected.last_action.hex()
         c.write_state(values)
         assert hexed(c.read_state()) == hexed(expected.read_state())
         assert list(c.state_block.thr_history_pps) == \
@@ -102,8 +122,6 @@ def random_flow(rng) -> dict:
     depth = int(rng.integers(0, HISTORY + 1)) if rng.random() < 0.3 \
         else HISTORY
     return {
-        "noise_std": 0.0 if rng.random() < 0.2
-        else float(rng.uniform(0.01, 0.5)),
         "alpha": float(rng.choice([0.025, 0.05, 0.3])),
         "use_pacing": bool(rng.random() < 0.8),
         "cwnd": float(rng.uniform(0.5, 2.0) if rng.random() < 0.05
@@ -147,7 +165,8 @@ def random_row(rng) -> dict:
     }
 
 
-def branches(flow: dict, row: dict, warm: bool, index: int) -> set[str]:
+def branches(flow: dict, row: dict, warm: bool, noise_std: float,
+             index: int) -> set[str]:
     """Which branches of the scalar decision ``flow`` takes on ``row``."""
     out = set()
     if not flow["use_pacing"]:
@@ -163,10 +182,9 @@ def branches(flow: dict, row: dict, warm: bool, index: int) -> set[str]:
         return out | {"cold learner"}
     stream = np.random.default_rng([CFG.seed, 2, index])
     stream.random(flow["skip"])
-    if stream.random() < TrainFlowController.EPSILON_UNIFORM:
+    if stream.random() < TrainingPolicy.EPSILON_UNIFORM:
         return out | {"epsilon fire"}
-    return out | {"policy plus noise" if flow["noise_std"] > 0
-                  else "noise_std = 0"}
+    return out | {"policy plus noise" if noise_std > 0 else "noise_std = 0"}
 
 
 EVERY_BRANCH = {"use_pacing off", "young stack", "lat_min inf",
@@ -177,24 +195,106 @@ EVERY_BRANCH = {"use_pacing off", "young stack", "lat_min inf",
 def test_columns_equal_the_scalar_loop_on_a_seeded_batch():
     rng = np.random.default_rng([32, 1])
     covered = set()
-    for warm in (False, True):
+    for warm, noise_std in ((False, 0.1), (True, 0.0), (True, 0.3)):
         now = float(rng.uniform(1.0, 60.0))
         flows = [random_flow(rng) for _ in range(300)]
         rows = [random_row(rng) for _ in flows]
-        covered |= set().union(*(branches(f, r, warm, i) for i, (f, r)
-                                 in enumerate(zip(flows, rows))))
-        check_bitwise(now, flows, rows, warm)
+        covered |= set().union(*(branches(f, r, warm, noise_std, i)
+                                 for i, (f, r) in enumerate(zip(flows, rows))))
+        check_bitwise(now, flows, rows, warm, noise_std)
     assert covered == EVERY_BRANCH
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
-       warm=st.booleans())
-def test_columns_equal_the_scalar_loop(seed, n, warm):
+       warm=st.booleans(),
+       noise_std=st.one_of(st.just(0.0), st.floats(0.01, 0.5)))
+def test_columns_equal_the_scalar_loop(seed, n, warm, noise_std):
     rng = np.random.default_rng(seed)
     flows = [random_flow(rng) for _ in range(n)]
     rows = [random_row(rng) for _ in flows]
-    check_bitwise(float(rng.uniform(0.03, 60.0)), flows, rows, warm)
+    check_bitwise(float(rng.uniform(0.03, 60.0)), flows, rows, warm,
+                  noise_std)
+
+
+def test_an_episode_with_the_deployed_mechanisms_on(monkeypatch):
+    """Agents with slow start, probe drain and guards on, under the
+    episode's ``TrainingPolicy``: the column pass and the per-object
+    leg give the same episode, bit for bit, across the learner's
+    warm-up, with CUBIC cross traffic and with one agent on a longer
+    MTP, so that some passes find not every agent due."""
+    scenario = ScenarioConfig(
+        link=replace(LINK, buffer_bdp=3.0),
+        flows=(FlowConfig(), FlowConfig(cc="cubic", start_s=0.2),
+               FlowConfig(start_s=0.5), FlowConfig(start_s=1.0)),
+        duration_s=7.0)
+    cfg = replace(CFG, batch_size=16, warmup_transitions=150,
+                  update_steps=2, update_interval_s=1.0)
+
+    def deployed(*args, **kwargs):
+        return [AstraeaController(
+            mtp_s=0.045 if c.slot == 1 else c.mtp_s, policy=c.policy,
+            initial_cwnd=c.initial_cwnd, slot=c.slot)
+            if isinstance(c, AstraeaController) else c
+            for c in build_training_controllers(*args, **kwargs)]
+
+    monkeypatch.setattr(episode, "build_training_controllers", deployed)
+    fired = {"guard": 0, "drain": 0, "handover": 0}
+    guarded, probe, slow_start = (AstraeaController._guarded,
+                                  AstraeaController._probe_action,
+                                  AstraeaController._slow_start_step)
+
+    def spy_guard(self, action, stats):
+        out = guarded(self, action, stats)
+        fired["guard"] += out != action
+        return out
+
+    def spy_probe(self, now):
+        out = probe(self, now)
+        fired["drain"] += out is not None
+        return out
+
+    def spy_slow_start(self, stats):
+        out = slow_start(self, stats)
+        fired["handover"] += out is None
+        return out
+
+    decide = AstraeaController.decide_columns.__func__
+    calls = []
+
+    def spy_columns(cls, state, columns, policy):
+        calls.append(set(state[cls.STATE.index("slot")].tolist()))
+        return decide(cls, state, columns, policy)
+
+    monkeypatch.setattr(AstraeaController, "_guarded", spy_guard)
+    monkeypatch.setattr(AstraeaController, "_probe_action", spy_probe)
+    monkeypatch.setattr(AstraeaController, "_slow_start_step",
+                        spy_slow_start)
+    monkeypatch.setattr(AstraeaController, "decide_columns",
+                        classmethod(spy_columns))
+
+    def leg(batched: bool):
+        learner = Learner(cfg)
+        stats = run_training_episode(
+            learner, scenario, noise_std=0.1,
+            initial_cwnds=[20.0, 10.0, 45.0, 8.0], episode=1,
+            batched=batched)
+        return learner, stats
+
+    reference, ref_stats = leg(False)
+    assert not calls and all(fired.values()), fired
+    assert reference.warm and ref_stats.update_bursts
+    fast, fast_stats = leg(True)
+    # Slot 1 decides every 45 ms, slots 0 and 2 every 30 ms.
+    assert 0 < calls.count({1.0}) < calls.count({0.0, 2.0})
+    assert fast_stats == ref_stats
+    want, got = reference.replay.columns(), fast.replay.columns()
+    assert want.keys() == got.keys()
+    for name in want:
+        assert hexed(got[name].ravel()) == hexed(want[name].ravel()), name
+    for x, y in zip(reference.td3.actor.parameters(),
+                    fast.td3.actor.parameters()):
+        assert hexed(x.ravel()) == hexed(y.ravel())
 
 
 # -- the observer's reductions ----------------------------------------------
@@ -237,9 +337,7 @@ def observed_passes(n: int, history: int, seed: int) -> None:
     every transition's reward and global state with the reference."""
     cfg = replace(CFG, history_length=history)
     learner = FrozenPolicy(cfg, Learner(cfg).td3.actor.get_state(), True)
-    agents = TrainingPolicy(learner)
-    controllers = [TrainFlowController(learner, agents=agents, flow_index=i)
-                   for i in range(n)]
+    agents, controllers = training_agents(learner, n)
     sunk = []
     observer = Observer(
         learner, LINK, tuple(FlowConfig() for _ in range(n)), controllers,
@@ -292,9 +390,7 @@ def test_observer_reductions_equal_the_column_definitions():
     for n in range(1, 21):
         rng = np.random.default_rng([n, 38])
         learner = FrozenPolicy(CFG, ACTOR_STATE, True)
-        agents = TrainingPolicy(learner)
-        controllers = [TrainFlowController(learner, agents=agents,
-                                           flow_index=i) for i in range(n)]
+        agents, controllers = training_agents(learner, n)
         sunk = []
         observer = Observer(
             learner, LINK, tuple(FlowConfig() for _ in range(n)),
@@ -375,9 +471,7 @@ def test_a_reset_agents_ring_restarts_with_its_state_block():
     it, whether the agent decides again before the observer's next step
     or not, and the reward stays the one of the agents' state blocks."""
     learner = FrozenPolicy(CFG, ACTOR_STATE, warm=True)
-    agents = TrainingPolicy(learner)
-    controllers = [TrainFlowController(learner, agents=agents, flow_index=i)
-                   for i in range(2)]
+    _, controllers = training_agents(learner, 2)
     sunk = []
     observer = Observer(
         learner, LINK, (FlowConfig(), FlowConfig()), controllers,
