@@ -20,11 +20,11 @@ Commands
               schedule, or run a robustness scenario under one scheme
               and print its summary.
 ``serve``     run the asyncio inference-serving daemon: length-prefixed
-              JSON over loopback TCP, requests batched into the 5 ms
-              window of the shared service, admission control, graceful
-              drain on SIGTERM, a ``stats`` verb exporting counters and
-              latency quantiles, and ``--shards N`` process fan-out
-              (flow-id hash -> shard).
+              frames over loopback TCP (binary ``act``, JSON otherwise;
+              a pre-binary client cannot ``act``), the shared 5 ms
+              batching window, admission control, graceful SIGTERM
+              drain, a ``stats`` verb (counters, latency quantiles) and
+              ``--shards N`` process fan-out (flow-id hash -> shard).
 ``bench``     benchmarks, one subcommand per entry of the registry in
               ``repro/bench/registry.py`` (``repro bench --help`` lists
               them); each writes a strict-JSON artifact under

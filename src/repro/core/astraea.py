@@ -60,7 +60,8 @@ class AstraeaController(ColumnController):
 
     #: The scalar rows of the column state.  The state block's column
     #: (:meth:`LocalStateBlock.read_column`) and the guard's RTT ring
-    #: (``ring`` rows of sample times, then ``ring`` of values) follow;
+    #: (``ring`` rows of sample times, then ``ring`` of values; none
+    #: with the guards off) follow;
     #: ``ring_next`` is the ring's write slot; ``slot`` is the agent's
     #: in its policy, which the policy's ``act`` and ``act_batch`` take.
     STATE = ("cwnd", "_in_slow_start", "_rtt_min", "_next_probe_s",
@@ -253,11 +254,13 @@ class AstraeaController(ColumnController):
         if self.policy is None:
             return None
         return (type(self), id(self.policy), self.state_block.history,
-                self.mtp_s)
+                self.mtp_s, self.guards_enabled)
 
     def _ring_size(self) -> int:
         """Guard samples one RTT window can hold: a driver's decisions
-        are at least one MTP apart."""
+        are at least one MTP apart.  Without the guards, none."""
+        if not self.guards_enabled:
+            return 0
         return math.ceil(self.RTT_WINDOW_S / self.mtp_s) + 2
 
     def state_rows(self) -> int:
@@ -283,7 +286,7 @@ class AstraeaController(ColumnController):
         values[:len(self.STATE)] = (
             self.cwnd, self._in_slow_start, self._rtt_min,
             np.nan if self._next_probe_s is None else self._next_probe_s,
-            self._drain_left, len(samples) % ring, self.alpha,
+            self._drain_left, len(samples) % max(ring, 1), self.alpha,
             self.use_pacing, self.probe_rtt_enabled, self.guards_enabled,
             self.slot)
         block, times, rtts = self._blocks(values, self.state_block.history)
@@ -312,7 +315,7 @@ class AstraeaController(ColumnController):
         # every later one, inside the newest sample's window.
         order = np.roll(np.arange(len(times)), -int(ring_next))
         times, rtts = times[order].tolist(), rtts[order].tolist()
-        horizon = times[-1] - self.RTT_WINDOW_S
+        horizon = times[-1] - self.RTT_WINDOW_S if times else 0.0
         kept = []
         for t, rtt in zip(reversed(times), reversed(rtts)):
             if t < horizon or t == -math.inf:

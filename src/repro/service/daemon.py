@@ -7,13 +7,13 @@ flow.  This module turns the hardened in-process
 :class:`~repro.service.inference.BatchedInferenceService` into something
 flows can actually connect to:
 
-* **Wire protocol** — length-prefixed JSON over localhost TCP: a 4-byte
-  big-endian length, then one UTF-8 JSON object.  Verbs: ``act`` (one
-  inference request), ``stats`` (counters + latency quantiles + text
-  metrics), ``ping``.  A malformed body is answered with a typed
-  ``ProtocolError`` reject and the connection lives on (the length
-  prefix keeps the stream in sync); an unparseable length prefix closes
-  only that connection.  One bad client never takes the daemon down.
+* **Wire protocol** — length-prefixed frames over localhost TCP (a
+  4-byte big-endian length, then the body).  An ``act`` with a float
+  state is binary: ``\\x00``, a 4-byte header length, a JSON header, the
+  state as little-endian float64s; every other body, replies included,
+  is one JSON object.  Verbs: ``act``, ``stats``, ``ping``.  A malformed
+  body gets a typed ``ProtocolError`` and the connection lives on; an
+  unparseable length prefix closes only that connection.
 * **Batching** — the daemon serves a window, not a request.  Each
   accepted socket is one callback-driven :class:`asyncio.Protocol`:
   ``data_received`` stamps the read once, slices every complete frame
@@ -105,9 +105,37 @@ def shard_for_flow(flow_id: int, n_shards: int) -> int:
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
+#: A binary ``act`` body starts with ``\x00``, which no JSON text can
+#: start with: a daemon from before binary frames refuses it as bad JSON.
+_BINARY = b"\x00"
+_STATE_DTYPE = np.dtype("<f8")
+
+
+def _state_bytes(state) -> bytes | None:
+    """The binary form of an ``act`` state — a 1-D float array, or a
+    list or tuple of Python floats — or ``None`` for any other state."""
+    if isinstance(state, np.ndarray):
+        if state.ndim == 1 and state.dtype.kind == "f":
+            return state.astype(_STATE_DTYPE, copy=False).tobytes()
+    elif type(state) in (list, tuple) \
+            and all(type(v) is float for v in state):
+        return struct.pack(f"<{len(state)}d", *state)
+    return None
+
+
 def encode_frame(obj: dict) -> bytes:
-    """Serialise one protocol message: 4-byte length + JSON body."""
-    body = _encode_json(obj).encode("utf-8")
+    """Serialise one protocol message: 4-byte length + body.  An ``act``
+    whose state has a binary form (:func:`_state_bytes`) gets the binary
+    body, ``\\x00`` + header length + JSON header + state; any other
+    message is one JSON body."""
+    state = _state_bytes(obj.get("state")) if obj.get("op") == "act" \
+        else None
+    if state is None:
+        body = _encode_json(obj).encode("utf-8")
+    else:
+        header = _encode_json(
+            {k: v for k, v in obj.items() if k != "state"}).encode("utf-8")
+        body = b"".join((_BINARY, _HEADER.pack(len(header)), header, state))
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -115,7 +143,21 @@ def encode_frame(obj: dict) -> bytes:
 
 
 def decode_body(data: bytes) -> dict:
-    """Parse a frame body; raises :class:`ProtocolError` on garbage."""
+    """Parse a frame body, JSON or binary; raises :class:`ProtocolError`
+    on garbage.  A binary body's ``state`` is a float64 view of its
+    bytes."""
+    state = None
+    if data[:1] == _BINARY:
+        start, size = 1 + _HEADER.size, len(data)
+        # A body too short for the header length ends inside it.
+        end = start + _HEADER.unpack_from(data, 1)[0] if size >= start \
+            else size + 1
+        if end > size or (size - end) % _STATE_DTYPE.itemsize:
+            raise ProtocolError(
+                f"binary body of {size} bytes does not hold its header "
+                f"and whole float64s")
+        state = np.frombuffer(data, _STATE_DTYPE, offset=end)
+        data = data[start:end]
     try:
         obj = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -125,7 +167,15 @@ def decode_body(data: bytes) -> dict:
     if not isinstance(obj, dict):
         raise ProtocolError(
             f"frame body must be a JSON object, got {type(obj).__name__}")
+    if state is not None:
+        if "state" in obj:
+            raise ProtocolError("a binary body's header carries no 'state'")
+        obj["state"] = state
     return obj
+
+
+#: What a window row's state may be: a JSON list or a binary body's array.
+_ROW_STATES = (list, np.ndarray)
 
 
 def _frame_length(buf, pos: int = 0) -> int:
@@ -401,11 +451,12 @@ class InferenceDaemon:
         """Serve the frame bodies of one read, all stamped ``now``;
         returns the replies that can be sent at once.
 
-        An ``act`` with a state list of the right length joins the open
-        window as one row, ``(number, now, state, conn, id)``; what it
-        holds is checked when the window is served.  Rows are counted
-        (frames, requests, admission room) once per read, and before any
-        other frame, which is served on its own by :meth:`_on_frame`.
+        An ``act`` with a state list (JSON) or float64 array (binary) of
+        the right length joins the open window as one row, ``(number,
+        now, state, conn, id)``; what it holds is checked when the window
+        is served.  Rows are counted (frames, requests, admission room)
+        once per read, and before any other frame, which is served on its
+        own by :meth:`_on_frame`.
         """
         window = self.service.window
         in_dim = self.service.policy.actor.in_dim
@@ -420,8 +471,8 @@ class InferenceDaemon:
             else:
                 if body.get("op") == "act":
                     state = body.get("state")
-                    if type(state) is list and len(state) == in_dim \
-                            and room:
+                    if type(state) in _ROW_STATES \
+                            and len(state) == in_dim and room:
                         window.append(
                             (number, now, state, conn, body.get("id")))
                         number += 1
@@ -475,9 +526,9 @@ class InferenceDaemon:
 
     def _refusal(self, state) -> Exception:
         """Why an ``act`` the window did not take is refused: no state
-        list, a drain, a full window, or (checked by the service, as a
-        row would be) a state of the wrong length."""
-        if type(state) is not list:
+        list or array, a drain, a full window, or (checked by the
+        service, as a row would be) a state of the wrong length."""
+        if type(state) not in _ROW_STATES:
             self.counters["protocol_errors"] += 1
             return ProtocolError("'act' needs a 'state' list")
         if self._draining:
@@ -614,10 +665,8 @@ class ServiceClient:
         shard = shard_for_flow(flow_id, self.n_shards)
         conn = await self._conn_for(shard)
         if not isinstance(state, list):
-            # Arrays are serialised once here; the load generator passes
-            # pre-built float lists to stay off this path per request.
-            state = [float(v) for v in
-                     np.asarray(state, dtype=float).ravel()]
+            # An array goes out as its float64 bytes (a binary frame).
+            state = np.asarray(state, dtype=float).ravel()
         body = await conn.request({"op": "act", "flow": int(flow_id),
                                    "state": state},
                                   timeout=self._timeout(timeout))

@@ -242,9 +242,11 @@ class BatchedInferenceService:
         #: The open window: ``(request_id, arrival_s, state, ...)`` rows in
         #: arrival order, each counted in ``accounting.requests`` when it
         #: is appended.  ``state`` is anything ``np.asarray(state,
-        #: dtype=float)`` reads; ``arrival_s`` may be ``None`` (no
-        #: deadline applies).  Fields past the third ride along untouched
-        #: — the daemon keeps the reply's connection and id there.
+        #: dtype=float)`` reads — the daemon's are a JSON ``act``'s list
+        #: or a binary one's float64 view of its frame; ``arrival_s`` may
+        #: be ``None`` (no deadline applies).  Fields past the third ride
+        #: along untouched — the daemon keeps the reply's connection and
+        #: id there.
         self.window: list[tuple] = []
 
     @classmethod
@@ -264,17 +266,18 @@ class BatchedInferenceService:
                                 np.ndarray]:
         """Validate and stack states: the service's one validation routine.
 
-        Returns ``(X, refused, finite)``.  ``X`` is the states as an
-        ``(n, in_dim)`` float array — one ``np.array`` over them all, and
-        a conversion row by row only when that raises or has the wrong
-        shape; a refused row reads zeros.  ``refused`` maps a row's
-        position to the error that answers it: ``InvalidStateError`` for
-        a wrong shape, an integer too large for a float, or (with no
-        fallback configured) a non-finite entry — each counted in
-        ``accounting.rejected`` — and the conversion's own ``ValueError``
-        / ``TypeError`` for an entry that is not a number.  ``finite``
-        marks the rows without NaN/inf entries; the fallback answers the
-        others.  ``request_ids[i]`` names row ``i`` in messages.
+        Returns ``(X, refused, finite)``.  ``X`` is the states — lists,
+        float64 arrays, or both — as an ``(n, in_dim)`` float array: one
+        ``np.array`` over them all, and a conversion row by row only when
+        that raises or has the wrong shape; a refused row reads zeros.
+        ``refused`` maps a row's position to the error that answers it:
+        ``InvalidStateError`` for a wrong shape, an integer too large for
+        a float, or (with no fallback configured) a non-finite entry —
+        each counted in ``accounting.rejected`` — and the conversion's
+        own ``ValueError`` / ``TypeError`` for an entry that is not a
+        number.  ``finite`` marks the rows without NaN/inf entries; the
+        fallback answers the others.  ``request_ids[i]`` names row ``i``
+        in messages.
         """
         in_dim = self.policy.actor.in_dim
         n = len(states)

@@ -67,13 +67,25 @@ def hexed(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def stacked(controllers) -> np.ndarray:
+    """The controllers' state columns, zero-padded to the longest as a
+    driver's state array pads the shorter kinds: a guards-off agent has
+    no RTT ring."""
+    state = np.zeros((max(c.state_rows() for c in controllers),
+                      len(controllers)))
+    for j, c in enumerate(controllers):
+        values = c.read_state()
+        state[:len(values), j] = values
+    return state
+
+
 def check_bitwise(now: float, flows: list[dict], rows: list[dict]):
     stats = [make_stats(now, row) for row in rows]
     scalar = [make_controller(flow) for flow in flows]
     want = [c.on_interval(s) for c, s in zip(scalar, stats)]
 
     columns = [make_controller(flow) for flow in flows]
-    state = np.array([c.read_state() for c in columns]).T.copy()
+    state = stacked(columns)
     cwnd, pacing = AstraeaController.decide_columns(
         state, MtpColumns.of(now, stats), POLICY)
 
@@ -81,11 +93,11 @@ def check_bitwise(now: float, flows: list[dict], rows: list[dict]):
     assert hexed(pacing) == hexed(math.inf if d.pacing_pps is None
                                   else d.pacing_pps for d in want)
     got_rows = state[HEX_ROWS]
-    want_rows = np.array([c.read_state() for c in scalar]).T[HEX_ROWS]
+    want_rows = stacked(scalar)[HEX_ROWS]
     for j, (got, expected) in enumerate(zip(got_rows, want_rows)):
         assert hexed(got) == hexed(expected), HEX_ROWS[j]
     for c, values, expected in zip(columns, state.T, scalar):
-        c.write_state(values)
+        c.write_state(values[:c.state_rows()])
         assert c._rtt_samples == expected._rtt_samples
         assert snapshot(c) == snapshot(expected)
 
@@ -330,6 +342,18 @@ def test_read_then_write_state_round_trips():
         assert type(copy._drain_left) is int
         assert copy._next_probe_s is None or \
             type(copy._next_probe_s) is float
+
+
+def test_a_guards_off_agent_carries_no_ring():
+    """The RTT ring is the guard's: without the guards a column is the
+    scalar rows and the state block's column, and the switch is part of
+    the kind, so no block pads one kind to the other's rows."""
+    on, off = (AstraeaController(mtp_s=MTP_S, policy=POLICY, guards=guards)
+               for guards in (True, False))
+    assert off.state_rows() == len(AstraeaController.STATE) \
+        + column_rows(HISTORY)
+    assert len(off.read_state()) == off.state_rows() < on.state_rows()
+    assert on.column_key() != off.column_key()
 
 
 def test_the_ring_holds_a_full_window_of_decisions():

@@ -368,8 +368,11 @@ class TestColumnPass:
         assert kinds == [Cubic, Cubic, Reno, None, AstraeaController, None,
                          None, Cubic, Reno, Cubic, None, None,
                          AstraeaController]
-        # Pacing and guards are state rows, not kinds.
-        assert controllers[4].column_key() == controllers[12].column_key()
+        # Pacing is a state row, not a kind; the guard switch is part of
+        # the kind, as it sizes the guard's RTT ring.
+        assert controllers[4].column_key() == \
+            AstraeaController(use_pacing=False).column_key()
+        assert controllers[4].column_key() != controllers[12].column_key()
         assert controllers[4].column_key() != \
             AstraeaController(mtp_s=0.02).column_key()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import socket
 import struct
@@ -75,11 +76,50 @@ class daemon_and_client:
 
 class TestFraming:
     def test_round_trip(self):
-        body = {"op": "act", "id": 3, "state": [0.0, 1.5]}
+        # An int entry keeps an ``act`` in the JSON form.
+        body = {"op": "act", "id": 3, "state": [0, 1.5]}
         frame = encode_frame(body)
         length = struct.unpack(">I", frame[:4])[0]
         assert length == len(frame) - 4
+        assert frame[4:5] == b"{"
         assert decode_body(frame[4:]) == body
+
+    @pytest.mark.parametrize("state", [
+        [0.0, 1.5], (-0.0, 5e-324, float("inf")), np.array([2.0, -3.0]),
+        np.array([0.25, 1e30], dtype=np.float32), []])
+    def test_binary_round_trip(self, state):
+        frame = encode_frame({"op": "act", "id": "a", "flow": 7,
+                              "state": state})
+        assert struct.unpack(">I", frame[:4])[0] == len(frame) - 4
+        assert frame[4:5] == b"\x00"
+        body = decode_body(frame[4:])
+        decoded = body.pop("state")
+        assert body == {"op": "act", "id": "a", "flow": 7}
+        assert decoded.dtype == np.float64
+        assert decoded.tobytes() == np.asarray(state, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("state", [
+        [1.0, 2], [1.0, True], [1.0, "x"], [[1.0]], [1.0, 10**400]])
+    def test_other_states_keep_the_json_form(self, state):
+        """Only floats go binary: the daemon's refusal of an ill-typed
+        state reads as it did."""
+        frame = encode_frame({"op": "act", "id": 1, "state": state})
+        assert frame[4:5] == b"{"
+        with pytest.raises(TypeError):      # and an array is no JSON
+            encode_frame({"op": "act", "id": 1,
+                          "state": np.array(state, dtype=object)})
+
+    def test_act_frames_differ_only_in_the_id_digits(self):
+        """The open-loop harness splices ids into one encoded frame: the
+        id is header text, and no length field depends on it."""
+        state = [float(v) for v in np.random.default_rng(0).normal(size=40)]
+        a, b = (encode_frame({"id": rid, "op": "act", "flow": 12,
+                              "state": state})
+                for rid in (1_000_000, 9_876_543))
+        at = a.index(b"1000000")
+        assert len(a) == len(b) and a[:at] == b[:at]
+        assert b[at:at + 7] == b"9876543" and a[at + 7:] == b[at + 7:]
+        assert a[at - 5:at] == b'"id":'
 
     def test_decode_garbage_raises_typed(self):
         with pytest.raises(ProtocolError):
@@ -408,12 +448,17 @@ class FakeTransport:
         self.closed = True
 
     def replies(self):
-        out, pos = [], 0
-        while pos < len(self.written):
-            (length,) = struct.unpack_from(">I", self.written, pos)
-            out.append(json.loads(self.written[pos + 4:pos + 4 + length]))
-            pos += 4 + length
-        return out
+        return split_replies(self.written)
+
+
+def split_replies(written):
+    """The JSON reply frames of a byte stream, parsed."""
+    out, pos = [], 0
+    while pos < len(written):
+        (length,) = struct.unpack_from(">I", written, pos)
+        out.append(json.loads(written[pos + 4:pos + 4 + length]))
+        pos += 4 + length
+    return out
 
 
 class Clock:
@@ -438,6 +483,15 @@ def deliver(bundle, chunks, fallback=None, overdue_other=False):
     untouched second connection were sent.  The second connection's
     one ``act`` is read first; with ``overdue_other`` it is read long
     enough before the flush to miss the deadline."""
+    mine, closed, other, counters = deliver_bytes(bundle, chunks, fallback,
+                                                  overdue_other)
+    return split_replies(mine), closed, split_replies(other), counters
+
+
+def deliver_bytes(bundle, chunks, fallback=None, overdue_other=False,
+                  read_at=READ_AT):
+    """:func:`deliver`, returning the bytes each connection was sent;
+    ``chunks`` are read at ``read_at``."""
 
     async def scenario():
         daemon = make_daemon(bundle, deadline_s=DEADLINE, fallback=fallback)
@@ -450,7 +504,7 @@ def deliver(bundle, chunks, fallback=None, overdue_other=False):
         clock.t = 0.0 if overdue_other else READ_AT
         conns[1].data_received(encode_frame(
             {"op": "act", "id": "other", "state": OTHER_STATE}))
-        clock.t = READ_AT
+        clock.t = read_at
         for chunk in chunks:
             if transports[0].closed:
                 break           # a closed transport reads no more
@@ -463,8 +517,8 @@ def deliver(bundle, chunks, fallback=None, overdue_other=False):
         counters = {**daemon.counters,
                     **daemon.service.accounting.counters()}
         del counters["cpu_time_s"]
-        return (transports[0].replies(), transports[0].closed,
-                transports[1].replies(), counters)
+        return (bytes(transports[0].written), transports[0].closed,
+                bytes(transports[1].written), counters)
 
     return run(scenario())
 
@@ -733,6 +787,129 @@ class TestConnectionParser:
         assert (after_read, after_window) == (1, 2)
         assert len(arrivals) == 1
         assert [r["id"] for r in replies] == [0, 1, 2, 0, 1, 2, 3, 4]
+
+
+def framed(body):
+    return struct.pack(">I", len(body)) + body
+
+
+def json_act(request_id, state):
+    """The JSON twin of an ``act`` frame: the form a client from before
+    binary frames wrote."""
+    return framed(json.dumps({"op": "act", "id": request_id,
+                              "state": state},
+                             separators=(",", ":")).encode())
+
+
+def binary_body(header, payload=b""):
+    return b"\x00" + struct.pack(">I", len(header)) + header + payload
+
+
+#: State entries at the edges of a float64.
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+               -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+def parent_json_stream():
+    """JSON frames as they were written before binary ``act`` frames:
+    saturating, overflowing, non-finite, short, ill-typed and missing
+    states, a ping, an unknown op and bad JSON.  Every answer is free of
+    BLAS rounding: a saturated actor clips to -0.999, and the fallback
+    is scalar arithmetic."""
+    def state(entry, n=40):
+        return b"[" + b",".join([entry] * n) + b"]"
+
+    bodies = [
+        b'{"op":"act","id":1,"flow":3,"state":%s}' % state(b"10000.0"),
+        b'{"op":"act","id":2,"flow":4,"state":%s}' % state(b"-10000.0"),
+        b'{"op":"act","id":3,"state":%s}' % state(b"1e+308"),
+        b'{"op":"act","id":4,"state":%s}' % state(b"NaN"),
+        b'{"op":"act","id":5,"state":%s}' % state(b"-Infinity"),
+        b'{"op":"act","id":6,"state":[1.0,2.0]}',
+        b'{"op":"act","id":7,"state":[%s1%s]}' % (b"0.5," * 39,
+                                                  b"0" * 400),
+        b'{"op":"act","id":"eight","state":%s}' % state(b"-0.0"),
+        b'{"op":"act","id":9}',
+        b'{"op":"ping","id":10}',
+        b'{"op":"explode","id":11}',
+        b'{not json',
+    ]
+    return b"".join(framed(body) for body in bodies)
+
+
+#: SHA-256 of the reply bytes the daemon sent ``parent_json_stream()``
+#: before binary frames, per (fallback, read instant).
+PARENT_REPLIES = {
+    (None, READ_AT):
+        "f7822a351b6307c7964b9348f4255fed10b73b03de525e33a11da32577b568d3",
+    ("analytic", READ_AT):
+        "b2f0a393c42c5ff1d031cbbe4031394e8439919aad99e88457ab2d87a272ed31",
+    (None, 0.0):
+        "7bd7842b359b868fdf88db4936913a163c6720f980e86f23ac7994e00a0e8fba",
+    ("analytic", 0.0):
+        "95c51ea2c1262bdf75e82d3fe5a659c196c59931533197925e10a059d59ac8ea",
+}
+
+
+class TestBinaryActFrames:
+    """A binary ``act`` is served as its JSON twin is — same reply
+    bytes, same counters — on every path of the window, and a JSON
+    ``act`` as it was before binary frames."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_replies_equal_the_json_twins(self, bundle, data):
+        in_dim = bundle.actor.in_dim
+        entry = st.one_of(st.floats(-5.0, 5.0), st.floats(),
+                          st.sampled_from(EDGE_FLOATS))
+        state = st.sampled_from([in_dim] * 6 + [0, 1, in_dim - 1,
+                                                in_dim + 1]).flatmap(
+            lambda n: st.lists(entry, min_size=n, max_size=n))
+        states = data.draw(st.lists(state, min_size=1, max_size=6))
+        ids = data.draw(st.lists(
+            st.one_of(st.integers(0, 10**7), st.text(max_size=3)),
+            min_size=len(states), max_size=len(states)))
+        config = (data.draw(st.sampled_from([None, "analytic"])),
+                  data.draw(st.booleans()),
+                  data.draw(st.sampled_from([READ_AT, 0.0])))
+        binary = [encode_frame({"op": "act", "id": i, "state": s})
+                  for i, s in zip(ids, states)]
+        assert all(frame[4] == 0 for frame in binary)
+        assert binary == [encode_frame({"op": "act", "id": i,
+                                        "state": np.array(s, dtype=float)})
+                          for i, s in zip(ids, states)]
+        twins = [json_act(i, s) for i, s in zip(ids, states)]
+        served = deliver_bytes(bundle, [b"".join(binary)], *config)
+        assert served[0]
+        assert served == deliver_bytes(bundle, [b"".join(twins)], *config)
+
+    @pytest.mark.parametrize("body", [
+        b"\x00",                                        # no header length
+        binary_body(b'{"op":"act","id":1}')[:-1],       # header past the end
+        binary_body(b"[1]", bytes(8)),                  # not an object
+        binary_body(b'{"op":"act","id":1,"state":[]}'),  # carries a state
+        binary_body(b'{"op":"act","id":1}', bytes(7)),  # no whole float64s
+    ])
+    def test_malformed_binary_body_is_one_frames_reject(self, bundle, body):
+        zeros = [0.0] * bundle.actor.in_dim
+        replies, closed, _, counters = deliver(bundle, [
+            framed(body) + encode_frame({"op": "ping", "id": 8})
+            + encode_frame({"op": "act", "id": 9, "state": zeros})])
+        assert not closed
+        reject, pong, served = replies
+        assert (reject["id"], reject["ok"], reject["error"]) == (
+            None, False, "ProtocolError")
+        assert pong == {"id": 8, "ok": True, "op": "ping"}
+        assert (served["id"], served["ok"]) == (9, True)
+        assert counters["protocol_errors"] == 1
+
+    @pytest.mark.parametrize("config", sorted(PARENT_REPLIES, key=str))
+    def test_json_act_replies_are_the_parents(self, bundle, config):
+        fallback, read_at = config
+        served = deliver_bytes(bundle, [parent_json_stream()], fallback,
+                               read_at=read_at)
+        assert hashlib.sha256(served[0]).hexdigest() == \
+            PARENT_REPLIES[config], split_replies(served[0])
 
 
 class TestBackpressureAndDisconnect:
