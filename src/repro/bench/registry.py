@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from importlib import import_module
 
 #: Modules holding a ``BENCH`` entry, in ``repro bench --help`` order.
-BENCH_MODULES = ("robustness", "scenariobench", "scaling", "trainbench",
-                 "fleetbench", "serve", "socketbench")
+BENCH_MODULES = ("robustness", "scenariobench", "trainbench", "fleetbench",
+                 "socketbench")
 
 
 class Flag:
@@ -118,7 +118,3 @@ def _items(value: str) -> list[str]:
 def names(value: str) -> tuple[str, ...] | None:
     """``a,b`` -> ``("a", "b")``; ``all`` -> ``None`` (the default)."""
     return None if value == "all" else tuple(_items(value))
-
-
-def ints(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in _items(value))

@@ -385,8 +385,8 @@ def _add_bench_parsers(p_bench: argparse.ArgumentParser) -> None:
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The full parser; given the ``argv`` about to be parsed, the bench
-    sub-parsers attach only if the command is ``bench`` — they import all
-    seven bench modules, which ``repro serve`` startup must not pay."""
+    sub-parsers attach only if the command is ``bench`` — they import
+    every bench module, which ``repro serve`` startup must not pay."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -528,7 +528,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     p_serve.set_defaults(func=_cmd_serve)
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark sweeps (robustness report)")
+        "bench", help="benchmarks and their equivalence gates")
     if argv is None or argv[:1] == ["bench"]:
         _add_bench_parsers(p_bench)
     return parser

@@ -46,8 +46,7 @@ flows can actually connect to:
 
 :class:`ServiceClient` is the matching asyncio client: it multiplexes
 many flows over a small connection pool per shard (request ids match
-responses to callers), which is also how the load benchmark
-(:mod:`repro.bench.serve`) drives the daemon.
+responses to callers).
 """
 
 from __future__ import annotations

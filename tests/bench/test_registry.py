@@ -37,13 +37,6 @@ every_bench = by(lambda b: True)
 
 def sample_payload(bench) -> dict:
     """A real payload of this bench: its committed artifact."""
-    if bench.name == "scaling":     # BENCH_parallel.json is not committed
-        return {"bench": bench.bench_id, "workers": 2, "cpu_count": 2,
-                "cells": 6, "trials": 1, "schemes": ["cubic", "bbr"],
-                "kinds": ["blackout"], "engines": ["fluid"],
-                "serial_s": 2.0, "parallel_s": 1.0, "speedup": 2.0,
-                "deterministic": True, "cell_elapsed_serial_s": [0.3] * 6,
-                "cell_elapsed_parallel_s": [0.3] * 6}
     return reporting.load_results(bench.small_id or bench.bench_id)
 
 
@@ -67,8 +60,7 @@ def raising(exc):
 
 def test_every_subcommand_is_registered_once():
     names = [b.name for b in BENCHES]
-    assert names == ["robustness", "scenarios", "scaling", "train",
-                     "fleet", "serve", "socket"]
+    assert names == ["robustness", "scenarios", "train", "fleet", "socket"]
     assert len({b.bench_id for b in BENCHES}) == len(BENCHES)
 
 
@@ -87,8 +79,7 @@ def test_run_writes_strict_artifact_and_prints_table(
     doc = reporting.loads_strict((tmp_path / f"{stem}.json").read_text())
     assert doc == payload
     # robustness, scenarios and socket payloads have never carried it.
-    assert ("bench" in doc) == (bench.name in {"scaling", "train", "fleet",
-                                               "serve"})
+    assert ("bench" in doc) == (bench.name in {"train", "fleet"})
     twin = tmp_path / f"{stem}.md"
     if bench.markdown:
         assert twin.read_text() == bench.markdown(payload) + "\n"
@@ -151,18 +142,16 @@ def test_gate_flag_runs_check_only(bench, tmp_path, capsys, monkeypatch):
 LIST_FLAGS = [(b, f.names[0]) for b in BENCHES for f in b.flags if f.parse]
 
 
-def test_five_benches_take_list_valued_flags():
+def test_three_benches_take_list_valued_flags():
     assert {b.name for b, _ in LIST_FLAGS} == {
-        "robustness", "scenarios", "scaling", "fleet", "serve"}
+        "robustness", "scenarios", "fleet"}
 
 
 @pytest.mark.parametrize(
     "bench,flag,value",
     [(b, flag, ",") for b, flag in LIST_FLAGS]
-    + [(b, flag, value) for b in BENCHES for flag, value in {
-        "serve": [("--levels", "x"), ("--connect", "host:notaport")],
-        "fleet": [("--points", "nope"), ("--points", "1x2x3")],
-    }.get(b.name, [])],
+    + [(b, flag, value) for b in BENCHES if b.name == "fleet"
+       for flag, value in [("--points", "nope"), ("--points", "1x2x3")]],
     ids=lambda v: getattr(v, "name", v))
 def test_bad_list_flag_is_rc_2(bench, flag, value, tmp_path, capsys,
                                monkeypatch):
@@ -182,8 +171,8 @@ def test_bench_help_lists_every_subcommand(capsys):
 
 
 def test_non_bench_commands_import_no_bench_module():
-    # `repro serve` is spawned per serving-benchmark job; the seven bench
-    # modules must stay off its (and every other command's) import path.
+    # The perf ledger spawns `repro serve` for its serving workload; no
+    # bench module may sit on its (or any other command's) import path.
     code = ("import sys, repro.cli; repro.cli.main(['template']); "
             "assert not [m for m in sys.modules "
             "if m.startswith('repro.bench')]")

@@ -135,18 +135,6 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--fallback", "magic"])
 
-    def test_bench_serve_small(self):
-        args = build_parser().parse_args(["bench", "serve", "--small"])
-        assert args.small
-        assert args.func is not None
-
-    def test_bench_serve_custom_levels_and_connect(self):
-        args = build_parser().parse_args(
-            ["bench", "serve", "--levels", "4,16",
-             "--connect", "127.0.0.1:9001,127.0.0.1:9002"])
-        assert args.levels == "4,16"
-        assert args.connect == "127.0.0.1:9001,127.0.0.1:9002"
-
 
 class TestSocketParser:
     def test_serve_max_restarts_default_and_override(self):
